@@ -439,48 +439,6 @@ func BenchmarkFig8_SSJAblationWords(b *testing.B) {
 
 // ---------------------------------------------------------------- Ablations
 
-// AblationKernels: the bit-packed product (our SGEMM stand-in) vs dense
-// int32 vs Strassen vs the Lemma-1 rectangular decomposition, on the same
-// logical 0/1 operands.
-func BenchmarkAblationKernels(b *testing.B) {
-	const n = 512
-	rng := rand.New(rand.NewSource(9))
-	bm1 := matrix.NewBitMatrix(n, n)
-	bm2 := matrix.NewBitMatrix(n, n)
-	d1 := matrix.NewInt32(n, n)
-	d2 := matrix.NewInt32(n, n)
-	for i := 0; i < n; i++ {
-		for j := rng.Intn(4); j < n; j += 1 + rng.Intn(6) {
-			bm1.Set(i, j)
-			d1.Set(i, j, 1)
-			k := (j + i) % n
-			bm2.Set(i, k)
-			d2.Set(i, k, 1)
-		}
-	}
-	d2t := d2.Transpose()
-	b.Run("BitPacked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = matrix.MulBitCount(bm1, bm2, 1)
-		}
-	})
-	b.Run("DenseInt32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = matrix.MulBlocked(d1, d2t)
-		}
-	})
-	b.Run("Strassen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = matrix.MulStrassen(d1, d2t, 0)
-		}
-	})
-	b.Run("RectLemma1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = matrix.MulRect(d1, d2t, 0)
-		}
-	})
-}
-
 // AblationDedup: the Section-6 per-x stamp vector vs append+sort dedup.
 func BenchmarkAblationDedup(b *testing.B) {
 	r := ds(b, "Words", benchScale)
@@ -515,25 +473,6 @@ func BenchmarkAblationThresholds(b *testing.B) {
 		b.Run(fmt.Sprintf("Fixed=%d", fixed), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = joinproject.TwoPathSize(r, r, joinproject.Options{Delta1: fixed, Delta2: fixed, Workers: 1})
-			}
-		})
-	}
-}
-
-// AblationStrassen: recursion cutoff sensitivity.
-func BenchmarkAblationStrassen(b *testing.B) {
-	const n = 512
-	rng := rand.New(rand.NewSource(10))
-	d1 := matrix.NewInt32(n, n)
-	d2 := matrix.NewInt32(n, n)
-	for i := range d1.Data {
-		d1.Data[i] = int32(rng.Intn(3))
-		d2.Data[i] = int32(rng.Intn(3))
-	}
-	for _, cutoff := range []int{64, 128, 256, 512} {
-		b.Run(fmt.Sprintf("cutoff=%d", cutoff), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = matrix.MulStrassen(d1, d2, cutoff)
 			}
 		})
 	}

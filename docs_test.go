@@ -1,14 +1,16 @@
 package joinmm
 
-// The repository's documentation gates, run as ordinary tests so CI and
-// developers share one entry point (the CI docs job runs
-// `go test -run 'TestDocs' .`):
+// The repository's gates on what `go test ./...` does not otherwise see,
+// run as ordinary tests so CI and developers share one entry point (the CI
+// docs job runs `go test -run 'TestDocs' .`):
 //
 //   - TestDocsMarkdownLinks: every relative link in every markdown file
 //     must resolve to an existing file or directory.
 //   - TestDocsGodocCoverage: every exported identifier in every library
 //     package must carry a doc comment (the `go doc ./...` coverage the
 //     missing-doc lint enforces).
+//   - TestBenchBuilds: bench/ — its own module, frozen between benchmark
+//     changes — still compiles against the engine.
 
 import (
 	"go/ast"
@@ -16,6 +18,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -79,6 +82,19 @@ func TestDocsMarkdownLinks(t *testing.T) {
 		t.Fatal("no markdown links checked; walker is broken")
 	}
 	t.Logf("checked %d relative markdown links, %d broken", checked, broken)
+}
+
+// TestBenchBuilds vets the benchmark module. bench/ replays requests as
+// direct calls into each layer's public API, so an engine change that renames
+// or re-types anything it uses would otherwise fail only when the benchmark
+// is next run.
+func TestBenchBuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the bench module")
+	}
+	if out, err := exec.Command("go", "vet", "-C", "bench", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C bench ./...: %v\n%s", err, out)
+	}
 }
 
 func TestDocsGodocCoverage(t *testing.T) {

@@ -145,16 +145,6 @@ func decide(l, r *relation.Relation, opt Options) ComposeDecision {
 	return ComposeDecision{Strategy: StrategyMM, Delta1: opt.Join.Delta1, Delta2: opt.Join.Delta2}
 }
 
-// wcojThresholds returns thresholds that classify every value as light,
-// turning Algorithm 1 into the plain WCOJ + constant-time-dedup plan.
-func wcojThresholds(l, r *relation.Relation) int {
-	n := l.Size()
-	if r.Size() > n {
-		n = r.Size()
-	}
-	return n + 1
-}
-
 // Compose computes V(a, c) = π_{a,c}(L(a, b) ⋈ R(b, c)) as one planned
 // composition step. Algorithm 1 joins the second columns of both operands, so
 // the right-hand relation is swapped into (c, b) orientation first; the
@@ -176,8 +166,7 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 		case halt():
 			// Canceled while swapping; skip the join.
 		case dec.Strategy == StrategyWCOJ:
-			t := wcojThresholds(l, r)
-			jopt.Delta1, jopt.Delta2 = t, t
+			jopt = jopt.AllLight(l, rs)
 			pairs = joinproject.TwoPathMM(l, rs, jopt)
 		case dec.Strategy == StrategyNonMM:
 			pairs = joinproject.TwoPathNonMM(l, rs, jopt)

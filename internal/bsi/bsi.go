@@ -84,8 +84,7 @@ func AnswerBatch(r, s *relation.Relation, batch []Query, opt Options) []bool {
 		return out
 	}
 	// Combinatorial: all values light (pure WCOJ expansion with dedup).
-	n := rf.Size() + sf.Size() + 1
-	pairs := joinproject.TwoPathNonMM(rf, sf, joinproject.Options{Delta1: n, Delta2: n, Workers: opt.Workers})
+	pairs := joinproject.TwoPathNonMM(rf, sf, joinproject.Options{Workers: opt.Workers}.AllLight(rf, sf))
 	hit := make(map[[2]int32]struct{}, len(pairs))
 	for _, p := range pairs {
 		hit[p] = struct{}{}

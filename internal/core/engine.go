@@ -224,16 +224,6 @@ func (e *Engine) planTwoPath(r, s *relation.Relation) Plan {
 	return p
 }
 
-// wcojThreshold returns thresholds that classify every value as light,
-// turning Algorithm 1 into the plain WCOJ + constant-time-dedup plan.
-func wcojThreshold(r, s *relation.Relation) int {
-	n := r.Size()
-	if s.Size() > n {
-		n = s.Size()
-	}
-	return n + 1
-}
-
 // JoinProject evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) and returns the distinct
 // pairs along with the chosen plan.
 func (e *Engine) JoinProject(r, s *relation.Relation) ([][2]int32, Plan) {
@@ -241,9 +231,7 @@ func (e *Engine) JoinProject(r, s *relation.Relation) ([][2]int32, Plan) {
 	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
 	switch p.Strategy {
 	case "wcoj":
-		t := wcojThreshold(r, s)
-		opt.Delta1, opt.Delta2 = t, t
-		return joinproject.TwoPathMM(r, s, opt), p
+		return joinproject.TwoPathMM(r, s, opt.AllLight(r, s)), p
 	case "nonmm":
 		return joinproject.TwoPathNonMM(r, s, opt), p
 	default:
@@ -258,9 +246,7 @@ func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairC
 	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
 	switch p.Strategy {
 	case "wcoj":
-		t := wcojThreshold(r, s)
-		opt.Delta1, opt.Delta2 = t, t
-		return joinproject.TwoPathMMCounts(r, s, opt), p
+		return joinproject.TwoPathMMCounts(r, s, opt.AllLight(r, s)), p
 	case "nonmm":
 		return joinproject.TwoPathNonMMCounts(r, s, opt), p
 	default:
@@ -276,8 +262,7 @@ func (e *Engine) JoinProjectVisit(r, s *relation.Relation, visit func(x, z, coun
 	p := e.planTwoPath(r, s)
 	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
 	if p.Strategy == "wcoj" {
-		t := wcojThreshold(r, s)
-		opt.Delta1, opt.Delta2 = t, t
+		opt = opt.AllLight(r, s)
 	}
 	joinproject.TwoPathMMVisit(r, s, opt, visit)
 	return p

@@ -5,9 +5,34 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/optimizer"
 	"repro/internal/query"
+	"repro/internal/relation"
 )
+
+// suiteQueries is one query per planner shape: 2-path, chain fold, star,
+// snowflake-ish tree, aggregate, hinted, and a cyclic triangle exercising the
+// hypertree-decomposition path.
+var suiteQueries = []string{
+	"Q(x, z) :- R(x, y), S(y, z)",
+	"Q(a, d) :- R(a, b), S(b, c), T(c, d)",
+	"Q(a, b, c) :- R(a, y), S(b, y), T(c, y)",
+	"Q(a, d) :- R(a, b), S(b, c), T(c, d), U(c, e)",
+	"Q(x, COUNT(z)) :- R(x, y), S(y, z)",
+	"Q(x, z) :- R(x, y), S(y, z) WITH strategy=wcoj",
+	"Q(x, z) :- R(x, y), S(y, z), T(z, x)",
+}
+
+// suiteResolver serves the seeded relations the suite runs against: five
+// community-structured relations R, S, T, U, V of 1200 sets each.
+func suiteResolver() query.Resolver {
+	rels := map[string]*relation.Relation{}
+	for i, name := range []string{"R", "S", "T", "U", "V"} {
+		rels[name] = relation.FromPairs(name, dataset.Community(1200, 24+4*i, int64(101+i)).Pairs())
+	}
+	return query.MapResolver(rels)
+}
 
 // TestSuiteCostAccuracy runs the query-suite shapes against a seeded catalog
 // and asserts every executed fold node's cost-error ratio (actual/predicted)
@@ -36,20 +61,18 @@ func TestSuiteCostAccuracy(t *testing.T) {
 		// the minimum across runs is the honest model error.
 		runs = 3
 	)
-	cat := QueryBenchCatalog(0.2) // seeded: QueryBenchCatalog is deterministic
-	resolver := catalogResolver(cat)
+	resolver := suiteResolver()
 	opt := optimizer.New()
 
 	var sumLog float64
 	var audited, starAudited int
-	for _, src := range DefaultQuerySuite() {
+	for _, src := range suiteQueries {
 		p, err := query.Prepare(src, resolver)
 		if err != nil {
 			t.Fatalf("prepare %q: %v", src, err)
 		}
 		// Warm-up run: the first execution pays one-time index builds the
-		// cost model deliberately amortizes (same reason MeasureQuery warms
-		// up before timing).
+		// cost model deliberately amortizes.
 		if _, err := p.Execute(context.Background(), query.ExecOptions{Optimizer: opt}); err != nil {
 			t.Fatalf("warm-up %q: %v", src, err)
 		}
@@ -112,34 +135,4 @@ func TestSuiteCostAccuracy(t *testing.T) {
 		t.Errorf("suite cost-error geomean %.3f× outside [%g, %g] over %d nodes", geo, geoLo, geoHi, audited)
 	}
 	t.Logf("audited %d fold nodes (geomean %.2f×) and %d star nodes", audited, geo, starAudited)
-}
-
-// TestQueryOverhead exercises the back-to-back harness end to end on a small
-// catalog. The CI budget gate runs via joinbench -query-overhead; here we
-// only assert the harness produces sane, complete measurements.
-func TestQueryOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overhead harness measures wall time")
-	}
-	queries := DefaultQuerySuite()[:2]
-	rep, err := QueryOverhead(queries, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.PerQuery) != len(queries) {
-		t.Fatalf("measured %d queries, want %d", len(rep.PerQuery), len(queries))
-	}
-	if rep.BaselineNs <= 0 || rep.InstrumentedNs <= 0 || rep.Ratio <= 0 {
-		t.Fatalf("degenerate report: %+v", rep)
-	}
-	for _, row := range rep.PerQuery {
-		if row.BaselineNs <= 0 || row.Ratio <= 0 {
-			t.Fatalf("degenerate row: %+v", row)
-		}
-	}
-	// No budget assertion here — wall-clock gates belong to the bench binary
-	// where reps get a full measurement budget. Sanity-bound it loosely.
-	if rep.Ratio > 2 {
-		t.Errorf("accuracy telemetry doubled query time: ratio %.3f", rep.Ratio)
-	}
 }

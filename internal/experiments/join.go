@@ -26,8 +26,7 @@ func runMMJoin(opt *optimizer.Optimizer, r *relation.Relation, workers int) (n i
 	dec := opt.Choose(r, r, workers)
 	jopt := joinproject.Options{Workers: workers}
 	if dec.UseWCOJ {
-		t := r.Size() + 1
-		jopt.Delta1, jopt.Delta2 = t, t
+		jopt = jopt.AllLight(r, r)
 		plan = "wcoj-fallback"
 	} else {
 		jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2

@@ -19,8 +19,8 @@ type KernelBench struct {
 }
 
 // KernelSnapshot is the machine-readable perf trajectory cmd/joinbench
-// writes with -json: ns/op for the Figure-3 matrix shapes and the
-// kernel-ablation lineup. Later PRs diff these files to catch regressions.
+// writes with -json: ns/op of MulBitCount on the Figure-3 matrix shapes.
+// Later PRs diff these files to catch regressions.
 type KernelSnapshot struct {
 	GoOS       string                 `json:"goos"`
 	GoArch     string                 `json:"goarch"`
@@ -108,8 +108,8 @@ func CompareKernelSnapshots(baseline, current []byte, tol float64) ([]Regression
 	return regs, nil
 }
 
-// KernelBenchSnapshot measures the Fig-3a/3b and AblationKernels shapes and
-// returns the marshaled snapshot.
+// KernelBenchSnapshot measures the Fig-3a/3b shapes and returns the
+// marshaled snapshot.
 func KernelBenchSnapshot() ([]byte, error) {
 	snap := KernelSnapshot{
 		GoOS:       runtime.GOOS,
@@ -131,33 +131,6 @@ func KernelBenchSnapshot() ([]byte, error) {
 			name := fmt.Sprintf("BenchmarkFig3b_MatMulMultiCore/cores=%d", cores)
 			snap.Benchmarks[name] = measureKernel(func() { _ = matrix.MulBitCount(a, c, cores) })
 		}
-	}
-
-	{
-		const n = 512
-		rng := rand.New(rand.NewSource(9))
-		bm1 := matrix.NewBitMatrix(n, n)
-		bm2 := matrix.NewBitMatrix(n, n)
-		d1 := matrix.NewInt32(n, n)
-		d2 := matrix.NewInt32(n, n)
-		for i := 0; i < n; i++ {
-			for j := rng.Intn(4); j < n; j += 1 + rng.Intn(6) {
-				bm1.Set(i, j)
-				d1.Set(i, j, 1)
-				k := (j + i) % n
-				bm2.Set(i, k)
-				d2.Set(i, k, 1)
-			}
-		}
-		d2t := d2.Transpose()
-		snap.Benchmarks["BenchmarkAblationKernels/BitPacked"] =
-			measureKernel(func() { _ = matrix.MulBitCount(bm1, bm2, 1) })
-		snap.Benchmarks["BenchmarkAblationKernels/DenseInt32"] =
-			measureKernel(func() { _ = matrix.MulBlocked(d1, d2t) })
-		snap.Benchmarks["BenchmarkAblationKernels/Strassen"] =
-			measureKernel(func() { _ = matrix.MulStrassen(d1, d2t, 0) })
-		snap.Benchmarks["BenchmarkAblationKernels/RectLemma1"] =
-			measureKernel(func() { _ = matrix.MulRect(d1, d2t, 0) })
 	}
 
 	return json.MarshalIndent(snap, "", "  ")

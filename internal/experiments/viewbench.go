@@ -174,7 +174,7 @@ func isIdent(c byte) bool {
 // viewBenchReps is the min-of-reps width: each view's whole update-stream
 // run is repeated this many times and the fastest per-batch maintain and
 // recompute times are kept, so the regression gate sees an estimator robust
-// to co-tenant interference (same rationale as measureNs in querybench).
+// to co-tenant interference (same rationale as measureKernel).
 const viewBenchReps = 3
 
 // MeasureViewBest runs MeasureView reps times on fresh engines and keeps the
@@ -275,8 +275,8 @@ func RenderViewSnapshot(data []byte) (string, error) {
 		"view", "query", "maintain ns", "recompute ns", "speedup", "rows")
 	for _, k := range keys {
 		b := snap.Benchmarks[k]
-		out += fmt.Sprintf("%-12s %-40s %14d %14d %7.1fx %8d\n",
-			k, truncate(b.Query, 40), b.MaintainNs, b.RecomputeNs, b.Speedup, b.Rows)
+		out += fmt.Sprintf("%-12s %-40.40s %14d %14d %7.1fx %8d\n",
+			k, b.Query, b.MaintainNs, b.RecomputeNs, b.Speedup, b.Rows)
 	}
 	return out, nil
 }

@@ -81,6 +81,16 @@ func (o Options) normalize(r, s *relation.Relation) Options {
 	return o
 }
 
+// AllLight returns o with Δ1 = Δ2 = max(|R|,|S|)+1, above every possible
+// degree, so every value is light: Algorithm 1 degenerates to the indexed
+// join with constant-time stamp dedup — the plain WCOJ plan — and no matrix
+// is built.
+func (o Options) AllLight(r, s *relation.Relation) Options {
+	t := max(r.Size(), s.Size()) + 1
+	o.Delta1, o.Delta2 = t, t
+	return o
+}
+
 // twoPathCtx holds the degree partition and the positional indexes the
 // 2-path evaluation needs. Building it is the O(N log N) preprocessing pass.
 type twoPathCtx struct {
@@ -241,23 +251,30 @@ func (c *twoPathCtx) resolveDedup(mode DedupMode) bool {
 // count 1. sink is invoked from multiple goroutines when workers > 1, with
 // all pairs of one x value delivered from a single goroutine.
 func (c *twoPathCtx) run(workers int, counting bool, sink func(x, z, count int32)) {
-	c.runMode(workers, counting, false, func(_ int, x, z, n int32) { sink(x, z, n) })
+	c.runMode(workers, true, counting, false, func(_ int, x, z, n int32) { sink(x, z, n) })
 }
 
-// runMode additionally selects the light-part dedup strategy. dedupSort
-// applies to set semantics only; the counting variant needs random-access
-// accumulation and always uses the stamp vector. The sink receives the
-// worker (chunk) index so callers can keep coordination-free per-worker
-// buffers — the Section-6 parallelization pattern.
-func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(worker int, x, z, count int32)) {
+// runMode additionally selects the heavy residual and the light-part dedup
+// strategy. useMM evaluates the all-heavy residual (category 4) as rows of
+// the bit-packed product; !useMM is the combinatorial Lemma-2 variant —
+// identical partitioning, with the residual computed by pairwise
+// sorted-list intersection instead. dedupSort applies to set semantics
+// only; the counting variant needs random-access accumulation and always
+// uses the stamp vector. The sink receives the worker (chunk) index so
+// callers can keep coordination-free per-worker buffers — the Section-6
+// parallelization pattern.
+func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink func(worker int, x, z, count int32)) {
 	nx := c.rX.NumKeys()
-	rowWords := (c.ncols + 63) / 64
 	nw := par.Workers(workers)
 	if nw > nx {
 		nw = nx
 	}
 	if nw < 1 {
 		return
+	}
+	var zCols [][]int32
+	if !useMM {
+		zCols = c.heavyZCols()
 	}
 	// Dynamic block scheduling: heavy x values cluster, so static chunking
 	// skews badly; workers pull fixed-size blocks from a shared cursor
@@ -268,18 +285,16 @@ func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(wo
 		wg.Add(1)
 		go func(chunk int) {
 			defer wg.Done()
-			var stamp []int32
+			st := blockState{zCols: zCols}
 			if !dedupSort || counting {
-				stamp = make([]int32, c.sX.NumKeys())
+				st.stamp = make([]int32, c.sX.NumKeys())
 			}
-			var cnt []int32
-			var touched []int32
-			var zbuf []int32
 			if counting {
-				cnt = make([]int32, c.sX.NumKeys())
+				st.cnt = make([]int32, c.sX.NumKeys())
 			}
-			scratch := make([]uint64, rowWords)
-			aRow := bitset.FromWords(scratch, c.ncols)
+			if useMM {
+				st.aRow = bitset.New(c.ncols)
+			}
 			for {
 				blockLo := int(cursor.Add(schedBlock) - schedBlock)
 				if blockLo >= nx {
@@ -292,12 +307,36 @@ func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(wo
 				if blockHi > nx {
 					blockHi = nx
 				}
-				c.processBlock(blockLo, blockHi, chunk, counting, dedupSort, sink,
-					stamp, cnt, &touched, &zbuf, scratch, aRow)
+				c.processBlock(blockLo, blockHi, chunk, counting, dedupSort, sink, &st)
 			}
 		}(chunk)
 	}
 	wg.Wait()
+}
+
+// heavyZCols returns the rows of zRows as ascending column lists, the form
+// the list-intersection residual consumes.
+func (c *twoPathCtx) heavyZCols() [][]int32 {
+	zCols := make([][]int32, len(c.heavyZPos))
+	for j := range zCols {
+		c.zRows.Row(j).ForEach(func(col int) { zCols[j] = append(zCols[j], int32(col)) })
+	}
+	return zCols
+}
+
+// blockState is one worker's scratch, reused across the blocks it pulls.
+// The heavy residual mode is fixed per call by which operand form is
+// present: aRow (the current heavy x as a bit row, multiplied against
+// zRows) or zCols/aCols (the same matrix and row as sorted column lists,
+// intersected pairwise).
+type blockState struct {
+	stamp, cnt    []int32
+	touched, zbuf []int32
+
+	aRow *bitset.Bitset
+
+	zCols [][]int32
+	aCols []int32
 }
 
 // schedBlock is the dynamic scheduling granularity (x positions per pull).
@@ -305,24 +344,36 @@ const schedBlock = 64
 
 // processBlock evaluates x positions [lo, hi) with the worker-local state.
 func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
-	sink func(worker int, x, z, count int32),
-	stamp, cnt []int32, touchedP, zbufP *[]int32, scratch []uint64, aRow *bitset.Bitset) {
-	touched, zbuf := *touchedP, *zbufP
-	defer func() { *touchedP, *zbufP = touched, zbuf }()
+	sink func(worker int, x, z, count int32), st *blockState) {
+	stamp, cnt, aRow, zCols := st.stamp, st.cnt, st.aRow, st.zCols
+	touched, zbuf, aCols := st.touched, st.zbuf, st.aCols
+	defer func() { st.touched, st.zbuf, st.aCols = touched, zbuf, aCols }()
+	useMM := aRow != nil
 	for i := lo; i < hi; i++ {
 		a := c.rX.Key(i)
 		epoch := int32(i + 1)
 		aHeavy := c.rX.Degree(i) > c.d2
 		if aHeavy && c.ncols > 0 {
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			for _, yp := range c.rYPos[i] {
-				if yp >= 0 {
-					if col := c.colOf[yp]; col >= 0 {
-						aRow.Set(int(col))
+			// This x's heavy columns, in the residual's operand form.
+			if useMM {
+				aRow.Reset()
+				for _, yp := range c.rYPos[i] {
+					if yp >= 0 {
+						if col := c.colOf[yp]; col >= 0 {
+							aRow.Set(int(col))
+						}
 					}
 				}
+			} else {
+				aCols = aCols[:0]
+				for _, yp := range c.rYPos[i] {
+					if yp >= 0 {
+						if col := c.colOf[yp]; col >= 0 {
+							aCols = append(aCols, col)
+						}
+					}
+				}
+				slices.Sort(aCols)
 			}
 		}
 		touched = touched[:0]
@@ -364,12 +415,10 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 			}
 		}
 		if aHeavy && c.zRows != nil && c.zRows.Rows > 0 {
-			// Category 4: the matrix product row for this heavy x.
-			for j := 0; j < c.zRows.Rows; j++ {
-				n := aRow.AndCount(c.zRows.Row(j))
-				if n == 0 {
-					continue
-				}
+			// Category 4: heavy x against every heavy z — one row of the
+			// matrix product. The residual is chosen outside the pair
+			// loop, so each mode keeps its own tight loop.
+			hit := func(j, n int) {
 				zp := c.heavyZPos[j]
 				switch {
 				case counting:
@@ -389,6 +438,19 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 					}
 				}
 			}
+			if useMM {
+				for j := 0; j < c.zRows.Rows; j++ {
+					if n := aRow.AndCount(c.zRows.Row(j)); n != 0 {
+						hit(j, n)
+					}
+				}
+			} else {
+				for j, zc := range zCols {
+					if n := relation.IntersectCount(aCols, zc); n != 0 {
+						hit(j, n)
+					}
+				}
+			}
 		}
 		if counting {
 			for _, zp := range touched {
@@ -405,135 +467,6 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 			}
 		}
 	}
-}
-
-// runNonMM is the combinatorial (Lemma 2) variant: identical partitioning,
-// but the all-heavy residual is evaluated by pairwise sorted-list
-// intersection instead of a bit-packed matrix product.
-func (c *twoPathCtx) runNonMM(workers int, counting bool, sink func(worker int, x, z, count int32)) {
-	// Precompute each heavy z's sorted heavy-column list.
-	zCols := make([][]int32, len(c.heavyZPos))
-	for j, zp := range c.heavyZPos {
-		var cols []int32
-		for _, y := range c.sX.List(int(zp)) {
-			if yp := c.sY.Pos(y); yp >= 0 {
-				if col := c.colOf[yp]; col >= 0 {
-					cols = append(cols, col)
-				}
-			}
-		}
-		slices.Sort(cols)
-		zCols[j] = cols
-	}
-	nx := c.rX.NumKeys()
-	nw := par.Workers(workers)
-	if nw > nx {
-		nw = nx
-	}
-	if nw < 1 {
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for chunk := 0; chunk < nw; chunk++ {
-		wg.Add(1)
-		go func(chunk int) {
-			defer wg.Done()
-			stamp := make([]int32, c.sX.NumKeys())
-			var cnt []int32
-			var touched []int32
-			if counting {
-				cnt = make([]int32, c.sX.NumKeys())
-			}
-			var aCols []int32
-			for {
-				blockLo := int(cursor.Add(schedBlock) - schedBlock)
-				if blockLo >= nx {
-					return
-				}
-				if c.stop != nil && c.stop() {
-					return
-				}
-				blockHi := blockLo + schedBlock
-				if blockHi > nx {
-					blockHi = nx
-				}
-				for i := blockLo; i < blockHi; i++ {
-					a := c.rX.Key(i)
-					epoch := int32(i + 1)
-					aHeavy := c.rX.Degree(i) > c.d2
-					if aHeavy {
-						aCols = aCols[:0]
-						for _, yp := range c.rYPos[i] {
-							if yp >= 0 {
-								if col := c.colOf[yp]; col >= 0 {
-									aCols = append(aCols, col)
-								}
-							}
-						}
-						slices.Sort(aCols)
-					}
-					touched = touched[:0]
-					for _, yp := range c.rYPos[i] {
-						if yp < 0 {
-							continue
-						}
-						var cand []int32
-						if c.colOf[yp] < 0 || !aHeavy {
-							cand = c.posByY[yp]
-						} else {
-							cand = c.lightByY[yp]
-						}
-						if counting {
-							for _, zp := range cand {
-								if stamp[zp] != epoch {
-									stamp[zp] = epoch
-									cnt[zp] = 1
-									touched = append(touched, zp)
-								} else {
-									cnt[zp]++
-								}
-							}
-						} else {
-							for _, zp := range cand {
-								if stamp[zp] != epoch {
-									stamp[zp] = epoch
-									sink(chunk, a, c.zvals[zp], 1)
-								}
-							}
-						}
-					}
-					if aHeavy && len(aCols) > 0 {
-						for j := range zCols {
-							n := relation.IntersectCount(aCols, zCols[j])
-							if n == 0 {
-								continue
-							}
-							zp := c.heavyZPos[j]
-							if counting {
-								if stamp[zp] != epoch {
-									stamp[zp] = epoch
-									cnt[zp] = int32(n)
-									touched = append(touched, zp)
-								} else {
-									cnt[zp] += int32(n)
-								}
-							} else if stamp[zp] != epoch {
-								stamp[zp] = epoch
-								sink(chunk, a, c.zvals[zp], 1)
-							}
-						}
-					}
-					if counting {
-						for _, zp := range touched {
-							sink(chunk, a, c.zvals[zp], cnt[zp])
-						}
-					}
-				}
-			}
-		}(chunk)
-	}
-	wg.Wait()
 }
 
 // pairCollector gathers output pairs into coordination-free per-worker
@@ -593,7 +526,7 @@ func TwoPathMM(r, s *relation.Relation, opt Options) [][2]int32 {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	pc := newPairCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, false, c.resolveDedup(opt.Dedup), pc.sink)
+	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), pc.sink)
 	return pc.pairs()
 }
 
@@ -604,7 +537,7 @@ func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	cc := newCountCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, cc.sink)
+	c.runMode(opt.Workers, true, true, false, cc.sink)
 	return cc.out()
 }
 
@@ -624,7 +557,7 @@ func TwoPathNonMM(r, s *relation.Relation, opt Options) [][2]int32 {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	pc := newPairCollector(par.Workers(opt.Workers))
-	c.runNonMM(opt.Workers, false, pc.sink)
+	c.runMode(opt.Workers, false, false, false, pc.sink)
 	return pc.pairs()
 }
 
@@ -633,7 +566,7 @@ func TwoPathNonMMCounts(r, s *relation.Relation, opt Options) []PairCount {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	cc := newCountCollector(par.Workers(opt.Workers))
-	c.runNonMM(opt.Workers, true, cc.sink)
+	c.runMode(opt.Workers, false, true, false, cc.sink)
 	return cc.out()
 }
 
@@ -650,7 +583,7 @@ func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	counts := make([]paddedCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, false, c.resolveDedup(opt.Dedup), func(w int, _, _, _ int32) { counts[w].n++ })
+	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w int, _, _, _ int32) { counts[w].n++ })
 	var total int64
 	for _, pc := range counts {
 		total += pc.n

@@ -1,8 +1,10 @@
 package joinproject
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +50,16 @@ func pairsToMap(ps [][2]int32) map[[2]int32]bool {
 	m := make(map[[2]int32]bool, len(ps))
 	for _, p := range ps {
 		m[p] = true
+	}
+	return m
+}
+
+// pairsToCounts is pairsToMap in countsToMap's shape (every count 1), so set
+// and counting entry points share one checker.
+func pairsToCounts(ps [][2]int32) map[[2]int32]int32 {
+	m := make(map[[2]int32]int32, len(ps))
+	for _, p := range ps {
+		m[p] = 1
 	}
 	return m
 }
@@ -143,6 +155,75 @@ func TestTwoPathParallelMatchesSerial(t *testing.T) {
 		opt := Options{Delta1: 3, Delta2: 4, Workers: w}
 		checkPairsEqual(t, TwoPathMM(r, s, opt), want, "MM parallel")
 		checkCountsEqual(t, TwoPathMMCounts(r, s, opt), want, "MMCounts parallel")
+		checkPairsEqual(t, TwoPathNonMM(r, s, opt), want, "NonMM parallel")
+		checkCountsEqual(t, TwoPathNonMMCounts(r, s, opt), want, "NonMMCounts parallel")
+	}
+}
+
+// TestTwoPathStop pins the cooperative-cancellation contract of Options.Stop
+// on every two-path entry point: a Stop that trips after a given number of
+// polls abandons the remaining scheduling blocks (the index build and each
+// worker see the trip at most once), and what was emitted before the trip is a subset of the
+// brute-force answer with exact counts — x values are never half-evaluated.
+// A nil Stop is the complete answer.
+func TestTwoPathStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	// ~650 distinct x keys: ten 64-key scheduling blocks.
+	r := skewedRel(rng, "R", 3000, 700, 60)
+	s := skewedRel(rng, "S", 3000, 700, 60)
+	if blocks := r.NumX() / schedBlock; blocks < 8 {
+		t.Fatalf("input spans only %d scheduling blocks", blocks)
+	}
+	want := bruteCounts(r, s)
+	entries := []struct {
+		name string
+		run  func(Options) map[[2]int32]int32
+	}{
+		{"MM", func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathMM(r, s, o)) }},
+		{"MMCounts", func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathMMCounts(r, s, o)) }},
+		{"NonMM", func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathNonMM(r, s, o)) }},
+		{"NonMMCounts", func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathNonMMCounts(r, s, o)) }},
+	}
+	// tripAfter < 0 means a nil Stop. The last trip count lets a few blocks
+	// through so the subset check is not vacuous.
+	trips := []int64{-1, 0, 1, 4, 9}
+	for _, e := range entries {
+		counting := e.name == "MMCounts" || e.name == "NonMMCounts"
+		for _, workers := range []int{1, 2} {
+			for _, tripAfter := range trips {
+				opt := Options{Delta1: 3, Delta2: 4, Workers: workers}
+				var polls atomic.Int64
+				if tripAfter >= 0 {
+					opt.Stop = func() bool { return polls.Add(1) > tripAfter }
+				}
+				got := e.run(opt)
+				label := fmt.Sprintf("%s workers=%d tripAfter=%d", e.name, workers, tripAfter)
+				for p, c := range got {
+					w, ok := want[p]
+					if !ok {
+						t.Fatalf("%s: wrong pair %v", label, p)
+					}
+					if counting && c != w {
+						t.Fatalf("%s: pair %v count = %d, want %d", label, p, c, w)
+					}
+				}
+				if tripAfter < 0 {
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d pairs, want %d", label, len(got), len(want))
+					}
+					continue
+				}
+				if len(got) >= len(want) {
+					t.Fatalf("%s: %d of %d pairs emitted; want a strict subset", label, len(got), len(want))
+				}
+				if n := polls.Load(); n > tripAfter+1+int64(workers) {
+					t.Fatalf("%s: Stop polled %d times; remaining blocks were visited after the trip", label, n)
+				}
+				if tripAfter == trips[len(trips)-1] && len(got) == 0 {
+					t.Fatalf("%s: nothing emitted before the trip", label)
+				}
+			}
+		}
 	}
 }
 

@@ -222,55 +222,6 @@ func countTile(a, bT *BitMatrix, i0, ib int, dst *[ibTile][]int32) {
 	}
 }
 
-// MulBitBool computes the boolean product C = A × Bᵀ: C[i][j] = 1 iff the
-// rows intersect. It short-circuits as rows decide, which makes it cheaper
-// than MulBitCount when only reachability is needed (BSI batches). The
-// i-block register tiling still applies, driven by a pending-row bitmask:
-// each Bᵀ word is loaded once and tested against every still-undecided row
-// of the block, so the undecided rows share the word loads instead of each
-// rescanning Bᵀ from the front, and the word loop exits as soon as the whole
-// block has decided.
-func MulBitBool(a, bT *BitMatrix, workers int) *BitMatrix {
-	if a.Cols != bT.Cols {
-		panic("matrix: bit product dimension mismatch")
-	}
-	noteKernel(boolCalls, boolTiles, boolWords, a.Rows, a.rowWords, bT.Rows)
-	c := NewBitMatrix(a.Rows, bT.Rows)
-	rw := a.rowWords
-	par.ForChunks(a.Rows, workers, func(lo, hi int) {
-		var rows [ibTile][]uint64
-		var outs [ibTile][]uint64
-		for i0 := lo; i0 < hi; i0 += ibTile {
-			ib := min(ibTile, hi-i0)
-			for r := 0; r < ib; r++ {
-				rows[r] = a.words[(i0+r)*rw : (i0+r+1)*rw]
-				outs[r] = c.RowWords(i0 + r)
-			}
-			full := uint32(1)<<uint(ib) - 1
-			for j := 0; j < bT.Rows; j++ {
-				brow := bT.words[j*rw : (j+1)*rw]
-				bit := uint64(1) << uint(j%64)
-				wi := j / 64
-				pending := full
-				for k := 0; k < len(brow) && pending != 0; k++ {
-					w := brow[k]
-					if w == 0 {
-						continue
-					}
-					for m := pending; m != 0; m &= m - 1 {
-						r := bits.TrailingZeros32(m)
-						if rows[r][k]&w != 0 {
-							outs[r][wi] |= bit
-							pending &^= 1 << uint(r)
-						}
-					}
-				}
-			}
-		}
-	})
-	return c
-}
-
 // andCount4 is the pure-Go fallback of andCount4Popcnt: the popcounts of
 // a0&b, a1&b, a2&b and a3&b. The slices must all have length ≥ len(b);
 // reslicing to len(b) up front lets the compiler drop every bounds check,
@@ -326,19 +277,6 @@ func andCountWords(a, b []uint64) int {
 		a, b = b, a
 	}
 	return andCountEq(a, b)
-}
-
-func intersectsWords(a, b []uint64) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	b = b[:len(a)]
-	for i, w := range a {
-		if w&b[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ToInt32 expands the bit matrix into a dense 0/1 int32 matrix (test oracle).

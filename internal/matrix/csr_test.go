@@ -42,7 +42,7 @@ func TestSpGEMMMatchesDense(t *testing.T) {
 		a := randomCSR(rng, u, v, 0.3)
 		b := randomCSR(rng, v, w, 0.3)
 		got := SpGEMMToInt32(a, b, 1+rng.Intn(3))
-		want := MulBlocked(toDense(a), toDense(b))
+		want := MulNaive(toDense(a), toDense(b))
 		if !got.Equal(want) {
 			t.Fatalf("trial %d (%d,%d,%d): SpGEMM != dense", trial, u, v, w)
 		}

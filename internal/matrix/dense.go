@@ -4,15 +4,13 @@
 // The paper's prototype delegates to Eigen/Intel MKL. This package provides
 // the pure-Go equivalents:
 //
-//   - dense row-major int32 and float32 matrices with cache-blocked ikj
-//     kernels and coordination-free row-partitioned parallel multiply,
 //   - a bit-packed boolean matrix whose product-with-counts kernel
 //     (64-bit AND + POPCNT) plays the role MKL's vectorized SGEMM plays in
-//     the paper,
-//   - Strassen's algorithm as the "fast matrix multiplication" (ω ≈ 2.807)
-//     building block,
-//   - the Lemma-1 rectangular multiply that decomposes a U×V by V×W product
-//     into β×β square blocks (β = min{U,V,W}),
+//     the paper, materialized (MulBitCount) or streamed a row at a time
+//     (ForEachRowProduct),
+//   - a dense row-major int32 matrix for the witness counts, with the
+//     textbook product as the kernels' correctness oracle,
+//   - a Gustavson sparse product over CSR operands (csr.go),
 //   - a calibrated cost model M̂(u,v,w,co) used by the Section-5 optimizer.
 package matrix
 
@@ -96,83 +94,6 @@ func MulNaive(a, b *Int32) *Int32 {
 				s += a.At(i, k) * b.At(k, j)
 			}
 			c.Set(i, j, s)
-		}
-	}
-	return c
-}
-
-// mulBlockedInto accumulates a×b into c for rows [rlo, rhi) of a, using the
-// ikj loop order with a zero-skip. ikj streams rows of b and c sequentially,
-// which is the cache-friendly order for row-major storage, and the zero-skip
-// makes the kernel cheap on the sparse-ish 0/1 matrices join processing
-// produces.
-func mulBlockedInto(c, a, b *Int32, rlo, rhi int) {
-	n, w := a.Cols, b.Cols
-	for i := rlo; i < rhi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k := 0; k < n; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*w : (k+1)*w]
-			if av == 1 {
-				for j, bv := range brow {
-					crow[j] += bv
-				}
-				continue
-			}
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MulBlocked computes a×b with the cache-friendly single-threaded kernel.
-func MulBlocked(a, b *Int32) *Int32 {
-	checkMulShapes(a, b)
-	c := NewInt32(a.Rows, b.Cols)
-	mulBlockedInto(c, a, b, 0, a.Rows)
-	return c
-}
-
-// Float32 is a dense row-major float32 matrix, the analogue of the paper's
-// SGEMM operand type. It exists for the precision-ablation benchmark.
-type Float32 struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-// NewFloat32 allocates a zeroed Rows×Cols matrix.
-func NewFloat32(rows, cols int) *Float32 {
-	return &Float32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// At returns the (i, j) entry.
-func (m *Float32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the (i, j) entry.
-func (m *Float32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// MulFloat32 computes a×b with the ikj kernel.
-func MulFloat32(a, b *Float32) *Float32 {
-	if a.Cols != b.Rows {
-		panic("matrix: shape mismatch")
-	}
-	c := NewFloat32(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
 		}
 	}
 	return c

@@ -51,20 +51,8 @@ func diffMatrix(rng *rand.Rand, rows, cols int) *BitMatrix {
 	return m
 }
 
-func bitMatricesEqual(a, b *BitMatrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.words {
-		if a.words[i] != b.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestDiffKernels runs the full kernel lineup against the naive oracles on
-// over 1000 randomized shapes (5 kernels × 220 shape draws, plus the edge
+// 660 randomized kernel runs (3 kernels × 220 shape draws, plus the edge
 // shapes below).
 func TestDiffKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xd1ff))
@@ -77,12 +65,6 @@ func TestDiffKernels(t *testing.T) {
 
 		if got, want := MulBitCount(a, bT, workers), mulBitCountNaive(a, bT, 1); !got.Equal(want) {
 			t.Fatalf("trial %d (%d,%d,%d w=%d): MulBitCount != naive", trial, u, v, w, workers)
-		}
-		if got, want := MulBitBool(a, bT, workers), mulBitBoolNaive(a, bT, 1); !bitMatricesEqual(got, want) {
-			t.Fatalf("trial %d (%d,%d,%d w=%d): MulBitBool != naive", trial, u, v, w, workers)
-		}
-		if got, want := MulFourRussians(a, bT, workers), mulFourRussiansNaive(a, bT, 1); !bitMatricesEqual(got, want) {
-			t.Fatalf("trial %d (%d,%d,%d w=%d): MulFourRussians != naive", trial, u, v, w, workers)
 		}
 
 		got := NewInt32(u, w)
@@ -152,7 +134,7 @@ func TestDiffKernelsEdgeShapes(t *testing.T) {
 		{ibTile, 64, jbTile}, {ibTile + 1, 65, jbTile + 1},
 		{2, kbTile*64 + 7, 2}, // shared dimension spans two k-tiles
 		{ibTile * 3, 63, jbTile*2 + 1},
-		{5, 8, 5}, {8, 8, 8}, // at/below one Four-Russians block
+		{5, 8, 5}, {8, 8, 8},
 	}
 	for _, sh := range shapes {
 		u, v, w := sh[0], sh[1], sh[2]
@@ -160,12 +142,6 @@ func TestDiffKernelsEdgeShapes(t *testing.T) {
 		bT := diffMatrix(rng, w, v)
 		if !MulBitCount(a, bT, 2).Equal(mulBitCountNaive(a, bT, 1)) {
 			t.Fatalf("shape %v: MulBitCount != naive", sh)
-		}
-		if !bitMatricesEqual(MulBitBool(a, bT, 2), mulBitBoolNaive(a, bT, 1)) {
-			t.Fatalf("shape %v: MulBitBool != naive", sh)
-		}
-		if !bitMatricesEqual(MulFourRussians(a, bT, 2), mulFourRussiansNaive(a, bT, 1)) {
-			t.Fatalf("shape %v: MulFourRussians != naive", sh)
 		}
 	}
 	// Zero-row operands must not panic and must produce empty results.
@@ -224,7 +200,6 @@ func TestKernelsConcurrentScratch(t *testing.T) {
 	ca := CSRFromBitMatrix(a)
 	cb := CSRFromBitMatrix(bT).Transpose()
 	wantCount := mulBitCountNaive(a, bT, 1)
-	wantBool := mulBitBoolNaive(a, bT, 1)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 24)
@@ -235,10 +210,6 @@ func TestKernelsConcurrentScratch(t *testing.T) {
 			for it := 0; it < 5; it++ {
 				if !MulBitCount(a, bT, 3).Equal(wantCount) {
 					errs <- fmt.Errorf("goroutine %d: MulBitCount mismatch", g)
-					return
-				}
-				if !bitMatricesEqual(MulFourRussians(a, bT, 3), wantBool) {
-					errs <- fmt.Errorf("goroutine %d: MulFourRussians mismatch", g)
 					return
 				}
 				got := NewInt32(a.Rows, bT.Rows)

@@ -33,10 +33,6 @@ var (
 	rowProdCalls = kernelCalls.With("roweachproduct")
 	rowProdTiles = kernelTiles.With("roweachproduct")
 	rowProdWords = kernelWords.With("roweachproduct")
-
-	boolCalls = kernelCalls.With("mulbitbool")
-	boolTiles = kernelTiles.With("mulbitbool")
-	boolWords = kernelWords.With("mulbitbool")
 )
 
 // noteKernel records one kernel dispatch of rows output rows against bT.

@@ -1,15 +1,14 @@
 package matrix
 
 import (
-	"math/bits"
 	"sort"
 
 	"repro/internal/par"
 )
 
 // This file preserves the original memory-naive kernels as unexported
-// correctness oracles. The exported kernels in bitmat.go, fourrussians.go
-// and csr.go are cache-blocked rewrites; the differential tests in
+// correctness oracles. The exported kernels in bitmat.go and csr.go are
+// cache-blocked rewrites; the differential tests in
 // diff_test.go pit them against these reference implementations on
 // randomized shapes. Do not optimize anything here — simplicity is the
 // point.
@@ -49,98 +48,6 @@ func forEachRowProductNaive(a, bT *BitMatrix, workers int, fn func(i int, counts
 			fn(i, counts)
 		}
 	})
-}
-
-// mulBitBoolNaive is the original short-circuiting boolean product.
-func mulBitBoolNaive(a, bT *BitMatrix, workers int) *BitMatrix {
-	if a.Cols != bT.Cols {
-		panic("matrix: bit product dimension mismatch")
-	}
-	c := NewBitMatrix(a.Rows, bT.Rows)
-	par.ForChunks(a.Rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ra := a.RowWords(i)
-			for j := 0; j < bT.Rows; j++ {
-				if intersectsWords(ra, bT.RowWords(j)) {
-					c.Set(i, j)
-				}
-			}
-		}
-	})
-	return c
-}
-
-// mulFourRussiansNaive is the original Four-Russians product with one tiny
-// slice allocated per table entry (2^t per block).
-func mulFourRussiansNaive(a, bT *BitMatrix, workers int) *BitMatrix {
-	if a.Cols != bT.Cols {
-		panic("matrix: four-russians dimension mismatch")
-	}
-	n := a.Cols  // shared dimension
-	w := bT.Rows // output columns
-	outWords := (w + 63) / 64
-	nblocks := (n + m4rBlock - 1) / m4rBlock
-
-	colWords := make([][]uint64, m4rBlock)
-	for i := range colWords {
-		colWords[i] = make([]uint64, outWords)
-	}
-	tables := make([][][]uint64, nblocks)
-	for b := 0; b < nblocks; b++ {
-		lo := b * m4rBlock
-		hi := lo + m4rBlock
-		if hi > n {
-			hi = n
-		}
-		span := hi - lo
-		for i := 0; i < span; i++ {
-			row := colWords[i]
-			for k := range row {
-				row[k] = 0
-			}
-		}
-		for j := 0; j < w; j++ {
-			words := bT.RowWords(j)
-			for p := lo; p < hi; p++ {
-				if words[p/64]&(1<<uint(p%64)) != 0 {
-					colWords[p-lo][j/64] |= 1 << uint(j%64)
-				}
-			}
-		}
-		table := make([][]uint64, 1<<span)
-		table[0] = make([]uint64, outWords)
-		for mask := 1; mask < 1<<span; mask++ {
-			low := mask & -mask
-			prev := table[mask^low]
-			cur := make([]uint64, outWords)
-			col := colWords[bits.TrailingZeros64(uint64(low))]
-			for k := range cur {
-				cur[k] = prev[k] | col[k]
-			}
-			table[mask] = cur
-		}
-		tables[b] = table
-	}
-
-	c := NewBitMatrix(a.Rows, w)
-	par.ForChunks(a.Rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			words := a.RowWords(i)
-			out := c.RowWords(i)
-			for b := 0; b < nblocks; b++ {
-				p := b * m4rBlock
-				mask := int(words[p/64] >> uint(p%64) & (1<<m4rBlock - 1))
-				if mask == 0 {
-					continue
-				}
-				t := tables[b][mask]
-				for k := range out {
-					out[k] |= t[k]
-				}
-			}
-		}
-	})
-	return c
 }
 
 // spGEMMCountsNaive is the original Gustavson product with interface-based

@@ -50,31 +50,3 @@ func getSpGEMMScratch(cols int) *spgemmScratch {
 }
 
 func putSpGEMMScratch(s *spgemmScratch) { spgemmPool.Put(s) }
-
-// m4rScratch bundles the Four-Russians buffers — the multi-MB flat lookup
-// table and the small column-transpose scratch — so one pool entry always
-// carries both and a large table is never evicted to serve a small request
-// (size-class mixing a single shared pool would allow).
-type m4rScratch struct {
-	flat []uint64
-	col  []uint64
-}
-
-var m4rPool = sync.Pool{New: func() any { return new(m4rScratch) }}
-
-func getM4RScratch(flatLen, colLen int) *m4rScratch {
-	s := m4rPool.Get().(*m4rScratch)
-	if cap(s.flat) < flatLen {
-		s.flat = make([]uint64, flatLen)
-	} else {
-		s.flat = s.flat[:flatLen]
-	}
-	if cap(s.col) < colLen {
-		s.col = make([]uint64, colLen)
-	} else {
-		s.col = s.col[:colLen]
-	}
-	return s
-}
-
-func putM4RScratch(s *m4rScratch) { m4rPool.Put(s) }

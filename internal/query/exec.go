@@ -696,13 +696,7 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 		gRel, cvRel = r2, r1
 	}
 	if strategy != acyclic.StrategyMM {
-		// Thresholds that classify everything as light turn the counting
-		// kernel into the plain indexed join with stamp dedup.
-		t := gRel.Size()
-		if cvRel.Size() > t {
-			t = cvRel.Size()
-		}
-		jopt.Delta1, jopt.Delta2 = t+1, t+1
+		jopt = jopt.AllLight(gRel, cvRel)
 	}
 	ex.nodeEvent("groupfold", detail)
 	t0 := time.Now()

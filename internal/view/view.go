@@ -275,11 +275,7 @@ func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *
 			dec := v.opt.Choose(delta, otherOriented, v.workers)
 			if dec.UseWCOJ {
 				strat = "wcoj"
-				t := delta.Size()
-				if otherOriented.Size() > t {
-					t = otherOriented.Size()
-				}
-				jopt.Delta1, jopt.Delta2 = t+1, t+1
+				jopt = jopt.AllLight(delta, otherOriented)
 			} else {
 				jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
 			}

@@ -11,12 +11,15 @@
 package wcoj
 
 import (
+	"slices"
+
 	"repro/internal/relation"
 )
 
 // IntersectK returns the values present in every ascending list, using an
 // iterative leapfrog: seek each list to the current candidate with galloping
-// search, restarting the round whenever a list overshoots.
+// search, restarting the round whenever a list overshoots. The argument is
+// left unchanged.
 func IntersectK(lists [][]int32) []int32 {
 	if len(lists) == 0 {
 		return nil
@@ -26,6 +29,8 @@ func IntersectK(lists [][]int32) []int32 {
 		copy(out, lists[0])
 		return out
 	}
+	// The seek positions advance on a private copy of the slice headers.
+	lists = slices.Clone(lists)
 	// Order by length so the smallest list drives.
 	smallest := 0
 	for i, l := range lists {

@@ -2,6 +2,8 @@ package wcoj
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -25,6 +27,19 @@ func randomRel(rng *rand.Rand, name string, n, xdom, ydom int) *relation.Relatio
 	return relation.FromPairs(name, ps)
 }
 
+// cloneLists deep-copies lists, so a test can tell whether a callee changed
+// either the values or the slice headers it was handed.
+func cloneLists(lists [][]int32) [][]int32 {
+	if lists == nil {
+		return nil
+	}
+	out := make([][]int32, len(lists))
+	for i, l := range lists {
+		out[i] = slices.Clone(l)
+	}
+	return out
+}
+
 func TestIntersectK(t *testing.T) {
 	cases := []struct {
 		lists [][]int32
@@ -39,12 +54,11 @@ func TestIntersectK(t *testing.T) {
 		{[][]int32{{7}, {7}, {7}, {7}}, []int32{7}},
 	}
 	for i, c := range cases {
-		// Copy because IntersectK advances list slices internally.
-		in := make([][]int32, len(c.lists))
-		for j, l := range c.lists {
-			in[j] = append([]int32(nil), l...)
+		before := cloneLists(c.lists)
+		got := IntersectK(c.lists)
+		if !reflect.DeepEqual(c.lists, before) {
+			t.Fatalf("case %d: input changed to %v, was %v", i, c.lists, before)
 		}
-		got := IntersectK(in)
 		if len(got) != len(c.want) {
 			t.Fatalf("case %d: got %v, want %v", i, got, c.want)
 		}
@@ -84,7 +98,11 @@ func TestIntersectKRandomAgainstNaive(t *testing.T) {
 			}
 		}
 		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		before := cloneLists(lists)
 		got := IntersectK(lists)
+		if !reflect.DeepEqual(lists, before) {
+			t.Fatalf("trial %d: input changed to %v, was %v", trial, lists, before)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
