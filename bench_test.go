@@ -148,14 +148,8 @@ func BenchmarkFig4a_TwoPathSingleCore(b *testing.B) {
 		r := ds(b, name, benchScale)
 		b.Run(name+"/MMJoin", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dec := opt.Choose(r, r, 1)
 				jopt := joinproject.Options{Workers: 1}
-				if dec.UseWCOJ {
-					t := r.Size() + 1
-					jopt.Delta1, jopt.Delta2 = t, t
-				} else {
-					jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
-				}
+				jopt = opt.PlanTwoPath(r, r, jopt, "", 0).Options(jopt, r, r)
 				_ = joinproject.TwoPathSize(r, r, jopt)
 			}
 		})
@@ -242,14 +236,8 @@ func benchJoinParallel(b *testing.B, name string) {
 	for _, cores := range []int{1, 4, 10} {
 		b.Run(fmt.Sprintf("cores=%d/MMJoin", cores), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				dec := opt.Choose(r, r, cores)
 				jopt := joinproject.Options{Workers: cores}
-				if dec.UseWCOJ {
-					t := r.Size() + 1
-					jopt.Delta1, jopt.Delta2 = t, t
-				} else {
-					jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
-				}
+				jopt = opt.PlanTwoPath(r, r, jopt, "", 0).Options(jopt, r, r)
 				_ = joinproject.TwoPathSize(r, r, jopt)
 			}
 		})
@@ -459,14 +447,11 @@ func BenchmarkAblationDedup(b *testing.B) {
 func BenchmarkAblationThresholds(b *testing.B) {
 	r := ds(b, "Jokes", benchScale)
 	opt := optimizer.New()
-	dec := opt.Choose(r, r, 1)
-	d1, d2 := dec.Delta1, dec.Delta2
-	if dec.UseWCOJ {
-		d1, d2 = r.Size()+1, r.Size()+1
-	}
+	jopt := joinproject.Options{Workers: 1}
+	jopt = opt.PlanTwoPath(r, r, jopt, "", 0).Options(jopt, r, r)
 	b.Run("Optimizer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = joinproject.TwoPathSize(r, r, joinproject.Options{Delta1: d1, Delta2: d2, Workers: 1})
+			_ = joinproject.TwoPathSize(r, r, jopt)
 		}
 	})
 	for _, fixed := range []int{1, 16, 256} {
@@ -486,12 +471,12 @@ func BenchmarkAblationEstimator(b *testing.B) {
 	opt := optimizer.New()
 	b.Run("GeometricMean", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = opt.Choose(r, r, 1)
+			_ = opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
 		}
 	})
 	b.Run("HLLRefined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = opt.ChooseWithSketch(r, r, 1, 1<<30)
+			_ = opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 1<<30)
 		}
 	})
 }

@@ -83,9 +83,6 @@
 //	                           logged and counted in
 //	                           joinmm_optimizer_recalibrations_total (off by
 //	                           default)
-//	-optimizer-near-margin     decisions whose MM-vs-WCOJ margin falls below
-//	                           this ratio are flagged near-margin in
-//	                           /stats/planner (0 = default 1.5)
 //	-pprof                     mount net/http/pprof under /debug/pprof/ on the
 //	                           service mux (off by default)
 //	-log-format                log output format: text|json (default text)
@@ -209,7 +206,6 @@ func run() error {
 		flightRate  = flag.Int("flight-sample-rate", 0, "keep 1-in-N unremarkable queries in the flight recorder; slow and failed queries are always kept (0 = default 16)")
 		optConsts   = flag.String("optimizer-constants", "", "pin the optimizer machine constants as ts,tm,ti in nanoseconds, skipping the startup probe (\"\" = probe)")
 		optRecal    = flag.Bool("optimizer-recalibrate", false, "let the optimizer adopt EWMA-smoothed observed constants (bounded step, between queries)")
-		optBand     = flag.Float64("optimizer-near-margin", 0, "flag planner decisions with margin below this ratio as near-margin in /stats/planner (0 = default 1.5)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logFormat   = flag.String("log-format", "text", "log output format: text|json")
 		showVersion = flag.Bool("version", false, "print version, commit, and Go runtime, then exit")
@@ -255,7 +251,6 @@ func run() error {
 	engOpts := []core.Option{
 		core.WithWorkers(*workers),
 		core.WithQueryBudget(*maxQBytes, 0),
-		core.WithNearMarginBand(*optBand),
 		core.WithIntrospection(core.IntrospectionConfig{
 			MaxStatements: *stmtMax,
 			FlightSize:    *flightSize,

@@ -7,8 +7,7 @@
 // The package provides the composition layer the generic planner of
 // internal/query is built on: every acyclic shape is evaluated by composing
 // the output-sensitive 2-path and star primitives of internal/joinproject,
-// with an optional per-composition Planner choosing MM vs WCOJ vs the
-// combinatorial plan for each fold from the calibrated cost model.
+// each fold planned by optimizer.PlanTwoPath.
 //
 //   - Path queries P_k(x0, xk) = R1(x0,x1), R2(x1,x2), ..., Rk(x_{k-1},xk),
 //     projected onto the endpoints. Adjacent relations are folded with the
@@ -34,6 +33,7 @@ import (
 	"fmt"
 
 	"repro/internal/joinproject"
+	"repro/internal/optimizer"
 	"repro/internal/relation"
 )
 
@@ -52,48 +52,23 @@ const (
 
 // Strategy names for composition decisions.
 const (
-	StrategyMM    = "mm"
-	StrategyWCOJ  = "wcoj"
-	StrategyNonMM = "nonmm"
+	StrategyMM    = optimizer.StrategyMM
+	StrategyWCOJ  = optimizer.StrategyWCOJ
+	StrategyNonMM = optimizer.StrategyNonMM
 )
-
-// ComposeDecision is a per-composition plan choice: which algorithm runs the
-// fold, with the thresholds and estimates it was based on.
-type ComposeDecision struct {
-	// Strategy is StrategyMM, StrategyWCOJ or StrategyNonMM.
-	Strategy string
-	// Delta1, Delta2 are the degree thresholds (MM only; 0 = heuristic).
-	Delta1, Delta2 int
-	// EstOut and OutJoin record the estimates behind the decision, when the
-	// planner computed them (0 otherwise).
-	EstOut, OutJoin int64
-	// PredictedNs is the modeled cost of the chosen plan in nanoseconds
-	// (0 = the planner priced nothing).
-	PredictedNs float64
-	// Margin is how decisively the chosen strategy won (see
-	// optimizer.Decision.Margin); NearMargin flags coin-flip decisions.
-	Margin     float64
-	NearMargin bool
-}
-
-// Planner chooses a strategy for one composition
-// V(a,c) = π_{a,c}(L(a,b) ⋈ R(b,c)). Implementations typically wrap the
-// Section-5 cost-based optimizer (see optimizer.Optimizer.DecideCompose).
-type Planner interface {
-	ChooseCompose(l, r *relation.Relation, workers int) ComposeDecision
-}
 
 // Options configures acyclic evaluation.
 type Options struct {
-	// Join options forwarded to every 2-path / star composition.
+	// Join options forwarded to every 2-path / star composition; its
+	// Delta1/Delta2 pin the thresholds of every fold.
 	Join joinproject.Options
 	// Order selects the fold order for chains.
 	Order Order
-	// Planner, when non-nil, chooses MM/WCOJ/NonMM per composition; nil runs
-	// every fold with the MM algorithm and the Join thresholds.
-	Planner Planner
+	// Optimizer, when non-nil, chooses MM or WCOJ per composition from the
+	// calibrated cost model; nil runs every fold with the MM algorithm.
+	Optimizer *optimizer.Optimizer
 	// Force pins every composition to one strategy (StrategyMM, StrategyWCOJ
-	// or StrategyNonMM), overriding Planner. Empty means no pin.
+	// or StrategyNonMM), overriding Optimizer. Empty or "auto" means no pin.
 	Force string
 }
 
@@ -101,17 +76,9 @@ type Options struct {
 type Step struct {
 	// Left and Right name the composed operands.
 	Left, Right string
-	// Strategy is the algorithm that ran the fold.
-	Strategy string
-	// Delta1, Delta2 are the thresholds the MM fold used (0 under WCOJ).
-	Delta1, Delta2 int
-	// EstOut and OutJoin are the planner's estimates (0 without a planner).
-	EstOut, OutJoin int64
-	// PredictedNs, Margin and NearMargin carry the planner's modeled cost
-	// and decision margin through to plan reporting (0 without a planner).
-	PredictedNs float64
-	Margin      float64
-	NearMargin  bool
+	// Decision is the strategy that ran the fold, the thresholds it ran with
+	// and the planner's estimates (0 without a planner).
+	optimizer.Decision
 	// Rows is the actual output size of the fold.
 	Rows int
 }
@@ -122,60 +89,31 @@ func (s Step) String() string {
 	if s.Strategy == StrategyMM && (s.Delta1 > 0 || s.Delta2 > 0) {
 		out += fmt.Sprintf(" Δ1=%d Δ2=%d", s.Delta1, s.Delta2)
 	}
-	if s.OutJoin > 0 {
-		out += fmt.Sprintf(" est|OUT|=%d |OUT⋈|=%d", s.EstOut, s.OutJoin)
-	}
-	if s.Margin > 0 {
-		out += fmt.Sprintf(" margin=%.2f×", s.Margin)
-		if s.NearMargin {
-			out += " (near)"
-		}
-	}
-	return out + fmt.Sprintf(" rows=%d", s.Rows)
-}
-
-// decide resolves the strategy for one composition under opt.
-func decide(l, r *relation.Relation, opt Options) ComposeDecision {
-	if opt.Force != "" {
-		return ComposeDecision{Strategy: opt.Force, Delta1: opt.Join.Delta1, Delta2: opt.Join.Delta2}
-	}
-	if opt.Planner != nil {
-		return opt.Planner.ChooseCompose(l, r, opt.Join.Workers)
-	}
-	return ComposeDecision{Strategy: StrategyMM, Delta1: opt.Join.Delta1, Delta2: opt.Join.Delta2}
+	return out + s.Audit() + fmt.Sprintf(" rows=%d", s.Rows)
 }
 
 // Compose computes V(a, c) = π_{a,c}(L(a, b) ⋈ R(b, c)) as one planned
 // composition step. Algorithm 1 joins the second columns of both operands, so
-// the right-hand relation is swapped into (c, b) orientation first; the
-// output pairs are then (L.x, R.Swap().x) = (a, c) as required.
+// the right-hand relation is swapped into (c, b) orientation first (O(1): the
+// indexes are shared); the output pairs are then (L.x, R.Swap().x) = (a, c)
+// as required.
 func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 	halt := func() bool { return opt.Join.Stop != nil && opt.Join.Stop() }
-	dec := decide(l, r, opt)
-	jopt := opt.Join
-	jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
+	rs := r.Swap()
+	dec := opt.Optimizer.PlanTwoPath(l, rs, opt.Join, opt.Force, 0)
 	var pairs [][2]int32
 	// A tripped Stop short-circuits the whole step: the join itself polls
-	// Stop, but the swap, the join, and the output materialization each cost
-	// real time on large intermediates, so skipping them keeps the
-	// cancel-to-return latency bounded. The caller discards the (empty)
-	// partial result once it observes the cancellation.
+	// Stop, but the join and the output materialization each cost real time
+	// on large intermediates, so skipping them keeps the cancel-to-return
+	// latency bounded. The caller discards the (empty) partial result once it
+	// observes the cancellation.
 	if !halt() {
-		rs := r.Swap()
-		switch {
-		case halt():
-			// Canceled while swapping; skip the join.
-		case dec.Strategy == StrategyWCOJ:
-			jopt = jopt.AllLight(l, rs)
-			pairs = joinproject.TwoPathMM(l, rs, jopt)
-		case dec.Strategy == StrategyNonMM:
+		jopt := dec.Options(opt.Join, l, rs)
+		if dec.Strategy == StrategyNonMM {
 			pairs = joinproject.TwoPathNonMM(l, rs, jopt)
-		default:
-			dec.Strategy = StrategyMM
+		} else {
 			pairs = joinproject.TwoPathMM(l, rs, jopt)
 		}
-	} else {
-		dec.Strategy = StrategyMM
 	}
 	if halt() {
 		pairs = nil
@@ -185,17 +123,7 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 		ps[i] = relation.Pair{X: p[0], Y: p[1]}
 	}
 	v := relation.FromPairs(l.Name()+"∘"+r.Name(), ps)
-	step := Step{
-		Left: l.Name(), Right: r.Name(),
-		Strategy: dec.Strategy, Delta1: jopt.Delta1, Delta2: jopt.Delta2,
-		EstOut: dec.EstOut, OutJoin: dec.OutJoin,
-		PredictedNs: dec.PredictedNs, Margin: dec.Margin, NearMargin: dec.NearMargin,
-		Rows: v.Size(),
-	}
-	if dec.Strategy == StrategyWCOJ {
-		step.Delta1, step.Delta2 = 0, 0
-	}
-	return v, step
+	return v, Step{Left: l.Name(), Right: r.Name(), Decision: dec, Rows: v.Size()}
 }
 
 // PathProject evaluates π_{x0,xk}(R1(x0,x1) ⋈ ... ⋈ Rk(x_{k-1},x_k)).

@@ -47,7 +47,9 @@ const (
 	ForceNonMM
 )
 
-// String names the strategy for plan reporting.
+// String names the strategy: the label the planning seam
+// (optimizer.PlanTwoPath / PlanStar) and query.ExecOptions take as a pin,
+// "auto" meaning none.
 func (s Strategy) String() string {
 	switch s {
 	case Auto:
@@ -89,8 +91,6 @@ type Config struct {
 	// Recalibrate, when non-nil, enables online constant recalibration with
 	// the given tuning (default off).
 	Recalibrate *optimizer.RecalConfig
-	// NearMarginBand overrides the decision-audit band (0 = default 1.5×).
-	NearMarginBand float64
 }
 
 // Option mutates the engine configuration.
@@ -148,7 +148,6 @@ func NewEngine(opts ...Option) *Engine {
 	if cfg.OptimizerConstants != nil {
 		opt = optimizer.NewWithConstants(*cfg.OptimizerConstants)
 	}
-	opt.NearMarginBand = cfg.NearMarginBand
 	if cfg.Recalibrate != nil {
 		opt.EnableRecalibration(*cfg.Recalibrate)
 	}
@@ -191,67 +190,44 @@ func (p Plan) String() string {
 	}
 }
 
-// planTwoPath resolves the strategy and thresholds for one 2-path instance.
-func (e *Engine) planTwoPath(r, s *relation.Relation) Plan {
-	p := Plan{Strategy: e.cfg.Strategy.String(), Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
-	switch e.cfg.Strategy {
-	case Auto:
-		var dec optimizer.Decision
-		if e.cfg.SketchBudget > 0 {
-			dec = e.opt.ChooseWithSketch(r, s, e.cfg.Workers, e.cfg.SketchBudget)
-		} else {
-			dec = e.opt.Choose(r, s, e.cfg.Workers)
-		}
-		p.EstOut, p.OutJoin = dec.EstOut, dec.OutJoin
-		if dec.UseWCOJ {
-			p.Strategy = "wcoj"
-		} else {
-			p.Strategy = "mm"
-			if p.Delta1 == 0 {
-				p.Delta1 = dec.Delta1
-			}
-			if p.Delta2 == 0 {
-				p.Delta2 = dec.Delta2
-			}
-		}
-	case ForceWCOJ:
-		p.Strategy = "wcoj"
-	case ForceMM:
-		p.Strategy = "mm"
-	case ForceNonMM:
-		p.Strategy = "nonmm"
-	}
-	return p
+// planOf reports a decision record as the public Plan.
+func planOf(dec optimizer.Decision) Plan {
+	return Plan{Strategy: dec.Strategy, Delta1: dec.Delta1, Delta2: dec.Delta2,
+		EstOut: dec.EstOut, OutJoin: dec.OutJoin}
+}
+
+// joinOptions is the engine configuration as kernel options: the worker
+// count and the WithThresholds pins.
+func (e *Engine) joinOptions() joinproject.Options {
+	return joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers}
+}
+
+// decide plans one 2-path instance under the engine configuration and
+// returns the record with the kernel options that run it.
+func (e *Engine) decide(r, s *relation.Relation) (optimizer.Decision, joinproject.Options) {
+	base := e.joinOptions()
+	dec := e.opt.PlanTwoPath(r, s, base, e.cfg.Strategy.String(), e.cfg.SketchBudget)
+	return dec, dec.Options(base, r, s)
 }
 
 // JoinProject evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) and returns the distinct
 // pairs along with the chosen plan.
 func (e *Engine) JoinProject(r, s *relation.Relation) ([][2]int32, Plan) {
-	p := e.planTwoPath(r, s)
-	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
-	switch p.Strategy {
-	case "wcoj":
-		return joinproject.TwoPathMM(r, s, opt.AllLight(r, s)), p
-	case "nonmm":
-		return joinproject.TwoPathNonMM(r, s, opt), p
-	default:
-		return joinproject.TwoPathMM(r, s, opt), p
+	dec, opt := e.decide(r, s)
+	if dec.Strategy == optimizer.StrategyNonMM {
+		return joinproject.TwoPathNonMM(r, s, opt), planOf(dec)
 	}
+	return joinproject.TwoPathMM(r, s, opt), planOf(dec)
 }
 
 // JoinProjectCounts evaluates the counting variant: every output pair with
 // its exact witness count.
 func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairCount, Plan) {
-	p := e.planTwoPath(r, s)
-	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
-	switch p.Strategy {
-	case "wcoj":
-		return joinproject.TwoPathMMCounts(r, s, opt.AllLight(r, s)), p
-	case "nonmm":
-		return joinproject.TwoPathNonMMCounts(r, s, opt), p
-	default:
-		return joinproject.TwoPathMMCounts(r, s, opt), p
+	dec, opt := e.decide(r, s)
+	if dec.Strategy == optimizer.StrategyNonMM {
+		return joinproject.TwoPathNonMMCounts(r, s, opt), planOf(dec)
 	}
+	return joinproject.TwoPathMMCounts(r, s, opt), planOf(dec)
 }
 
 // JoinProjectVisit streams every distinct output pair with its witness
@@ -259,43 +235,20 @@ func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairC
 // concurrently when the engine is parallel; it must be safe for concurrent
 // use. Returns the chosen plan.
 func (e *Engine) JoinProjectVisit(r, s *relation.Relation, visit func(x, z, count int32)) Plan {
-	p := e.planTwoPath(r, s)
-	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
-	if p.Strategy == "wcoj" {
-		opt = opt.AllLight(r, s)
-	}
+	dec, opt := e.decide(r, s)
 	joinproject.TwoPathMMVisit(r, s, opt, visit)
-	return p
+	return planOf(dec)
 }
 
 // StarJoin evaluates the projected star query over k relations.
 func (e *Engine) StarJoin(rels []*relation.Relation) ([][]int32, Plan) {
-	p := Plan{Strategy: e.cfg.Strategy.String(), Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
-	opt := joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers}
-	switch e.cfg.Strategy {
-	case Auto:
-		dec := e.opt.ChooseStar(rels, e.cfg.Workers)
-		p.EstOut, p.OutJoin = dec.EstOut, dec.OutJoin
-		if dec.UseWCOJ {
-			p.Strategy = "wcoj"
-			return joinproject.StarNonMM(rels, opt), p
-		}
-		p.Strategy = "mm"
-		if opt.Delta1 == 0 {
-			opt.Delta1 = dec.Delta1
-		}
-		if opt.Delta2 == 0 {
-			opt.Delta2 = dec.Delta2
-		}
-		p.Delta1, p.Delta2 = opt.Delta1, opt.Delta2
-		return joinproject.StarMM(rels, opt), p
-	case ForceWCOJ, ForceNonMM:
-		p.Strategy = "nonmm"
-		return joinproject.StarNonMM(rels, opt), p
-	default:
-		p.Strategy = "mm"
-		return joinproject.StarMM(rels, opt), p
+	base := e.joinOptions()
+	dec := e.opt.PlanStar(rels, base, e.cfg.Strategy.String())
+	opt := dec.Options(base, rels...)
+	if dec.Strategy == optimizer.StrategyNonMM {
+		return joinproject.StarNonMM(rels, opt), planOf(dec)
 	}
+	return joinproject.StarMM(rels, opt), planOf(dec)
 }
 
 // SimilarSets returns all set pairs with overlap at least c, using the
@@ -335,9 +288,7 @@ func (e *Engine) IntersectBatch(r, s *relation.Relation, queries []bsi.Query) []
 // GroupByCount evaluates γ_{x; COUNT(DISTINCT z), COUNT(*)}(R ⋈ S)
 // output-sensitively, never materializing the join.
 func (e *Engine) GroupByCount(r, s *relation.Relation) []joinproject.GroupCount {
-	return joinproject.TwoPathGroupBy(r, s, joinproject.Options{
-		Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers,
-	})
+	return joinproject.TwoPathGroupBy(r, s, e.joinOptions())
 }
 
 // TopSimilarSets returns the k most similar set pairs with overlap ≥ c,
@@ -463,20 +414,7 @@ func (e *Engine) execOptions() query.ExecOptions {
 	return query.ExecOptions{
 		Optimizer: e.opt,
 		Workers:   e.cfg.Workers,
-		Strategy:  strategyName(e.cfg.Strategy),
-	}
-}
-
-func strategyName(s Strategy) string {
-	switch s {
-	case ForceMM:
-		return "mm"
-	case ForceWCOJ:
-		return "wcoj"
-	case ForceNonMM:
-		return "nonmm"
-	default:
-		return ""
+		Strategy:  e.cfg.Strategy.String(),
 	}
 }
 
@@ -616,4 +554,7 @@ func (e *Engine) Optimizer() *optimizer.Optimizer { return e.opt }
 
 // Explain returns the plan the engine would choose without running the
 // query.
-func (e *Engine) Explain(r, s *relation.Relation) Plan { return e.planTwoPath(r, s) }
+func (e *Engine) Explain(r, s *relation.Relation) Plan {
+	dec, _ := e.decide(r, s)
+	return planOf(dec)
+}

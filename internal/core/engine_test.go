@@ -7,8 +7,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/acyclic"
 	"repro/internal/bsi"
 	"repro/internal/dataset"
+	"repro/internal/joinproject"
+	"repro/internal/optimizer"
+	"repro/internal/query"
 	"repro/internal/relation"
 )
 
@@ -374,5 +378,51 @@ func TestEngineViewsAndMutations(t *testing.T) {
 	}
 	if ok, err := eng.DropView("vp"); ok || err != nil {
 		t.Fatal("DropView semantics")
+	}
+}
+
+// TestPlanningEntryPointsAgree: the library call, the composition primitive
+// and the text query's fold node plan the same dense (R, S) through the same
+// seam, so they must report the same label, thresholds and estimates.
+func TestPlanningEntryPointsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// Every y value occurs in both relations, so the query's semijoin
+	// reduction leaves the operands as they are.
+	r := randomRel(rng, "R", 1500, 30, 20)
+	s := randomRel(rng, "S", 1500, 30, 20)
+	eng := NewEngine(WithWorkers(1), WithOptimizerConstants(optimizer.Constants{Ts: 0.5, Tm: 6, TI: 4}))
+	for _, rel := range []*relation.Relation{r, s} {
+		if err := eng.RegisterRelation(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, plan := eng.JoinProject(r, s)
+	if plan.Strategy != "mm" || plan.Delta1 < 1 || plan.Delta2 < 1 || plan.OutJoin == 0 {
+		t.Fatalf("dense instance should plan mm with thresholds and estimates, got %+v", plan)
+	}
+
+	_, step := acyclic.Compose(r, s.Swap(), acyclic.Options{
+		Optimizer: eng.Optimizer(), Join: joinproject.Options{Workers: 1}})
+	if got := (Plan{step.Strategy, step.Delta1, step.Delta2, step.EstOut, step.OutJoin}); got != plan {
+		t.Errorf("acyclic.Compose step = %+v, JoinProject plan = %+v", got, plan)
+	}
+
+	res, err := eng.Query("Q(x, z) :- R(x, y), S(z, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds := 0
+	res.Plan.Walk(func(n *query.Node) {
+		if n.Op != "fold" {
+			return
+		}
+		folds++
+		if got := (Plan{n.Strategy, n.Delta1, n.Delta2, n.EstOut, n.OutJoin}); got != plan {
+			t.Errorf("query fold node = %+v, JoinProject plan = %+v", got, plan)
+		}
+	})
+	if folds != 1 {
+		t.Fatalf("query plan has %d fold nodes, want 1:\n%s", folds, res.Plan)
 	}
 }

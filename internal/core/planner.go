@@ -29,12 +29,6 @@ func WithRecalibration(rc optimizer.RecalConfig) Option {
 	}
 }
 
-// WithNearMarginBand overrides the decision-audit band: decisions whose
-// margin falls below the band are flagged near-margin (0 = default 1.5×).
-func WithNearMarginBand(band float64) Option {
-	return func(cfg *Config) { cfg.NearMarginBand = band }
-}
-
 // PlannerStats exposes the per-fingerprint planner-accuracy sheet behind
 // GET /stats/planner.
 func (e *Engine) PlannerStats() *stats.Planner { return e.planner }
@@ -47,17 +41,11 @@ func (e *Engine) notePlanner(fingerprint string, plan *query.Plan) {
 	}
 	var nodes []stats.NodeObservation
 	plan.Walk(func(n *query.Node) {
-		if n.PredictedNs <= 0 && n.OutJoin <= 0 {
+		if n.PredictedCost <= 0 && n.OutJoin <= 0 {
 			return
 		}
-		nodes = append(nodes, stats.NodeObservation{
-			Op: n.Op, Strategy: n.Strategy,
-			PredictedNs: n.PredictedNs, ActualNs: n.TimeNs,
-			EstRows: n.EstRows, Rows: n.Rows,
-			Margin: n.Margin, NearMargin: n.NearMargin,
-			Delta1: n.Delta1, Delta2: n.Delta2,
-		})
-		e.opt.ObserveNode(n.Strategy, n.PredictedNs, float64(n.TimeNs))
+		nodes = append(nodes, stats.NodeObservation{Op: n.Op, Decision: n.Decision, ActualNs: n.TimeNs, Rows: n.Rows})
+		e.opt.ObserveNode(n.Strategy, n.PredictedCost, float64(n.TimeNs))
 	})
 	e.planner.Record(fingerprint, nodes)
 }

@@ -90,10 +90,10 @@ func TestSuiteCostAccuracy(t *testing.T) {
 			}
 			i := 0
 			res.Plan.Walk(func(n *query.Node) {
-				if n.PredictedNs <= 0 {
+				if n.PredictedCost <= 0 {
 					return
 				}
-				ratio := float64(n.TimeNs) / n.PredictedNs
+				ratio := float64(n.TimeNs) / n.PredictedCost
 				if run == 0 {
 					best = append(best, nodeBest{node: *n, ratio: ratio})
 				} else if i < len(best) && ratio < best[i].ratio {
@@ -107,8 +107,8 @@ func TestSuiteCostAccuracy(t *testing.T) {
 			if n.Op == "star" {
 				// Capture, don't bound: the sheet needs both sides of the
 				// cardinality miss on the node.
-				if n.EstRows <= 0 || n.Rows < 0 {
-					t.Errorf("%q star node missing rows estimate/actual: est=%d rows=%d", src, n.EstRows, n.Rows)
+				if n.EstOut <= 0 || n.Rows < 0 {
+					t.Errorf("%q star node missing rows estimate/actual: est=%d rows=%d", src, n.EstOut, n.Rows)
 				}
 				starAudited++
 				continue
@@ -118,7 +118,7 @@ func TestSuiteCostAccuracy(t *testing.T) {
 			}
 			if b.ratio < nodeLo || b.ratio > nodeHi {
 				t.Errorf("%q node %s/%s: cost error %.3f× outside [%g, %g] (predicted %.0fns, actual %dns)",
-					src, n.Op, n.Strategy, b.ratio, nodeLo, nodeHi, n.PredictedNs, n.TimeNs)
+					src, n.Op, n.Strategy, b.ratio, nodeLo, nodeHi, n.PredictedCost, n.TimeNs)
 			}
 			sumLog += math.Log(b.ratio)
 			audited++

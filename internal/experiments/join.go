@@ -23,16 +23,13 @@ func init() {
 // the cost-based optimizer picks the plan (WCOJ fallback or thresholds),
 // then Algorithm 1 runs.
 func runMMJoin(opt *optimizer.Optimizer, r *relation.Relation, workers int) (n int, plan string) {
-	dec := opt.Choose(r, r, workers)
-	jopt := joinproject.Options{Workers: workers}
-	if dec.UseWCOJ {
-		jopt = jopt.AllLight(r, r)
-		plan = "wcoj-fallback"
-	} else {
-		jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
+	base := joinproject.Options{Workers: workers}
+	dec := opt.PlanTwoPath(r, r, base, "", 0)
+	plan = "wcoj-fallback"
+	if !dec.UseWCOJ() {
 		plan = fmt.Sprintf("d1=%d,d2=%d", dec.Delta1, dec.Delta2)
 	}
-	return len(joinproject.TwoPathMM(r, r, jopt)), plan
+	return len(joinproject.TwoPathMM(r, r, dec.Options(base, r, r))), plan
 }
 
 func runFig4a(scale float64) Result {

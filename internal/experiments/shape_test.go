@@ -43,8 +43,8 @@ func TestShapeOptimizerFallsBackOnSparse(t *testing.T) {
 	opt := optimizer.New()
 	for _, name := range []string{"RoadNet", "DBLP"} {
 		r := getDataset(name, 0.25)
-		dec := opt.Choose(r, r, 1)
-		if !dec.UseWCOJ {
+		dec := opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+		if !dec.UseWCOJ() {
 			t.Errorf("%s: optimizer chose partitioning (outJoin=%d, N=%d), paper expects fallback",
 				name, dec.OutJoin, r.Size())
 		}
@@ -52,8 +52,8 @@ func TestShapeOptimizerFallsBackOnSparse(t *testing.T) {
 	// ... and must NOT fall back on the dense shapes.
 	for _, name := range []string{"Protein", "Image"} {
 		r := getDataset(name, 0.25)
-		dec := opt.Choose(r, r, 1)
-		if dec.UseWCOJ {
+		dec := opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+		if dec.UseWCOJ() {
 			t.Errorf("%s: optimizer fell back to WCOJ (outJoin=%d, N=%d), paper expects partitioning",
 				name, dec.OutJoin, r.Size())
 		}

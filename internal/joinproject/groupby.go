@@ -26,7 +26,7 @@ type GroupCount struct {
 // pairs are all heavy are counted entirely inside the matrix product.
 func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
 	opt = opt.normalize(r, s)
-	c := newTwoPathCtx(r, s, opt.Delta1, opt.Delta2)
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, 1, opt.Stop)
 	nx := c.rX.NumKeys()
 	distinct := make([]int64, nx)
 	witnesses := make([]int64, nx)

@@ -115,10 +115,6 @@ type twoPathCtx struct {
 	numHeavyA int
 }
 
-func newTwoPathCtx(r, s *relation.Relation, d1, d2 int) *twoPathCtx {
-	return newTwoPathCtxParallel(r, s, d1, d2, 1, nil)
-}
-
 // newTwoPathCtxParallel builds the positional indexes with the given degree
 // of parallelism; construction is a per-key-independent transform, so it
 // partitions coordination-free like the join itself. stop is polled between

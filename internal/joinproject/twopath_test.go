@@ -174,21 +174,35 @@ func TestTwoPathStop(t *testing.T) {
 	if blocks := r.NumX() / schedBlock; blocks < 8 {
 		t.Fatalf("input spans only %d scheduling blocks", blocks)
 	}
-	want := bruteCounts(r, s)
+	pairs := bruteCounts(r, s)
+	// The group-by answer as a pair map: (x, 0) → distinct partners of x.
+	groups := map[[2]int32]int32{}
+	for p := range pairs {
+		groups[[2]int32{p[0], 0}]++
+	}
 	entries := []struct {
-		name string
-		run  func(Options) map[[2]int32]int32
+		name     string
+		counting bool
+		want     map[[2]int32]int32
+		run      func(Options) map[[2]int32]int32
 	}{
-		{"MM", func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathMM(r, s, o)) }},
-		{"MMCounts", func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathMMCounts(r, s, o)) }},
-		{"NonMM", func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathNonMM(r, s, o)) }},
-		{"NonMMCounts", func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathNonMMCounts(r, s, o)) }},
+		{"MM", false, pairs, func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathMM(r, s, o)) }},
+		{"MMCounts", true, pairs, func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathMMCounts(r, s, o)) }},
+		{"NonMM", false, pairs, func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathNonMM(r, s, o)) }},
+		{"NonMMCounts", true, pairs, func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathNonMMCounts(r, s, o)) }},
+		{"GroupBy", true, groups, func(o Options) map[[2]int32]int32 {
+			m := map[[2]int32]int32{}
+			for _, g := range TwoPathGroupBy(r, s, o) {
+				m[[2]int32{g.X, 0}] = int32(g.Distinct)
+			}
+			return m
+		}},
 	}
 	// tripAfter < 0 means a nil Stop. The last trip count lets a few blocks
 	// through so the subset check is not vacuous.
 	trips := []int64{-1, 0, 1, 4, 9}
 	for _, e := range entries {
-		counting := e.name == "MMCounts" || e.name == "NonMMCounts"
+		want, counting := e.want, e.counting
 		for _, workers := range []int{1, 2} {
 			for _, tripAfter := range trips {
 				opt := Options{Delta1: 3, Delta2: 4, Workers: workers}

@@ -19,6 +19,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -39,19 +40,37 @@ const WCOJFallbackFactor = 20
 // constant set could have flipped it.
 const DefaultNearMarginBand = 1.5
 
-// Decision is the optimizer's plan choice for one query instance.
+// descentShrink is the multiplicative descent factor on Δ1 per Algorithm-3
+// iteration (the paper's (1−ϵ); it fixes ϵ=0.95, we use a gentler 0.5 so the
+// search inspects more candidate thresholds).
+const descentShrink = 0.5
+
+// Strategy labels of a plan node: Algorithm 1 with matrix multiplication, the
+// plain worst-case optimal join + dedup, and the combinatorial (Lemma 2 /
+// Section 3.2 without the product) twin.
+const (
+	StrategyMM    = "mm"
+	StrategyWCOJ  = "wcoj"
+	StrategyNonMM = "nonmm"
+)
+
+// Decision is the one record of a plan node's MM-vs-WCOJ choice: which
+// algorithm runs, with which thresholds, and the estimates it was based on.
+// PlanTwoPath and PlanStar produce it; plan nodes and audit records embed it.
 type Decision struct {
-	// UseWCOJ is true when the plain worst-case optimal join + dedup plan is
-	// predicted to win (|OUT⋈| ≤ 20·N).
-	UseWCOJ bool
-	// Delta1, Delta2 are the chosen thresholds (valid when !UseWCOJ).
+	// Strategy is StrategyMM, StrategyWCOJ or StrategyNonMM.
+	Strategy string
+	// Delta1, Delta2 are the thresholds to run with: the caller's pins where
+	// given, else the planner's choice, else 0 for the kernel's
+	// joinproject.HeuristicThresholds. Always 0 under StrategyWCOJ.
 	Delta1, Delta2 int
 	// PredictedCost is the modeled cost of the chosen plan in abstract
 	// nanoseconds — for MM the descent's best thresholds, for WCOJ the
 	// closed-form expansion cost — so every executed node has a prediction
-	// to compare its measured time against.
+	// to compare its measured time against. 0 = nothing was priced.
 	PredictedCost float64
-	// EstOut and OutJoin record the estimates the decision was based on.
+	// EstOut and OutJoin record the estimates the decision was based on
+	// (0 = the planner priced nothing).
 	EstOut  int64
 	OutJoin int64
 	// Margin is how decisively the chosen plan won. For cost-descent
@@ -63,10 +82,45 @@ type Decision struct {
 	// A margin below 1 means the model actually preferred the rejected plan
 	// (possible when the descent stalls early).
 	Margin float64
-	// NearMargin flags margins inside the optimizer's near-margin band
-	// (Margin < Band): the decisions worth auditing first, since a small
-	// constant drift flips them.
+	// NearMargin flags margins inside the near-margin band
+	// (Margin < DefaultNearMarginBand): the decisions worth auditing first,
+	// since a small constant drift flips them.
 	NearMargin bool
+}
+
+// UseWCOJ reports whether the combinatorial plan was chosen over the matrix
+// one: StrategyWCOJ for a two-path, StrategyNonMM for a star.
+func (d Decision) UseWCOJ() bool {
+	return d.Strategy == StrategyWCOJ || d.Strategy == StrategyNonMM
+}
+
+// Audit renders the estimates and margin behind the decision as the EXPLAIN
+// suffix " est|OUT|=… |OUT⋈|=… margin=…× (near)"; empty when nothing was
+// priced.
+func (d Decision) Audit() string {
+	var out string
+	if d.OutJoin > 0 {
+		out = fmt.Sprintf(" est|OUT|=%d |OUT⋈|=%d", d.EstOut, d.OutJoin)
+	}
+	if d.Margin > 0 {
+		out += fmt.Sprintf(" margin=%.2f×", d.Margin)
+		if d.NearMargin {
+			out += " (near)"
+		}
+	}
+	return out
+}
+
+// Options translates the decision into the options to run the kernel over
+// rels with: every value light under StrategyWCOJ (Algorithm 1 degenerates to
+// the indexed join with stamp dedup; rels are the two-path operands), the
+// decided thresholds otherwise.
+func (d Decision) Options(base joinproject.Options, rels ...*relation.Relation) joinproject.Options {
+	if d.Strategy == StrategyWCOJ {
+		return base.AllLight(rels[0], rels[1])
+	}
+	base.Delta1, base.Delta2 = d.Delta1, d.Delta2
+	return base
 }
 
 // cdf answers weighted prefix sums over a degree distribution: sumUpTo(δ)
@@ -188,13 +242,6 @@ type Constants struct {
 type Optimizer struct {
 	// Model prices the matrix steps.
 	Model *matrix.CostModel
-	// Shrink is the multiplicative descent factor on Δ1 per Algorithm-3
-	// iteration (the paper's (1−ϵ); it fixes ϵ=0.95, we default to a gentler
-	// 0.5 so the search inspects more candidate thresholds).
-	Shrink float64
-	// NearMarginBand flags decisions whose margin falls below this ratio
-	// (0 = DefaultNearMarginBand).
-	NearMarginBand float64
 
 	// consts holds the Table-1 constants in use. Recalibration swaps the
 	// pointer whole between queries, so every decision reads one consistent
@@ -217,7 +264,7 @@ func New() *Optimizer {
 // startup probe: reproducible plans across runners, and the manual escape
 // hatch when drift detection fires.
 func NewWithConstants(c Constants) *Optimizer {
-	o := &Optimizer{Model: matrix.DefaultCostModel(), Shrink: 0.5, probed: c}
+	o := &Optimizer{Model: matrix.DefaultCostModel(), probed: c}
 	o.consts.Store(&c)
 	o.publishConstants()
 	return o
@@ -239,14 +286,6 @@ func (o *Optimizer) Constants() Constants {
 // ProbedConstants returns the startup baseline the drift gauges compare
 // against.
 func (o *Optimizer) ProbedConstants() Constants { return o.probed }
-
-// Band resolves the near-margin band.
-func (o *Optimizer) Band() float64 {
-	if o.NearMarginBand > 0 {
-		return o.NearMarginBand
-	}
-	return DefaultNearMarginBand
-}
 
 // lightCost models the light-part work of Algorithm 1 for thresholds
 // (d1, d2): expansion of light-y witnesses, expansion of light-x values and
@@ -295,75 +334,87 @@ func wcojPlanCost(c Constants, outJoin, n int64, domZ int) float64 {
 	return c.TI*2*float64(outJoin) + c.Tm*float64(domZ) + c.Ts*float64(n)
 }
 
-// Choose runs Algorithm 3 for the 2-path instance (r, s) on the given
-// number of cores, using the Section-5 geometric-mean estimate of |OUT|.
-func (o *Optimizer) Choose(r, s *relation.Relation, cores int) Decision {
-	return o.chooseWithEstimate(r, s, cores, joinproject.EstimateOutputSize(r, s))
+// forced normalizes a caller's strategy pin: the three labels pin, anything
+// else ("" or "auto") leaves the choice to the planner.
+func forced(force string) bool {
+	return force == StrategyMM || force == StrategyWCOJ || force == StrategyNonMM
 }
 
-// ChooseWithSketch runs Algorithm 3 with the estimate |OUT| refined by a
-// HyperLogLog pass over the full join (the Section-9 refinement), provided
-// the full join is small enough to afford the scan (≤ sketchBudget tuples).
-// Falls back to the geometric-mean estimate otherwise.
-func (o *Optimizer) ChooseWithSketch(r, s *relation.Relation, cores int, sketchBudget int64) Decision {
-	dec := o.Choose(r, s, cores)
-	if dec.UseWCOJ || dec.OutJoin > sketchBudget {
-		return dec
+// settle applies the caller's threshold pins to a planned decision: a pinned
+// Δ overrides the planner's, and the all-light WCOJ plan has none.
+func (d Decision) settle(base joinproject.Options) Decision {
+	if d.Strategy == StrategyWCOJ {
+		d.Delta1, d.Delta2 = 0, 0
+		return d
 	}
-	est := int64(sketch.EstimateJoinProjectHLL(r, s, 12))
-	if est < 1 {
-		return dec
+	if base.Delta1 != 0 {
+		d.Delta1 = base.Delta1
 	}
-	// Re-run the descent with the refined estimate.
-	refined := o.chooseWithEstimate(r, s, cores, est)
-	refined.EstOut = est
-	return refined
+	if base.Delta2 != 0 {
+		d.Delta2 = base.Delta2
+	}
+	return d
 }
 
-// chooseWithEstimate is the Algorithm-3 descent with an externally supplied
-// |OUT| estimate.
-func (o *Optimizer) chooseWithEstimate(r, s *relation.Relation, cores int, estOut int64) Decision {
-	outJoin := relation.FullJoinSize(r, s)
-	n := int64(r.Size())
-	if int64(s.Size()) > n {
-		n = int64(s.Size())
+// PlanTwoPath decides how one 2-path instance π_{x,z}(R(x,y) ⋈ S(z,y)) runs.
+// It is the only place a two-path strategy is chosen, and is valid on a nil
+// receiver ("no planner"). base carries the worker count and the caller's
+// threshold pins (0 = unpinned); force is a strategy pin ("" or "auto" =
+// none); sketchBudget > 0 refines est|OUT| with a HyperLogLog pass over the
+// full join when |OUT⋈| ≤ sketchBudget (the Section-9 refinement).
+//
+// A forced strategy wins and prices nothing; no planner means MM; otherwise
+// Algorithm 3 decides: plain WCOJ when |OUT⋈| ≤ 20·N, else the threshold
+// descent. Run the result with Decision.Options.
+func (o *Optimizer) PlanTwoPath(r, s *relation.Relation, base joinproject.Options, force string, sketchBudget int64) Decision {
+	if forced(force) {
+		return Decision{Strategy: force}.settle(base)
 	}
-	c := o.Constants()
-	dec := Decision{OutJoin: outJoin, EstOut: estOut}
-	if outJoin <= WCOJFallbackFactor*n || n == 0 {
-		dec.UseWCOJ = true
-		dec.PredictedCost = wcojPlanCost(c, outJoin, n, 0)
-		if outJoin > 0 {
-			dec.Margin = float64(WCOJFallbackFactor*n) / float64(outJoin)
+	if o == nil {
+		return Decision{Strategy: StrategyMM}.settle(base)
+	}
+	dec := o.algorithm3(r, s, base.Workers, joinproject.EstimateOutputSize(r, s))
+	if sketchBudget > 0 && dec.Strategy == StrategyMM && dec.OutJoin <= sketchBudget {
+		if est := int64(sketch.EstimateJoinProjectHLL(r, s, 12)); est >= 1 {
+			dec = o.algorithm3(r, s, base.Workers, est)
 		}
-		o.noteDecision(&dec)
+	}
+	return dec.settle(base)
+}
+
+// guard is the shared Algorithm-3 fallback test: when the full join is at
+// most WCOJFallbackFactor·N the combinatorial plan (label wcoj) wins without
+// pricing the matrix alternative. ok=false means the caller must search.
+func (o *Optimizer) guard(c Constants, wcoj string, outJoin, n, estOut int64) (dec Decision, ok bool) {
+	if n != 0 && outJoin > WCOJFallbackFactor*n {
+		return Decision{}, false
+	}
+	dec = Decision{Strategy: wcoj, OutJoin: outJoin, EstOut: estOut,
+		PredictedCost: wcojPlanCost(c, outJoin, n, 0)}
+	if outJoin > 0 {
+		dec.Margin = float64(WCOJFallbackFactor*n) / float64(outJoin)
+	}
+	o.noteDecision(&dec)
+	return dec, true
+}
+
+// algorithm3 is the Algorithm-3 guard and descent for one |OUT| estimate.
+func (o *Optimizer) algorithm3(r, s *relation.Relation, cores int, estOut int64) Decision {
+	outJoin := relation.FullJoinSize(r, s)
+	n := int64(max(r.Size(), s.Size()))
+	c := o.Constants()
+	if dec, ok := o.guard(c, StrategyWCOJ, outJoin, n, estOut); ok {
 		return dec
 	}
 	ix := BuildIndexes(r, s)
-	shrink := o.Shrink
-	if shrink <= 0 || shrink >= 1 {
-		shrink = 0.5
-	}
-	est := float64(estOut)
-	if est < 1 {
-		est = 1
-	}
+	est := float64(max(estOut, 1))
 	prevCost := math.Inf(1)
 	prevD1, prevD2 := int(n), 1
 	d1f := float64(n)
 	for iter := 0; iter < 200; iter++ {
-		d1f *= shrink
-		d1 := int(d1f)
-		if d1 < 1 {
-			d1 = 1
-		}
-		d2 := int(float64(n) * float64(d1) / est)
-		if d2 < 1 {
-			d2 = 1
-		}
-		if int64(d2) > n {
-			d2 = int(n)
-		}
+		d1f *= descentShrink
+		d1 := max(int(d1f), 1)
+		d2 := min(max(int(float64(n)*float64(d1)/est), 1), int(n))
 		cost := o.costWith(c, ix, d1, d2, cores)
 		if prevCost <= cost {
 			break
@@ -373,8 +424,8 @@ func (o *Optimizer) chooseWithEstimate(r, s *relation.Relation, cores int, estOu
 			break
 		}
 	}
-	dec.Delta1, dec.Delta2 = prevD1, prevD2
-	dec.PredictedCost = prevCost
+	dec := Decision{Strategy: StrategyMM, OutJoin: outJoin, EstOut: estOut,
+		Delta1: prevD1, Delta2: prevD2, PredictedCost: prevCost}
 	if wcoj := wcojPlanCost(c, outJoin, n, ix.domZ); prevCost > 0 {
 		dec.Margin = wcoj / prevCost
 	}
@@ -385,10 +436,10 @@ func (o *Optimizer) chooseWithEstimate(r, s *relation.Relation, cores int, estOu
 // noteDecision stamps the near-margin flag and feeds the decision-audit
 // counters. Called on every planner decision that computed a margin.
 func (o *Optimizer) noteDecision(dec *Decision) {
-	dec.NearMargin = dec.Margin > 0 && dec.Margin < o.Band()
-	strategy := "mm"
-	if dec.UseWCOJ {
-		strategy = "wcoj"
+	dec.NearMargin = dec.Margin > 0 && dec.Margin < DefaultNearMarginBand
+	strategy := StrategyMM
+	if dec.UseWCOJ() {
+		strategy = StrategyWCOJ
 	}
 	decisionsTotal.With(strategy).Inc()
 	if dec.NearMargin {
@@ -396,45 +447,37 @@ func (o *Optimizer) noteDecision(dec *Decision) {
 	}
 }
 
-// DecideCompose plans one chain composition V(a,c) = π_{a,c}(L(a,b) ⋈ R(b,c)),
-// the fold primitive the acyclic planner uses. Algorithm 1 joins the second
-// columns of both operands, so the underlying 2-path instance is
-// (L, R.Swap()) — Swap is O(1), the indexes are shared.
-func (o *Optimizer) DecideCompose(l, r *relation.Relation, cores int) Decision {
-	return o.Choose(l, r.Swap(), cores)
-}
-
-// ChooseStar picks thresholds for Q★k with a coarse grid search over the
-// Section-3.2 cost formula N·Δ1^{k-1} + |OUT|·Δ2 + M̂(·): the grid is powers
-// of two, which is enough resolution for threshold-quality experiments.
-func (o *Optimizer) ChooseStar(rels []*relation.Relation, cores int) Decision {
+// PlanStar decides how the star query Q★k over rels runs, under the same
+// rules and arguments as PlanTwoPath. A star's combinatorial plan is
+// StarNonMM, so both a wcoj pin and the Algorithm-3 guard yield
+// StrategyNonMM. The threshold search is a coarse grid over the Section-3.2
+// cost formula N·Δ1^{k-1} + |OUT|·Δ2 + M̂(·): powers of two, which is enough
+// resolution for threshold-quality experiments.
+func (o *Optimizer) PlanStar(rels []*relation.Relation, base joinproject.Options, force string) Decision {
+	if force == StrategyWCOJ {
+		force = StrategyNonMM
+	}
+	if forced(force) {
+		return Decision{Strategy: force}.settle(base)
+	}
+	if o == nil {
+		return Decision{Strategy: StrategyMM}.settle(base)
+	}
 	k := len(rels)
 	if k == 0 {
-		return Decision{UseWCOJ: true}
+		return Decision{Strategy: StrategyNonMM}
 	}
 	outJoin := relation.FullJoinSize(rels...)
 	var n int64
 	for _, r := range rels {
-		if int64(r.Size()) > n {
-			n = int64(r.Size())
-		}
+		n = max(n, int64(r.Size()))
 	}
 	c := o.Constants()
-	dec := Decision{OutJoin: outJoin}
-	if n == 0 || outJoin <= WCOJFallbackFactor*n {
-		dec.UseWCOJ = true
-		dec.PredictedCost = wcojPlanCost(c, outJoin, n, 0)
-		if outJoin > 0 {
-			dec.Margin = float64(WCOJFallbackFactor*n) / float64(outJoin)
-		}
-		o.noteDecision(&dec)
-		return dec
+	if dec, ok := o.guard(c, StrategyNonMM, outJoin, n, 0); ok {
+		return dec.settle(base)
 	}
-	est := float64(joinproject.EstimateOutputSize(rels[0], rels[len(rels)-1]))
-	if est < 1 {
-		est = 1
-	}
-	dec.EstOut = int64(est)
+	est := float64(max(joinproject.EstimateOutputSize(rels[0], rels[k-1]), 1))
+	dec := Decision{Strategy: StrategyMM, OutJoin: outJoin, EstOut: int64(est)}
 	best := math.Inf(1)
 	for d1 := 1; int64(d1) <= n; d1 *= 2 {
 		for d2 := 1; int64(d2) <= n; d2 *= 2 {
@@ -443,7 +486,7 @@ func (o *Optimizer) ChooseStar(rels []*relation.Relation, cores int) Decision {
 			u := math.Pow(float64(n)/float64(d2), math.Ceil(float64(k)/2))
 			w := math.Pow(float64(n)/float64(d2), math.Floor(float64(k)/2))
 			v := float64(n) / float64(d1)
-			heavy := float64(o.Model.EstimateMul(int64(u)+1, int64(v)+1, int64(w)+1, cores).Nanoseconds())
+			heavy := float64(o.Model.EstimateMul(int64(u)+1, int64(v)+1, int64(w)+1, base.Workers).Nanoseconds())
 			cost := c.TI*(light+lightX) + heavy
 			if cost < best {
 				best = cost
@@ -456,5 +499,5 @@ func (o *Optimizer) ChooseStar(rels []*relation.Relation, cores int) Decision {
 		dec.Margin = wcoj / best
 	}
 	o.noteDecision(&dec)
-	return dec
+	return dec.settle(base)
 }

@@ -106,8 +106,8 @@ func TestChooseFallsBackOnSparse(t *testing.T) {
 	// RoadNet-shaped data: tiny degrees, |OUT⋈| well under 20N.
 	r, _ := dataset.ByName("RoadNet", 0.3)
 	o := New()
-	dec := o.Choose(r, r, 1)
-	if !dec.UseWCOJ {
+	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	if !dec.UseWCOJ() {
 		t.Fatalf("sparse instance should fall back to WCOJ (outJoin=%d, N=%d)", dec.OutJoin, r.Size())
 	}
 }
@@ -115,8 +115,8 @@ func TestChooseFallsBackOnSparse(t *testing.T) {
 func TestChoosePartitionsOnDense(t *testing.T) {
 	r, _ := dataset.ByName("Image", 0.4)
 	o := New()
-	dec := o.Choose(r, r, 1)
-	if dec.UseWCOJ {
+	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	if dec.UseWCOJ() {
 		t.Fatalf("dense instance should not fall back (outJoin=%d, N=%d)", dec.OutJoin, r.Size())
 	}
 	if dec.Delta1 < 1 || dec.Delta2 < 1 {
@@ -135,8 +135,8 @@ func TestChosenThresholdsNearGridOptimum(t *testing.T) {
 	// cost over an exhaustive power-of-two grid.
 	r, _ := dataset.ByName("Jokes", 0.2)
 	o := New()
-	dec := o.Choose(r, r, 1)
-	if dec.UseWCOJ {
+	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	if dec.UseWCOJ() {
 		t.Skip("optimizer chose WCOJ for this scale")
 	}
 	ix := BuildIndexes(r, r)
@@ -159,9 +159,9 @@ func TestChooseCorrectnessEndToEnd(t *testing.T) {
 	r := randomRel(rng, "R", 2000, 40, 25)
 	s := randomRel(rng, "S", 2000, 40, 25)
 	o := New()
-	dec := o.Choose(r, s, 2)
+	dec := o.PlanTwoPath(r, s, joinproject.Options{Workers: 2}, "", 0)
 	var got [][2]int32
-	if dec.UseWCOJ {
+	if dec.UseWCOJ() {
 		got = joinproject.TwoPathMM(r, s, joinproject.Options{Delta1: r.Size() + 1, Delta2: r.Size() + 1})
 	} else {
 		got = joinproject.TwoPathMM(r, s, joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2})
@@ -182,18 +182,18 @@ func TestChooseCorrectnessEndToEnd(t *testing.T) {
 func TestChooseStar(t *testing.T) {
 	r, _ := dataset.ByName("Jokes", 0.15)
 	o := New()
-	dec := o.ChooseStar([]*relation.Relation{r, r, r}, 1)
-	if !dec.UseWCOJ {
+	dec := o.PlanStar([]*relation.Relation{r, r, r}, joinproject.Options{Workers: 1}, "")
+	if !dec.UseWCOJ() {
 		if dec.Delta1 < 1 || dec.Delta2 < 1 {
 			t.Fatalf("star thresholds (%d, %d) invalid", dec.Delta1, dec.Delta2)
 		}
 	}
 	sparse, _ := dataset.ByName("RoadNet", 0.2)
-	dec = o.ChooseStar([]*relation.Relation{sparse, sparse, sparse}, 1)
-	if !dec.UseWCOJ {
+	dec = o.PlanStar([]*relation.Relation{sparse, sparse, sparse}, joinproject.Options{Workers: 1}, "")
+	if !dec.UseWCOJ() {
 		t.Fatal("sparse star should fall back to WCOJ")
 	}
-	if dec := o.ChooseStar(nil, 1); !dec.UseWCOJ {
+	if dec := o.PlanStar(nil, joinproject.Options{Workers: 1}, ""); !dec.UseWCOJ() {
 		t.Fatal("empty star should fall back")
 	}
 }
@@ -217,12 +217,12 @@ func TestCostMonotoneInHeavyCount(t *testing.T) {
 func TestChooseWithSketch(t *testing.T) {
 	r, _ := dataset.ByName("Image", 0.4)
 	o := New()
-	base := o.Choose(r, r, 1)
-	refined := o.ChooseWithSketch(r, r, 1, 1<<30)
-	if refined.UseWCOJ != base.UseWCOJ {
+	base := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	refined := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 1<<30)
+	if refined.UseWCOJ() != base.UseWCOJ() {
 		t.Fatalf("sketch refinement flipped the WCOJ decision")
 	}
-	if !refined.UseWCOJ {
+	if !refined.UseWCOJ() {
 		if refined.Delta1 < 1 || refined.Delta2 < 1 {
 			t.Fatalf("refined thresholds (%d, %d) invalid", refined.Delta1, refined.Delta2)
 		}
@@ -235,7 +235,7 @@ func TestChooseWithSketch(t *testing.T) {
 		}
 	}
 	// A zero budget must leave the decision untouched.
-	same := o.ChooseWithSketch(r, r, 1, 0)
+	same := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
 	if same.EstOut != base.EstOut {
 		t.Fatal("budget 0 should not refine the estimate")
 	}

@@ -229,6 +229,6 @@ func (o *Optimizer) ConstantsInfo() ConstantsInfo {
 	info.Probed = o.probed
 	info.Current = cur
 	info.Observed = Constants{Ts: cur.Ts * light, Tm: cur.Tm * light, TI: cur.TI * light}
-	info.NearMarginBand = o.Band()
+	info.NearMarginBand = DefaultNearMarginBand
 	return info
 }

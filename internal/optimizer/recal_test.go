@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/joinproject"
 	"repro/internal/relation"
 )
 
@@ -137,8 +138,8 @@ func TestDecisionMargins(t *testing.T) {
 	o := NewWithConstants(Constants{Ts: 0.5, Tm: 6, TI: 4})
 	r := pathRelation("R", 64)
 	s := pathRelation("S", 64)
-	dec := o.Choose(r, s, 1)
-	if !dec.UseWCOJ {
+	dec := o.PlanTwoPath(r, s, joinproject.Options{Workers: 1}, "", 0)
+	if !dec.UseWCOJ() {
 		t.Fatalf("sparse chain should take the WCOJ guard, got %+v", dec)
 	}
 	if dec.PredictedCost <= 0 {

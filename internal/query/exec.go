@@ -51,27 +51,6 @@ type Result struct {
 	Plan    *Plan
 }
 
-// optPlanner adapts the Section-5 cost-based optimizer to the acyclic
-// composition Planner interface.
-type optPlanner struct {
-	opt *optimizer.Optimizer
-}
-
-func (p optPlanner) ChooseCompose(l, r *relation.Relation, workers int) acyclic.ComposeDecision {
-	d := p.opt.DecideCompose(l, r, workers)
-	cd := acyclic.ComposeDecision{
-		EstOut: d.EstOut, OutJoin: d.OutJoin,
-		PredictedNs: d.PredictedCost, Margin: d.Margin, NearMargin: d.NearMargin,
-	}
-	if d.UseWCOJ {
-		cd.Strategy = acyclic.StrategyWCOJ
-		return cd
-	}
-	cd.Strategy = acyclic.StrategyMM
-	cd.Delta1, cd.Delta2 = d.Delta1, d.Delta2
-	return cd
-}
-
 // Execute evaluates the prepared query. The context is checked between plan
 // nodes (folds, components), so cancellation takes effect at operator
 // granularity. Execute never mutates the Prepared and is safe to call
@@ -99,9 +78,7 @@ type executor struct {
 	ctx    context.Context
 	dry    bool
 	aopt   acyclic.Options
-	opt    *optimizer.Optimizer
 	budget *govern.Budget // per-query materialization budget (nil: unlimited)
-	star   string         // star-node pin: "", "mm" or "nonmm"
 	// pushGroup marks a head of the form (g, COUNT(v)) whose component
 	// structure lets the aggregate run inside the final fold (a weighted
 	// two-path composition) instead of materializing the distinct pairs and
@@ -127,7 +104,7 @@ func (p *Prepared) newExecutor(ctx context.Context, opts ExecOptions, dry bool) 
 	if !dry {
 		ex.watch = opts.Observer
 	}
-	ex.aopt = acyclic.Options{Join: joinproject.Options{Workers: workers}}
+	ex.aopt = acyclic.Options{Join: joinproject.Options{Workers: workers}, Optimizer: opts.Optimizer}
 	if !dry {
 		// Coarse cancellation polled inside the long kernel tile loops, so a
 		// canceled heavy query stops mid-multiplication instead of at the
@@ -137,15 +114,7 @@ func (p *Prepared) newExecutor(ctx context.Context, opts ExecOptions, dry bool) 
 	switch strategy {
 	case acyclic.StrategyMM, acyclic.StrategyWCOJ, acyclic.StrategyNonMM:
 		ex.aopt.Force = strategy
-		ex.star = strategy
-		if strategy == acyclic.StrategyWCOJ {
-			ex.star = acyclic.StrategyNonMM // the star algorithm's combinatorial twin
-		}
 	}
-	if opts.Optimizer != nil {
-		ex.aopt.Planner = optPlanner{opt: opts.Optimizer}
-	}
-	ex.opt = opts.Optimizer
 	ex.detectGroupPush()
 	return ex
 }
@@ -492,7 +461,7 @@ func (ex *executor) evalComponent(c *component) (*compResult, error) {
 			op, strategy = "bag", e.bagStrategy
 		}
 		live = append(live, liveEdge{a: e.a, b: e.b, rel: e.rel,
-			node: &Node{Op: op, Strategy: strategy, Detail: detail, Rows: int64(e.rel.Size())}})
+			node: &Node{Op: op, Decision: optimizer.Decision{Strategy: strategy}, Detail: detail, Rows: int64(e.rel.Size())}})
 	}
 
 	// Steiner prune: non-head leaf branches only filter, and the semijoin
@@ -620,7 +589,7 @@ func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *
 		node := &Node{Op: "fold", Rows: -1, Children: []*Node{e1.node, e2.node}}
 		detail := fmt.Sprintf("π[%s, %s] eliminating %s", p.vars[u], p.vars[w], p.vars[v])
 		if ex.dry {
-			ex.dryComposeStrategy(r1, r2, node, detail)
+			ex.predictFold(r1, r2, node, detail)
 		} else {
 			ex.nodeEvent("fold", detail)
 			t0 := time.Now()
@@ -636,15 +605,7 @@ func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *
 				return nil, nil, err
 			}
 			folded.rel = rel
-			node.Strategy = step.Strategy
-			if step.Strategy == acyclic.StrategyMM {
-				detail += fmt.Sprintf(" Δ1=%d Δ2=%d", step.Delta1, step.Delta2)
-				node.Delta1, node.Delta2 = step.Delta1, step.Delta2
-			}
-			node.EstRows, node.OutJoin = step.EstOut, step.OutJoin
-			node.PredictedNs = step.PredictedNs
-			node.Margin, node.NearMargin = step.Margin, step.NearMargin
-			node.Detail = detail
+			node.setFold(step.Decision, detail)
 			node.Rows = int64(rel.Size())
 		}
 		folded.node = node
@@ -682,27 +643,28 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	detail := fmt.Sprintf("γ[%s; COUNT(%s)] eliminating %s (count pushed into fold)",
 		p.vars[g], p.vars[cv], p.vars[v])
 	cr := &compResult{grouped: true, cols: []int{g}, node: node}
-	strategy := acyclic.StrategyMM
-	jopt := ex.aopt.Join
-	if f := ex.aopt.Force; f == acyclic.StrategyWCOJ || f == acyclic.StrategyNonMM {
-		strategy = f
-	}
-	if ex.dry {
-		node.Strategy, node.Detail = strategy, detail
-		return cr, nil
-	}
 	gRel, cvRel := r1, r2
 	if u == cv {
 		gRel, cvRel = r2, r1
 	}
-	if strategy != acyclic.StrategyMM {
-		jopt = jopt.AllLight(gRel, cvRel)
+	// No planner: the counting fold runs MM on the closed-form thresholds
+	// unless the query pins a strategy.
+	var noPlanner *optimizer.Optimizer
+	dec := noPlanner.PlanTwoPath(gRel, cvRel, ex.aopt.Join, ex.aopt.Force, 0)
+	node.Decision, node.Detail = dec, detail
+	if ex.dry {
+		return cr, nil
+	}
+	if dec.Strategy == acyclic.StrategyNonMM {
+		// The counting kernel has no Lemma-2 twin; its combinatorial mode is
+		// the all-light plan, reported under the pinned label.
+		dec.Strategy = acyclic.StrategyWCOJ
 	}
 	ex.nodeEvent("groupfold", detail)
 	t0 := time.Now()
-	groups := joinproject.TwoPathGroupBy(gRel, cvRel, jopt)
+	groups := joinproject.TwoPathGroupBy(gRel, cvRel, dec.Options(ex.aopt.Join, gRel, cvRel))
 	node.TimeNs = time.Since(t0).Nanoseconds()
-	foldTotal.With("groupfold", strategy).Inc()
+	foldTotal.With("groupfold", node.Strategy).Inc()
 	if err := ex.check(); err != nil {
 		return nil, err
 	}
@@ -715,32 +677,33 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 		cr.rows[i] = []int32{gc.X}
 		cr.counts[i] = gc.Distinct
 	}
-	node.Strategy, node.Detail = strategy, detail
 	node.Rows = int64(len(groups))
 	return cr, nil
 }
 
-// dryComposeStrategy predicts a fold's strategy without running it, filling
-// the plan node with the optimizer's estimates and decision margin so a
-// predicted-only EXPLAIN already shows why the strategy was picked.
-func (ex *executor) dryComposeStrategy(r1, r2 *relation.Relation, node *Node, detail string) {
+// predictFold plans a fold without running it, so a predicted-only EXPLAIN
+// already shows the optimizer's estimates and decision margin. Without a pin,
+// a fold over an operand that is itself a deferred fold (nil in dry runs), or
+// with no planner attached, is reported as decided at run time.
+func (ex *executor) predictFold(r1, r2 *relation.Relation, node *Node, detail string) {
 	if ex.aopt.Force != "" {
 		node.Strategy, node.Detail = ex.aopt.Force, detail
 		return
 	}
-	if r1 == nil || r2 == nil || ex.aopt.Planner == nil {
+	if r1 == nil || r2 == nil || ex.aopt.Optimizer == nil {
 		node.Strategy, node.Detail = "auto", detail+" (decided at run time)"
 		return
 	}
-	dec := ex.aopt.Planner.ChooseCompose(r1, r2, ex.aopt.Join.Workers)
+	node.setFold(ex.aopt.Optimizer.PlanTwoPath(r1, r2.Swap(), ex.aopt.Join, "", 0), detail)
+}
+
+// setFold fills a fold node from its decision record; MM folds show their
+// thresholds in the detail.
+func (n *Node) setFold(dec optimizer.Decision, detail string) {
 	if dec.Strategy == acyclic.StrategyMM {
 		detail += fmt.Sprintf(" Δ1=%d Δ2=%d", dec.Delta1, dec.Delta2)
-		node.Delta1, node.Delta2 = dec.Delta1, dec.Delta2
 	}
-	node.EstRows, node.OutJoin = dec.EstOut, dec.OutJoin
-	node.PredictedNs = dec.PredictedNs
-	node.Margin, node.NearMargin = dec.Margin, dec.NearMargin
-	node.Strategy, node.Detail = dec.Strategy, detail
+	n.Decision, n.Detail = dec, detail
 }
 
 // orient returns e's relation with variable v on the Y side (asHead=false,
@@ -850,43 +813,20 @@ func (ex *executor) starNode(live []liveEdge, center int) (*compResult, error) {
 		Detail: fmt.Sprintf("center %s leaves [%s]", p.vars[center], strings.Join(leafNames, ", "))}
 	cr := &compResult{cols: leaves, node: node}
 
-	strategy := ex.star
-	jopt := ex.aopt.Join
-	if strategy == "" {
-		if ex.opt != nil && ready {
-			dec := ex.opt.ChooseStar(views, jopt.Workers)
-			node.EstRows, node.OutJoin = dec.EstOut, dec.OutJoin
-			node.PredictedNs = dec.PredictedCost
-			node.Margin, node.NearMargin = dec.Margin, dec.NearMargin
-			if dec.UseWCOJ {
-				strategy = acyclic.StrategyNonMM
-			} else {
-				strategy = acyclic.StrategyMM
-				if jopt.Delta1 == 0 {
-					jopt.Delta1 = dec.Delta1
-				}
-				if jopt.Delta2 == 0 {
-					jopt.Delta2 = dec.Delta2
-				}
-				node.Delta1, node.Delta2 = jopt.Delta1, jopt.Delta2
-			}
-		} else if ready {
-			strategy = acyclic.StrategyMM
-		}
-	}
-	if ex.dry {
-		if strategy == "" {
-			node.Strategy = "auto"
-			node.Detail += " (decided at run time)"
-		} else {
-			node.Strategy = strategy
-		}
+	// Only a predicted plan can have an arm that is itself a deferred fold.
+	if !ready && ex.aopt.Force == "" {
+		node.Strategy = "auto"
+		node.Detail += " (decided at run time)"
 		return cr, nil
 	}
-	node.Strategy = strategy
+	node.Decision = ex.aopt.Optimizer.PlanStar(views, ex.aopt.Join, ex.aopt.Force)
+	if ex.dry {
+		return cr, nil
+	}
+	jopt := node.Decision.Options(ex.aopt.Join, views...)
 	ex.nodeEvent("star", node.Detail)
 	t0 := time.Now()
-	if strategy == acyclic.StrategyNonMM {
+	if node.Strategy == acyclic.StrategyNonMM {
 		cr.rows = joinproject.StarNonMM(views, jopt)
 	} else {
 		cr.rows = joinproject.StarMM(views, jopt)
@@ -940,7 +880,7 @@ func (ex *executor) enumerate(c *component, live []liveEdge, heads map[int]bool)
 	}
 	cols := colsOf(root, -1)
 
-	node := &Node{Op: "enumerate", Strategy: acyclic.StrategyWCOJ, Rows: -1,
+	node := &Node{Op: "enumerate", Decision: optimizer.Decision{Strategy: acyclic.StrategyWCOJ}, Rows: -1,
 		Detail: "tree backtracking + dedup over " + varNames(p.vars, c.vars)}
 	for i := range live {
 		node.Children = append(node.Children, live[i].node)
@@ -1023,7 +963,7 @@ func (ex *executor) evalBagTree(c *component) (*compResult, error) {
 			kept[k] = p.vars[v]
 		}
 		bagNodes[i] = &Node{
-			Op: "bag", Strategy: b.strategy,
+			Op: "bag", Decision: optimizer.Decision{Strategy: b.strategy},
 			Detail: fmt.Sprintf("%s → [%s]", b.label, strings.Join(kept, ", ")),
 			Rows:   int64(len(b.rows)),
 		}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/acyclic"
 	"repro/internal/govern"
 	"repro/internal/hypertree"
-	"repro/internal/joinproject"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
 )
@@ -20,6 +19,9 @@ import (
 // bagOptimizer is the process-wide cost model the compiler uses to plan bag
 // materialization folds. Calibration (optimizer.CalibrateConstants) runs
 // once per process, so the lazy construction is cheap after the first query.
+// It is a second instance beside the engine's own optimizer: CompileContext's
+// signature is compiled against by bench/, so threading the engine's
+// optimizer into compilation is a later change.
 var bagOptimizer = sync.OnceValue(func() *optimizer.Optimizer { return optimizer.New() })
 
 // bagInfo is one materialized GHD bag: the variables it spans, the subset it
@@ -347,14 +349,7 @@ func (p *Prepared) foldBag(bagVars, needed []int, inBag []*edge, hasUnary map[in
 	if eMB.a != m {
 		r = r.Swap()
 	}
-	opt := acyclic.Options{Join: joinproject.Options{}}
-	switch p.Query.Hints.Strategy {
-	case acyclic.StrategyMM, acyclic.StrategyWCOJ, acyclic.StrategyNonMM:
-		opt.Force = p.Query.Hints.Strategy
-	default:
-		opt.Planner = optPlanner{opt: bagOptimizer()}
-	}
-	v, step := acyclic.Compose(l, r, opt)
+	v, step := acyclic.Compose(l, r, acyclic.Options{Optimizer: bagOptimizer(), Force: p.Query.Hints.Strategy})
 
 	var ch *relation.Relation
 	if chord != nil {

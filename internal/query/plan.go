@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/optimizer"
 )
 
 // Node is one operator of an explainable plan tree.
@@ -17,10 +19,12 @@ type Node struct {
 	Op string
 	// Detail is free-form operator context (variables, thresholds, sizes).
 	Detail string
-	// Strategy is the per-node algorithm choice where one applies: "mm",
-	// "wcoj" or "nonmm" for fold and star nodes, "auto" when the choice is
-	// deferred to run time (predicted plans only).
-	Strategy string
+	// Decision is the node's MM-vs-WCOJ choice where one applies: Strategy
+	// "mm", "wcoj" or "nonmm" for fold and star nodes ("auto" when the choice
+	// is deferred to run time, predicted plans only), the thresholds of MM
+	// nodes, and the optimizer's estimates, modeled cost and margin (0 = the
+	// planner priced nothing here).
+	optimizer.Decision
 	// Rows is the operator's output cardinality; -1 when not known (e.g. in
 	// a predicted plan for a node that has not run).
 	Rows int64
@@ -28,21 +32,6 @@ type Node struct {
 	// node did not run or is too cheap to time (scan/bag leaves). Recorded on
 	// every execution but only rendered when Plan.Analyzed is set.
 	TimeNs int64
-	// PredictedNs is the optimizer's modeled cost for this node in
-	// nanoseconds (0 = the planner priced nothing here).
-	PredictedNs float64
-	// EstRows is the optimizer's output-cardinality estimate est|OUT|
-	// (0 = no estimate; real estimates are ≥ 1).
-	EstRows int64
-	// OutJoin is the full-join size |OUT⋈| the decision was based on.
-	OutJoin int64
-	// Margin is the decision margin (rejected/chosen predicted cost, or the
-	// Algorithm-3 guard's slack; see optimizer.Decision.Margin). NearMargin
-	// flags decisions inside the near-margin band — nearly coin flips.
-	Margin     float64
-	NearMargin bool
-	// Delta1, Delta2 are the chosen thresholds for MM nodes.
-	Delta1, Delta2 int
 	// Children are the operator inputs.
 	Children []*Node
 }
@@ -50,23 +39,23 @@ type Node struct {
 // CostErr returns the node's actual/predicted cost ratio, or 0 when either
 // side is missing. >1 = the node ran slower than modeled.
 func (n *Node) CostErr() float64 {
-	if n.PredictedNs <= 0 || n.TimeNs <= 0 {
+	if n.PredictedCost <= 0 || n.TimeNs <= 0 {
 		return 0
 	}
-	return float64(n.TimeNs) / n.PredictedNs
+	return float64(n.TimeNs) / n.PredictedCost
 }
 
 // RowsErr returns the node's actual/estimated cardinality ratio, or 0 when
 // there is no estimate or the node did not run.
 func (n *Node) RowsErr() float64 {
-	if n.EstRows <= 0 || n.Rows < 0 {
+	if n.EstOut <= 0 || n.Rows < 0 {
 		return 0
 	}
 	actual := float64(n.Rows)
 	if actual < 1 {
 		actual = 1 // empty outputs still carry signal against an estimate ≥ 1
 	}
-	return actual / float64(n.EstRows)
+	return actual / float64(n.EstOut)
 }
 
 // line renders the node's own EXPLAIN line. analyzed appends the measured
@@ -81,15 +70,7 @@ func (n *Node) line(analyzed bool) string {
 		b.WriteByte(' ')
 		b.WriteString(n.Detail)
 	}
-	if n.OutJoin > 0 {
-		fmt.Fprintf(&b, " est|OUT|=%d |OUT⋈|=%d", n.EstRows, n.OutJoin)
-	}
-	if n.Margin > 0 {
-		fmt.Fprintf(&b, " margin=%.2f×", n.Margin)
-		if n.NearMargin {
-			b.WriteString(" (near)")
-		}
-	}
+	b.WriteString(n.Audit())
 	if n.Rows >= 0 {
 		fmt.Fprintf(&b, " rows=%d", n.Rows)
 	}

@@ -9,7 +9,7 @@
 // into a sketch: the result is an ε-approximation of |OUT| in O(|OUT⋈|)
 // time and O(k) (or O(2^p)) memory — in contrast to exact deduplication,
 // which needs Ω(|OUT|) memory. The optimizer uses it when the full join is
-// small enough to afford the scan (internal/optimizer.ChooseWithSketch).
+// small enough to afford the scan (optimizer.PlanTwoPath's sketchBudget).
 package sketch
 
 import (

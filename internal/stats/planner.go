@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/optimizer"
 )
 
 // Planner-accuracy registry: the per-fingerprint predicted-vs-actual sheet
@@ -18,41 +20,39 @@ import (
 
 // NodeObservation is one executed, optimizer-priced plan node.
 type NodeObservation struct {
-	// Op and Strategy identify the node ("fold"/"star", "mm"/"wcoj"/"nonmm").
-	Op, Strategy string
-	// PredictedNs is the optimizer's modeled cost; ActualNs the measured wall
-	// time. Both must be > 0 for a cost-error ratio.
-	PredictedNs float64
-	ActualNs    int64
-	// EstRows is the optimizer's est|OUT| (0 = none); Rows the actual output.
-	EstRows, Rows int64
-	// Margin and NearMargin audit the MM-vs-WCOJ decision behind the node.
-	Margin     float64
-	NearMargin bool
-	// Delta1, Delta2 are the chosen thresholds (MM nodes).
-	Delta1, Delta2 int
+	// Op identifies the node ("fold"/"star").
+	Op string
+	// Decision is the audited choice: strategy, thresholds, the modeled cost
+	// PredictedCost and est|OUT| EstOut (0 = none), margin and near-margin
+	// flag.
+	optimizer.Decision
+	// ActualNs is the measured wall time; it and PredictedCost must both be
+	// > 0 for a cost-error ratio.
+	ActualNs int64
+	// Rows is the actual output size.
+	Rows int64
 }
 
 // CostErr returns the node's actual/predicted cost ratio (0 = not computable).
 func (n NodeObservation) CostErr() float64 {
-	if n.PredictedNs <= 0 || n.ActualNs <= 0 {
+	if n.PredictedCost <= 0 || n.ActualNs <= 0 {
 		return 0
 	}
-	return float64(n.ActualNs) / n.PredictedNs
+	return float64(n.ActualNs) / n.PredictedCost
 }
 
 // RowsErr returns the node's actual/estimated cardinality ratio (0 = not
 // computable). Empty outputs count as 1 row so a wildly high estimate still
 // registers as error.
 func (n NodeObservation) RowsErr() float64 {
-	if n.EstRows <= 0 || n.Rows < 0 {
+	if n.EstOut <= 0 || n.Rows < 0 {
 		return 0
 	}
 	actual := float64(n.Rows)
 	if actual < 1 {
 		actual = 1
 	}
-	return actual / float64(n.EstRows)
+	return actual / float64(n.EstOut)
 }
 
 // RatioBuckets are the fixed error-histogram bucket upper bounds (a ratio of

@@ -3,10 +3,12 @@ package stats
 import (
 	"math"
 	"testing"
+
+	"repro/internal/optimizer"
 )
 
 func obsNode(strategy string, predicted float64, actual int64) NodeObservation {
-	return NodeObservation{Op: "fold", Strategy: strategy, PredictedNs: predicted, ActualNs: actual}
+	return NodeObservation{Op: "fold", Decision: optimizer.Decision{Strategy: strategy, PredictedCost: predicted}, ActualNs: actual}
 }
 
 func TestPlannerAggregation(t *testing.T) {
@@ -78,8 +80,8 @@ func TestPlannerDecisionHistoryRing(t *testing.T) {
 	p := NewPlanner(0)
 	for i := 1; i <= decisionHistory+3; i++ {
 		p.Record("Q", []NodeObservation{{
-			Op: "fold", Strategy: "mm", Margin: float64(i),
-			PredictedNs: 1e6, ActualNs: 1e6,
+			Op: "fold", Decision: optimizer.Decision{Strategy: "mm", Margin: float64(i), PredictedCost: 1e6},
+			ActualNs: 1e6,
 		}})
 	}
 	rows := p.Snapshot("", 0)
@@ -124,7 +126,7 @@ func TestPlannerOverflowAndEmpty(t *testing.T) {
 }
 
 func TestNodeObservationRatios(t *testing.T) {
-	n := NodeObservation{PredictedNs: 2e6, ActualNs: 1e6, EstRows: 100, Rows: 0}
+	n := NodeObservation{Decision: optimizer.Decision{PredictedCost: 2e6, EstOut: 100}, ActualNs: 1e6, Rows: 0}
 	if got := n.CostErr(); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("CostErr = %v, want 0.5", got)
 	}

@@ -270,25 +270,16 @@ func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *
 		}
 		delta := relation.FromPairs("Δ"+sj.rel, orientPairs(pairs, sj, headJ))
 		jopt := joinproject.Options{Workers: v.workers}
-		strat := "mm"
-		if v.opt != nil {
-			dec := v.opt.Choose(delta, otherOriented, v.workers)
-			if dec.UseWCOJ {
-				strat = "wcoj"
-				jopt = jopt.AllLight(delta, otherOriented)
-			} else {
-				jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
-			}
-		}
+		dec := v.opt.PlanTwoPath(delta, otherOriented, jopt, "", 0)
 		v.lastStrats = append(v.lastStrats,
-			fmt.Sprintf("Δ%s slot=%d %s |Δ|=%d", sj.rel, j, strat, delta.Size()))
-		if strat == "mm" {
-			stratKernelMM.Inc()
-		} else {
+			fmt.Sprintf("Δ%s slot=%d %s |Δ|=%d", sj.rel, j, dec.Strategy, delta.Size()))
+		if dec.UseWCOJ() {
 			stratKernelWCOJ.Inc()
+		} else {
+			stratKernelMM.Inc()
 		}
 		head := make([]int32, len(plan.headVars))
-		for _, pc := range joinproject.TwoPathMMCounts(delta, otherOriented, jopt) {
+		for _, pc := range joinproject.TwoPathMMCounts(delta, otherOriented, dec.Options(jopt, delta, otherOriented)) {
 			head[posJ], head[posO] = pc.X, pc.Z
 			v.bump(head, sign*int64(pc.Count))
 		}
@@ -534,7 +525,7 @@ func (v *View) deltaNode(j int, s slot) *query.Node {
 		so := plan.slots[1-j]
 		cost := avgDegree(v.cur[so.rel], so, plan.shared)
 		return &query.Node{
-			Op: "deltafold", Strategy: "auto", Rows: -1,
+			Op: "deltafold", Decision: optimizer.Decision{Strategy: "auto"}, Rows: -1,
 			Detail: fmt.Sprintf("Δ%s ∘ %s via %s (cost model per delta, kernels ≥%d Δtuples) predicted cost/Δtuple≈%.1f",
 				s.rel, so.rel, plan.vars[plan.shared], kernelDeltaMin, cost),
 		}
@@ -548,13 +539,13 @@ func (v *View) deltaNode(j int, s slot) *query.Node {
 			}
 		}
 		return &query.Node{
-			Op: "deltastar", Strategy: "wcoj", Rows: -1,
+			Op: "deltastar", Decision: optimizer.Decision{Strategy: optimizer.StrategyWCOJ}, Rows: -1,
 			Detail: fmt.Sprintf("Δ%s ⋈ [%s] through center %s (affected arm only) predicted cost/Δtuple≈%.1f",
 				s.rel, strings.Join(arms, ", "), plan.vars[plan.shared], cost),
 		}
 	default:
 		return &query.Node{
-			Op: "deltatree", Strategy: "wcoj", Rows: -1,
+			Op: "deltatree", Decision: optimizer.Decision{Strategy: optimizer.StrategyWCOJ}, Rows: -1,
 			Detail: fmt.Sprintf("Δ%s(%s, %s) extended through %d remaining atoms (backtracking, affected branch only)",
 				s.rel, plan.vars[s.a], plan.vars[s.b], len(plan.orders[j])),
 		}
