@@ -9,6 +9,8 @@ package joinmm
 //   - TestDocsGodocCoverage: every exported identifier in every library
 //     package must carry a doc comment (the `go doc ./...` coverage the
 //     missing-doc lint enforces).
+//   - TestDocsIdentifiersExist: every Go identifier the living docs name in
+//     backticks must still be declared where they say it is.
 //   - TestBenchBuilds: bench/ — its own module, frozen between benchmark
 //     changes — still compiles against the engine.
 
@@ -198,4 +200,167 @@ func exportedReceiver(recv *ast.FieldList) bool {
 			return false
 		}
 	}
+}
+
+// docIdent matches a backticked reference `pkg.Name` or `pkg.Type.Member`,
+// optionally followed by a call or literal body. Benchmark metric names
+// (`query.parse_ms`) carry underscores, which no identifier here does, and
+// so never match.
+var docIdent = regexp.MustCompile("`([A-Za-z][A-Za-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?(?:[({][^`]*)?`")
+
+// docLocalIdent matches a backticked bare lowerCamel identifier, which a
+// package README uses for its own unexported names (`kernelDeltaMin`).
+var docLocalIdent = regexp.MustCompile("`([a-z]+[A-Z][A-Za-z0-9]*)(?:\\([^`]*)?`")
+
+// pkgDecls is what one package declares: top-level names, and per type its
+// methods, struct fields and interface methods.
+type pkgDecls struct {
+	top     map[string]bool
+	members map[string]map[string]bool
+}
+
+func (p *pkgDecls) member(typ, name string) {
+	if p.members[typ] == nil {
+		p.members[typ] = map[string]bool{}
+	}
+	p.members[typ][name] = true
+}
+
+// anyMember reports whether some type of the package has the member — how
+// prose names a method without its receiver (`query.Execute`).
+func (p *pkgDecls) anyMember(name string) bool {
+	for _, m := range p.members {
+		if m[name] {
+			return true
+		}
+	}
+	return false
+}
+
+func parsePkgDecls(t *testing.T, dir string) *pkgDecls {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
+	fields := func(typ string, fl *ast.FieldList) {
+		for _, f := range fl.List {
+			for _, n := range f.Names {
+				p.member(typ, n.Name)
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						p.top[d.Name.Name] = true
+						continue
+					}
+					recv := d.Recv.List[0].Type
+					if st, ok := recv.(*ast.StarExpr); ok {
+						recv = st.X
+					}
+					if ix, ok := recv.(*ast.IndexExpr); ok {
+						recv = ix.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						p.member(id.Name, d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							p.top[s.Name.Name] = true
+							switch tt := s.Type.(type) {
+							case *ast.StructType:
+								fields(s.Name.Name, tt.Fields)
+							case *ast.InterfaceType:
+								fields(s.Name.Name, tt.Methods)
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								p.top[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return p
+}
+
+// TestDocsIdentifiersExist keeps the living docs honest about the code: in
+// README.md, docs/*.md and internal/*/README.md, every backticked `pkg.Name`
+// or `pkg.Type.Member` whose pkg is a directory under internal/ must be
+// declared there, and inside a package's own README so must `Type.Member`
+// and bare lowerCamel names. ROADMAP.md, CHANGES.md, ISSUE.md, PAPER*.md,
+// SNIPPETS.md and bench/ are history or frozen and are not read.
+func TestDocsIdentifiersExist(t *testing.T) {
+	files := []string{"README.md"}
+	for _, pat := range []string{"docs/*.md", "internal/*/README.md"} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	decls := map[string]*pkgDecls{}
+	declsOf := func(pkg string) *pkgDecls {
+		if d, ok := decls[pkg]; ok {
+			return d
+		}
+		var d *pkgDecls
+		if fi, err := os.Stat(filepath.Join("internal", pkg)); err == nil && fi.IsDir() {
+			d = parsePkgDecls(t, filepath.Join("internal", pkg))
+		}
+		decls[pkg] = d
+		return d
+	}
+	checked := 0
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var own *pkgDecls // the package a package README belongs to
+		if dir := filepath.Dir(path); filepath.Dir(dir) == "internal" {
+			own = declsOf(filepath.Base(dir))
+		}
+		for _, m := range docIdent.FindAllStringSubmatch(string(data), -1) {
+			d, name, member := declsOf(m[1]), m[2], m[3]
+			if d == nil {
+				if own == nil || !own.top[m[1]] || member != "" {
+					continue // not a package under internal/, nor a type of this README's package
+				}
+				d, name, member = own, m[1], m[2] // `Type.Member` in the package's own README
+			}
+			checked++
+			switch {
+			case member != "" && !(d.top[name] && d.members[name][member]):
+				t.Errorf("%s: %s names a member that is not declared", path, m[0])
+			case member == "" && !d.top[name] && !d.anyMember(name):
+				t.Errorf("%s: %s is not declared", path, m[0])
+			}
+		}
+		if own == nil {
+			continue
+		}
+		for _, m := range docLocalIdent.FindAllStringSubmatch(string(data), -1) {
+			checked++
+			if !own.top[m[1]] && !own.anyMember(m[1]) {
+				t.Errorf("%s: %s is not declared in the package", path, m[0])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no identifiers checked; the matcher is broken")
+	}
+	t.Logf("checked %d backticked identifiers in %d files", checked, len(files))
 }

@@ -497,14 +497,7 @@ func (c *Catalog) Signature(q *query.Query) string {
 // "R@3\x00S@7". Only those versions participate in the plan-cache key, so
 // mutating an unrelated relation never evicts a still-valid prepared plan.
 func versionSignature(q *query.Query, vers map[string]uint64) string {
-	names := make([]string, 0, len(q.Atoms))
-	seen := map[string]bool{}
-	for _, a := range q.Atoms {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			names = append(names, a.Rel)
-		}
-	}
+	names := q.Relations()
 	sort.Strings(names)
 	var b strings.Builder
 	for i, n := range names {

@@ -233,9 +233,14 @@ func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairC
 // JoinProjectVisit streams every distinct output pair with its witness
 // count to visit, without materializing the result. visit may be invoked
 // concurrently when the engine is parallel; it must be safe for concurrent
-// use. Returns the chosen plan.
+// use. Returns the plan that ran.
 func (e *Engine) JoinProjectVisit(r, s *relation.Relation, visit func(x, z, count int32)) Plan {
 	dec, opt := e.decide(r, s)
+	if dec.Strategy == optimizer.StrategyNonMM {
+		// There is no Lemma-2 visit kernel: a nonmm pin runs the MM kernel at
+		// the same thresholds, and the plan reports what ran.
+		dec.Strategy = optimizer.StrategyMM
+	}
 	joinproject.TwoPathMMVisit(r, s, opt, visit)
 	return planOf(dec)
 }

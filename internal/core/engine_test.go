@@ -425,4 +425,17 @@ func TestPlanningEntryPointsAgree(t *testing.T) {
 	if folds != 1 {
 		t.Fatalf("query plan has %d fold nodes, want 1:\n%s", folds, res.Plan)
 	}
+
+	// A nonmm pin: the materializing entry points run the Lemma-2 kernel and
+	// say so; the visit entry point has only the MM kernel and must report
+	// that, at the thresholds the pin resolved.
+	pinned := NewEngine(WithWorkers(1), WithStrategy(ForceNonMM))
+	_, pinnedPlan := pinned.JoinProject(r, s)
+	if pinnedPlan.Strategy != "nonmm" {
+		t.Fatalf("JoinProject under ForceNonMM = %+v", pinnedPlan)
+	}
+	pinnedPlan.Strategy = "mm"
+	if got := pinned.JoinProjectVisit(r, s, func(x, z, count int32) {}); got != pinnedPlan {
+		t.Errorf("JoinProjectVisit under ForceNonMM = %+v, want %+v", got, pinnedPlan)
+	}
 }

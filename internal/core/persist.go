@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -495,7 +494,7 @@ func (e *Engine) applyRecord(r *wal.Record, rec *RecoveryStats) error {
 		// record can leave the view both in the snapshot and in the tail;
 		// the duplicate registration is benign, prefer the restored store.
 		if _, err := e.views.Register(context.Background(), r.Name, r.Query); err != nil &&
-			!strings.Contains(err.Error(), "already registered") {
+			!errors.Is(err, view.ErrExists) {
 			return err
 		}
 	case wal.KindDropView:

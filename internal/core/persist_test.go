@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/relation"
+	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -521,5 +523,74 @@ func TestPersistenceSurvivesDropAndReregister(t *testing.T) {
 	}
 	if got := fmt.Sprint(e2.Views()); got != "[]" {
 		t.Fatalf("views after recovery: %s", got)
+	}
+}
+
+// TestReplayDuplicateViewRegistration covers the one Register error replay
+// may swallow: a checkpoint taken between a view's registration and its log
+// record leaves the view in the snapshot and in the tail, and the restored
+// store wins. Any other registration failure — here one whose message merely
+// contains the words, through the view's name — still fails Open.
+func TestReplayDuplicateViewRegistration(t *testing.T) {
+	dir := t.TempDir()
+	const text = "V(x, z) :- R(x, y), R(y, z)"
+	e := NewEngine()
+	if err := e.Open(dir, PersistOptions{Fsync: wal.FsyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Register("R", []relation.Pair{{X: 1, Y: 2}, {X: 2, Y: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RegisterView(context.Background(), "v", text); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendTail := func(rec *wal.Record) {
+		t.Helper()
+		w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	appendTail(&wal.Record{Kind: wal.KindRegisterView, Name: "v", Query: text})
+	e2 := NewEngine()
+	if err := e2.Open(dir, PersistOptions{Fsync: wal.FsyncNever}); err != nil {
+		t.Fatalf("snapshot and tail both carry the view: %v", err)
+	}
+	if rec := e2.RecoveryStats(); rec.RestoredViews != 1 || rec.ReplayedRecords != 1 {
+		t.Fatalf("recovery stats %+v", rec)
+	}
+	v, ok := e2.View("v")
+	if !ok {
+		t.Fatal("view lost")
+	}
+	if _, rows, _, err := v.Result(context.Background()); err != nil || len(rows) != 1 {
+		t.Fatalf("restored view serves %v, %v", rows, err)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	appendTail(&wal.Record{Kind: wal.KindRegisterView, Name: "already registered", Query: "W(x) :- Missing(x, y)"})
+	e3 := NewEngine()
+	err := e3.Open(dir, PersistOptions{Fsync: wal.FsyncNever})
+	if err == nil {
+		e3.Close()
+		t.Fatal("an unknown-relation registration during replay must fail Open")
+	}
+	if errors.Is(err, view.ErrExists) || !strings.Contains(err.Error(), "unknown relation") {
+		t.Fatalf("Open failed with %v, want the unknown-relation error", err)
 	}
 }

@@ -111,6 +111,25 @@ func (d Decision) Audit() string {
 	return out
 }
 
+// CostErr returns a measured wall time over the modeled cost, or 0 when
+// either is missing. >1 = the node ran slower than modeled.
+func (d Decision) CostErr(actualNs int64) float64 {
+	if d.PredictedCost <= 0 || actualNs <= 0 {
+		return 0
+	}
+	return float64(actualNs) / d.PredictedCost
+}
+
+// RowsErr returns an actual output size over est|OUT|, or 0 when there is no
+// estimate or the node did not run (rows < 0). An empty output counts as one
+// row, so it still carries signal against an estimate ≥ 1.
+func (d Decision) RowsErr(rows int64) float64 {
+	if d.EstOut <= 0 || rows < 0 {
+		return 0
+	}
+	return float64(max(rows, 1)) / float64(d.EstOut)
+}
+
 // Options translates the decision into the options to run the kernel over
 // rels with: every value light under StrategyWCOJ (Algorithm 1 degenerates to
 // the indexed join with stamp dedup; rels are the two-path operands), the

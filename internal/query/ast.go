@@ -22,6 +22,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -157,6 +158,18 @@ func (q *Query) HeadVars() []string {
 		if !seen[h.Var] {
 			seen[h.Var] = true
 			out = append(out, h.Var)
+		}
+	}
+	return out
+}
+
+// Relations returns the distinct relation names the body reads, in first-
+// appearance order. The slice is the caller's.
+func (q *Query) Relations() []string {
+	var out []string
+	for _, a := range q.Atoms {
+		if !slices.Contains(out, a.Rel) {
+			out = append(out, a.Rel)
 		}
 	}
 	return out

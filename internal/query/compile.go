@@ -76,7 +76,8 @@ type Prepared struct {
 	// one fingerprint; statement statistics aggregate on it.
 	Fingerprint string
 
-	vars     []string // variable names by index
+	vars     []string    // variable names by index
+	head     *HeadLayout // how head tuples form from distinct head-variable rows
 	comps    []*component
 	empty    bool   // proven empty during reduction
 	emptyWhy string // what emptied it, for EXPLAIN
@@ -95,36 +96,25 @@ func Compile(q *Query, resolve Resolver) (*Prepared, error) {
 // evaluation, so the context is polled during that work and a deadline
 // abandons compilation mid-bag.
 func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared, error) {
-	p := &Prepared{Query: q, Text: q.String(), Fingerprint: q.Fingerprint()}
-
-	varIdx := map[string]int{}
-	varOf := func(name string) int {
-		if i, ok := varIdx[name]; ok {
-			return i
-		}
-		i := len(p.vars)
-		varIdx[name] = i
-		p.vars = append(p.vars, name)
-		return i
+	an, err := Analyze(q)
+	if err != nil {
+		return nil, err
 	}
+	p := &Prepared{Query: q, Text: q.String(), Fingerprint: q.Fingerprint(), head: &an.Head, vars: an.Vars}
 
 	// Resolve each distinct relation name once.
-	rels := map[string]*relation.Relation{}
-	for _, a := range q.Atoms {
-		if _, ok := rels[a.Rel]; ok {
-			continue
-		}
-		r, err := resolve(a.Rel)
+	rels := make(map[string]*relation.Relation, len(an.Rels))
+	for _, name := range an.Rels {
+		r, err := resolve(name)
 		if err != nil {
 			return nil, err
 		}
-		rels[a.Rel] = r
+		rels[name] = r
 	}
 
-	// Classify atoms into binary edges and unary domain constraints.
-	type pairKey struct{ a, b int }
-	parallel := map[pairKey][]edge{} // normalized orientation (a = first seen)
-	var pairOrder []pairKey
+	// Binary atoms become join-graph edges, grouped by variable pair; every
+	// other class is a unary domain constraint.
+	parallel := make([][]edge, len(an.Edges))
 	unary := map[int][]int32{}
 	hasUnary := map[int]bool{}
 	addUnary := func(v int, set []int32, why string) {
@@ -139,50 +129,41 @@ func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared,
 			p.emptyWhy = why
 		}
 	}
-	for _, a := range q.Atoms {
-		r := rels[a.Rel]
-		t0, t1 := a.Args[0], a.Args[1]
-		switch {
-		case t0.IsConst && t1.IsConst:
-			if !r.Contains(t0.Value, t1.Value) && !p.empty {
+	for i, a := range q.Atoms {
+		r, at := rels[a.Rel], an.Atoms[i]
+		switch at.Class {
+		case AtomGround:
+			if !r.Contains(a.Args[0].Value, a.Args[1].Value) && !p.empty {
 				p.empty = true
-				p.emptyWhy = fmt.Sprintf("%s has no tuple (%d, %d)", a.Rel, t0.Value, t1.Value)
+				p.emptyWhy = fmt.Sprintf("%s has no tuple (%d, %d)", a.Rel, a.Args[0].Value, a.Args[1].Value)
 			}
-		case t0.IsConst:
-			v := varOf(t1.Var)
-			addUnary(v, slices.Clone(r.ByX().Lookup(t0.Value)), a.String())
-		case t1.IsConst:
-			v := varOf(t0.Var)
-			addUnary(v, slices.Clone(r.ByY().Lookup(t1.Value)), a.String())
-		case t0.Var == t1.Var:
-			v := varOf(t0.Var)
+		case AtomConst:
+			if at.A < 0 {
+				addUnary(at.B, slices.Clone(r.ByX().Lookup(a.Args[0].Value)), a.String())
+			} else {
+				addUnary(at.A, slices.Clone(r.ByY().Lookup(a.Args[1].Value)), a.String())
+			}
+		case AtomSelfLoop:
 			var diag []int32
 			for _, x := range r.ByX().Keys() {
 				if r.Contains(x, x) {
 					diag = append(diag, x)
 				}
 			}
-			addUnary(v, diag, a.String())
+			addUnary(at.A, diag, a.String())
 		default:
-			va, vb := varOf(t0.Var), varOf(t1.Var)
-			rel, label := r, a.String()
-			key := pairKey{va, vb}
-			if prior, ok := parallel[pairKey{vb, va}]; ok && len(prior) > 0 {
-				key = pairKey{vb, va}
-				rel = rel.Swap()
+			pair := an.Edges[at.Edge]
+			if at.A != pair[0] {
+				r = r.Swap()
 			}
-			if _, ok := parallel[key]; !ok {
-				pairOrder = append(pairOrder, key)
-			}
-			parallel[key] = append(parallel[key], edge{a: key.a, b: key.b, rel: rel, label: label})
+			parallel[at.Edge] = append(parallel[at.Edge], edge{a: pair[0], b: pair[1], rel: r, label: a.String()})
 		}
 	}
 
 	// Merge parallel atoms over the same variable pair by tuple intersection
 	// (the GYO step that removes hyperedges contained in another).
-	var edges []edge
-	for _, key := range pairOrder {
-		group := parallel[key]
+	edges := make([]edge, len(parallel))
+	for ei, group := range parallel {
 		e := group[0]
 		if len(group) > 1 {
 			var ps []relation.Pair
@@ -209,7 +190,7 @@ func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared,
 				}
 				name += g.rel.Name()
 			}
-			e = edge{a: key.a, b: key.b, rel: relation.FromPairs(name, ps), label: strings.Join(labels, " ∩ ")}
+			e = edge{a: e.a, b: e.b, rel: relation.FromPairs(name, ps), label: strings.Join(labels, " ∩ ")}
 			if e.rel.Size() == 0 && !p.empty {
 				p.empty = true
 				p.emptyWhy = e.label + " is empty"
@@ -220,50 +201,16 @@ func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared,
 			p.empty = true
 			p.emptyWhy = e.label + " is empty"
 		}
-		edges = append(edges, e)
+		edges[ei] = e
 	}
 
-	// Connected components over the variable graph.
-	parent := make([]int, len(p.vars))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	p.comps = make([]*component, len(an.Comps))
+	for i, ac := range an.Comps {
+		c := &component{vars: ac.Vars, heads: ac.Heads, allowed: map[int][]int32{}}
+		for _, ei := range ac.Edges {
+			c.edges = append(c.edges, edges[ei])
 		}
-		return x
-	}
-	union := func(x, y int) { parent[find(x)] = find(y) }
-	for _, e := range edges {
-		union(e.a, e.b)
-	}
-	compOf := map[int]*component{}
-	for v := range p.vars {
-		root := find(v)
-		c, ok := compOf[root]
-		if !ok {
-			c = &component{allowed: map[int][]int32{}}
-			compOf[root] = c
-			p.comps = append(p.comps, c)
-		}
-		c.vars = append(c.vars, v)
-	}
-	for _, e := range edges {
-		compOf[find(e.a)].edges = append(compOf[find(e.a)].edges, e)
-	}
-
-	// Head variables must be bound (validate checked) — map them before
-	// decomposition, which needs to know what each component must keep.
-	for _, name := range q.HeadVars() {
-		v, ok := varIdx[name]
-		if !ok {
-			return nil, fmt.Errorf("query: head variable %q is not bound by the body", name)
-		}
-		c := compOf[find(v)]
-		c.heads = append(c.heads, v)
+		p.comps[i] = c
 	}
 
 	// Acyclicity: components that are trees (GYO-reducible) pass straight
@@ -271,8 +218,8 @@ func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared,
 	// decomposition — their edges are replaced by materialized bag
 	// relations, turning them into acyclic instances (or a reduced k-ary
 	// bag tree when bags must keep ≥ 3 variables).
-	for _, c := range p.comps {
-		if len(c.edges) == len(c.vars)-1 {
+	for i, c := range p.comps {
+		if an.Comps[i].Tree {
 			continue
 		}
 		if err := p.decompose(ctx, c, unary, hasUnary, addUnary); err != nil {

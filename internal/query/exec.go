@@ -3,8 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -127,38 +127,15 @@ func (p *Prepared) newExecutor(ctx context.Context, opts ExecOptions, dry bool) 
 // (g, v) pairs are never materialized — the aggregate is output-sensitive
 // in the count column.
 func (ex *executor) detectGroupPush() {
-	p, q := ex.p, ex.p.Query
-	ci := q.CountIndex()
-	if ci < 0 || len(q.Head) != 2 {
+	p, h := ex.p, ex.p.head
+	if h.CountIdx < 0 || len(h.Pos) != 2 || len(h.Vars) != 2 {
 		return
 	}
-	gi := 1 - ci
-	if q.Head[gi].Count || q.Head[gi].Var == q.Head[ci].Var {
-		return
-	}
-	g, cv := -1, -1
-	for i, name := range p.vars {
-		if name == q.Head[gi].Var {
-			g = i
-		}
-		if name == q.Head[ci].Var {
-			cv = i
-		}
-	}
-	if g < 0 || cv < 0 {
-		return
-	}
+	cv := h.Vars[h.Pos[h.CountIdx]]
+	g := h.Vars[h.Pos[1-h.CountIdx]]
 	var home *component
 	for _, c := range p.comps {
-		hasG, hasCV := false, false
-		for _, h := range c.heads {
-			if h == g {
-				hasG = true
-			}
-			if h == cv {
-				hasCV = true
-			}
-		}
+		hasG, hasCV := slices.Contains(c.heads, g), slices.Contains(c.heads, cv)
 		switch {
 		case hasG && hasCV:
 			home = c
@@ -290,7 +267,7 @@ func (ex *executor) run() (*Result, error) {
 			res.Tuples[i] = row
 		}
 	} else {
-		res.Tuples = projectHead(q, p, cols, rows)
+		res.Tuples = p.head.Project(cols, rows)
 	}
 	if err := ex.charge(len(res.Tuples), 24+8*len(q.Head)); err != nil {
 		return nil, err
@@ -319,91 +296,6 @@ func headLabels(q *Query) string {
 		parts[i] = h.String()
 	}
 	return strings.Join(parts, ", ")
-}
-
-// projectHead maps assembled rows (over the distinct head variables in cols)
-// onto the head-term order, applying the COUNT aggregate when present.
-func projectHead(q *Query, p *Prepared, cols []int, rows [][]int32) [][]int64 {
-	colPos := map[int]int{}
-	for i, v := range cols {
-		colPos[v] = i
-	}
-	pos := make([]int, len(q.Head))
-	for i, h := range q.Head {
-		vi := -1
-		for idx, name := range p.vars {
-			if name == h.Var {
-				vi = idx
-				break
-			}
-		}
-		pos[i] = colPos[vi]
-	}
-
-	ci := q.CountIndex()
-	if ci < 0 {
-		out := make([][]int64, 0, len(rows))
-		for _, r := range rows {
-			t := make([]int64, len(q.Head))
-			for i := range q.Head {
-				t[i] = int64(r[pos[i]])
-			}
-			out = append(out, t)
-		}
-		return out
-	}
-
-	// COUNT(v): rows are distinct over (group vars ∪ {v}), so counting rows
-	// per group yields the distinct-v count.
-	groupPos := make([]int, 0, len(q.Head)-1)
-	for i := range q.Head {
-		if i != ci {
-			groupPos = append(groupPos, pos[i])
-		}
-	}
-	if len(groupPos) == 0 {
-		return [][]int64{{int64(len(rows))}}
-	}
-	type group struct {
-		vals  []int32
-		count int64
-	}
-	var order []string
-	groups := map[string]*group{}
-	var key []byte
-	for _, r := range rows {
-		key = key[:0]
-		vals := make([]int32, len(groupPos))
-		for i, gp := range groupPos {
-			vals[i] = r[gp]
-			key = strconv.AppendInt(key, int64(r[gp]), 10)
-			key = append(key, ',')
-		}
-		k := string(key)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{vals: vals}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.count++
-	}
-	out := make([][]int64, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		t := make([]int64, len(q.Head))
-		gi := 0
-		for i := range q.Head {
-			if i == ci {
-				t[i] = g.count
-			} else {
-				t[i] = int64(g.vals[gi])
-				gi++
-			}
-		}
-		out = append(out, t)
-	}
-	return out
 }
 
 func crossRows(a, b [][]int32) [][]int32 {
@@ -846,7 +738,11 @@ func (ex *executor) starNode(live []liveEdge, center int) (*compResult, error) {
 // enumerate handles the general shape (head variables at interior positions,
 // multiple branching variables): distinct-preserving backtracking over the
 // collapsed tree, with memoized subtree results. This is the combinatorial
-// fallback — the tree analogue of the WCOJ plan.
+// fallback — the tree analogue of the WCOJ plan. It is not an instance of
+// the variable-at-a-time join in internal/wcoj and cannot become one: that
+// visits every full assignment, while this never enumerates the full join —
+// it computes, per (variable, value), the distinct head projections of the
+// subtree below once, and combines them by cross product.
 func (ex *executor) enumerate(c *component, live []liveEdge, heads map[int]bool) (*compResult, error) {
 	p := ex.p
 	if err := ex.check(); err != nil {
@@ -1037,16 +933,14 @@ func dedupRows(rows [][]int32) [][]int32 {
 	}
 	seen := make(map[string]bool, len(rows))
 	var key []byte
+	all := make([]int, len(rows[0]))
+	for i := range all {
+		all[i] = i
+	}
 	out := rows[:0:0]
 	for _, r := range rows {
-		key = key[:0]
-		for _, v := range r {
-			key = strconv.AppendInt(key, int64(v), 10)
-			key = append(key, ',')
-		}
-		k := string(key)
-		if !seen[k] {
-			seen[k] = true
+		if k := rowKey(&key, r, all); !seen[string(k)] {
+			seen[string(k)] = true
 			out = append(out, r)
 		}
 	}

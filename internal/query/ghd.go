@@ -14,6 +14,7 @@ import (
 	"repro/internal/hypertree"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/wcoj"
 )
 
 // bagOptimizer is the process-wide cost model the compiler uses to plan bag
@@ -368,138 +369,65 @@ func (p *Prepared) foldBag(bagVars, needed []int, inBag []*edge, hasUnary map[in
 	return rows, step.Strategy, true
 }
 
-// enumerateBag materializes a bag by backtracking over its variables in a
-// connectivity-greedy order, intersecting candidate lists per step — the
-// k-ary worst-case-optimal join restricted to the bag. All in-bag atoms and
-// unary constraints apply; a needed variable with no in-bag atom falls back
-// to the key lists of its out-of-bag atoms (a sound superset; interface
-// joins restore exactness). The context is polled every few thousand
-// search nodes, so a request deadline abandons a pathological bag.
+// enumerateBag materializes a bag with the shared variable-at-a-time join
+// (wcoj.Plan) over its in-bag atoms — the k-ary worst-case-optimal join
+// restricted to the bag. Unary constraints ride along as per-variable
+// domains. A variable the order reaches with no bound neighbour starts from
+// the key lists of its in-bag atoms or, for a needed variable no in-bag atom
+// touches, of its out-of-bag atoms (a sound superset; interface joins restore
+// exactness). The search polls the context, so a request deadline abandons a
+// pathological bag.
 func (p *Prepared) enumerateBag(ctx context.Context, c *component, bagVars, needed []int, inBag []*edge, unary map[int][]int32, hasUnary map[int]bool) ([][]int32, error) {
-	// Connectivity-greedy order: maximize atoms to already-ordered vars.
-	order := make([]int, 0, len(bagVars))
-	chosen := map[int]bool{}
-	for len(order) < len(bagVars) {
-		best, bestScore := -1, -1
-		for _, v := range bagVars {
-			if chosen[v] {
-				continue
-			}
-			score := 0
-			for _, e := range inBag {
-				if (e.a == v && chosen[e.b]) || (e.b == v && chosen[e.a]) {
-					score++
-				}
-			}
-			if score > bestScore || (score == bestScore && best >= 0 && v < best) {
-				best, bestScore = v, score
-			}
-		}
-		order = append(order, best)
-		chosen[best] = true
+	atoms := make([][2]int, len(inBag))
+	rels := make([]*relation.Relation, len(inBag))
+	for i, e := range inBag {
+		atoms[i], rels[i] = [2]int{e.a, e.b}, e.rel
 	}
-
-	pos := map[int]int{} // var → order position
-	for i, v := range order {
-		pos[v] = i
-	}
-	assign := make([]int32, len(order))
-	bound := make([]bool, len(order))
-
-	// candidates returns the sorted candidate list for order[depth].
-	candidates := func(depth int) []int32 {
-		v := order[depth]
-		var dom []int32
-		have := false
-		merge := func(list []int32) {
-			if !have {
-				dom, have = slices.Clone(list), true
-			} else {
-				dom = relation.IntersectSorted(nil, dom, list)
-			}
-		}
+	plan := wcoj.NewPlan(atoms, nil, bagVars)
+	domains := make([][]int32, len(p.vars))
+	for _, v := range bagVars {
 		if hasUnary[v] {
-			merge(unary[v])
+			domains[v] = unary[v]
+		}
+	}
+	for _, v := range plan.Roots() {
+		var lists [][]int32
+		if hasUnary[v] {
+			lists = append(lists, unary[v])
 		}
 		for _, e := range inBag {
-			if e.a != v && e.b != v {
-				continue
-			}
-			u := e.other(v)
-			if bound[pos[u]] {
-				// The partner list of the bound neighbor's value is the
-				// candidate list for v through this atom.
-				merge(edgePartners(e, u, assign[pos[u]]))
-			} else {
-				merge(edgeKeys(e, v))
+			if e.a == v || e.b == v {
+				lists = append(lists, edgeKeys(e, v))
 			}
 		}
-		if !have {
-			// No in-bag atom touches v: bound by its atoms in other bags.
+		if len(lists) == 0 {
 			for i := range c.edges {
-				e := &c.edges[i]
-				if e.a == v || e.b == v {
-					merge(edgeKeys(e, v))
+				if e := &c.edges[i]; e.a == v || e.b == v {
+					lists = append(lists, edgeKeys(e, v))
 				}
 			}
 		}
-		return dom
+		if domains[v] = wcoj.IntersectK(lists); len(domains[v]) == 0 {
+			return nil, nil
+		}
 	}
 
-	neededPos := make([]int, len(needed))
-	for i, v := range needed {
-		neededPos[i] = pos[v]
-	}
 	seen := map[string]bool{}
 	var rows [][]int32
 	var key []byte
-	emit := func() {
-		row := make([]int32, len(needed))
-		key = key[:0]
-		for i, np := range neededPos {
-			row[i] = assign[np]
-			key = strconv.AppendInt(key, int64(row[i]), 10)
-			key = append(key, ',')
-		}
-		if k := string(key); !seen[k] {
-			seen[k] = true
+	search := plan.Search(rels, domains, ctx.Err, func(assign []int32) bool {
+		if k := rowKey(&key, assign, needed); !seen[string(k)] {
+			seen[string(k)] = true
+			row := make([]int32, len(needed))
+			for i, v := range needed {
+				row[i] = assign[v]
+			}
 			rows = append(rows, row)
 		}
-	}
-
-	done := false // satisfiability short-circuit for boolean bags
-	steps := 0
-	var ctxErr error
-	var solve func(depth int)
-	solve = func(depth int) {
-		if done || ctxErr != nil {
-			return
-		}
-		if steps++; steps&0xfff == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				return
-			}
-		}
-		if depth == len(order) {
-			emit()
-			if len(needed) == 0 {
-				done = true
-			}
-			return
-		}
-		for _, val := range candidates(depth) {
-			assign[depth] = val
-			bound[depth] = true
-			solve(depth + 1)
-			bound[depth] = false
-			if done || ctxErr != nil {
-				return
-			}
-		}
-	}
-	solve(0)
-	if ctxErr != nil {
-		return nil, ctxErr
+		return len(needed) > 0 // a boolean bag is decided by its first witness
+	})
+	if err := search.Run(make([]int32, len(p.vars))); err != nil {
+		return nil, err
 	}
 	sortRows(rows)
 	return rows, nil

@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -171,10 +173,50 @@ func TestCyclicCompileHonorsContext(t *testing.T) {
 	// A full-head triangle forces the backtracking materializer (the fast
 	// fold path only covers 2-variable projections), which polls the
 	// context and must abandon compilation.
-	_, err := PrepareContext(ctx, "Q(x, y, z) :- R(x, y), S(y, z), T(z, x)", MapResolver(rels))
+	const src = "Q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
+	_, err := PrepareContext(ctx, src, MapResolver(rels))
 	if err == nil {
 		t.Fatal("want context error from cancelled cyclic compile")
 	}
+
+	// A deadline that fires while the bag search is running: whichever poll
+	// sees it, compilation fails — it never returns a truncated bag.
+	rng := rand.New(rand.NewSource(31))
+	big := map[string]*relation.Relation{}
+	for _, name := range []string{"R", "S", "T"} {
+		ps := make([]relation.Pair, 2500)
+		for i := range ps {
+			ps[i] = relation.Pair{X: int32(rng.Intn(60)), Y: int32(rng.Intn(60))}
+		}
+		big[name] = relation.FromPairs(name, ps)
+	}
+	count := &trippingContext{Context: context.Background()}
+	if _, err := PrepareContext(count, src, MapResolver(big)); err != nil {
+		t.Fatal(err)
+	}
+	if count.polls < 3 {
+		t.Fatalf("only %d polls: the bag search is too small to be interrupted", count.polls)
+	}
+	for trip := 1; trip <= count.polls; trip++ {
+		tc := &trippingContext{Context: context.Background(), tripAt: trip}
+		if p, err := PrepareContext(tc, src, MapResolver(big)); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline at poll %d of %d: prepared %v, err %v", trip, count.polls, p != nil, err)
+		}
+	}
+}
+
+// trippingContext counts Err polls and reports DeadlineExceeded from poll
+// tripAt on (never, when 0).
+type trippingContext struct {
+	context.Context
+	polls, tripAt int
+}
+
+func (c *trippingContext) Err() error {
+	if c.polls++; c.tripAt > 0 && c.polls >= c.tripAt {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func TestCyclicCountAggregate(t *testing.T) {

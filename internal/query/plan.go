@@ -36,28 +36,6 @@ type Node struct {
 	Children []*Node
 }
 
-// CostErr returns the node's actual/predicted cost ratio, or 0 when either
-// side is missing. >1 = the node ran slower than modeled.
-func (n *Node) CostErr() float64 {
-	if n.PredictedCost <= 0 || n.TimeNs <= 0 {
-		return 0
-	}
-	return float64(n.TimeNs) / n.PredictedCost
-}
-
-// RowsErr returns the node's actual/estimated cardinality ratio, or 0 when
-// there is no estimate or the node did not run.
-func (n *Node) RowsErr() float64 {
-	if n.EstOut <= 0 || n.Rows < 0 {
-		return 0
-	}
-	actual := float64(n.Rows)
-	if actual < 1 {
-		actual = 1 // empty outputs still carry signal against an estimate ≥ 1
-	}
-	return actual / float64(n.EstOut)
-}
-
 // line renders the node's own EXPLAIN line. analyzed appends the measured
 // per-node wall time for EXPLAIN ANALYZE output.
 func (n *Node) line(analyzed bool) string {
@@ -78,7 +56,7 @@ func (n *Node) line(analyzed bool) string {
 		fmt.Fprintf(&b, " time=%s", fmtDuration(n.TimeNs))
 	}
 	if analyzed {
-		if ce, re := n.CostErr(), n.RowsErr(); ce > 0 || re > 0 {
+		if ce, re := n.CostErr(n.TimeNs), n.RowsErr(n.Rows); ce > 0 || re > 0 {
 			b.WriteString(" err=")
 			if ce > 0 {
 				fmt.Fprintf(&b, "cost×%.2f", ce)

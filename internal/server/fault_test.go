@@ -211,6 +211,37 @@ func TestBudgetExceeded422(t *testing.T) {
 	}
 }
 
+// TestViewReadPanicIsolated500 injects a panic on the view-read path (which
+// recomputes a stale refresh-mode view, so it runs engine code): the request
+// gets a 500 with its request ID instead of a dropped connection, the
+// admission slot is returned, and the next read is served.
+func TestViewReadPanicIsolated500(t *testing.T) {
+	eng := core.NewEngine()
+	if _, err := eng.Register("R", []relation.Pair{{X: 1, Y: 2}, {X: 2, Y: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RegisterView(context.Background(), "v", "V(x, z) :- R(x, y), R(y, z)"); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Engine: eng, MaxInFlight: 1, QueueDepth: -1})
+
+	testHookViewRead = func() { panic("kaboom: poisoned view store") }
+	t.Cleanup(func() { testHookViewRead = nil })
+	var out errorResponse
+	if code := get(t, ts, "/views/v", &out); code != http.StatusInternalServerError {
+		t.Fatalf("panicking view read: status %d, want 500", code)
+	}
+	if !strings.Contains(out.Error, "kaboom") || out.RequestID == "" {
+		t.Fatalf("500 body should carry the panic value and the request ID: %+v", out)
+	}
+
+	testHookViewRead = nil
+	var vr viewResultResponse
+	if code := get(t, ts, "/views/v", &vr); code != http.StatusOK || vr.Rows != 1 {
+		t.Fatalf("server wedged after panic: status %d rows %d", code, vr.Rows)
+	}
+}
+
 // TestQueryPanicIsolated500 injects a panicking evaluation: the request
 // gets a 500 naming the panic, and the server keeps serving afterwards.
 func TestQueryPanicIsolated500(t *testing.T) {

@@ -459,26 +459,42 @@ func (s *Server) release() { <-s.sem }
 // code never sets it.
 var testHookEvaluate func(ctx context.Context, q string) (*query.Result, error)
 
-// evaluate runs one query under timeout + admission. The evaluation happens
-// in this goroutine (no orphaned work on timeout: the executor polls the
-// context between plan operators).
-func (s *Server) evaluate(r *http.Request, req queryRequest) (*query.Result, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req))
+// testHookViewRead, when non-nil, runs inside the panic guard of a view read
+// ahead of the read itself; tests inject panics through it.
+var testHookViewRead func()
+
+// guarded runs one engine call under the envelope every evaluating route
+// shares: a timeout context, an admission slot held for the duration of the
+// call, and the panic guard, so a panic anywhere in the engine is this
+// request's 500 and never the connection's death. q labels the call in the
+// crash log. The call runs in this goroutine (no orphaned work on timeout:
+// the executor polls the context between plan operators).
+func guarded[T any](s *Server, r *http.Request, timeout time.Duration, q string, fn func(ctx context.Context) (T, error)) (T, error) {
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	if err := s.admit(ctx); err != nil {
-		s.noteShed(r, req.Query, err)
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer s.release()
-	start := time.Now()
-	res, err := guardPanic(s.log, RequestID(r), req.Query, s.flightDump, func() (*query.Result, error) {
+	return guardPanic(s.log, RequestID(r), q, s.flightDump, func() (T, error) { return fn(ctx) })
+}
+
+// evaluate runs one query under the request envelope.
+func (s *Server) evaluate(r *http.Request, req queryRequest) (*query.Result, error) {
+	res, err := guarded(s, r, s.requestTimeout(req), req.Query, func(ctx context.Context) (*query.Result, error) {
 		if testHookEvaluate != nil {
 			return testHookEvaluate(ctx, req.Query)
 		}
-		return s.eng.QueryContext(ctx, req.Query)
+		start := time.Now()
+		res, err := s.eng.QueryContext(ctx, req.Query)
+		if err == nil && res != nil {
+			s.noteSlow(r, req.Query, time.Since(start), len(res.Tuples), res.Plan.CacheHit)
+		}
+		return res, err
 	})
-	if err == nil && res != nil {
-		s.noteSlow(r, req.Query, time.Since(start), len(res.Tuples), res.Plan.CacheHit)
+	if err != nil {
+		s.noteShed(r, req.Query, err)
 	}
 	return res, err
 }
@@ -579,18 +595,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // once, later pages (and repeats of the same query while its relations are
 // unmutated) slice the cached sorted tuples.
 func (s *Server) handleQueryPage(w http.ResponseWriter, r *http.Request, req queryRequest, start time.Time) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req))
-	defer cancel()
-	if err := s.admit(ctx); err != nil {
-		s.noteShed(r, req.Query, err)
-		s.error(w, r, statusFor(err), "query failed: %v", err)
-		return
-	}
-	res, err := guardPanic(s.log, RequestID(r), req.Query, s.flightDump, func() (catalog.SortedResult, error) {
+	res, err := guarded(s, r, s.requestTimeout(req), req.Query, func(ctx context.Context) (catalog.SortedResult, error) {
 		return s.eng.QuerySorted(ctx, req.Query)
 	})
-	s.release()
 	if err != nil {
+		s.noteShed(r, req.Query, err)
 		s.error(w, r, statusFor(err), "query failed: %v", err)
 		return
 	}
@@ -676,14 +685,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// Compilation runs the full semijoin reduction (and, for cyclic
 		// queries, bag materialization), so EXPLAIN goes through the same
 		// admission gate and timeout as query evaluation.
-		ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req))
-		defer cancel()
-		if err := s.admit(ctx); err != nil {
-			s.error(w, r, statusFor(err), "explain failed: %v", err)
-			return
-		}
-		p, err := s.eng.ExplainQueryContext(ctx, req.Query)
-		s.release()
+		p, err := guarded(s, r, s.requestTimeout(req), req.Query, func(ctx context.Context) (*query.Plan, error) {
+			return s.eng.ExplainQueryContext(ctx, req.Query)
+		})
 		if err != nil {
 			s.error(w, r, statusFor(err), "explain failed: %v", err)
 			return
@@ -945,14 +949,15 @@ func (s *Server) handleGetView(w http.ResponseWriter, r *http.Request) {
 	}
 	// Reading a stale refresh-mode view recomputes it from scratch, so the
 	// read goes through the same admission gate as query evaluation.
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	if err := s.admit(ctx); err != nil {
-		s.error(w, r, statusFor(err), "%v", err)
-		return
-	}
-	cols, tuples, fresh, err := v.Result(ctx)
-	s.release()
+	var cols []string
+	var fresh view.Freshness
+	tuples, err := guarded(s, r, s.timeout, v.Text(), func(ctx context.Context) (tuples [][]int64, err error) {
+		if testHookViewRead != nil {
+			testHookViewRead()
+		}
+		cols, tuples, fresh, err = v.Result(ctx)
+		return tuples, err
+	})
 	if err != nil {
 		s.error(w, r, statusFor(err), "%v", err)
 		return

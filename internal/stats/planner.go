@@ -33,28 +33,6 @@ type NodeObservation struct {
 	Rows int64
 }
 
-// CostErr returns the node's actual/predicted cost ratio (0 = not computable).
-func (n NodeObservation) CostErr() float64 {
-	if n.PredictedCost <= 0 || n.ActualNs <= 0 {
-		return 0
-	}
-	return float64(n.ActualNs) / n.PredictedCost
-}
-
-// RowsErr returns the node's actual/estimated cardinality ratio (0 = not
-// computable). Empty outputs count as 1 row so a wildly high estimate still
-// registers as error.
-func (n NodeObservation) RowsErr() float64 {
-	if n.EstOut <= 0 || n.Rows < 0 {
-		return 0
-	}
-	actual := float64(n.Rows)
-	if actual < 1 {
-		actual = 1
-	}
-	return actual / float64(n.EstOut)
-}
-
 // RatioBuckets are the fixed error-histogram bucket upper bounds (a ratio of
 // 1.0 = perfect prediction lands in the 1.25 bucket). The final +Inf bucket
 // is implicit: index len(RatioBuckets) counts ratios above the last bound.
@@ -203,7 +181,7 @@ func (p *Planner) Record(fingerprint string, nodes []NodeObservation) {
 			Margin: n.Margin, Near: n.NearMargin,
 			Delta1: n.Delta1, Delta2: n.Delta2,
 		}
-		if ce := n.CostErr(); ce > 0 {
+		if ce := n.CostErr(n.ActualNs); ce > 0 {
 			logCE := math.Log(ce)
 			agg.sumAbsLogCost += math.Abs(logCE)
 			agg.sumLogCost += logCE
@@ -216,7 +194,7 @@ func (p *Planner) Record(fingerprint string, nodes []NodeObservation) {
 				r.worst = &w
 			}
 		}
-		if re := n.RowsErr(); re > 0 {
+		if re := n.RowsErr(n.Rows); re > 0 {
 			agg.sumAbsLogRows += math.Abs(math.Log(re))
 			rec.RowsErr = re
 		}

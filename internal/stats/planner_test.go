@@ -127,14 +127,14 @@ func TestPlannerOverflowAndEmpty(t *testing.T) {
 
 func TestNodeObservationRatios(t *testing.T) {
 	n := NodeObservation{Decision: optimizer.Decision{PredictedCost: 2e6, EstOut: 100}, ActualNs: 1e6, Rows: 0}
-	if got := n.CostErr(); math.Abs(got-0.5) > 1e-9 {
+	if got := n.CostErr(n.ActualNs); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("CostErr = %v, want 0.5", got)
 	}
 	// Empty output vs estimate 100 → ratio 1/100, not 0.
-	if got := n.RowsErr(); math.Abs(got-0.01) > 1e-9 {
+	if got := n.RowsErr(n.Rows); math.Abs(got-0.01) > 1e-9 {
 		t.Errorf("RowsErr = %v, want 0.01", got)
 	}
-	if (NodeObservation{}).CostErr() != 0 {
+	if (NodeObservation{}).CostErr(0) != 0 {
 		t.Error("CostErr without data should be 0")
 	}
 }

@@ -1,9 +1,10 @@
 package view
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/query"
+	"repro/internal/wcoj"
 )
 
 // Shape names for maintenance plans.
@@ -15,155 +16,92 @@ const (
 	// arm re-folds only that arm against the others through the center.
 	ShapeStar = "star"
 	// ShapeTree is any other acyclic shape: deltas extend through the join
-	// tree by backtracking (the enumerate plan's delta twin).
+	// tree one variable at a time.
 	ShapeTree = "tree"
 )
 
-// slot is one atom occurrence in the maintenance plan: a named base relation
-// whose X column binds variable a and Y column binds variable b. The same
-// relation appearing in several atoms yields several slots, which the delta
-// rule processes sequentially (slots before the delta slot read the new
-// version, slots after it the old one).
-type slot struct {
-	rel  string
-	a, b int
-}
-
-// stepMode says how one extension step binds its slot given the variables
-// already assigned: both endpoints bound (membership check), or extend from
-// the bound X side / bound Y side.
-type stepMode int
-
-const (
-	stepBoth stepMode = iota
-	stepFromA
-	stepFromB
-)
-
-// step is one precomputed extension step of a delta pass: which slot to
-// join next and how its variables relate to the already-bound prefix.
-type step struct {
-	slot int
-	mode stepMode
-}
-
 // maintPlan is a compiled maintenance plan for one incrementally
-// maintainable view: the atom slots, the head layout of the counted store,
-// and per-slot extension orders for the delta rule
+// maintainable view. Its structure — variable numbering, atom endpoints,
+// head layout, relation names — is the query compiler's analysis; what is
+// added here is the shape label and the per-slot extension orders of the
+// delta rule
 //
 //	ΔQ = Σ_j Q(S₁'…S'_{j-1}, ΔS_j, S_{j+1}…S_k)
 //
-// where primed slots read the post-mutation relation.
+// where a slot is one atom occurrence (the same relation appearing in
+// several atoms yields several slots) and primed slots read the
+// post-mutation relation.
 type maintPlan struct {
-	vars        []string // variable names by index (first appearance)
-	slots       []slot
-	headVars    []int // distinct head variables, first-appearance (store key order)
-	headTermPos []int // per head term: position in headVars
-	countIdx    int   // index of the COUNT term in the head, or -1
-	shape       string
-	shared      int      // twopath: join variable; star: center; else -1
-	orders      [][]step // per slot: extension steps covering the other slots
-	relNames    []string // distinct referenced relations, first appearance
+	q      *query.Query
+	an     *query.Analysis
+	shape  string
+	shared int          // twopath: join variable; star: center; else -1
+	orders []*wcoj.Plan // per slot: extends a delta tuple through the other slots
 }
 
 // compileMaint builds the maintenance plan for q, or explains why q falls
 // outside the incrementally-maintainable fragment (reason != ""): the
 // fragment is single-component acyclic join graphs over binary atoms with
 // two distinct variables each (no constants, no self-loops, no cross
-// products, no cycles). Queries outside it are maintained by full refresh.
+// products, no cycles, no parallel atoms). Queries outside it are maintained
+// by full refresh.
 func compileMaint(q *query.Query) (*maintPlan, string) {
-	p := &maintPlan{countIdx: q.CountIndex(), shared: -1}
-	varIdx := map[string]int{}
-	varOf := func(name string) int {
-		if i, ok := varIdx[name]; ok {
-			return i
-		}
-		i := len(p.vars)
-		varIdx[name] = i
-		p.vars = append(p.vars, name)
-		return i
+	an, err := query.Analyze(q)
+	if err != nil {
+		return nil, err.Error()
 	}
-	seenRel := map[string]bool{}
-	for _, a := range q.Atoms {
-		if a.Args[0].IsConst || a.Args[1].IsConst {
+	for _, at := range an.Atoms {
+		switch at.Class {
+		case query.AtomConst, query.AtomGround:
 			return nil, "constant arguments (selection atoms) are outside the incremental fragment"
-		}
-		if a.Args[0].Var == a.Args[1].Var {
+		case query.AtomSelfLoop:
 			return nil, "self-loop atoms are outside the incremental fragment"
 		}
-		s := slot{rel: a.Rel, a: varOf(a.Args[0].Var), b: varOf(a.Args[1].Var)}
-		p.slots = append(p.slots, s)
-		if !seenRel[a.Rel] {
-			seenRel[a.Rel] = true
-			p.relNames = append(p.relNames, a.Rel)
-		}
 	}
-	if len(p.slots) == 0 {
-		return nil, "no body atoms"
+	if len(an.Comps) != 1 {
+		return nil, "cross products (multiple join components) are outside the incremental fragment"
 	}
-
-	// Connectivity (single component) and graph-acyclicity (tree).
-	parent := make([]int, len(p.vars))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, s := range p.slots {
-		parent[find(s.a)] = find(s.b)
-	}
-	root := find(0)
-	for v := range p.vars {
-		if find(v) != root {
-			return nil, "cross products (multiple join components) are outside the incremental fragment"
-		}
-	}
-	if len(p.slots) != len(p.vars)-1 {
+	if !an.Comps[0].Tree || len(an.Edges) != len(an.Atoms) {
 		return nil, "cyclic join graph: maintained by full refresh (bagjoin plans are not delta-decomposable)"
 	}
+	p := &maintPlan{q: q, an: an, shared: -1}
+	p.classify()
 
-	// Head layout.
-	heads := map[int]bool{}
-	for _, name := range q.HeadVars() {
-		v, ok := varIdx[name]
-		if !ok {
-			return nil, fmt.Sprintf("head variable %q is not bound by the body", name)
+	// The fragment is a tree, so from a delta tuple's two variables every
+	// other variable is reached through exactly one slot: no step ever has
+	// both endpoints of a slot bound, and each walks one partner list.
+	atoms := make([][2]int, len(an.Atoms))
+	for i, at := range an.Atoms {
+		atoms[i] = [2]int{at.A, at.B}
+	}
+	p.orders = make([]*wcoj.Plan, len(atoms))
+	for j, at := range atoms {
+		var free []int
+		for v := range an.Vars {
+			if v != at[0] && v != at[1] {
+				free = append(free, v)
+			}
 		}
-		if !heads[v] {
-			heads[v] = true
-			p.headVars = append(p.headVars, v)
-		}
+		p.orders[j] = wcoj.NewPlan(atoms, at[:], free)
 	}
-	posOf := map[int]int{}
-	for i, v := range p.headVars {
-		posOf[v] = i
-	}
-	p.headTermPos = make([]int, len(q.Head))
-	for i, h := range q.Head {
-		p.headTermPos[i] = posOf[varIdx[h.Var]]
-	}
-
-	p.classify(heads)
-	p.buildOrders()
 	return p, ""
 }
 
+// rel returns the relation name slot j reads.
+func (p *maintPlan) rel(j int) string { return p.q.Atoms[j].Rel }
+
 // classify detects the twopath and star shapes (for the kernel fast path and
 // EXPLAIN); everything else in the fragment is a generic tree.
-func (p *maintPlan) classify(heads map[int]bool) {
+func (p *maintPlan) classify() {
+	slots := p.an.Atoms
+	isHead := func(v int) bool { return slices.Contains(p.an.Head.Vars, v) }
 	p.shape = ShapeTree
-	if len(p.slots) == 2 {
-		s0, s1 := p.slots[0], p.slots[1]
-		for _, v := range []int{s0.a, s0.b} {
-			if (v == s1.a || v == s1.b) && !heads[v] {
-				e0, e1 := s0.other(v), s1.other(v)
-				if heads[e0] && heads[e1] && e0 != e1 {
+	if len(slots) == 2 {
+		s0, s1 := slots[0], slots[1]
+		for _, v := range []int{s0.A, s0.B} {
+			if (v == s1.A || v == s1.B) && !isHead(v) {
+				e0, e1 := s0.Other(v), s1.Other(v)
+				if isHead(e0) && isHead(e1) && e0 != e1 {
 					p.shape, p.shared = ShapeTwoPath, v
 				}
 				return
@@ -171,64 +109,19 @@ func (p *maintPlan) classify(heads map[int]bool) {
 		}
 		return
 	}
-	if len(p.slots) >= 3 {
-		for _, cand := range []int{p.slots[0].a, p.slots[0].b} {
+	if len(slots) >= 3 {
+		for _, cand := range []int{slots[0].A, slots[0].B} {
 			common := true
-			for _, s := range p.slots {
-				if s.a != cand && s.b != cand {
+			for _, s := range slots {
+				if s.A != cand && s.B != cand {
 					common = false
 					break
 				}
 			}
-			if common && !heads[cand] {
+			if common && !isHead(cand) {
 				p.shape, p.shared = ShapeStar, cand
 				return
 			}
 		}
-	}
-}
-
-// other returns the slot endpoint that is not v.
-func (s slot) other(v int) int {
-	if s.a == v {
-		return s.b
-	}
-	return s.a
-}
-
-// buildOrders precomputes, for each delta slot j, the order in which the
-// remaining slots extend a delta tuple: each step's slot shares at least one
-// variable with the already-bound prefix (the plan is connected), and the
-// step mode records which endpoints are bound at that point.
-func (p *maintPlan) buildOrders() {
-	p.orders = make([][]step, len(p.slots))
-	for j := range p.slots {
-		bound := map[int]bool{p.slots[j].a: true, p.slots[j].b: true}
-		used := make([]bool, len(p.slots))
-		used[j] = true
-		var order []step
-		for len(order) < len(p.slots)-1 {
-			for i, s := range p.slots {
-				if used[i] {
-					continue
-				}
-				aB, bB := bound[s.a], bound[s.b]
-				if !aB && !bB {
-					continue
-				}
-				mode := stepBoth
-				switch {
-				case aB && !bB:
-					mode = stepFromA
-				case bB && !aB:
-					mode = stepFromB
-				}
-				order = append(order, step{slot: i, mode: mode})
-				bound[s.a], bound[s.b] = true, true
-				used[i] = true
-				break
-			}
-		}
-		p.orders[j] = order
 	}
 }

@@ -2,6 +2,7 @@ package view
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,6 +12,10 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 )
+
+// ErrExists reports a registration or restore under a name already taken;
+// match it with errors.Is.
+var ErrExists = errors.New("already registered")
 
 // DefaultRefreshAfter is the staleness bound for refresh-mode views: after
 // this many pending mutation batches the registry refreshes eagerly instead
@@ -93,29 +98,12 @@ func (r *Registry) Register(ctx context.Context, name, src string) (*View, error
 	_, dup := r.views[name]
 	r.mu.RUnlock()
 	if dup {
-		return nil, fmt.Errorf("view %q already registered", name)
+		return nil, fmt.Errorf("view %q %w", name, ErrExists)
 	}
 
-	v := &View{
-		name:         name,
-		q:            q,
-		text:         q.String(),
-		counts:       map[string]*entry{},
-		cur:          map[string]*relation.Relation{},
-		curVer:       map[string]uint64{},
-		refreshAfter: r.cfg.RefreshAfter,
-		opt:          r.cfg.Optimizer,
-		workers:      r.cfg.Workers,
-		evaluate:     r.cfg.Evaluate,
-	}
-	v.cols = make([]string, len(q.Head))
-	for i, h := range q.Head {
-		v.cols[i] = h.String()
-	}
-
-	plan, reason := compileMaint(q)
+	v, plan, reason := r.newView(name, q)
 	rels, vers, _ := r.cfg.Catalog.Snapshot()
-	names := referencedRelations(q)
+	names := q.Relations()
 	for _, n := range names {
 		if _, ok := rels[n]; !ok {
 			return nil, fmt.Errorf("view %q: unknown relation %q", name, n)
@@ -136,11 +124,11 @@ func (r *Registry) Register(ctx context.Context, name, src string) (*View, error
 		// big insert batch, in slot order: already-seeded relations read
 		// their full contents, unseeded ones read empty — exactly the
 		// sequential delta rule, so the final counts are the full counts.
-		for _, n := range plan.relNames {
+		for _, n := range names {
 			v.cur[n] = emptyRel(n)
 		}
 		v.mu.Lock()
-		for _, n := range plan.relNames {
+		for _, n := range names {
 			full := rels[n]
 			v.applyMutation(n, v.cur[n], full, full.Pairs(), nil)
 			v.curVer[n] = vers[n]
@@ -152,7 +140,7 @@ func (r *Registry) Register(ctx context.Context, name, src string) (*View, error
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.views[name]; dup {
-		return nil, fmt.Errorf("view %q already registered", name)
+		return nil, fmt.Errorf("view %q %w", name, ErrExists)
 	}
 	// Catch up on mutations that landed while seeding ran unlocked: any
 	// referenced relation whose version moved past the seed snapshot is
@@ -171,18 +159,27 @@ func (r *Registry) Register(ctx context.Context, name, src string) (*View, error
 	return v, nil
 }
 
-// referencedRelations returns the distinct relation names q reads, in first-
-// appearance order.
-func referencedRelations(q *query.Query) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, a := range q.Atoms {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			out = append(out, a.Rel)
-		}
+// newView builds the unregistered, unmaterialized view for q under the
+// registry's configuration, with its maintenance plan (nil, with the reason,
+// outside the incremental fragment).
+func (r *Registry) newView(name string, q *query.Query) (*View, *maintPlan, string) {
+	v := &View{
+		name:         name,
+		text:         q.String(),
+		counts:       map[string]*entry{},
+		cur:          map[string]*relation.Relation{},
+		curVer:       map[string]uint64{},
+		refreshAfter: r.cfg.RefreshAfter,
+		opt:          r.cfg.Optimizer,
+		workers:      r.cfg.Workers,
+		evaluate:     r.cfg.Evaluate,
 	}
-	return out
+	v.cols = make([]string, len(q.Head))
+	for i, h := range q.Head {
+		v.cols[i] = h.String()
+	}
+	plan, reason := compileMaint(q)
+	return v, plan, reason
 }
 
 // Get returns the view registered under name.

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/query"
-	"repro/internal/relation"
 )
 
 // State is one view's serializable materialization, the unit the durability
@@ -91,32 +90,15 @@ func (r *Registry) Restore(st State) error {
 	_, dup := r.views[st.Name]
 	r.mu.RUnlock()
 	if dup {
-		return fmt.Errorf("view %q already registered", st.Name)
+		return fmt.Errorf("view %q %w", st.Name, ErrExists)
 	}
 
-	v := &View{
-		name:         st.Name,
-		q:            q,
-		text:         q.String(),
-		counts:       map[string]*entry{},
-		cur:          map[string]*relation.Relation{},
-		curVer:       map[string]uint64{},
-		refreshAfter: r.cfg.RefreshAfter,
-		opt:          r.cfg.Optimizer,
-		workers:      r.cfg.Workers,
-		evaluate:     r.cfg.Evaluate,
-	}
-	v.cols = make([]string, len(q.Head))
-	for i, h := range q.Head {
-		v.cols[i] = h.String()
-	}
-
-	plan, reason := compileMaint(q)
+	v, plan, reason := r.newView(st.Name, q)
 	if (plan != nil) != st.Incremental {
 		return fmt.Errorf("view %q: restore: state mode (incremental=%v) disagrees with compiled fragment", st.Name, st.Incremental)
 	}
 	rels, vers, _ := r.cfg.Catalog.Snapshot()
-	names := referencedRelations(q)
+	names := q.Relations()
 	for _, n := range names {
 		if _, ok := rels[n]; !ok {
 			return fmt.Errorf("view %q: restore: unknown relation %q", st.Name, n)
@@ -131,8 +113,8 @@ func (r *Registry) Restore(st State) error {
 	} else {
 		v.mode, v.plan = ModeIncremental, plan
 		for _, e := range st.Entries {
-			if len(e.Vals) != len(plan.headVars) {
-				return fmt.Errorf("view %q: restore: entry arity %d, store wants %d", st.Name, len(e.Vals), len(plan.headVars))
+			if len(e.Vals) != len(plan.an.Head.Vars) {
+				return fmt.Errorf("view %q: restore: entry arity %d, store wants %d", st.Name, len(e.Vals), len(plan.an.Head.Vars))
 			}
 			if e.Count == 0 {
 				continue
@@ -140,7 +122,7 @@ func (r *Registry) Restore(st State) error {
 			vals := append([]int32(nil), e.Vals...)
 			v.counts[key(vals)] = &entry{vals: vals, count: e.Count}
 		}
-		for _, n := range plan.relNames {
+		for _, n := range names {
 			v.cur[n] = rels[n]
 			v.curVer[n] = vers[n]
 		}
@@ -150,7 +132,7 @@ func (r *Registry) Restore(st State) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.views[st.Name]; dup {
-		return fmt.Errorf("view %q already registered", st.Name)
+		return fmt.Errorf("view %q %w", st.Name, ErrExists)
 	}
 	r.views[st.Name] = v
 	return nil

@@ -30,7 +30,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -93,7 +93,6 @@ type Freshness struct {
 // views.
 type View struct {
 	name string
-	q    *query.Query
 	text string
 	mode string
 
@@ -107,6 +106,7 @@ type View struct {
 
 	dirty  bool
 	cached [][]int64
+	rows   [][]int32 // rebuildLocked's scratch, empty between calls
 	cols   []string
 
 	stale        bool
@@ -166,17 +166,17 @@ func (v *View) applyMutation(name string, old, next *relation.Relation, added, r
 	start := time.Now()
 	v.lastStrats = v.lastStrats[:0]
 	relFor := func(i, j int) *relation.Relation {
-		s := v.plan.slots[i]
-		if s.rel != name {
-			return v.cur[s.rel]
+		rel := v.plan.rel(i)
+		if rel != name {
+			return v.cur[rel]
 		}
 		if i < j {
 			return next
 		}
 		return old
 	}
-	for j, s := range v.plan.slots {
-		if s.rel != name {
+	for j := range v.plan.an.Atoms {
+		if v.plan.rel(j) != name {
 			continue
 		}
 		if v.plan.shape == ShapeTwoPath && len(added)+len(removed) >= kernelDeltaMin {
@@ -199,55 +199,33 @@ func (v *View) applyMutation(name string, old, next *relation.Relation, added, r
 }
 
 // backtrackDelta extends every delta tuple of slot j through the remaining
-// slots (the precomputed order) and adjusts head-tuple counts by sign. This
-// is the delta twin of the executor's enumerate plan: work is proportional
-// to the delta's actual join fan-out, so only the affected branch of the
-// tree is re-folded.
+// slots (the slot's precomputed wcoj.Plan) and adjusts head-tuple counts by
+// sign. Work is proportional to the delta's actual join fan-out, so only the
+// affected branch of the tree is re-folded.
 func (v *View) backtrackDelta(j int, pairs []relation.Pair, sign int64, relFor func(i, j int) *relation.Relation) {
 	if len(pairs) == 0 {
 		return
 	}
-	plan := v.plan
-	order := plan.orders[j]
-	vals := make([]int32, len(plan.vars))
-	head := make([]int32, len(plan.headVars))
-	rels := make([]*relation.Relation, len(order))
-	for k, st := range order {
-		rels[k] = relFor(st.slot, j)
-	}
-	var extend func(k int)
-	extend = func(k int) {
-		if k == len(order) {
-			for i, hv := range plan.headVars {
-				head[i] = vals[hv]
-			}
-			v.bump(head, sign)
-			return
-		}
-		st := order[k]
-		s := plan.slots[st.slot]
-		r := rels[k]
-		switch st.mode {
-		case stepBoth:
-			if r.Contains(vals[s.a], vals[s.b]) {
-				extend(k + 1)
-			}
-		case stepFromA:
-			for _, y := range r.ByX().Lookup(vals[s.a]) {
-				vals[s.b] = y
-				extend(k + 1)
-			}
-		default: // stepFromB
-			for _, x := range r.ByY().Lookup(vals[s.b]) {
-				vals[s.a] = x
-				extend(k + 1)
-			}
+	an := v.plan.an
+	rels := make([]*relation.Relation, len(an.Atoms))
+	for i := range rels {
+		if i != j {
+			rels[i] = relFor(i, j)
 		}
 	}
-	s := plan.slots[j]
+	buf := make([]int32, len(an.Vars)+len(an.Head.Vars))
+	vals, head := buf[:len(an.Vars)], buf[len(an.Vars):]
+	search := v.plan.orders[j].Search(rels, nil, nil, func(vals []int32) bool {
+		for i, hv := range an.Head.Vars {
+			head[i] = vals[hv]
+		}
+		v.bump(head, sign)
+		return true
+	})
+	s := an.Atoms[j]
 	for _, p := range pairs {
-		vals[s.a], vals[s.b] = p.X, p.Y
-		extend(0)
+		vals[s.A], vals[s.B] = p.X, p.Y
+		_ = search.Run(vals) // no poll, so no error: maintenance always runs to the end
 	}
 }
 
@@ -258,27 +236,27 @@ func (v *View) backtrackDelta(j int, pairs []relation.Pair, sign int64, relFor f
 // slot; other is the partner slot's relation under the sequential delta
 // rule (new version for the later slot, old for the earlier).
 func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *relation.Relation) {
-	plan := v.plan
-	sj, so := plan.slots[j], plan.slots[1-j]
-	headJ, headO := sj.other(plan.shared), so.other(plan.shared)
-	posJ, posO := headPos(plan.headVars, headJ), headPos(plan.headVars, headO)
+	plan, headVars := v.plan, v.plan.an.Head.Vars
+	sj, so := plan.an.Atoms[j], plan.an.Atoms[1-j]
+	headJ, headO := sj.Other(plan.shared), so.Other(plan.shared)
+	posJ, posO := slices.Index(headVars, headJ), slices.Index(headVars, headO)
 	otherOriented := orientSlot(other, so, headO)
 
 	fold := func(pairs []relation.Pair, sign int64) {
 		if len(pairs) == 0 {
 			return
 		}
-		delta := relation.FromPairs("Δ"+sj.rel, orientPairs(pairs, sj, headJ))
+		delta := relation.FromPairs("Δ"+plan.rel(j), orientPairs(pairs, sj, headJ))
 		jopt := joinproject.Options{Workers: v.workers}
 		dec := v.opt.PlanTwoPath(delta, otherOriented, jopt, "", 0)
 		v.lastStrats = append(v.lastStrats,
-			fmt.Sprintf("Δ%s slot=%d %s |Δ|=%d", sj.rel, j, dec.Strategy, delta.Size()))
+			fmt.Sprintf("Δ%s slot=%d %s |Δ|=%d", plan.rel(j), j, dec.Strategy, delta.Size()))
 		if dec.UseWCOJ() {
 			stratKernelWCOJ.Inc()
 		} else {
 			stratKernelMM.Inc()
 		}
-		head := make([]int32, len(plan.headVars))
+		head := make([]int32, len(headVars))
 		for _, pc := range joinproject.TwoPathMMCounts(delta, otherOriented, dec.Options(jopt, delta, otherOriented)) {
 			head[posJ], head[posO] = pc.X, pc.Z
 			v.bump(head, sign*int64(pc.Count))
@@ -288,28 +266,18 @@ func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *
 	fold(removed, -1)
 }
 
-// headPos returns v's position in headVars.
-func headPos(headVars []int, v int) int {
-	for i, hv := range headVars {
-		if hv == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // orientSlot returns r with the head variable on the X column and the join
 // variable on Y, as the two-path kernel expects.
-func orientSlot(r *relation.Relation, s slot, headVar int) *relation.Relation {
-	if s.a == headVar {
+func orientSlot(r *relation.Relation, s query.AtomInfo, headVar int) *relation.Relation {
+	if s.A == headVar {
 		return r
 	}
 	return r.Swap()
 }
 
 // orientPairs reorders delta pairs into (head, join) orientation.
-func orientPairs(pairs []relation.Pair, s slot, headVar int) []relation.Pair {
-	if s.a == headVar {
+func orientPairs(pairs []relation.Pair, s query.AtomInfo, headVar int) []relation.Pair {
+	if s.A == headVar {
 		return pairs
 	}
 	out := make([]relation.Pair, len(pairs))
@@ -319,84 +287,27 @@ func orientPairs(pairs []relation.Pair, s slot, headVar int) []relation.Pair {
 	return out
 }
 
-// rebuildLocked refreshes the sorted result cache from the counted store,
-// applying the COUNT aggregate when the head carries one. Callers hold v.mu
-// for writing.
+// rebuildLocked refreshes the sorted result cache from the counted store;
+// the query layer's head projector forms the tuples (COUNT included).
+// Callers hold v.mu for writing.
 func (v *View) rebuildLocked() {
-	entries := make([]*entry, 0, len(v.counts))
+	// The gather buffer is kept across rebuilds: a view under writes is
+	// rebuilt on every read, and a fresh slice header per stored row each
+	// time was a fifth of the bytes bench's view_writes allocated per op.
+	rows := v.rows[:0]
 	for _, e := range v.counts {
-		entries = append(entries, e)
+		rows = append(rows, e.vals)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].vals, entries[j].vals
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-
-	q, plan := v.q, v.plan
-	if plan.countIdx < 0 {
-		out := make([][]int64, len(entries))
-		for i, e := range entries {
-			row := make([]int64, len(q.Head))
-			for t, pos := range plan.headTermPos {
-				row[t] = int64(e.vals[pos])
-			}
-			out[i] = row
-		}
-		v.cached, v.dirty = out, false
-		return
+	slices.SortFunc(rows, slices.Compare[[]int32])
+	h := &v.plan.an.Head
+	out := h.Project(h.Vars, rows)
+	clear(rows) // drop the references: a deleted row must not outlive its entry
+	v.rows = rows
+	if h.CountIdx >= 0 {
+		// Groups come out in first-appearance order, and the group key need
+		// not be a prefix of the store's sort order.
+		query.SortTuples(out)
 	}
-
-	// COUNT(v): entries are distinct over (group vars ∪ {v}); counting
-	// entries per group yields the distinct-v count. Grouping goes through
-	// a map keyed on the group values — the entry sort order is over ALL
-	// head variables, so equal groups need not be adjacent when the COUNT
-	// term is not the last head term.
-	groupPos := make([]int, 0, len(q.Head)-1)
-	for t := range q.Head {
-		if t != plan.countIdx {
-			groupPos = append(groupPos, plan.headTermPos[t])
-		}
-	}
-	if len(groupPos) == 0 {
-		v.cached, v.dirty = [][]int64{{int64(len(entries))}}, false
-		return
-	}
-	groups := map[string]*entry{}
-	var order []*entry
-	gk := make([]int32, len(groupPos))
-	for _, e := range entries {
-		for i, gp := range groupPos {
-			gk[i] = e.vals[gp]
-		}
-		k := key(gk)
-		g, ok := groups[k]
-		if !ok {
-			g = &entry{vals: append([]int32(nil), gk...)}
-			groups[k] = g
-			order = append(order, g)
-		}
-		g.count++
-	}
-	out := make([][]int64, 0, len(order))
-	for _, g := range order {
-		row := make([]int64, len(q.Head))
-		gi := 0
-		for t := range q.Head {
-			if t == plan.countIdx {
-				row[t] = g.count
-			} else {
-				row[t] = int64(g.vals[gi])
-				gi++
-			}
-		}
-		out = append(out, row)
-	}
-	query.SortTuples(out)
 	v.cached, v.dirty = out, false
 }
 
@@ -511,55 +422,56 @@ func (v *View) MaintenancePlan() *query.Plan {
 		return plan
 	}
 	root.Detail += fmt.Sprintf(" shape=%s rows=%d", v.plan.shape, len(v.counts))
-	for j, s := range v.plan.slots {
-		root.Children = append(root.Children, v.deltaNode(j, s))
+	for j := range v.plan.an.Atoms {
+		root.Children = append(root.Children, v.deltaNode(j))
 	}
 	return plan
 }
 
 // deltaNode renders the maintenance operator for one atom slot.
-func (v *View) deltaNode(j int, s slot) *query.Node {
-	plan := v.plan
+func (v *View) deltaNode(j int) *query.Node {
+	plan, slots, vars := v.plan, v.plan.an.Atoms, v.plan.an.Vars
+	s := slots[j]
 	switch plan.shape {
 	case ShapeTwoPath:
-		so := plan.slots[1-j]
-		cost := avgDegree(v.cur[so.rel], so, plan.shared)
+		so := slots[1-j]
+		cost := avgDegree(v.cur[plan.rel(1-j)], so, plan.shared)
 		return &query.Node{
 			Op: "deltafold", Decision: optimizer.Decision{Strategy: "auto"}, Rows: -1,
 			Detail: fmt.Sprintf("Δ%s ∘ %s via %s (cost model per delta, kernels ≥%d Δtuples) predicted cost/Δtuple≈%.1f",
-				s.rel, so.rel, plan.vars[plan.shared], kernelDeltaMin, cost),
+				plan.rel(j), plan.rel(1-j), vars[plan.shared], kernelDeltaMin, cost),
 		}
 	case ShapeStar:
-		arms := make([]string, 0, len(plan.slots)-1)
+		arms := make([]string, 0, len(slots)-1)
 		var cost float64 = 1
-		for i, o := range plan.slots {
+		for i, o := range slots {
 			if i != j {
-				arms = append(arms, o.rel)
-				cost *= 1 + avgDegree(v.cur[o.rel], o, plan.shared)
+				arms = append(arms, plan.rel(i))
+				cost *= 1 + avgDegree(v.cur[plan.rel(i)], o, plan.shared)
 			}
 		}
 		return &query.Node{
 			Op: "deltastar", Decision: optimizer.Decision{Strategy: optimizer.StrategyWCOJ}, Rows: -1,
 			Detail: fmt.Sprintf("Δ%s ⋈ [%s] through center %s (affected arm only) predicted cost/Δtuple≈%.1f",
-				s.rel, strings.Join(arms, ", "), plan.vars[plan.shared], cost),
+				plan.rel(j), strings.Join(arms, ", "), vars[plan.shared], cost),
 		}
 	default:
 		return &query.Node{
 			Op: "deltatree", Decision: optimizer.Decision{Strategy: optimizer.StrategyWCOJ}, Rows: -1,
 			Detail: fmt.Sprintf("Δ%s(%s, %s) extended through %d remaining atoms (backtracking, affected branch only)",
-				s.rel, plan.vars[s.a], plan.vars[s.b], len(plan.orders[j])),
+				plan.rel(j), vars[s.A], vars[s.B], len(slots)-1),
 		}
 	}
 }
 
 // avgDegree estimates the per-delta-tuple fan-out of extending through r via
 // the shared variable: the average partner-list length on r's join side.
-func avgDegree(r *relation.Relation, s slot, shared int) float64 {
+func avgDegree(r *relation.Relation, s query.AtomInfo, shared int) float64 {
 	if r == nil || r.Size() == 0 {
 		return 0
 	}
 	ix := r.ByY()
-	if s.a == shared {
+	if s.A == shared {
 		ix = r.ByX()
 	}
 	if ix.NumKeys() == 0 {

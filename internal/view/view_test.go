@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -263,8 +264,11 @@ func checkView(t *testing.T, h *harness, name, src string, step int) {
 
 // viewSuite is the plan-shape coverage the differential driver maintains:
 // two-path, self-join two-path, chain (tree), star, interior-head tree
-// (enumerate shape), grouped aggregate, and a cyclic triangle that falls
-// back to refresh.
+// (enumerate shape), grouped aggregate, a cyclic triangle that falls back to
+// refresh — and the heads and bodies the shared query analysis and head
+// projector must not get wrong: a repeated head variable, a bare aggregate,
+// a self-join chain (three slots over one relation), a 4-arm star, and a
+// branching tree with an interior head.
 var viewSuite = map[string]string{
 	"vp": "VP(x, z) :- R(x, y), S(y, z)",
 	"vj": "VJ(x, z) :- R(x, y), R(z, y)",
@@ -273,8 +277,31 @@ var viewSuite = map[string]string{
 	"ve": "VE(a, b, c) :- R(a, b), S(b, c)",
 	"vg": "VG(x, COUNT(z)) :- R(x, y), S(y, z)",
 	// COUNT first: the group key is not a prefix of the store's sort order.
-	"vg2": "VG2(COUNT(a), c) :- R(a, b), S(b, c)",
-	"vt":  "VT(x, z) :- R(x, y), S(y, z), T(z, x)",
+	"vg2":  "VG2(COUNT(a), c) :- R(a, b), S(b, c)",
+	"vt":   "VT(x, z) :- R(x, y), S(y, z), T(z, x)",
+	"vrep": "VREP(x, x, z) :- R(x, y), S(y, z)",
+	"vcnt": "VCNT(COUNT(z)) :- R(x, y), S(y, z)",
+	"vsj":  "VSJ(a, d) :- R(a, b), R(b, c), R(c, d)",
+	"vs4":  "VS4(a, b, c, d) :- R(a, y), S(b, y), T(c, y), R(d, y)",
+	"vbr":  "VBR(a, b, e) :- R(a, b), S(b, c), T(b, d), R(d, e)",
+}
+
+// exportIncremental snapshots every incremental view's counted store — head
+// values and witness counts — in a comparable form.
+func exportIncremental(h *harness) map[string][]string {
+	out := map[string][]string{}
+	for _, st := range h.reg.ExportStates() {
+		if !st.Incremental {
+			continue
+		}
+		entries := make([]string, len(st.Entries))
+		for i, e := range st.Entries {
+			entries[i] = fmt.Sprint(e.Vals, "×", e.Count)
+		}
+		sort.Strings(entries)
+		out[st.Name] = entries
+	}
+	return out
 }
 
 // TestDifferentialRandomMutations drives 240 random insert/delete batches
@@ -316,6 +343,23 @@ func TestDifferentialRandomMutations(t *testing.T) {
 	relNames := []string{"R", "S", "T"}
 	for step := 0; step < 240; step++ {
 		rel := relNames[rng.Intn(len(relNames))]
+		if step%8 == 0 {
+			// Metamorphic: a batch followed by its exact inverse returns every
+			// counted store — values and witness counts — to where it was.
+			before := exportIncremental(h)
+			r, _ := h.cat.Get(rel)
+			ps := r.Pairs()
+			m, err := h.cat.Mutate(rel, randomPairs(rng, 1+rng.Intn(6), domain), ps[:min(len(ps), rng.Intn(4))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.cat.Mutate(rel, m.Removed, m.Added); err != nil {
+				t.Fatal(err)
+			}
+			if after := exportIncremental(h); !reflect.DeepEqual(after, before) {
+				t.Fatalf("step %d: Δ%s then its inverse left the stores changed:\n got %v\nwant %v", step, rel, after, before)
+			}
+		}
 		switch rng.Intn(10) {
 		case 0:
 			// Occasional wholesale re-register (Reset path).
@@ -608,4 +652,45 @@ func TestConcurrentReadersDuringMaintenance(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	checkView(t, h, "vp", "VP(x, z) :- R(x, y), S(y, z)", 0)
+}
+
+// BenchmarkSmallDelta measures what the serving path pays per write: one
+// 32-tuple insert (then its delete, so the state is stationary) folded into
+// a chain view and a star view — deltas below kernelDeltaMin, so all of it
+// is the shared variable-at-a-time extension plus the counted store.
+func BenchmarkSmallDelta(b *testing.B) {
+	for _, bc := range []struct{ name, src string }{
+		{"chain", "VC(a, d) :- R(a, b), S(b, c), T(c, d)"},
+		{"star", "VS(a, b, c) :- R(a, y), S(b, y), T(c, y)"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(21))
+			h := newHarness()
+			const domain = 400
+			for _, name := range []string{"R", "S", "T"} {
+				if _, err := h.cat.RegisterPairs(name, randomPairs(rng, 2500, domain)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := h.reg.Register(context.Background(), "v", bc.src); err != nil {
+				b.Fatal(err)
+			}
+			batches := make([][]relation.Pair, 16)
+			for i := range batches {
+				batches[i] = randomPairs(rng, 32, domain)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rel := []string{"R", "S", "T"}[i%3]
+				m, err := h.cat.InsertPairs(rel, batches[i%len(batches)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := h.cat.DeletePairs(rel, m.Added); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

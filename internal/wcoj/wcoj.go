@@ -1,4 +1,9 @@
-// Package wcoj implements a worst-case optimal join for star queries.
+// Package wcoj holds the worst-case optimal join machinery every layer
+// shares: the leapfrog intersection, the variable-at-a-time extension over
+// binary atoms (Plan, Search — the one backtracking join behind cyclic bag
+// materialization in internal/query, small-delta view maintenance in
+// internal/view and the star enumeration here), and the star-query helpers
+// built on them.
 //
 // A star query Q★k(x1..xk) = R1(x1,y), ..., Rk(xk,y) joins every relation on
 // the single shared variable y, so the generic worst-case optimal strategy
@@ -16,29 +21,32 @@ import (
 	"repro/internal/relation"
 )
 
-// IntersectK returns the values present in every ascending list, using an
-// iterative leapfrog: seek each list to the current candidate with galloping
-// search, restarting the round whenever a list overshoots. The argument is
-// left unchanged.
+// IntersectK returns the values present in every ascending list. The
+// argument is left unchanged.
 func IntersectK(lists [][]int32) []int32 {
 	if len(lists) == 0 {
 		return nil
 	}
-	if len(lists) == 1 {
-		out := make([]int32, len(lists[0]))
-		copy(out, lists[0])
-		return out
-	}
-	// The seek positions advance on a private copy of the slice headers.
-	lists = slices.Clone(lists)
-	// Order by length so the smallest list drives.
+	var out []int32
+	leapfrog(slices.Clone(lists), func(v int32) bool {
+		out = append(out, v)
+		return true
+	})
+	return out
+}
+
+// leapfrog yields, ascending, every value present in all of the (≥ 1)
+// ascending lists until yield returns false, and reports whether it ran to
+// the end. The shortest list drives; the others are sought to each candidate
+// with galloping search, advancing their slice headers in lists — the caller
+// passes scratch it owns.
+func leapfrog(lists [][]int32, yield func(int32) bool) bool {
 	smallest := 0
 	for i, l := range lists {
 		if len(l) < len(lists[smallest]) {
 			smallest = i
 		}
 	}
-	var out []int32
 outer:
 	for _, v := range lists[smallest] {
 		for i, l := range lists {
@@ -47,16 +55,18 @@ outer:
 			}
 			j := gallop(l, v)
 			if j == len(l) {
-				break outer // this and all larger candidates miss list i
+				return true // this and all larger candidates miss list i
 			}
 			lists[i] = l[j:]
 			if l[j] != v {
 				continue outer
 			}
 		}
-		out = append(out, v)
+		if !yield(v) {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // gallop returns the smallest index j with l[j] >= v, using exponential then
@@ -127,23 +137,27 @@ type TupleVisitor func(y int32, xs []int32)
 // R1 ⋈ ... ⋈ Rk (before projection), in time proportional to the join size.
 func ForEachFullTuple(rels []*relation.Relation, fn TupleVisitor) {
 	k := len(rels)
-	xs := make([]int32, k)
-	EnumerateJoin(rels, func(y int32, lists [][]int32) {
-		crossProduct(lists, xs, 0, func() { fn(y, xs) })
-	})
-}
-
-// crossProduct enumerates the cross product of lists into xs, calling emit
-// for each combination.
-func crossProduct(lists [][]int32, xs []int32, depth int, emit func()) {
-	if depth == len(lists) {
-		emit()
+	if k == 0 {
 		return
 	}
-	for _, v := range lists[depth] {
-		xs[depth] = v
-		crossProduct(lists, xs, depth+1, emit)
+	// Variable 0 is y, variable 1+i is relation i's x.
+	atoms := make([][2]int, k)
+	free := make([]int, k+1) // free[0] = 0: y
+	keys := make([][]int32, k)
+	for i, r := range rels {
+		atoms[i] = [2]int{1 + i, 0}
+		free[1+i] = 1 + i
+		keys[i] = r.ByY().Keys()
 	}
+	ys := IntersectK(keys)
+	if len(ys) == 0 {
+		return
+	}
+	search := NewPlan(atoms, nil, free).Search(rels, [][]int32{ys}, nil, func(assign []int32) bool {
+		fn(assign[0], assign[1:])
+		return true
+	})
+	_ = search.Run(make([]int32, k+1)) // no poll, so no error
 }
 
 // CountFullJoin returns the full join size by summing degree products,
