@@ -42,7 +42,7 @@ func main() {
 		baseline  = flag.String("baseline", "", "with -json: compare against this snapshot and fail on regressions")
 		tolerance = flag.Float64("tolerance", 0.10, "with -baseline: allowed ns/op regression fraction")
 		viewsMode = flag.Bool("views", false, "benchmark incremental view maintenance vs full recompute; writes BENCH_views.json")
-		viewsBase = flag.String("views-baseline", "", "with -views: gate per-batch maintenance times against this BENCH_views.json snapshot")
+		viewsBase = flag.String("views-baseline", "", "with -views: gate each view's speedup over recompute against this BENCH_views.json snapshot")
 	)
 	flag.Parse()
 
@@ -132,7 +132,8 @@ func main() {
 // runViewBench measures the canned view-maintenance suite (register views,
 // stream update batches, time maintenance vs full recompute; min-of-reps),
 // writes BENCH_views.json, and — when a baseline snapshot is given — gates
-// the per-batch maintenance times against it.
+// each view's speedup over recompute (a ratio the machine's speed cancels out
+// of) against it.
 func runViewBench(scale float64, baseline string, tolerance float64) {
 	// Read the baseline before measuring: the snapshot overwrites the file.
 	var base []byte

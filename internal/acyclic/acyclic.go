@@ -96,33 +96,27 @@ func (s Step) String() string {
 // composition step. Algorithm 1 joins the second columns of both operands, so
 // the right-hand relation is swapped into (c, b) orientation first (O(1): the
 // indexes are shared); the output pairs are then (L.x, R.Swap().x) = (a, c)
-// as required.
+// as required. The result is the same relation for every worker count.
 func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 	halt := func() bool { return opt.Join.Stop != nil && opt.Join.Stop() }
 	rs := r.Swap()
 	dec := opt.Optimizer.PlanTwoPath(l, rs, opt.Join, opt.Force, 0)
-	var pairs [][2]int32
 	// A tripped Stop short-circuits the whole step: the join itself polls
 	// Stop, but the join and the output materialization each cost real time
 	// on large intermediates, so skipping them keeps the cancel-to-return
-	// latency bounded. The caller discards the (empty) partial result once it
-	// observes the cancellation.
+	// latency bounded. The caller discards the (empty) result once it
+	// observes the cancellation; a join interrupted midway is emptied too,
+	// never returned partial.
+	var out joinproject.Groups
 	if !halt() {
-		jopt := dec.Options(opt.Join, l, rs)
-		if dec.Strategy == StrategyNonMM {
-			pairs = joinproject.TwoPathNonMM(l, rs, jopt)
-		} else {
-			pairs = joinproject.TwoPathMM(l, rs, jopt)
+		out = joinproject.TwoPathGroups(l, rs, dec.Options(opt.Join, l, rs), dec.Strategy != StrategyNonMM)
+		if halt() {
+			out = joinproject.Groups{}
 		}
 	}
-	if halt() {
-		pairs = nil
-	}
-	ps := make([]relation.Pair, len(pairs))
-	for i, p := range pairs {
-		ps[i] = relation.Pair{X: p[0], Y: p[1]}
-	}
-	v := relation.FromPairs(l.Name()+"∘"+r.Name(), ps)
+	// The kernel's output is already grouped by x position over the
+	// operands' own key lists, so indexing it is two counting passes.
+	v := out.Relation(l.Name() + "∘" + r.Name())
 	return v, Step{Left: l.Name(), Right: r.Name(), Decision: dec, Rows: v.Size()}
 }
 

@@ -208,12 +208,31 @@ func MeasureViewBest(name, src string, scale float64, reps int) (ViewBench, erro
 	return best, nil
 }
 
+// ViewRegression is one view whose maintenance got slower relative to
+// recomputing it than the baseline allows.
+type ViewRegression struct {
+	Name     string
+	Baseline float64 // baseline speedup (recompute ÷ maintain)
+	Current  float64 // current speedup
+	Ratio    float64 // Baseline ÷ Current
+}
+
+// String renders the regression as one human-readable gate-failure line.
+func (r ViewRegression) String() string {
+	return fmt.Sprintf("%s: speedup over recompute %.2f× → %.2f× (maintenance %.1f%% slower relative to recompute)",
+		r.Name, r.Baseline, r.Current, (r.Ratio-1)*100)
+}
+
 // CompareViewSnapshots diffs two BENCH_views.json snapshots and returns every
-// view present in both whose per-batch maintenance time regressed by more
-// than tol — the view-maintenance twin of the query gate. Views present in
-// only one snapshot are ignored, so extending the suite never fails the
-// gate; snapshots at different scales are incomparable and error out.
-func CompareViewSnapshots(baseline, current []byte, tol float64) ([]Regression, error) {
+// view present in both whose speedup — recompute time over maintenance time,
+// both measured in the same process minutes apart — fell by more than tol.
+// The ratio, unlike either absolute time, does not move when the whole
+// machine gets slower or faster between the two snapshots. It does move when
+// a change makes recompute itself faster: such a change re-baselines the
+// snapshot it ships with. Views present in only one snapshot are ignored, so
+// extending the suite never fails the gate; snapshots at different scales
+// are incomparable and error out.
+func CompareViewSnapshots(baseline, current []byte, tol float64) ([]ViewRegression, error) {
 	var old, cur ViewSnapshot
 	if err := json.Unmarshal(baseline, &old); err != nil {
 		return nil, fmt.Errorf("baseline snapshot: %w", err)
@@ -224,15 +243,14 @@ func CompareViewSnapshots(baseline, current []byte, tol float64) ([]Regression, 
 	if old.Scale != cur.Scale {
 		return nil, fmt.Errorf("snapshot scales differ: baseline %g vs current %g", old.Scale, cur.Scale)
 	}
-	var regs []Regression
+	var regs []ViewRegression
 	for name, ob := range old.Benchmarks {
 		cb, ok := cur.Benchmarks[name]
-		if !ok || ob.MaintainNs <= 0 || cb.MaintainNs <= 0 {
+		if !ok || ob.Speedup <= 0 || cb.Speedup <= 0 {
 			continue
 		}
-		ratio := float64(cb.MaintainNs) / float64(ob.MaintainNs)
-		if ratio > 1+tol {
-			regs = append(regs, Regression{Name: name, Baseline: ob.MaintainNs, Current: cb.MaintainNs, Ratio: ratio})
+		if ratio := ob.Speedup / cb.Speedup; ratio > 1+tol {
+			regs = append(regs, ViewRegression{Name: name, Baseline: ob.Speedup, Current: cb.Speedup, Ratio: ratio})
 		}
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio > regs[j].Ratio })

@@ -15,7 +15,12 @@ import (
 // geometric mean of the two bounds. The full join size |OUT⋈| is computed
 // exactly during preprocessing.
 func EstimateOutputSize(r, s *relation.Relation) int64 {
-	outJoin := relation.FullJoinSize(r, s)
+	return EstimateOutputFromJoinSize(r, s, relation.FullJoinSize(r, s))
+}
+
+// EstimateOutputFromJoinSize is EstimateOutputSize for a caller that has
+// already computed outJoin = |OUT⋈| = relation.FullJoinSize(r, s).
+func EstimateOutputFromJoinSize(r, s *relation.Relation, outJoin int64) int64 {
 	if outJoin == 0 {
 		return 0
 	}

@@ -28,19 +28,15 @@ func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, 1, opt.Stop)
 	nx := c.rX.NumKeys()
+	// Every x's row arrives once, whole, from a single goroutine, so the
+	// per-position slots are written race-free.
 	distinct := make([]int64, nx)
 	witnesses := make([]int64, nx)
-	// Track positions: the counting run delivers all pairs of one x from a
-	// single goroutine, so per-x accumulation is race-free, but x arrives as
-	// a value — precompute value → position.
-	posOf := make(map[int32]int, nx)
-	for i := 0; i < nx; i++ {
-		posOf[c.rX.Key(i)] = i
-	}
-	c.run(opt.Workers, true, func(x, _, n int32) {
-		i := posOf[x]
-		distinct[i]++
-		witnesses[i] += int64(n)
+	c.runMode(opt.Workers, true, true, false, func(_, xpos int, zps, cnt []int32) {
+		distinct[xpos] = int64(len(zps))
+		for _, zp := range zps {
+			witnesses[xpos] += int64(cnt[zp])
+		}
 	})
 	out := make([]GroupCount, 0, nx)
 	for i := 0; i < nx; i++ {

@@ -1,53 +1,187 @@
 package joinproject
 
 import (
-	"hash/maphash"
+	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/par"
 	"repro/internal/relation"
 )
 
-// tupleSet is a striped-lock set of fixed-width byte keys, used for global
-// deduplication of projected star tuples across parallel workers.
-type tupleSet struct {
-	seed   maphash.Seed
-	shards [64]tupleShard
+// The star evaluation works on key positions, not values: every x is
+// addressed by its position in its relation's x index, a projected tuple is
+// a k-tuple of positions, and values are looked up only for the distinct
+// tuples that reach the output.
+
+// tupleArena stores fixed-width tuples back to back in chunks of doubling
+// size, so a stored tuple never moves and storage grows without copying.
+type tupleArena struct {
+	k, n   int
+	chunks [][]int32
 }
 
-type tupleShard struct {
-	mu sync.Mutex
-	m  map[string]struct{}
-}
+// arenaFirst is the tuple capacity of an arena's first chunk; chunk c ≥ 1
+// holds arenaFirst<<(c-1) tuples, starting at ordinal arenaFirst<<(c-1).
+const arenaFirst = 16
 
-func newTupleSet() *tupleSet {
-	ts := &tupleSet{seed: maphash.MakeSeed()}
-	for i := range ts.shards {
-		ts.shards[i].m = make(map[string]struct{})
+// locate returns the chunk and the slot within it of tuple ordinal m.
+func (a *tupleArena) locate(m int) (c, slot int) {
+	if c = bits.Len(uint(m) / arenaFirst); c == 0 {
+		return 0, m
 	}
-	return ts
+	return c, m - arenaFirst<<(c-1)
 }
 
-// insert adds key and reports whether it was new.
-func (ts *tupleSet) insert(key []byte) bool {
-	h := maphash.Bytes(ts.seed, key)
-	sh := &ts.shards[h&63]
+// alloc returns the zeroed storage of a new tuple.
+func (a *tupleArena) alloc() []int32 {
+	c, slot := a.locate(a.n)
+	if c == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]int32, max(arenaFirst, a.n)*a.k))
+	}
+	a.n++
+	return a.chunks[c][slot*a.k : (slot+1)*a.k : (slot+1)*a.k]
+}
+
+// at returns tuple ordinal m.
+func (a *tupleArena) at(m int) []int32 {
+	c, slot := a.locate(m)
+	return a.chunks[c][slot*a.k : (slot+1)*a.k]
+}
+
+// posSet is a set of position tuples: open addressing with linear probing
+// over the members' ordinals, the members themselves in an arena. Keys are
+// compared as integers; nothing is boxed or converted.
+type posSet struct {
+	members tupleArena
+	slots   []uint32 // member ordinal + 1; 0 = empty; len is a power of two
+}
+
+// hashPositions mixes a position tuple into 64 well-spread bits.
+func hashPositions(ps []int32) uint64 {
+	h := uint64(len(ps))
+	for _, p := range ps {
+		h = (h ^ uint64(uint32(p))) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// insert adds ps, whose hash is h, and reports whether it was new.
+func (s *posSet) insert(h uint64, ps []int32) bool {
+	if 2*(s.members.n+1) > len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		m := s.slots[i]
+		if m == 0 {
+			copy(s.members.alloc(), ps)
+			s.slots[i] = uint32(s.members.n)
+			return true
+		}
+		if slices.Equal(s.members.at(int(m-1)), ps) {
+			return false
+		}
+	}
+}
+
+// grow doubles the slot table and re-seats every member.
+func (s *posSet) grow() {
+	s.slots = make([]uint32, max(2*len(s.slots), 16))
+	mask := uint64(len(s.slots) - 1)
+	for m := 0; m < s.members.n; m++ {
+		i := hashPositions(s.members.at(m)) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = uint32(m + 1)
+	}
+}
+
+// starDedup is the global set of projected tuples one star evaluation has
+// produced, shared by its parallel workers. Section 6 picks the dedup
+// structure by "the number of elements that need to be deduplicated and the
+// domain size"; here the domain is the product Π|dom xⱼ| of the head
+// variables' key counts and the elements are the join tuples |OUT⋈|:
+//
+//   - a small domain gets one bit per possible tuple, addressed by the
+//     mixed-radix index of the tuple's positions — a test-and-set per join
+//     tuple;
+//   - a large one gets a hash set of the position tuples actually seen,
+//     striped over mutex-guarded shards.
+//
+// Both are functions of the operands' sizes alone.
+type starDedup struct {
+	stride []uint64        // bitmap: tuple index = Σ ps[j]·stride[j]
+	bitmap []atomic.Uint64 // nil = use the shards
+	shards *[dedupShards]dedupShard
+}
+
+const (
+	dedupShards = 64
+	// maxBitmapBits caps the bitmap at 16 MiB; bitmapBitsPerJoinTuple bounds
+	// it by the work the join does anyway (one word cleared per join tuple).
+	maxBitmapBits          = 1 << 27
+	bitmapBitsPerJoinTuple = 64
+)
+
+type dedupShard struct {
+	mu  sync.Mutex
+	set posSet
+}
+
+// newStarDedup sizes the dedup structure for tuples over domains of the
+// given key counts, of which about joinSize will be offered.
+func newStarDedup(domains []int, joinSize float64) *starDedup {
+	d := &starDedup{stride: make([]uint64, len(domains))}
+	total, fits := uint64(1), true
+	for j, n := range domains {
+		d.stride[j] = total
+		hi, lo := bits.Mul64(total, uint64(n))
+		total, fits = lo, fits && hi == 0
+	}
+	if fits && total <= maxBitmapBits && float64(total) <= bitmapBitsPerJoinTuple*joinSize {
+		d.bitmap = make([]atomic.Uint64, (total+63)/64)
+		return d
+	}
+	d.shards = new([dedupShards]dedupShard)
+	for i := range d.shards {
+		d.shards[i].set.members.k = len(domains)
+	}
+	return d
+}
+
+// insert adds the position tuple ps and reports whether it was new. Safe for
+// concurrent use.
+func (d *starDedup) insert(ps []int32) bool {
+	if d.bitmap != nil {
+		var idx uint64
+		for j, p := range ps {
+			idx += uint64(p) * d.stride[j]
+		}
+		// A compare-and-swap loop, not atomic Or: the bit's previous state
+		// is the answer, and most join tuples find it already set and leave
+		// after the load.
+		w, bit := &d.bitmap[idx/64], uint64(1)<<(idx%64)
+		for {
+			old := w.Load()
+			if old&bit != 0 {
+				return false
+			}
+			if w.CompareAndSwap(old, old|bit) {
+				return true
+			}
+		}
+	}
+	h := hashPositions(ps)
+	sh := &d.shards[h>>(64-6)]
 	sh.mu.Lock()
-	_, ok := sh.m[string(key)]
-	if !ok {
-		sh.m[string(key)] = struct{}{}
-	}
+	fresh := sh.set.insert(h, ps)
 	sh.mu.Unlock()
-	return !ok
-}
-
-func (ts *tupleSet) size() int {
-	n := 0
-	for i := range ts.shards {
-		n += len(ts.shards[i].m)
-	}
-	return n
+	return fresh
 }
 
 func packTuple(key []byte, xs []int32) []byte {
@@ -63,7 +197,7 @@ func packTuple(key []byte, xs []int32) []byte {
 // matrix-product row) checks one out for its lifetime, so the per-tuple hot
 // path allocates nothing.
 type starScratch struct {
-	xs  []int32
+	ps  []int32 // the position tuple under construction
 	key []byte
 }
 
@@ -71,17 +205,18 @@ var starScratchPool = sync.Pool{New: func() any { return new(starScratch) }}
 
 func getStarScratch(k int) *starScratch {
 	s := starScratchPool.Get().(*starScratch)
-	if cap(s.xs) < k {
-		s.xs = make([]int32, k)
+	if cap(s.ps) < k {
+		s.ps = make([]int32, k)
 		s.key = make([]byte, 0, 4*k)
 	}
-	s.xs = s.xs[:k]
+	s.ps = s.ps[:k]
 	return s
 }
 
 func putStarScratch(s *starScratch) { starScratchPool.Put(s) }
 
-// starCtx precomputes the per-relation degree information for Q★k.
+// starCtx precomputes the per-relation degree and position information for
+// Q★k.
 type starCtx struct {
 	rels   []*relation.Relation
 	k      int
@@ -89,79 +224,106 @@ type starCtx struct {
 	ys     []int32
 	// yHeavyCount[i] = number of relations in which ys[i] has degree > Δ1.
 	yHeavyCount []int8
-	stop        func() bool // polled at block boundaries; nil = never stop
+	// yPos[j][i] is the position of ys[i] in relation j's y index.
+	yPos [][]int32
+	// xPosByY[j] runs parallel to relation j's y-index lists
+	// (relation.Index.Offset): the x-index position of every x.
+	xPosByY [][]int32
+	// joinSize is |OUT⋈| = Σ_y Π_j deg_j(y).
+	joinSize float64
+	stop     func() bool // polled at block boundaries; nil = never stop
 }
 
 func newStarCtx(rels []*relation.Relation, d1, d2 int) *starCtx {
 	c := &starCtx{rels: rels, k: len(rels), d1: d1, d2: d2}
 	c.ys = relation.CommonYs(rels...)
 	c.yHeavyCount = make([]int8, len(c.ys))
-	for i, y := range c.ys {
-		for _, r := range rels {
-			if len(r.ByY().Lookup(y)) > d1 {
+	c.yPos = make([][]int32, c.k)
+	c.xPosByY = make([][]int32, c.k)
+	witnesses := make([]float64, len(c.ys))
+	for i := range witnesses {
+		witnesses[i] = 1
+	}
+	for j, r := range rels {
+		byX, byY := r.ByX(), r.ByY()
+		c.yPos[j] = make([]int32, len(c.ys))
+		c.xPosByY[j] = make([]int32, r.Size())
+		for i, y := range c.ys {
+			yp := byY.Pos(y)
+			c.yPos[j][i] = int32(yp)
+			if byY.Degree(yp) > d1 {
 				c.yHeavyCount[i]++
 			}
+			witnesses[i] *= float64(byY.Degree(yp))
+			pos := c.xPosByY[j][byY.Offset(yp):byY.Offset(yp+1)]
+			for n, x := range byY.List(yp) {
+				pos[n] = int32(byX.Pos(x))
+			}
 		}
+	}
+	for _, w := range witnesses {
+		c.joinSize += w
 	}
 	return c
 }
 
-// heavyX reports whether value x is heavy (degree > Δ2) in relation j.
-func (c *starCtx) heavyX(j int, x int32) bool {
-	return len(c.rels[j].ByX().Lookup(x)) > c.d2
+// xList returns the x positions of relation j's tuples at join value ys[i].
+func (c *starCtx) xList(j, i int) []int32 {
+	byY, yp := c.rels[j].ByY(), int(c.yPos[j][i])
+	return c.xPosByY[j][byY.Offset(yp):byY.Offset(yp+1)]
+}
+
+// heavyX reports whether the x at position xp is heavy (degree > Δ2) in
+// relation j.
+func (c *starCtx) heavyX(j int, xp int32) bool {
+	return c.rels[j].ByX().Degree(int(xp)) > c.d2
+}
+
+// values translates a position tuple into the x values it stands for.
+func (c *starCtx) values(dst, ps []int32) {
+	for j, p := range ps {
+		dst[j] = c.rels[j].ByX().Key(int(p))
+	}
 }
 
 // enumerateLight visits every projected tuple that has a witness with at
 // least one non-all-heavy tuple — steps (1) and (2) of the Section-3.2
-// algorithm. emit receives a reused buffer, plus the chunk's scratch so
-// consumers can pack keys without allocating.
-func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch, xs []int32)) {
+// algorithm. emit receives the chunk's scratch, whose ps holds the tuple's
+// positions (reused across calls).
+func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch)) {
 	par.ForChunks(len(c.ys), workers, func(lo, hi int) {
 		sc := getStarScratch(c.k)
 		defer putStarScratch(sc)
-		xs := sc.xs
+		ps := sc.ps
 		lists := make([][]int32, c.k)
 		lightPart := make([][]int32, c.k)
 		heavyPart := make([][]int32, c.k)
-		lightBuf := make([][]int32, c.k)
-		heavyBuf := make([][]int32, c.k)
 		for i := lo; i < hi; i++ {
 			if c.stop != nil && i&63 == 0 && c.stop() {
 				return
 			}
-			y := c.ys[i]
-			ok := true
-			for j, r := range c.rels {
-				lists[j] = r.ByY().Lookup(y)
-				if len(lists[j]) == 0 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
+			for j := range c.rels {
+				lists[j] = c.xList(j, i)
 			}
 			if c.yHeavyCount[i] < 2 {
 				// No tuple at this y can be all-heavy (Rj⁺ needs a heavy y
 				// in some other relation), so enumerate the full product.
-				crossEmit(lists, xs, 0, func() { emit(sc, xs) })
+				crossEmit(lists, ps, 0, func() { emit(sc) })
 				continue
 			}
 			// Split each list into light and heavy x values; enumerate all
 			// combinations except heavy×heavy×...×heavy, which the matrix
 			// step covers.
 			for j := range c.rels {
-				lightBuf[j] = lightBuf[j][:0]
-				heavyBuf[j] = heavyBuf[j][:0]
-				for _, x := range lists[j] {
-					if c.heavyX(j, x) {
-						heavyBuf[j] = append(heavyBuf[j], x)
+				lightPart[j] = lightPart[j][:0]
+				heavyPart[j] = heavyPart[j][:0]
+				for _, xp := range lists[j] {
+					if c.heavyX(j, xp) {
+						heavyPart[j] = append(heavyPart[j], xp)
 					} else {
-						lightBuf[j] = append(lightBuf[j], x)
+						lightPart[j] = append(lightPart[j], xp)
 					}
 				}
-				lightPart[j] = lightBuf[j]
-				heavyPart[j] = heavyBuf[j]
 			}
 			// First-light-position decomposition: position p takes heavy
 			// values before p, light at p, anything after p. Each
@@ -170,7 +332,7 @@ func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch, xs []in
 				if len(lightPart[p]) == 0 {
 					continue
 				}
-				crossSegmented(heavyPart, lightPart, lists, xs, 0, p, func() { emit(sc, xs) })
+				crossSegmented(heavyPart, lightPart, lists, ps, 0, p, func() { emit(sc) })
 			}
 		}
 	})
@@ -211,68 +373,118 @@ func crossSegmented(heavy, light, full [][]int32, xs []int32, depth, p int, f fu
 	}
 }
 
+// heavyColumns numbers the join values eligible for the matrix step (heavy
+// in at least two relations): yCol[i] is ys[i]'s column or -1.
+func (c *starCtx) heavyColumns() (yCol []int32, ncols int) {
+	yCol = make([]int32, len(c.ys))
+	for i := range c.ys {
+		yCol[i] = -1
+		if c.yHeavyCount[i] >= 2 {
+			yCol[i] = int32(ncols)
+			ncols++
+		}
+	}
+	return yCol, ncols
+}
+
 // buildGroupMatrix materializes the Section-3.2 matrix for relations
-// [jlo, jhi): rows are distinct tuples of heavy x values co-occurring under
-// some eligible heavy y, columns are those y values.
-func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCols map[int32]int) (rows [][]int32, bm *matrix.BitMatrix) {
+// [jlo, jhi): rows are distinct position tuples of heavy x values
+// co-occurring under some eligible heavy y, columns are those y values.
+func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCol []int32, ncols int) (rows [][]int32, bm *matrix.BitMatrix) {
 	rowID := make(map[string]int)
 	type cell struct{ row, col int }
 	var cells []cell
-	xs := make([]int32, jhi-jlo)
+	ps := make([]int32, jhi-jlo)
 	heavyLists := make([][]int32, jhi-jlo)
 	var key []byte
-	for y, col := range yCols {
+	for i, col := range yCol {
+		if col < 0 {
+			continue
+		}
 		ok := true
 		for j := jlo; j < jhi; j++ {
-			list := c.rels[j].ByY().Lookup(y)
-			var hv []int32
-			for _, x := range list {
-				if c.heavyX(j, x) {
-					hv = append(hv, x)
+			hv := heavyLists[j-jlo][:0]
+			for _, xp := range c.xList(j, i) {
+				if c.heavyX(j, xp) {
+					hv = append(hv, xp)
 				}
 			}
+			heavyLists[j-jlo] = hv
 			if len(hv) == 0 {
 				ok = false
 				break
 			}
-			heavyLists[j-jlo] = hv
 		}
 		if !ok {
 			continue
 		}
-		crossEmit(heavyLists, xs, 0, func() {
-			key = packTuple(key, xs)
+		crossEmit(heavyLists, ps, 0, func() {
+			key = packTuple(key, ps)
 			id, seen := rowID[string(key)]
 			if !seen {
 				id = len(rows)
 				rowID[string(key)] = id
-				cp := make([]int32, len(xs))
-				copy(cp, xs)
-				rows = append(rows, cp)
+				rows = append(rows, slices.Clone(ps))
 			}
-			cells = append(cells, cell{id, col})
+			cells = append(cells, cell{id, int(col)})
 		})
 	}
-	bm = matrix.NewBitMatrix(len(rows), len(yCols))
+	bm = matrix.NewBitMatrix(len(rows), ncols)
 	for _, cl := range cells {
 		bm.Set(cl.row, cl.col)
 	}
 	return rows, bm
 }
 
+// heavyProduct runs step 3 of the Section-3.2 algorithm: the all-heavy
+// tuples as the grouped matrix product V × Wᵀ. visit receives a scratch
+// whose ps holds the tuple's positions, and the witness count.
+func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch, n int32)) {
+	yCol, ncols := c.heavyColumns()
+	if ncols == 0 {
+		return
+	}
+	g := (c.k + 1) / 2
+	rowsA, va := c.buildGroupMatrix(0, g, yCol, ncols)
+	if len(rowsA) == 0 {
+		return
+	}
+	rowsB, wb := c.buildGroupMatrix(g, c.k, yCol, ncols)
+	if len(rowsB) == 0 {
+		return
+	}
+	matrix.ForEachRowProductStop(va, wb, workers, c.stop, func(i int, counts []int32) {
+		sc := getStarScratch(c.k)
+		copy(sc.ps, rowsA[i])
+		for j, n := range counts {
+			if n != 0 {
+				copy(sc.ps[g:], rowsB[j])
+				visit(sc, n)
+			}
+		}
+		putStarScratch(sc)
+	})
+}
+
+// newDedup sizes the tuple set for this instance: the head variables' key
+// counts against the full join size.
+func (c *starCtx) newDedup() *starDedup {
+	domains := make([]int, c.k)
+	for j, r := range c.rels {
+		domains[j] = r.NumX()
+	}
+	return newStarDedup(domains, c.joinSize)
+}
+
 // runStar evaluates Q★k with the MM (useMM=true) or combinatorial strategy
-// and streams each distinct projected tuple to emit (called from multiple
-// goroutines; the tuple slice is owned by the callee).
-func (c *starCtx) runStar(workers int, useMM bool, emit func(xs []int32)) {
-	dedup := newTupleSet()
-	keyed := func(sc *starScratch, xs []int32) {
-		// The scratch's key buffer is reused across every tuple the worker
-		// produces; only genuinely new tuples allocate (the emitted copy).
-		sc.key = packTuple(sc.key, xs)
-		if dedup.insert(sc.key) {
-			cp := make([]int32, len(xs))
-			copy(cp, xs)
-			emit(cp)
+// and streams each distinct projected tuple to emit as a position tuple
+// (called from multiple goroutines; the slice is the worker's scratch, valid
+// during the call — translate it with values).
+func (c *starCtx) runStar(workers int, useMM bool, emit func(ps []int32)) {
+	dedup := c.newDedup()
+	keyed := func(sc *starScratch) {
+		if dedup.insert(sc.ps) {
+			emit(sc.ps)
 		}
 	}
 	if !useMM {
@@ -280,24 +492,15 @@ func (c *starCtx) runStar(workers int, useMM bool, emit func(xs []int32)) {
 		par.ForChunks(len(c.ys), workers, func(lo, hi int) {
 			sc := getStarScratch(c.k)
 			defer putStarScratch(sc)
-			xs := sc.xs
 			lists := make([][]int32, c.k)
 			for i := lo; i < hi; i++ {
 				if c.stop != nil && i&63 == 0 && c.stop() {
 					return
 				}
-				y := c.ys[i]
-				ok := true
-				for j, r := range c.rels {
-					lists[j] = r.ByY().Lookup(y)
-					if len(lists[j]) == 0 {
-						ok = false
-						break
-					}
+				for j := range c.rels {
+					lists[j] = c.xList(j, i)
 				}
-				if ok {
-					crossEmit(lists, xs, 0, func() { keyed(sc, xs) })
-				}
+				crossEmit(lists, sc.ps, 0, func() { keyed(sc) })
 			}
 		})
 		return
@@ -305,45 +508,11 @@ func (c *starCtx) runStar(workers int, useMM bool, emit func(xs []int32)) {
 	// Step 1+2: everything with a light component.
 	c.enumerateLight(workers, keyed)
 	// Step 3: all-heavy tuples via the grouped matrix product V × Wᵀ.
-	yCols := make(map[int32]int)
-	for i, y := range c.ys {
-		if c.yHeavyCount[i] >= 2 {
-			yCols[y] = len(yCols)
-		}
-	}
-	if len(yCols) == 0 {
-		return
-	}
-	g := (c.k + 1) / 2
-	rowsA, va := c.buildGroupMatrix(0, g, yCols)
-	if len(rowsA) == 0 {
-		return
-	}
-	rowsB, wb := c.buildGroupMatrix(g, c.k, yCols)
-	if len(rowsB) == 0 {
-		return
-	}
-	matrix.ForEachRowProductStop(va, wb, workers, c.stop, func(i int, counts []int32) {
-		sc := getStarScratch(c.k)
-		xs := sc.xs
-		for j, n := range counts {
-			if n == 0 {
-				continue
-			}
-			copy(xs, rowsA[i])
-			copy(xs[g:], rowsB[j])
-			keyed(sc, xs)
-		}
-		putStarScratch(sc)
-	})
+	c.heavyProduct(workers, func(sc *starScratch, _ int32) { keyed(sc) })
 }
 
-// StarMM evaluates the projected star query π_{x1..xk}(R1 ⋈ ... ⋈ Rk) with
-// the Section-3.2 algorithm and returns the distinct output tuples.
-func StarMM(rels []*relation.Relation, opt Options) [][]int32 {
-	if len(rels) == 0 {
-		return nil
-	}
+// starThresholds fills unset thresholds with the closed forms.
+func starThresholds(rels []*relation.Relation, opt Options) Options {
 	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
 		d1, d2 := HeuristicStarThresholds(rels, len(rels))
 		if opt.Delta1 <= 0 {
@@ -353,16 +522,35 @@ func StarMM(rels []*relation.Relation, opt Options) [][]int32 {
 			opt.Delta2 = d2
 		}
 	}
-	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
-	c.stop = opt.Stop
+	return opt
+}
+
+// collect runs the star and gathers the distinct output tuples as values,
+// stored back to back in one arena.
+func (c *starCtx) collect(workers int, useMM bool) [][]int32 {
 	var mu sync.Mutex
 	var out [][]int32
-	c.runStar(opt.Workers, true, func(xs []int32) {
+	store := tupleArena{k: c.k}
+	c.runStar(workers, useMM, func(ps []int32) {
 		mu.Lock()
+		xs := store.alloc()
 		out = append(out, xs)
 		mu.Unlock()
+		c.values(xs, ps)
 	})
 	return out
+}
+
+// StarMM evaluates the projected star query π_{x1..xk}(R1 ⋈ ... ⋈ Rk) with
+// the Section-3.2 algorithm and returns the distinct output tuples.
+func StarMM(rels []*relation.Relation, opt Options) [][]int32 {
+	if len(rels) == 0 {
+		return nil
+	}
+	opt = starThresholds(rels, opt)
+	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
+	c.stop = opt.Stop
+	return c.collect(opt.Workers, true)
 }
 
 // StarNonMM is the combinatorial baseline: full WCOJ enumeration of the star
@@ -377,14 +565,7 @@ func StarNonMM(rels []*relation.Relation, opt Options) [][]int32 {
 	}
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
-	var mu sync.Mutex
-	var out [][]int32
-	c.runStar(opt.Workers, false, func(xs []int32) {
-		mu.Lock()
-		out = append(out, xs)
-		mu.Unlock()
-	})
-	return out
+	return c.collect(opt.Workers, false)
 }
 
 // TupleCount is one projected star tuple with its witness count
@@ -403,66 +584,30 @@ func StarMMCounts(rels []*relation.Relation, opt Options) []TupleCount {
 	if len(rels) == 0 {
 		return nil
 	}
-	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
-		d1, d2 := HeuristicStarThresholds(rels, len(rels))
-		if opt.Delta1 <= 0 {
-			opt.Delta1 = d1
-		}
-		if opt.Delta2 <= 0 {
-			opt.Delta2 = d2
-		}
-	}
+	opt = starThresholds(rels, opt)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
-	counts := make(map[string]int32)
+	counts := make(map[string]int32) // packed position tuple → witnesses
 	var mu sync.Mutex
-	add := func(key []byte, n int32) {
+	add := func(sc *starScratch, n int32) {
+		sc.key = packTuple(sc.key, sc.ps)
 		mu.Lock()
-		counts[string(key)] += n
+		counts[string(sc.key)] += n
 		mu.Unlock()
 	}
 	// Light categories: every enumerated combination is one witness.
-	c.enumerateLight(opt.Workers, func(sc *starScratch, xs []int32) {
-		sc.key = packTuple(sc.key, xs)
-		add(sc.key, 1)
-	})
+	c.enumerateLight(opt.Workers, func(sc *starScratch) { add(sc, 1) })
 	// All-heavy witnesses via the grouped matrix product.
-	yCols := make(map[int32]int)
-	for i, y := range c.ys {
-		if c.yHeavyCount[i] >= 2 {
-			yCols[y] = len(yCols)
-		}
-	}
-	if len(yCols) > 0 {
-		g := (c.k + 1) / 2
-		rowsA, va := c.buildGroupMatrix(0, g, yCols)
-		if len(rowsA) > 0 {
-			rowsB, wb := c.buildGroupMatrix(g, c.k, yCols)
-			if len(rowsB) > 0 {
-				matrix.ForEachRowProductStop(va, wb, opt.Workers, opt.Stop, func(i int, cnts []int32) {
-					sc := getStarScratch(c.k)
-					xs := sc.xs
-					for j, n := range cnts {
-						if n == 0 {
-							continue
-						}
-						copy(xs, rowsA[i])
-						copy(xs[g:], rowsB[j])
-						sc.key = packTuple(sc.key, xs)
-						add(sc.key, n)
-					}
-					putStarScratch(sc)
-				})
-			}
-		}
-	}
+	c.heavyProduct(opt.Workers, add)
 	out := make([]TupleCount, 0, len(counts))
+	ps := make([]int32, c.k)
 	for key, n := range counts {
-		xs := make([]int32, c.k)
-		for i := range xs {
+		for i := range ps {
 			b := []byte(key[4*i : 4*i+4])
-			xs[i] = int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+			ps[i] = int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 		}
+		xs := make([]int32, c.k)
+		c.values(xs, ps)
 		out = append(out, TupleCount{Xs: xs, Count: n})
 	}
 	return out
@@ -474,23 +619,10 @@ func StarMMSize(rels []*relation.Relation, opt Options) int64 {
 	if len(rels) == 0 {
 		return 0
 	}
-	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
-		d1, d2 := HeuristicStarThresholds(rels, len(rels))
-		if opt.Delta1 <= 0 {
-			opt.Delta1 = d1
-		}
-		if opt.Delta2 <= 0 {
-			opt.Delta2 = d2
-		}
-	}
+	opt = starThresholds(rels, opt)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
-	var n int64
-	var mu sync.Mutex
-	c.runStar(opt.Workers, true, func(xs []int32) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})
-	return n
+	var n atomic.Int64
+	c.runStar(opt.Workers, true, func([]int32) { n.Add(1) })
+	return n.Load()
 }

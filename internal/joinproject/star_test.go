@@ -3,6 +3,8 @@ package joinproject
 import (
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -227,19 +229,137 @@ func TestStarMMCountsFourWay(t *testing.T) {
 	}
 }
 
-func TestTupleSet(t *testing.T) {
-	ts := newTupleSet()
-	if !ts.insert([]byte("abcd")) {
-		t.Fatal("first insert should be new")
+// TestStarBothDedupRepresentations runs StarMM and StarNonMM against brute
+// force on inputs that land on either side of the bitmap/set switch — few
+// head values under many join tuples (bitmap), many head values under few
+// join tuples (set), and sparse ids that the positions hide — serially and
+// with several workers.
+func TestStarBothDedupRepresentations(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	sparse := func(r *relation.Relation) *relation.Relation {
+		ps := r.Pairs()
+		for i := range ps {
+			ps[i] = relation.Pair{X: ps[i].X*7_000_003 - 1<<30, Y: ps[i].Y*5_000_011 - 1<<29}
+		}
+		return relation.FromPairs(r.Name(), ps)
 	}
-	if ts.insert([]byte("abcd")) {
-		t.Fatal("second insert should not be new")
+	wide := func(name string) *relation.Relation {
+		// 300 x values over 150 join values, two tuples each: the domain
+		// product (2.7e7 for k=3) dwarfs the join.
+		var ps []relation.Pair
+		for x := int32(0); x < 300; x++ {
+			ps = append(ps, relation.Pair{X: x, Y: rng.Int31n(150)}, relation.Pair{X: x, Y: rng.Int31n(150)})
+		}
+		return relation.FromPairs(name, ps)
 	}
-	if !ts.insert([]byte("abce")) {
-		t.Fatal("distinct key should be new")
+	cases := []struct {
+		name   string
+		rels   []*relation.Relation
+		bitmap bool
+	}{
+		{"narrow k=3", []*relation.Relation{skewedRel(rng, "R1", 300, 14, 12), skewedRel(rng, "R2", 300, 14, 12), skewedRel(rng, "R3", 300, 14, 12)}, true},
+		{"narrow sparse ids k=3", []*relation.Relation{sparse(skewedRel(rng, "R1", 300, 14, 12)), sparse(skewedRel(rng, "R2", 300, 14, 12)), sparse(skewedRel(rng, "R3", 300, 14, 12))}, true},
+		{"narrow k=4", []*relation.Relation{skewedRel(rng, "R1", 150, 8, 6), skewedRel(rng, "R2", 150, 8, 6), skewedRel(rng, "R3", 150, 8, 6), skewedRel(rng, "R4", 150, 8, 6)}, true},
+		{"wide k=3", []*relation.Relation{wide("W1"), wide("W2"), wide("W3")}, false},
+		{"wide sparse ids k=3", []*relation.Relation{sparse(wide("W1")), sparse(wide("W2")), sparse(wide("W3"))}, false},
+		{"wide k=2 (the product of two domains is small again)", []*relation.Relation{wide("W1"), wide("W2")}, true},
 	}
-	if ts.size() != 2 {
-		t.Fatalf("size = %d, want 2", ts.size())
+	for _, tc := range cases {
+		if got := newStarCtx(tc.rels, 2, 2).newDedup().bitmap != nil; got != tc.bitmap {
+			t.Fatalf("%s: bitmap dedup = %v, want %v", tc.name, got, tc.bitmap)
+		}
+		want := wcoj.ProjectStar(tc.rels)
+		for _, workers := range []int{1, 2, 7} {
+			for _, d := range [][2]int{{1, 1}, {2, 3}, {1000, 1000}} {
+				opt := Options{Delta1: d[0], Delta2: d[1], Workers: workers}
+				checkTuplesEqual(t, StarMM(tc.rels, opt), want, tc.name+" StarMM")
+				checkTuplesEqual(t, StarNonMM(tc.rels, opt), want, tc.name+" StarNonMM")
+				if n := StarMMSize(tc.rels, opt); n != int64(len(want)) {
+					t.Fatalf("%s: StarMMSize = %d, want %d", tc.name, n, len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestStarDedup drives both representations of the star's tuple set — the
+// mixed-radix bitmap (small domain product, many join tuples) and the
+// sharded position-tuple set (everything else) — through the same script,
+// serially and from eight goroutines.
+func TestStarDedup(t *testing.T) {
+	domains := []int{7, 5, 9}
+	cases := []struct {
+		name     string
+		domains  []int
+		joinSize float64
+		bitmap   bool
+	}{
+		{"bitmap", domains, 1e6, true},
+		{"bitmap at the bound", domains, 315.0 / bitmapBitsPerJoinTuple, true},
+		{"set below the bound", domains, 314.0 / bitmapBitsPerJoinTuple, false},
+		{"set for an empty join", domains, 0, false},
+		{"set above the cap", []int{1 << 9, 1 << 9, 1<<9 + 1}, 1e18, false},
+		{"set on 64-bit overflow", []int{1 << 22, 1 << 22, 1 << 22}, 1e18, false},
+	}
+	for _, tc := range cases {
+		d := newStarDedup(tc.domains, tc.joinSize)
+		if (d.bitmap != nil) != tc.bitmap {
+			t.Fatalf("%s: bitmap = %v, want %v", tc.name, d.bitmap != nil, tc.bitmap)
+		}
+		var fresh atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ps := make([]int32, 3)
+				for a := int32(0); a < 7; a++ {
+					for b := int32(0); b < 5; b++ {
+						for c := int32(0); c < 9; c += 2 {
+							ps[0], ps[1], ps[2] = a, b, c
+							if d.insert(ps) {
+								fresh.Add(1)
+							}
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if fresh.Load() != 7*5*5 {
+			t.Fatalf("%s: %d tuples reported new, want %d", tc.name, fresh.Load(), 7*5*5)
+		}
+		if d.insert([]int32{6, 4, 8}) {
+			t.Fatalf("%s: present tuple reported new", tc.name)
+		}
+		if !d.insert([]int32{6, 4, 7}) {
+			t.Fatalf("%s: absent tuple reported present", tc.name)
+		}
+	}
+}
+
+// TestPosSetGrowth inserts enough tuples to grow the slot table and the
+// arena several times and checks membership survives every re-seating.
+func TestPosSetGrowth(t *testing.T) {
+	s := posSet{members: tupleArena{k: 2}}
+	const n = 5000
+	for i := int32(0); i < n; i++ {
+		ps := []int32{i, -i}
+		if !s.insert(hashPositions(ps), ps) {
+			t.Fatalf("tuple %d reported present on first insert", i)
+		}
+	}
+	for i := int32(0); i < n; i++ {
+		ps := []int32{i, -i}
+		if s.insert(hashPositions(ps), ps) {
+			t.Fatalf("tuple %d lost after growth", i)
+		}
+		if got := s.members.at(int(i)); got[0] != i || got[1] != -i {
+			t.Fatalf("member %d = %v", i, got)
+		}
+	}
+	if s.members.n != n {
+		t.Fatalf("size = %d, want %d", s.members.n, n)
 	}
 }
 

@@ -13,6 +13,31 @@
 // (Section 3.2). The combinatorial variants of both (no matrix
 // multiplication, Lemma 2) are implemented alongside as the paper's
 // Non-MMJoin baseline.
+//
+// # Positions, and the order of the output
+//
+// Both algorithms address values by their position in the operands' indexes
+// (relation.Index.Pos) and never by hashing or searching them. The two-path
+// kernels produce their result in index form — Groups: for each x position
+// of R, in ascending x order, the distinct z positions of S it pairs with —
+// and every set-semantics entry point is a reading of that one result:
+// TwoPathMM and TwoPathNonMM flatten it to pairs (x ascending; the z order
+// within one x is the order of discovery, which depends on the thresholds),
+// Groups.Relation indexes it by counting; TwoPathSize counts the same rows
+// without storing them. The pair set, the grouping and the indexed relation are the same for every worker
+// count. The counting entry points (TwoPathMMCounts, TwoPathMMVisit,
+// TwoPathGroupBy) deliver whole x rows from whichever worker owns the x, so
+// their output order across x values is unspecified.
+//
+// # Deduplicating star tuples
+//
+// The star evaluation meets every projected tuple once per witness and keeps
+// a global set of the tuples seen. Section 6 chooses the structure by "the
+// number of elements that need to be deduplicated and the domain size": when
+// the product of the head variables' key counts is small next to the join
+// size the set is a bitmap addressed by the tuple's mixed-radix position
+// index; otherwise it is a hash set of position tuples (starDedup). The
+// two-path light part makes the same kind of choice per x through DedupMode.
 package joinproject
 
 import (
@@ -92,17 +117,23 @@ func (o Options) AllLight(r, s *relation.Relation) Options {
 }
 
 // twoPathCtx holds the degree partition and the positional indexes the
-// 2-path evaluation needs. Building it is the O(N log N) preprocessing pass.
+// 2-path evaluation needs. Every value is addressed by its position in the
+// operand's index (relation.Index.Pos, O(1) over compact key spans), and the
+// per-tuple side arrays lie parallel to the index's own concatenated lists
+// (relation.Index.Offset), so building the context is a fixed number of
+// linear passes and a fixed number of allocations.
 type twoPathCtx struct {
-	r, s   *relation.Relation
 	d1, d2 int
 	stop   func() bool // polled at block boundaries; nil = never stop
+	built  bool        // false when stop interrupted the build: run nothing
 
-	sX, sY   *relation.Index
-	zvals    []int32   // sX keys, ascending
-	zDeg     []int32   // degree of each z position
-	posByY   [][]int32 // per sY position: z positions (ascending)
-	lightByY [][]int32 // per sY position, heavy y only: light z positions
+	sX, sY, rX *relation.Index
+
+	// zPosByY runs parallel to sY's lists: the sX position of every z. Under
+	// a heavy y the light z positions come first, numLight[y position] of
+	// them.
+	zPosByY  []int32
+	numLight []int32
 
 	colOf []int32 // per sY position: heavy column id or -1
 	ncols int
@@ -110,31 +141,19 @@ type twoPathCtx struct {
 	heavyZPos []int32 // matrix row id → z position
 	zRows     *matrix.BitMatrix
 
-	rX        *relation.Index
-	rYPos     [][]int32 // per rX position: sY positions of its y list (-1 if absent from S)
-	numHeavyA int
+	// yPosByX runs parallel to rX's lists: the sY position of every y, -1
+	// when S has no such y.
+	yPosByX []int32
 }
 
 // newTwoPathCtxParallel builds the positional indexes with the given degree
 // of parallelism; construction is a per-key-independent transform, so it
 // partitions coordination-free like the join itself. stop is polled between
-// construction phases: preprocessing is O(N log N) and would otherwise be
-// the one stretch a cancellation cannot interrupt. An early return leaves
-// the context partially built, which is safe because the evaluation loops
-// re-check stop before touching any of it.
+// construction phases, so a cancellation interrupts preprocessing too; an
+// interrupted context is marked unbuilt and evaluates to nothing.
 func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop func() bool) *twoPathCtx {
-	c := &twoPathCtx{r: r, s: s, d1: d1, d2: d2, stop: stop, sX: s.ByX(), sY: s.ByY(), rX: r.ByX()}
+	c := &twoPathCtx{d1: d1, d2: d2, stop: stop, sX: s.ByX(), sY: s.ByY(), rX: r.ByX()}
 	halt := func() bool { return stop != nil && stop() }
-	// rYPos must exist for the evaluation loops even on an abandoned build.
-	c.rYPos = make([][]int32, c.rX.NumKeys())
-	if halt() {
-		return c
-	}
-	c.zvals = c.sX.Keys()
-	c.zDeg = make([]int32, c.sX.NumKeys())
-	for i := range c.zDeg {
-		c.zDeg[i] = int32(c.sX.Degree(i))
-	}
 	if halt() {
 		return c
 	}
@@ -151,25 +170,25 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 		}
 	}
 
-	// Positional z lists per y, plus the light-z sublists under heavy ys.
-	c.posByY = make([][]int32, ny)
-	c.lightByY = make([][]int32, ny)
+	// Positional z lists per y; under a heavy y, light z first (filled from
+	// the front) and heavy z after them (filled from the back).
+	c.zPosByY = make([]int32, s.Size())
+	c.numLight = make([]int32, ny)
 	par.For(ny, workers, func(i int) {
-		list := c.sY.List(i)
-		pos := make([]int32, len(list))
-		for j, z := range list {
-			pos[j] = int32(c.sX.Pos(z))
-		}
-		c.posByY[i] = pos
-		if c.colOf[i] >= 0 {
-			var light []int32
-			for _, zp := range pos {
-				if int(c.zDeg[zp]) <= d2 {
-					light = append(light, zp)
-				}
+		pos := c.zPosByY[c.sY.Offset(i):c.sY.Offset(i+1)]
+		heavyY := c.colOf[i] >= 0
+		lo, hi := 0, len(pos)
+		for _, z := range c.sY.List(i) {
+			zp := c.sX.Pos(z)
+			if heavyY && c.sX.Degree(zp) > d2 {
+				hi--
+				pos[hi] = int32(zp)
+			} else {
+				pos[lo] = int32(zp)
+				lo++
 			}
-			c.lightByY[i] = light
 		}
+		c.numLight[i] = int32(lo)
 	})
 	if halt() {
 		return c
@@ -178,50 +197,38 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 	// Heavy z rows: z degree above Δ2 and at least one heavy y neighbour.
 	if c.ncols > 0 {
 		for zp := 0; zp < c.sX.NumKeys(); zp++ {
-			if int(c.zDeg[zp]) <= d2 {
+			if c.sX.Degree(zp) <= d2 {
 				continue
 			}
-			hasHeavy := false
 			for _, y := range c.sX.List(zp) {
-				if yp := c.sY.Pos(y); yp >= 0 && c.colOf[yp] >= 0 {
-					hasHeavy = true
+				if c.colOf[c.sY.Pos(y)] >= 0 {
+					c.heavyZPos = append(c.heavyZPos, int32(zp))
 					break
 				}
-			}
-			if hasHeavy {
-				c.heavyZPos = append(c.heavyZPos, int32(zp))
 			}
 		}
 		c.zRows = matrix.NewBitMatrix(len(c.heavyZPos), c.ncols)
 		for row, zp := range c.heavyZPos {
 			for _, y := range c.sX.List(int(zp)) {
-				if yp := c.sY.Pos(y); yp >= 0 {
-					if col := c.colOf[yp]; col >= 0 {
-						c.zRows.Set(row, int(col))
-					}
+				if col := c.colOf[c.sY.Pos(y)]; col >= 0 {
+					c.zRows.Set(row, int(col))
 				}
 			}
 		}
 	}
-
 	if halt() {
 		return c
 	}
 
 	// R-side positional lists into sY.
+	c.yPosByX = make([]int32, r.Size())
 	par.For(c.rX.NumKeys(), workers, func(i int) {
-		list := c.rX.List(i)
-		pos := make([]int32, len(list))
-		for j, y := range list {
+		pos := c.yPosByX[c.rX.Offset(i):c.rX.Offset(i+1)]
+		for j, y := range c.rX.List(i) {
 			pos[j] = int32(c.sY.Pos(y))
 		}
-		c.rYPos[i] = pos
 	})
-	for i := 0; i < c.rX.NumKeys(); i++ {
-		if c.rX.Degree(i) > d2 {
-			c.numHeavyA++
-		}
-	}
+	c.built = true
 	return c
 }
 
@@ -242,30 +249,27 @@ func (c *twoPathCtx) resolveDedup(mode DedupMode) bool {
 	}
 }
 
-// run evaluates the partitioned join. If counting is true, sink receives
-// exact witness counts; otherwise it receives each distinct pair once with
-// count 1. sink is invoked from multiple goroutines when workers > 1, with
-// all pairs of one x value delivered from a single goroutine.
-func (c *twoPathCtx) run(workers int, counting bool, sink func(x, z, count int32)) {
-	c.runMode(workers, true, counting, false, func(_ int, x, z, n int32) { sink(x, z, n) })
-}
+// rowSink receives one x value's whole output row: xpos is its position in
+// R's x index, zps the positions in S's x index of its distinct partners
+// (in discovery order; ascending under sort dedup), and cnt, non-nil when
+// counting, the witness count of partner zp at cnt[zp]. zps and cnt are the
+// worker's scratch, valid only during the call. Rows arrive once per x with
+// at least one partner, from worker goroutine `worker`.
+type rowSink func(worker, xpos int, zps, cnt []int32)
 
-// runMode additionally selects the heavy residual and the light-part dedup
-// strategy. useMM evaluates the all-heavy residual (category 4) as rows of
-// the bit-packed product; !useMM is the combinatorial Lemma-2 variant —
-// identical partitioning, with the residual computed by pairwise
-// sorted-list intersection instead. dedupSort applies to set semantics
-// only; the counting variant needs random-access accumulation and always
-// uses the stamp vector. The sink receives the worker (chunk) index so
-// callers can keep coordination-free per-worker buffers — the Section-6
-// parallelization pattern.
-func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink func(worker int, x, z, count int32)) {
+// runMode evaluates the partitioned join, delivering the output to sink one
+// x row at a time. useMM evaluates the all-heavy residual (category 4) as
+// rows of the bit-packed product; !useMM is the combinatorial Lemma-2
+// variant — identical partitioning, with the residual computed by pairwise
+// sorted-list intersection instead. counting asks for exact witness counts.
+// dedupSort applies to set semantics only; the counting variant needs
+// random-access accumulation and always uses the stamp vector. The sink
+// receives the worker index so callers can keep coordination-free per-worker
+// buffers — the Section-6 parallelization pattern.
+func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink rowSink) {
 	nx := c.rX.NumKeys()
-	nw := par.Workers(workers)
-	if nw > nx {
-		nw = nx
-	}
-	if nw < 1 {
+	nw := min(par.Workers(workers), nx)
+	if nw < 1 || !c.built {
 		return
 	}
 	var zCols [][]int32
@@ -299,11 +303,7 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink 
 				if c.stop != nil && c.stop() {
 					return
 				}
-				blockHi := blockLo + schedBlock
-				if blockHi > nx {
-					blockHi = nx
-				}
-				c.processBlock(blockLo, blockHi, chunk, counting, dedupSort, sink, &st)
+				c.processBlock(blockLo, min(blockLo+schedBlock, nx), chunk, sink, &st)
 			}
 		}(chunk)
 	}
@@ -313,21 +313,28 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink 
 // heavyZCols returns the rows of zRows as ascending column lists, the form
 // the list-intersection residual consumes.
 func (c *twoPathCtx) heavyZCols() [][]int32 {
+	if c.zRows == nil {
+		return nil
+	}
 	zCols := make([][]int32, len(c.heavyZPos))
+	flat := make([]int32, 0, c.zRows.Ones())
 	for j := range zCols {
-		c.zRows.Row(j).ForEach(func(col int) { zCols[j] = append(zCols[j], int32(col)) })
+		start := len(flat)
+		c.zRows.Row(j).ForEach(func(col int) { flat = append(flat, int32(col)) })
+		zCols[j] = flat[start:len(flat):len(flat)]
 	}
 	return zCols
 }
 
 // blockState is one worker's scratch, reused across the blocks it pulls.
-// The heavy residual mode is fixed per call by which operand form is
-// present: aRow (the current heavy x as a bit row, multiplied against
+// The evaluation mode is fixed per call by which scratch is present: cnt
+// (counting), stamp (stamp dedup; absent under sort dedup), and for the
+// heavy residual aRow (the current heavy x as a bit row, multiplied against
 // zRows) or zCols/aCols (the same matrix and row as sorted column lists,
 // intersected pairwise).
 type blockState struct {
-	stamp, cnt    []int32
-	touched, zbuf []int32
+	stamp, cnt []int32
+	row        []int32 // the current x's distinct z positions
 
 	aRow *bitset.Bitset
 
@@ -339,21 +346,20 @@ type blockState struct {
 const schedBlock = 64
 
 // processBlock evaluates x positions [lo, hi) with the worker-local state.
-func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
-	sink func(worker int, x, z, count int32), st *blockState) {
+func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockState) {
 	stamp, cnt, aRow, zCols := st.stamp, st.cnt, st.aRow, st.zCols
-	touched, zbuf, aCols := st.touched, st.zbuf, st.aCols
-	defer func() { st.touched, st.zbuf, st.aCols = touched, zbuf, aCols }()
-	useMM := aRow != nil
+	row, aCols := st.row, st.aCols
+	defer func() { st.row, st.aCols = row, aCols }()
+	useMM, counting, dedupSort := aRow != nil, cnt != nil, stamp == nil
 	for i := lo; i < hi; i++ {
-		a := c.rX.Key(i)
+		ys := c.yPosByX[c.rX.Offset(i):c.rX.Offset(i+1)]
 		epoch := int32(i + 1)
-		aHeavy := c.rX.Degree(i) > c.d2
+		aHeavy := len(ys) > c.d2
 		if aHeavy && c.ncols > 0 {
 			// This x's heavy columns, in the residual's operand form.
 			if useMM {
 				aRow.Reset()
-				for _, yp := range c.rYPos[i] {
+				for _, yp := range ys {
 					if yp >= 0 {
 						if col := c.colOf[yp]; col >= 0 {
 							aRow.Set(int(col))
@@ -362,7 +368,7 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 				}
 			} else {
 				aCols = aCols[:0]
-				for _, yp := range c.rYPos[i] {
+				for _, yp := range ys {
 					if yp >= 0 {
 						if col := c.colOf[yp]; col >= 0 {
 							aCols = append(aCols, col)
@@ -372,21 +378,17 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 				slices.Sort(aCols)
 			}
 		}
-		touched = touched[:0]
-		zbuf = zbuf[:0]
-		for _, yp := range c.rYPos[i] {
+		row = row[:0]
+		for _, yp := range ys {
 			if yp < 0 {
 				continue
 			}
-			var cand []int32
-			if c.colOf[yp] < 0 || !aHeavy {
-				// Light y (category 1) or heavy y with light x
-				// (category 2): expand every partner z.
-				cand = c.posByY[yp]
-			} else {
-				// Heavy y and heavy x: only light z partners
-				// (category 3); heavy z is the matrix's job.
-				cand = c.lightByY[yp]
+			// Light y (category 1) or heavy y with light x (category 2):
+			// expand every partner z. Heavy y and heavy x: only the light z
+			// partners (category 3); heavy z is the matrix's job.
+			cand := c.zPosByY[c.sY.Offset(int(yp)):c.sY.Offset(int(yp)+1)]
+			if aHeavy && c.colOf[yp] >= 0 {
+				cand = cand[:c.numLight[yp]]
 			}
 			switch {
 			case counting:
@@ -394,18 +396,18 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 					if stamp[zp] != epoch {
 						stamp[zp] = epoch
 						cnt[zp] = 1
-						touched = append(touched, zp)
+						row = append(row, zp)
 					} else {
 						cnt[zp]++
 					}
 				}
 			case dedupSort:
-				zbuf = append(zbuf, cand...)
+				row = append(row, cand...)
 			default:
 				for _, zp := range cand {
 					if stamp[zp] != epoch {
 						stamp[zp] = epoch
-						sink(chunk, a, c.zvals[zp], 1)
+						row = append(row, zp)
 					}
 				}
 			}
@@ -417,21 +419,16 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 			hit := func(j, n int) {
 				zp := c.heavyZPos[j]
 				switch {
-				case counting:
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						cnt[zp] = int32(n)
-						touched = append(touched, zp)
-					} else {
-						cnt[zp] += int32(n)
-					}
 				case dedupSort:
-					zbuf = append(zbuf, zp)
-				default:
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						sink(chunk, a, c.zvals[zp], 1)
+					row = append(row, zp)
+				case stamp[zp] != epoch:
+					stamp[zp] = epoch
+					row = append(row, zp)
+					if counting {
+						cnt[zp] = int32(n)
 					}
+				case counting:
+					cnt[zp] += int32(n)
 				}
 			}
 			if useMM {
@@ -448,93 +445,125 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 				}
 			}
 		}
-		if counting {
-			for _, zp := range touched {
-				sink(chunk, a, c.zvals[zp], cnt[zp])
-			}
-		} else if dedupSort && len(zbuf) > 0 {
-			// Section-6 alternative: append all reachable z values,
-			// then sort + unique.
-			slices.Sort(zbuf)
-			for j, zp := range zbuf {
-				if j == 0 || zp != zbuf[j-1] {
-					sink(chunk, a, c.zvals[zp], 1)
-				}
-			}
+		if dedupSort {
+			// Section-6 alternative: append all reachable z values, then
+			// sort + unique.
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
+		if len(row) > 0 {
+			sink(chunk, i, row, cnt)
 		}
 	}
 }
 
-// pairCollector gathers output pairs into coordination-free per-worker
-// buffers, concatenated in chunk order at the end (deterministic for a
-// fixed worker count).
-type pairCollector struct {
-	slots [][][2]int32
+// Groups is a two-path result in index form, grouped by x: x value XKeys[i]
+// pairs with the z values ZKeys[p] for every position p in
+// ZPos[Off[i]:Off[i+1]]. XKeys and ZKeys are the operands' own ascending key
+// lists (R's and S's first columns; not every key has output), so the
+// result addresses the same positions the operands' indexes do. Within a
+// group the positions are distinct and in discovery order, which varies with
+// the thresholds; the set of pairs does not, and neither it nor the group
+// order depends on the worker count.
+type Groups struct {
+	XKeys, ZKeys []int32
+	Off, ZPos    []int32
 }
 
-func newPairCollector(chunks int) *pairCollector {
-	return &pairCollector{slots: make([][][2]int32, chunks)}
-}
-
-func (pc *pairCollector) sink(worker int, x, z, _ int32) {
-	pc.slots[worker] = append(pc.slots[worker], [2]int32{x, z})
-}
-
-func (pc *pairCollector) pairs() [][2]int32 {
-	total := 0
-	for _, s := range pc.slots {
-		total += len(s)
-	}
-	out := make([][2]int32, 0, total)
-	for _, s := range pc.slots {
-		out = append(out, s...)
+// Pairs flattens the result to (x, z) value pairs, x ascending.
+func (g Groups) Pairs() [][2]int32 {
+	out := make([][2]int32, 0, len(g.ZPos))
+	for i, x := range g.XKeys {
+		for _, zp := range g.ZPos[g.Off[i]:g.Off[i+1]] {
+			out = append(out, [2]int32{x, g.ZKeys[zp]})
+		}
 	}
 	return out
 }
 
-type countCollector struct {
-	slots [][]PairCount
+// Relation indexes the result as a relation (x, z) by counting
+// transpositions over the positions, in O(|ZPos| + |XKeys| + |ZKeys|): no
+// sort, no search.
+func (g Groups) Relation(name string) *relation.Relation {
+	return relation.FromGroups(name, g.XKeys, g.ZKeys, g.Off, g.ZPos)
 }
 
-func newCountCollector(chunks int) *countCollector {
-	return &countCollector{slots: make([][]PairCount, chunks)}
+// groupCollector gathers output rows into coordination-free per-worker
+// buffers and remembers where each x's row went, so the rows concatenate in
+// x order whatever the worker count and block schedule.
+type groupCollector struct {
+	bufs         [][]int32 // per worker: its rows, back to back
+	who, at, n   []int32   // per x position: worker, start in its buffer, length
+	xKeys, zKeys []int32
 }
 
-func (cc *countCollector) sink(worker int, x, z, n int32) {
-	cc.slots[worker] = append(cc.slots[worker], PairCount{X: x, Z: z, Count: n})
-}
-
-func (cc *countCollector) out() []PairCount {
-	total := 0
-	for _, s := range cc.slots {
-		total += len(s)
+func newGroupCollector(c *twoPathCtx, workers int) *groupCollector {
+	nx := c.rX.NumKeys()
+	return &groupCollector{
+		bufs: make([][]int32, par.Workers(workers)),
+		who:  make([]int32, nx), at: make([]int32, nx), n: make([]int32, nx),
+		xKeys: c.rX.Keys(), zKeys: c.sX.Keys(),
 	}
-	out := make([]PairCount, 0, total)
-	for _, s := range cc.slots {
-		out = append(out, s...)
+}
+
+func (gc *groupCollector) sink(worker, xpos int, zps, _ []int32) {
+	gc.who[xpos], gc.at[xpos], gc.n[xpos] = int32(worker), int32(len(gc.bufs[worker])), int32(len(zps))
+	gc.bufs[worker] = append(gc.bufs[worker], zps...)
+}
+
+func (gc *groupCollector) groups() Groups {
+	g := Groups{XKeys: gc.xKeys, ZKeys: gc.zKeys, Off: make([]int32, len(gc.n)+1)}
+	for i, n := range gc.n {
+		g.Off[i+1] = g.Off[i] + n
 	}
-	return out
+	g.ZPos = make([]int32, g.Off[len(gc.n)])
+	for i, n := range gc.n {
+		copy(g.ZPos[g.Off[i]:], gc.bufs[gc.who[i]][gc.at[i]:gc.at[i]+n])
+	}
+	return g
+}
+
+// twoPathCounts evaluates the counting 2-path into coordination-free
+// per-worker buffers, concatenated in worker order.
+func twoPathCounts(r, s *relation.Relation, opt Options, useMM bool) []PairCount {
+	opt = opt.normalize(r, s)
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
+	slots := make([][]PairCount, par.Workers(opt.Workers))
+	c.runMode(opt.Workers, useMM, true, false, func(worker, xpos int, zps, cnt []int32) {
+		x := c.rX.Key(xpos)
+		for _, zp := range zps {
+			slots[worker] = append(slots[worker], PairCount{X: x, Z: c.sX.Key(int(zp)), Count: cnt[zp]})
+		}
+	})
+	return slices.Concat(slots...)
+}
+
+// TwoPathGroups evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) and returns the distinct
+// output pairs in index form: with Algorithm 1 when mm is set, with the
+// combinatorial Lemma-2 variant (the same degree partitioning, the heavy
+// residual by pairwise sorted-list intersection) otherwise. This is the one
+// evaluation every set-semantics entry point shares; TwoPathMM and
+// TwoPathNonMM are its Pairs, acyclic.Compose takes its Relation.
+func TwoPathGroups(r, s *relation.Relation, opt Options, mm bool) Groups {
+	opt = opt.normalize(r, s)
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
+	gc := newGroupCollector(c, opt.Workers)
+	c.runMode(opt.Workers, mm, false, mm && c.resolveDedup(opt.Dedup), gc.sink)
+	return gc.groups()
 }
 
 // TwoPathMM evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) with Algorithm 1 and returns
-// the distinct output pairs (order unspecified).
+// the distinct output pairs, grouped by ascending x (order within one x
+// unspecified).
 func TwoPathMM(r, s *relation.Relation, opt Options) [][2]int32 {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	pc := newPairCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), pc.sink)
-	return pc.pairs()
+	return TwoPathGroups(r, s, opt, true).Pairs()
 }
 
 // TwoPathMMCounts evaluates the counting 2-path: every distinct output pair
 // with its exact witness count. The light/heavy witness categories of
 // Algorithm 1 partition the witness space, so counts are exact.
 func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	cc := newCountCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, true, false, cc.sink)
-	return cc.out()
+	return twoPathCounts(r, s, opt, true)
 }
 
 // TwoPathMMVisit streams each distinct output pair and its witness count to
@@ -543,27 +572,24 @@ func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
 func TwoPathMMVisit(r, s *relation.Relation, opt Options, visit func(x, z, count int32)) {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	c.run(opt.Workers, true, visit)
+	c.runMode(opt.Workers, true, true, false, func(_, xpos int, zps, cnt []int32) {
+		x := c.rX.Key(xpos)
+		for _, zp := range zps {
+			visit(x, c.sX.Key(int(zp)), cnt[zp])
+		}
+	})
 }
 
 // TwoPathNonMM is the combinatorial Lemma-2 baseline: the same degree
 // partitioning, with the heavy residual computed by pairwise sorted-list
-// intersections instead of matrix multiplication.
+// intersections instead of matrix multiplication. Output order as TwoPathMM.
 func TwoPathNonMM(r, s *relation.Relation, opt Options) [][2]int32 {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	pc := newPairCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, false, false, false, pc.sink)
-	return pc.pairs()
+	return TwoPathGroups(r, s, opt, false).Pairs()
 }
 
 // TwoPathNonMMCounts is the counting variant of TwoPathNonMM.
 func TwoPathNonMMCounts(r, s *relation.Relation, opt Options) []PairCount {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	cc := newCountCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, false, true, false, cc.sink)
-	return cc.out()
+	return twoPathCounts(r, s, opt, false)
 }
 
 // paddedCount is a cache-line-padded counter: per-worker tallies would
@@ -579,7 +605,9 @@ func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	counts := make([]paddedCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w int, _, _, _ int32) { counts[w].n++ })
+	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w, _ int, zps, _ []int32) {
+		counts[w].n += int64(len(zps))
+	})
 	var total int64
 	for _, pc := range counts {
 		total += pc.n

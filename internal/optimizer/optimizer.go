@@ -21,6 +21,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -150,15 +151,17 @@ type cdf struct {
 }
 
 func buildCDF(degs []int32, weights []float64) cdf {
-	idx := make([]int, len(degs))
-	for i := range idx {
-		idx[i] = i
+	// Order entries by degree: (degree, entry) packed into one integer sorts
+	// without a comparator.
+	order := make([]uint64, len(degs))
+	for i, d := range degs {
+		order[i] = uint64(d)<<32 | uint64(i)
 	}
-	sort.Slice(idx, func(a, b int) bool { return degs[idx[a]] < degs[idx[b]] })
+	slices.Sort(order)
 	c := cdf{degs: make([]int32, len(degs)), prefix: make([]float64, len(degs)+1)}
-	for i, j := range idx {
-		c.degs[i] = degs[j]
-		c.prefix[i+1] = c.prefix[i] + weights[j]
+	for i, o := range order {
+		c.degs[i] = int32(o >> 32)
+		c.prefix[i+1] = c.prefix[i] + weights[uint32(o)]
 	}
 	return c
 }
@@ -392,10 +395,11 @@ func (o *Optimizer) PlanTwoPath(r, s *relation.Relation, base joinproject.Option
 	if o == nil {
 		return Decision{Strategy: StrategyMM}.settle(base)
 	}
-	dec := o.algorithm3(r, s, base.Workers, joinproject.EstimateOutputSize(r, s))
+	outJoin := relation.FullJoinSize(r, s)
+	dec := o.algorithm3(r, s, base.Workers, outJoin, joinproject.EstimateOutputFromJoinSize(r, s, outJoin))
 	if sketchBudget > 0 && dec.Strategy == StrategyMM && dec.OutJoin <= sketchBudget {
 		if est := int64(sketch.EstimateJoinProjectHLL(r, s, 12)); est >= 1 {
-			dec = o.algorithm3(r, s, base.Workers, est)
+			dec = o.algorithm3(r, s, base.Workers, outJoin, est)
 		}
 	}
 	return dec.settle(base)
@@ -417,9 +421,9 @@ func (o *Optimizer) guard(c Constants, wcoj string, outJoin, n, estOut int64) (d
 	return dec, true
 }
 
-// algorithm3 is the Algorithm-3 guard and descent for one |OUT| estimate.
-func (o *Optimizer) algorithm3(r, s *relation.Relation, cores int, estOut int64) Decision {
-	outJoin := relation.FullJoinSize(r, s)
+// algorithm3 is the Algorithm-3 guard and descent for one |OUT| estimate,
+// given outJoin = |OUT⋈|.
+func (o *Optimizer) algorithm3(r, s *relation.Relation, cores int, outJoin, estOut int64) Decision {
 	n := int64(max(r.Size(), s.Size()))
 	c := o.Constants()
 	if dec, ok := o.guard(c, StrategyWCOJ, outJoin, n, estOut); ok {

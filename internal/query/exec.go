@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -916,14 +915,7 @@ func lookupLive(e *liveEdge, v int, val int32) []int32 {
 // SortTuples orders result tuples lexicographically — the canonical serving
 // order the server's pagination and the view store rely on.
 func SortTuples(tuples [][]int64) {
-	sort.Slice(tuples, func(i, j int) bool {
-		for k := range tuples[i] {
-			if tuples[i][k] != tuples[j][k] {
-				return tuples[i][k] < tuples[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(tuples, slices.Compare[[]int64])
 }
 
 // dedupRows removes duplicate rows (by value).

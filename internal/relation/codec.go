@@ -1,9 +1,10 @@
 package relation
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Columnar pair codec: the compact binary encoding of a full relation image
@@ -15,7 +16,7 @@ import (
 // per tuple on realistic graphs (vs 8 fixed bytes in the row format of
 // io.go). DecodePairs rejects any byte stream that does not decode to a
 // strictly (x, y)-sorted duplicate-free list, so a decoded image can go
-// straight to FromSortedPairs, which rebuilds the X index without re-sorting.
+// straight to FromSortedPairs, which indexes it without sorting.
 
 // maxEncodedPairs bounds a decoded image; counts beyond it are treated as
 // corruption rather than attempted as one giant allocation.
@@ -25,8 +26,8 @@ const maxEncodedPairs = 1 << 32
 // must be sorted by (x, y) and duplicate-free (as Pairs() returns); AppendPairs
 // sorts a copy if it is not, so callers never produce an undecodable image.
 func AppendPairs(dst []byte, ps []Pair) []byte {
-	if !sort.SliceIsSorted(ps, func(i, j int) bool { return pairLess(ps[i], ps[j], false) }) {
-		ps = sortPairsBy(ps, false)
+	if !slices.IsSortedFunc(ps, func(a, b Pair) int { return cmp.Compare(pack(a.X, a.Y), pack(b.X, b.Y)) }) {
+		ps = FromPairs("", ps).Pairs()
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(ps)))
 	var prev Pair
@@ -136,22 +137,9 @@ func DecodePairs(b []byte) ([]Pair, []byte, error) {
 func inInt32(v int64) bool { return v >= -1<<31 && v <= 1<<31-1 }
 
 // FromSortedPairs builds a relation from tuples already sorted by (x, y)
-// with duplicates removed — the invariant DecodePairs guarantees — skipping
-// the O(N log N) first-column sort of FromPairs: the X index builds directly
-// off the input order and only the mirror Y index pays a sort. This is the
-// recovery fast path: loading a snapshotted relation costs one sort instead
-// of two.
-func FromSortedPairs(name string, ps []Pair) *Relation {
-	cp := make([]Pair, len(ps))
-	copy(cp, ps)
-	byX := buildIndex(cp, func(p Pair) int32 { return p.X }, func(p Pair) int32 { return p.Y })
-	n := len(cp)
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Y != cp[j].Y {
-			return cp[i].Y < cp[j].Y
-		}
-		return cp[i].X < cp[j].X
-	})
-	byY := buildIndex(cp, func(p Pair) int32 { return p.Y }, func(p Pair) int32 { return p.X })
-	return &Relation{name: name, n: n, byX: byX, byY: byY}
-}
+// with duplicates removed — the invariant DecodePairs guarantees and
+// Pairs() restores. It is FromPairs under the precondition that makes
+// FromPairs linear: sorted input is indexed as it stands and never sorted,
+// so loading a snapshotted relation costs O(N) plus the mirror index. This
+// is the recovery path's entry point.
+func FromSortedPairs(name string, ps []Pair) *Relation { return FromPairs(name, ps) }

@@ -86,7 +86,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			continue
 		}
 		for j := 1; j < len(dec); j++ {
-			if !pairLess(dec[j-1], dec[j], false) {
+			if pack(dec[j-1].X, dec[j-1].Y) >= pack(dec[j].X, dec[j].Y) {
 				t.Fatalf("flip at %d decoded to unsorted pairs", i)
 			}
 		}

@@ -3,16 +3,42 @@
 //
 // Following Section 5 of the paper ("Indexing relations"), every relation is
 // stored once per index order: a CSR-style index keyed by x with sorted y
-// lists, and the mirror index keyed by y with sorted x lists. Both are built
-// in O(N log N) during preprocessing. The package also provides the linear
-// preprocessing steps the algorithms assume: semi-join reduction (removing
-// tuples that cannot contribute to the join) and exact full-join-size
-// computation |OUT⋈| = Σ_y Π_i deg_i(y).
+// lists, and the mirror index keyed by y with sorted x lists. The package
+// also provides the linear preprocessing steps the algorithms assume:
+// semi-join reduction (removing tuples that cannot contribute to the join)
+// and exact full-join-size computation |OUT⋈| = Σ_y Π_i deg_i(y).
+//
+// # Positions
+//
+// Algorithms address keys by position (Index.Pos, Index.Key, Index.List). An
+// index whose keys span at most denseSpanFactor (4) slots per key keeps a
+// direct position table and answers Pos in O(1); one with a wider span
+// answers by binary search over its keys. The choice is made once, when the
+// index is built, from the keys alone.
+//
+// # Building
+//
+// One builder core (build.go) stands behind every constructor and
+// guarantees the same result for the same tuple set: sorted distinct keys,
+// strictly ascending partner lists, no duplicate tuples, and the two indexes
+// mirror each other.
+//
+//   - FromPairs accepts tuples in any order. Sorted input is indexed in
+//     O(N); unsorted input is sorted as packed integers — two counting
+//     passes when both columns span compact ranges, an O(N log N) integer
+//     sort otherwise. The mirror index is a stable counting transposition of
+//     the first (O(N + span)) when its key span is compact, a second integer
+//     sort otherwise.
+//   - ApplyDelta merges a small sorted delta into each index's existing run
+//     in O(N + Δ log Δ), whatever the spans.
+//   - FromGroups takes a result already grouped by key position — the form
+//     the join kernels produce — and builds both indexes by two counting
+//     transpositions in O(N + keys), comparing and searching nothing.
 package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Pair is a single tuple (X, Y) of a binary relation R(x,y).
@@ -26,6 +52,12 @@ type Index struct {
 	keys []int32 // sorted distinct keys
 	off  []int32 // len(keys)+1 offsets into vals
 	vals []int32 // concatenated sorted partner lists
+
+	// Direct position table, kept when the key span is compact (see
+	// addressKeys): slot[key-base] is the key's position plus one, zero for a
+	// value inside the span that is not a key. nil means Pos searches keys.
+	base int32
+	slot []int32
 }
 
 // NumKeys returns the number of distinct keys.
@@ -44,13 +76,48 @@ func (ix *Index) List(i int) []int32 { return ix.vals[ix.off[i]:ix.off[i+1]] }
 // Degree returns the length of the i-th key's partner list.
 func (ix *Index) Degree(i int) int { return int(ix.off[i+1] - ix.off[i]) }
 
+// Offset returns where the i-th key's partner list starts in the
+// concatenation of all lists in key order, for 0 ≤ i ≤ NumKeys: tuple
+// Offset(i)+j is (Key(i), List(i)[j]). Callers keep per-tuple side arrays
+// addressed this way.
+func (ix *Index) Offset(i int) int { return int(ix.off[i]) }
+
 // Pos returns the position of key in the index, or -1 if absent.
 func (ix *Index) Pos(key int32) int {
-	i := sort.Search(len(ix.keys), func(i int) bool { return ix.keys[i] >= key })
-	if i < len(ix.keys) && ix.keys[i] == key {
-		return i
+	// Unsigned 32-bit distance from the table's first key: exact for keys at
+	// or above it, and at least the table's length for keys below it.
+	if d := uint32(key) - uint32(ix.base); uint(d) < uint(len(ix.slot)) {
+		return int(ix.slot[d]) - 1
+	}
+	return ix.searchPos(key)
+}
+
+// searchPos answers Pos for a key the position table does not cover: absent
+// when there is a table, a binary search when there is none.
+func (ix *Index) searchPos(key int32) int {
+	if ix.slot == nil {
+		if i, ok := slices.BinarySearch(ix.keys, key); ok {
+			return i
+		}
 	}
 	return -1
+}
+
+// addressKeys attaches the direct position table when the keys are compact.
+func (ix *Index) addressKeys() {
+	nk := len(ix.keys)
+	if nk == 0 {
+		return
+	}
+	span := int64(ix.keys[nk-1]) - int64(ix.keys[0]) + 1
+	if !compact(span, nk) {
+		return
+	}
+	ix.base = ix.keys[0]
+	ix.slot = make([]int32, span)
+	for i, k := range ix.keys {
+		ix.slot[k-ix.base] = int32(i) + 1
+	}
 }
 
 // Lookup returns the sorted partner list for key, or nil if key is absent.
@@ -72,34 +139,6 @@ func (ix *Index) MaxDegree() int {
 	return m
 }
 
-// buildIndex constructs an Index from tuples sorted by (key, val) with
-// duplicates already removed. keyOf/valOf select the two columns.
-func buildIndex(ps []Pair, keyOf, valOf func(Pair) int32) *Index {
-	ix := &Index{}
-	if len(ps) == 0 {
-		ix.off = []int32{0}
-		return ix
-	}
-	nk := 1
-	for i := 1; i < len(ps); i++ {
-		if keyOf(ps[i]) != keyOf(ps[i-1]) {
-			nk++
-		}
-	}
-	ix.keys = make([]int32, 0, nk)
-	ix.off = make([]int32, 0, nk+1)
-	ix.vals = make([]int32, len(ps))
-	for i, p := range ps {
-		if i == 0 || keyOf(p) != keyOf(ps[i-1]) {
-			ix.keys = append(ix.keys, keyOf(p))
-			ix.off = append(ix.off, int32(i))
-		}
-		ix.vals[i] = valOf(p)
-	}
-	ix.off = append(ix.off, int32(len(ps)))
-	return ix
-}
-
 // Relation is an immutable, fully indexed binary relation R(x,y).
 type Relation struct {
 	name string
@@ -108,124 +147,55 @@ type Relation struct {
 	byY  *Index
 }
 
-// FromPairs builds a relation from tuples. Duplicate tuples are removed and
-// both column indexes are built. The input slice is not retained.
+// FromPairs builds a relation from tuples in any order. Duplicate tuples are
+// removed and both column indexes are built. The input slice is not
+// retained.
 func FromPairs(name string, ps []Pair) *Relation {
-	cp := make([]Pair, len(ps))
-	copy(cp, ps)
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].X != cp[j].X {
-			return cp[i].X < cp[j].X
-		}
-		return cp[i].Y < cp[j].Y
-	})
-	cp = dedupPairs(cp)
-	byX := buildIndex(cp, func(p Pair) int32 { return p.X }, func(p Pair) int32 { return p.Y })
-	// Re-sort by (y, x) for the mirror index.
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Y != cp[j].Y {
-			return cp[i].Y < cp[j].Y
-		}
-		return cp[i].X < cp[j].X
-	})
-	byY := buildIndex(cp, func(p Pair) int32 { return p.Y }, func(p Pair) int32 { return p.X })
-	return &Relation{name: name, n: len(cp), byX: byX, byY: byY}
+	p := packPairs(ps, false)
+	sortPacked(p)
+	byX := indexFromPacked(p)
+	return &Relation{name: name, n: len(byX.vals), byX: byX, byY: byX.mirror()}
 }
 
-func dedupPairs(cp []Pair) []Pair {
-	if len(cp) == 0 {
-		return cp
+// FromGroups builds a relation from tuples grouped by x position: xKeys and
+// yKeys are the ascending distinct candidate values of the two columns, and
+// x value xKeys[i] pairs with the y values yKeys[p] for every position p in
+// ypos[off[i]:off[i+1]] (len(off) = len(xKeys)+1). Positions within one
+// group may come in any order but must not repeat; candidate values without a
+// tuple are dropped. Both indexes are built by counting transpositions in
+// O(len(ypos) + len(xKeys) + len(yKeys)). The inputs are not retained.
+func FromGroups(name string, xKeys, yKeys, off, ypos []int32) *Relation {
+	// Group by y position (x positions ascending within each), then back by
+	// x position, which hands every x its y values in ascending order.
+	offY, xByY := invert(off, ypos, 0, len(yKeys), nil)
+	offX, yByX := invert(offY, xByY, 0, len(xKeys), yKeys)
+	for i, xp := range xByY {
+		xByY[i] = xKeys[xp]
 	}
-	w := 1
-	for i := 1; i < len(cp); i++ {
-		if cp[i] != cp[w-1] {
-			cp[w] = cp[i]
-			w++
-		}
+	return &Relation{
+		name: name,
+		n:    len(ypos),
+		byX:  indexFromBuckets(offX, yByX, 0, xKeys),
+		byY:  indexFromBuckets(offY, xByY, 0, yKeys),
 	}
-	return cp[:w]
 }
 
 // ApplyDelta returns a new relation with added tuples inserted into and
 // removed tuples deleted from r, rebuilding both column indexes by a linear
 // merge of the existing sorted runs with the (small, sorted) delta — O(N +
-// Δ log Δ) instead of FromPairs's full O(N log N) re-sort. This is the
-// catalog's mutation fast path: under small update batches the rebuild cost
-// is dominated by the copy, not by sorting. Tuples in added that are
-// already present and tuples in removed that are absent are ignored; a
-// tuple in both is removed.
+// Δ log Δ) whatever the key spans. This is the catalog's mutation fast path:
+// under small update batches the rebuild cost is dominated by the copy, not
+// by sorting. Tuples in added that are already present and tuples in removed
+// that are absent are ignored; a tuple in both is removed.
 func ApplyDelta(r *Relation, name string, added, removed []Pair) *Relation {
-	addX := sortPairsBy(added, false)
-	remX := sortPairsBy(removed, false)
-	mergedX := mergeRuns(r, r.byX, false, addX, remX)
-	byX := buildIndex(mergedX, func(p Pair) int32 { return p.X }, func(p Pair) int32 { return p.Y })
-	addY := sortPairsBy(added, true)
-	remY := sortPairsBy(removed, true)
-	mergedY := mergeRuns(r, r.byY, true, addY, remY)
-	byY := buildIndex(mergedY, func(p Pair) int32 { return p.Y }, func(p Pair) int32 { return p.X })
-	return &Relation{name: name, n: len(mergedX), byX: byX, byY: byY}
-}
-
-// sortPairsBy clones and sorts pairs by (x,y), or by (y,x) when swap is
-// set, removing duplicates.
-func sortPairsBy(ps []Pair, swap bool) []Pair {
-	cp := make([]Pair, len(ps))
-	copy(cp, ps)
-	sort.Slice(cp, func(i, j int) bool { return pairLess(cp[i], cp[j], swap) })
-	return dedupPairs(cp)
-}
-
-// pairLess orders pairs by (x,y), or by (y,x) when swap is set.
-func pairLess(a, b Pair, swap bool) bool {
-	ka, va, kb, vb := a.X, a.Y, b.X, b.Y
-	if swap {
-		ka, va, kb, vb = a.Y, a.X, b.Y, b.X
+	merge := func(ix *Index, swap bool) *Index {
+		add, rem := packPairs(added, swap), packPairs(removed, swap)
+		sortPacked(add)
+		sortPacked(rem)
+		return mergeDelta(ix, add, rem)
 	}
-	if ka != kb {
-		return ka < kb
-	}
-	return va < vb
-}
-
-// mergeRuns walks one of r's indexes in key order, merging the added run in
-// and skipping tuples in the removed run. The output is sorted in the
-// index's (key, val) order with duplicates (including add-of-present)
-// dropped.
-func mergeRuns(r *Relation, ix *Index, swap bool, added, removed []Pair) []Pair {
-	out := make([]Pair, 0, r.n+len(added))
-	ai, ri := 0, 0
-	push := func(p Pair) {
-		// Drop tuples matched by the removed run.
-		for ri < len(removed) && pairLess(removed[ri], p, swap) {
-			ri++
-		}
-		if ri < len(removed) && removed[ri] == p {
-			return
-		}
-		// Drop duplicates (an added tuple already present).
-		if n := len(out); n > 0 && out[n-1] == p {
-			return
-		}
-		out = append(out, p)
-	}
-	for i := 0; i < ix.NumKeys(); i++ {
-		k := ix.Key(i)
-		for _, v := range ix.List(i) {
-			p := Pair{X: k, Y: v}
-			if swap {
-				p = Pair{X: v, Y: k}
-			}
-			for ai < len(added) && pairLess(added[ai], p, swap) {
-				push(added[ai])
-				ai++
-			}
-			push(p)
-		}
-	}
-	for ; ai < len(added); ai++ {
-		push(added[ai])
-	}
-	return out
+	byX := merge(r.byX, false)
+	return &Relation{name: name, n: len(byX.vals), byX: byX, byY: merge(r.byY, true)}
 }
 
 // Name returns the relation's name.
@@ -255,9 +225,8 @@ func (r *Relation) NumY() int { return r.byY.NumKeys() }
 
 // Contains reports whether tuple (x, y) is in the relation.
 func (r *Relation) Contains(x, y int32) bool {
-	list := r.byX.Lookup(x)
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= y })
-	return i < len(list) && list[i] == y
+	_, ok := slices.BinarySearch(r.byX.Lookup(x), y)
+	return ok
 }
 
 // Pairs re-materializes the tuple list in (x, y) order.
@@ -451,8 +420,8 @@ func IntersectSorted(dst, a, b []int32) []int32 {
 	if len(b) >= 16*len(a) {
 		// Galloping: binary-search each element of the short list.
 		for _, v := range a {
-			i := sort.Search(len(b), func(i int) bool { return b[i] >= v })
-			if i < len(b) && b[i] == v {
+			i, ok := slices.BinarySearch(b, v)
+			if ok {
 				dst = append(dst, v)
 			}
 			b = b[i:]
@@ -489,8 +458,8 @@ func IntersectCount(a, b []int32) int {
 	cnt := 0
 	if len(b) >= 16*len(a) {
 		for _, v := range a {
-			i := sort.Search(len(b), func(i int) bool { return b[i] >= v })
-			if i < len(b) && b[i] == v {
+			i, ok := slices.BinarySearch(b, v)
+			if ok {
 				cnt++
 			}
 			b = b[i:]

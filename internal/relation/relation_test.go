@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -183,7 +184,7 @@ func naiveIntersect(a, b []int32) []int32 {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -196,7 +197,7 @@ func sortedRandomSlice(rng *rand.Rand, n, dom int) []int32 {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -239,6 +240,44 @@ func TestViewReadPanicIsolated500(t *testing.T) {
 	var vr viewResultResponse
 	if code := get(t, ts, "/views/v", &vr); code != http.StatusOK || vr.Rows != 1 {
 		t.Fatalf("server wedged after panic: status %d rows %d", code, vr.Rows)
+	}
+}
+
+// TestCreateViewPanicIsolated500 injects a panic into view registration
+// (which compiles and evaluates the definition, so it runs engine code): the
+// request gets a 500 with its request ID instead of a dropped connection,
+// and the admission slot is returned — after MaxInFlight such panics the
+// server still admits MaxInFlight more requests instead of answering 429
+// forever.
+func TestCreateViewPanicIsolated500(t *testing.T) {
+	eng := core.NewEngine()
+	if _, err := eng.Register("R", []relation.Pair{{X: 1, Y: 2}, {X: 2, Y: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	const maxInFlight = 2
+	ts := newTestServer(t, Config{Engine: eng, MaxInFlight: maxInFlight, QueueDepth: -1})
+	def := func(name string) map[string]any {
+		return map[string]any{"name": name, "query": "V(x, z) :- R(x, y), R(y, z)"}
+	}
+
+	testHookCreateView = func() { panic("kaboom: poisoned view definition") }
+	t.Cleanup(func() { testHookCreateView = nil })
+	for i := 0; i < maxInFlight; i++ {
+		var out errorResponse
+		if code := post(t, ts, "/views", def("bad"), &out); code != http.StatusInternalServerError {
+			t.Fatalf("panicking create-view %d: status %d, want 500", i, code)
+		}
+		if !strings.Contains(out.Error, "kaboom") || out.RequestID == "" {
+			t.Fatalf("500 body should carry the panic value and the request ID: %+v", out)
+		}
+	}
+
+	testHookCreateView = nil
+	for i := 0; i < maxInFlight; i++ {
+		var info viewInfoResponse
+		if code := post(t, ts, "/views", def(fmt.Sprintf("v%d", i)), &info); code != http.StatusOK || info.Rows != 1 {
+			t.Fatalf("request %d after the panics: status %d rows %d (admission slot leaked?)", i, code, info.Rows)
+		}
 	}
 }
 

@@ -463,6 +463,11 @@ var testHookEvaluate func(ctx context.Context, q string) (*query.Result, error)
 // ahead of the read itself; tests inject panics through it.
 var testHookViewRead func()
 
+// testHookCreateView, when non-nil, runs inside the panic guard of a view
+// registration ahead of the registration itself; tests inject panics
+// through it.
+var testHookCreateView func()
+
 // guarded runs one engine call under the envelope every evaluating route
 // shares: a timeout context, an admission slot held for the duration of the
 // call, and the panic guard, so a panic anywhere in the engine is this
@@ -896,16 +901,17 @@ func (s *Server) handleCreateView(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	if err := s.admit(ctx); err != nil {
-		s.error(w, r, statusFor(err), "create view failed: %v", err)
-		return
-	}
-	v, err := s.eng.RegisterView(ctx, req.Name, req.Query)
-	s.release()
+	// Registering compiles and evaluates the definition, so it runs under
+	// the same envelope as a query: a panic in there is this request's 500
+	// and the admission slot comes back on every path.
+	v, err := guarded(s, r, s.timeout, req.Query, func(ctx context.Context) (*view.View, error) {
+		if testHookCreateView != nil {
+			testHookCreateView()
+		}
+		return s.eng.RegisterView(ctx, req.Name, req.Query)
+	})
 	if err != nil {
-		s.error(w, r, clientStatus(err), "%v", err)
+		s.error(w, r, statusFor(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, viewInfoResponse{
