@@ -1,15 +1,15 @@
 // Command joinbench regenerates the paper's tables and figures and snapshots
-// the two measurements bench/ has no workload for: the matrix kernel on the
-// Figure-3 shapes and the view maintain-vs-recompute ratio. Every end-to-end
-// speed claim is made with `bash bench/run.sh` (see bench/README.md).
+// the one measurement bench/ has no workload for: the view
+// maintain-vs-recompute ratio. Every end-to-end speed claim is made with
+// `bash bench/run.sh` (see bench/README.md); the matrix kernel is measured
+// there on the client path (matrix.mul_ms, par.speedup) and in isolation by
+// `go test -bench Fig3 .`.
 //
 // Usage:
 //
 //	joinbench -list
 //	joinbench -experiment fig4a -scale 0.5
 //	joinbench -experiment all  -scale 0.25
-//	joinbench -json                                  # kernel snapshot
-//	joinbench -json -baseline BENCH_kernels.json     # + regression gate
 //	joinbench -views                                 # view maintenance bench
 //	joinbench -views -views-baseline BENCH_views.json  # + maintenance gate
 //
@@ -17,10 +17,6 @@
 // table or figure reports (dataset × algorithm × running time, or a
 // parameter sweep). Scale rescales the synthetic dataset shapes; see
 // DESIGN.md for the dataset substitution rationale.
-//
-// With -json, -baseline compares the fresh kernel measurements against a
-// committed snapshot and exits non-zero when any benchmark regressed by more
-// than -tolerance (the CI regression gate).
 package main
 
 import (
@@ -38,9 +34,7 @@ func main() {
 		scale     = flag.Float64("scale", 0.5, "dataset scale factor")
 		list      = flag.Bool("list", false, "list available experiments")
 		csv       = flag.Bool("csv", false, "emit CSV rows instead of tables")
-		jsonOut   = flag.Bool("json", false, "measure MulBitCount on the Figure-3 shapes and write a BENCH_kernels.json snapshot")
-		baseline  = flag.String("baseline", "", "with -json: compare against this snapshot and fail on regressions")
-		tolerance = flag.Float64("tolerance", 0.10, "with -baseline: allowed ns/op regression fraction")
+		tolerance = flag.Float64("tolerance", 0.10, "with -views-baseline: allowed drop of a view's speedup ratio")
 		viewsMode = flag.Bool("views", false, "benchmark incremental view maintenance vs full recompute; writes BENCH_views.json")
 		viewsBase = flag.String("views-baseline", "", "with -views: gate each view's speedup over recompute against this BENCH_views.json snapshot")
 	)
@@ -48,48 +42,6 @@ func main() {
 
 	if *viewsMode {
 		runViewBench(*scale, *viewsBase, *tolerance)
-		if *exp == "" && !*list && !*jsonOut {
-			return
-		}
-	}
-
-	if *jsonOut {
-		// Read the baseline before measuring: the snapshot overwrites it.
-		var base []byte
-		if *baseline != "" {
-			var err error
-			base, err = os.ReadFile(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "joinbench:", err)
-				os.Exit(1)
-			}
-		}
-		snap, err := experiments.KernelBenchSnapshot()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "joinbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile("BENCH_kernels.json", snap, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "joinbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_kernels.json")
-		if base != nil {
-			regs, err := experiments.CompareKernelSnapshots(base, snap, *tolerance)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "joinbench:", err)
-				os.Exit(1)
-			}
-			if len(regs) > 0 {
-				fmt.Fprintf(os.Stderr, "joinbench: %d kernel regression(s) beyond %.0f%% vs %s:\n",
-					len(regs), *tolerance*100, *baseline)
-				for _, r := range regs {
-					fmt.Fprintln(os.Stderr, "  "+r.String())
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("no regressions beyond %.0f%% vs %s\n", *tolerance*100, *baseline)
-		}
 		if *exp == "" && !*list {
 			return
 		}

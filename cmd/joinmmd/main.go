@@ -347,6 +347,11 @@ func run() error {
 		Build: build, Replica: replica,
 	})
 
+	// The handler goes in before the listener exists: once the ready line
+	// below is out, a supervisor may signal at any moment, and an unhandled
+	// SIGTERM kills the process with no drain and no WAL close.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -367,8 +372,6 @@ func run() error {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	var degradeErr error
 	select {
 	case err := <-errCh:

@@ -76,6 +76,13 @@ func (p *proc) logText() string {
 // listen log line reveals the address.
 func startProc(t *testing.T, args ...string) *proc {
 	t.Helper()
+	return startProcOnReady(t, nil, args...)
+}
+
+// startProcOnReady is startProc with a hook the log scanner runs the moment
+// it reads the listen line, before anything else learns the server is up.
+func startProcOnReady(t *testing.T, onReady func(*proc), args ...string) *proc {
+	t.Helper()
 	bin := buildBinary(t)
 	p := &proc{
 		cmd:      exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...),
@@ -98,6 +105,9 @@ func startProc(t *testing.T, args ...string) *proc {
 			p.logs.WriteString(line + "\n")
 			p.mu.Unlock()
 			if strings.Contains(line, `msg="joinmmd listening"`) {
+				if onReady != nil {
+					onReady(p)
+				}
 				if i := strings.Index(line, "addr="); i >= 0 {
 					addr := strings.Fields(line[i+len("addr="):])[0]
 					select {
@@ -242,6 +252,22 @@ func TestGracefulShutdown(t *testing.T) {
 	_ = p2.cmd.Process.Signal(syscall.SIGTERM)
 	if code := waitExit(t, p2); code != 0 {
 		t.Fatalf("second shutdown exit %d", code)
+	}
+}
+
+// TestSignalAtReady sends SIGTERM the instant the ready line appears: a
+// server that announces itself must already shut down gracefully.
+func TestSignalAtReady(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		p := startProcOnReady(t, func(p *proc) {
+			_ = p.cmd.Process.Signal(syscall.SIGTERM) // a failure shows as a missing exit below
+		}, "-data-dir", t.TempDir(), "-fsync", "always")
+		if code := waitExit(t, p); code != 0 {
+			t.Fatalf("iteration %d: exit code %d after SIGTERM at ready; logs:\n%s", i, code, p.logText())
+		}
+		if !strings.Contains(p.logText(), "shutdown complete") {
+			t.Fatalf("iteration %d: no graceful shutdown:\n%s", i, p.logText())
+		}
 	}
 }
 

@@ -117,12 +117,12 @@ type Catalog struct {
 	persist Persistence // nil: no durability sink attached
 
 	cacheMu sync.Mutex
-	cache   *planLRU
+	cache   *weightedLRU[*query.Prepared]
 	hits    uint64
 	misses  uint64
 
 	resultMu     sync.Mutex
-	results      *resultLRU
+	results      *weightedLRU[*SortedResult]
 	resultHits   uint64
 	resultMisses uint64
 }
@@ -544,58 +544,67 @@ type planKey struct {
 	sig  string
 }
 
-// planLRU is a minimal LRU over compiled plans, bounded both by entry count
-// and by the aggregate weight (materialized bag rows) the entries pin. Not
-// safe for concurrent use; the catalog serializes access.
-type planLRU struct {
+// weightedLRU is a minimal LRU keyed like the plan cache, bounded both by
+// entry count and by the aggregate weight its values pin (weigh gives one
+// value's). Both catalog caches are one: compiled plans weigh their
+// materialized bag rows, sorted results their tuples. Not safe for
+// concurrent use; the catalog serializes access.
+type weightedLRU[V any] struct {
 	cap       int
 	weightCap int
+	weigh     func(V) int
 	weight    int        // total weight of cached entries
-	order     *list.List // front = most recent; values are *lruEntry
+	order     *list.List // front = most recent; values are *lruEntry[V]
 	entries   map[planKey]*list.Element
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key    planKey
-	p      *query.Prepared
+	v      V
 	weight int
 }
 
-func newPlanLRU(capacity int) *planLRU {
-	return &planLRU{
-		cap: capacity, weightCap: MaxCachedMaterializedRows,
+func newWeightedLRU[V any](capacity, weightCap int, weigh func(V) int) *weightedLRU[V] {
+	return &weightedLRU[V]{
+		cap: capacity, weightCap: weightCap, weigh: weigh,
 		order: list.New(), entries: map[planKey]*list.Element{},
 	}
 }
 
-func (l *planLRU) len() int { return l.order.Len() }
-
-func (l *planLRU) get(key planKey) *query.Prepared {
-	el, ok := l.entries[key]
-	if !ok {
-		return nil
-	}
-	l.order.MoveToFront(el)
-	return el.Value.(*lruEntry).p
+func newPlanLRU(capacity int) *weightedLRU[*query.Prepared] {
+	return newWeightedLRU(capacity, MaxCachedMaterializedRows, (*query.Prepared).MaterializedRows)
 }
 
-func (l *planLRU) put(key planKey, p *query.Prepared) {
-	w := p.MaterializedRows()
+func (l *weightedLRU[V]) len() int { return l.order.Len() }
+
+// get returns the value cached under key, or the zero V.
+func (l *weightedLRU[V]) get(key planKey) (v V) {
+	el, ok := l.entries[key]
+	if !ok {
+		return v
+	}
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).v
+}
+
+// put caches v under key, unless v alone outweighs the whole budget.
+func (l *weightedLRU[V]) put(key planKey, v V) {
+	w := l.weigh(v)
 	if l.cap <= 0 || w > l.weightCap {
 		return
 	}
 	if el, ok := l.entries[key]; ok {
-		e := el.Value.(*lruEntry)
+		e := el.Value.(*lruEntry[V])
 		l.weight += w - e.weight
-		e.p, e.weight = p, w
+		e.v, e.weight = v, w
 		l.order.MoveToFront(el)
 	} else {
-		l.entries[key] = l.order.PushFront(&lruEntry{key: key, p: p, weight: w})
+		l.entries[key] = l.order.PushFront(&lruEntry[V]{key: key, v: v, weight: w})
 		l.weight += w
 	}
 	for l.order.Len() > l.cap || l.weight > l.weightCap {
 		back := l.order.Back()
-		e := back.Value.(*lruEntry)
+		e := back.Value.(*lruEntry[V])
 		l.order.Remove(back)
 		delete(l.entries, e.key)
 		l.weight -= e.weight

@@ -1,9 +1,5 @@
 package catalog
 
-import (
-	"container/list"
-)
-
 // Sorted-result cache: pagination serves tuples in canonical sorted order,
 // and before this cache every page request re-evaluated and re-sorted the
 // full result. Entries are keyed exactly like compiled plans — (canonical
@@ -41,10 +37,11 @@ type SortedResult struct {
 func (c *Catalog) CachedSortedResult(text, sig string) (SortedResult, bool) {
 	c.resultMu.Lock()
 	defer c.resultMu.Unlock()
-	if r, ok := c.results.get(planKey{text: text, sig: sig}); ok {
+	if r := c.results.get(planKey{text: text, sig: sig}); r != nil {
 		c.resultHits++
-		r.Cached = true
-		return r, true
+		hit := *r
+		hit.Cached = true
+		return hit, true
 	}
 	c.resultMisses++
 	return SortedResult{}, false
@@ -55,64 +52,16 @@ func (c *Catalog) StoreSortedResult(text, sig string, r SortedResult) {
 	c.resultMu.Lock()
 	defer c.resultMu.Unlock()
 	r.Cached = false
-	c.results.put(planKey{text: text, sig: sig}, r)
+	c.results.put(planKey{text: text, sig: sig}, &r)
 }
 
 // ResultCacheStats returns sorted-result cache hit/miss counters and size.
 func (c *Catalog) ResultCacheStats() (hits, misses uint64, size int) {
 	c.resultMu.Lock()
 	defer c.resultMu.Unlock()
-	return c.resultHits, c.resultMisses, c.results.order.Len()
+	return c.resultHits, c.resultMisses, c.results.len()
 }
 
-// resultLRU is a minimal LRU over sorted results, bounded by entry count
-// and aggregate row weight. Not safe for concurrent use; the catalog
-// serializes access.
-type resultLRU struct {
-	cap     int
-	weight  int
-	order   *list.List // front = most recent; values are *resultEntry
-	entries map[planKey]*list.Element
-}
-
-type resultEntry struct {
-	key    planKey
-	res    SortedResult
-	weight int
-}
-
-func newResultLRU(capacity int) *resultLRU {
-	return &resultLRU{cap: capacity, order: list.New(), entries: map[planKey]*list.Element{}}
-}
-
-func (l *resultLRU) get(key planKey) (SortedResult, bool) {
-	el, ok := l.entries[key]
-	if !ok {
-		return SortedResult{}, false
-	}
-	l.order.MoveToFront(el)
-	return el.Value.(*resultEntry).res, true
-}
-
-func (l *resultLRU) put(key planKey, r SortedResult) {
-	w := len(r.Tuples)
-	if l.cap <= 0 || w > MaxCachedResultRows {
-		return
-	}
-	if el, ok := l.entries[key]; ok {
-		e := el.Value.(*resultEntry)
-		l.weight += w - e.weight
-		e.res, e.weight = r, w
-		l.order.MoveToFront(el)
-	} else {
-		l.entries[key] = l.order.PushFront(&resultEntry{key: key, res: r, weight: w})
-		l.weight += w
-	}
-	for l.order.Len() > l.cap || l.weight > MaxCachedResultRows {
-		back := l.order.Back()
-		e := back.Value.(*resultEntry)
-		l.order.Remove(back)
-		delete(l.entries, e.key)
-		l.weight -= e.weight
-	}
+func newResultLRU(capacity int) *weightedLRU[*SortedResult] {
+	return newWeightedLRU(capacity, MaxCachedResultRows, func(r *SortedResult) int { return len(r.Tuples) })
 }

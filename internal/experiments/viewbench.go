@@ -173,8 +173,9 @@ func isIdent(c byte) bool {
 
 // viewBenchReps is the min-of-reps width: each view's whole update-stream
 // run is repeated this many times and the fastest per-batch maintain and
-// recompute times are kept, so the regression gate sees an estimator robust
-// to co-tenant interference (same rationale as measureKernel).
+// recompute times are kept: scheduler and co-tenant interference only ever
+// add time, so the minimum is the estimator the regression gate can compare
+// across runs without tripping on machine noise.
 const viewBenchReps = 3
 
 // MeasureViewBest runs MeasureView reps times on fresh engines and keeps the

@@ -2,104 +2,19 @@ package joinproject
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/matrix"
 	"repro/internal/par"
 	"repro/internal/relation"
+	"repro/internal/tuples"
 )
 
 // The star evaluation works on key positions, not values: every x is
 // addressed by its position in its relation's x index, a projected tuple is
 // a k-tuple of positions, and values are looked up only for the distinct
 // tuples that reach the output.
-
-// tupleArena stores fixed-width tuples back to back in chunks of doubling
-// size, so a stored tuple never moves and storage grows without copying.
-type tupleArena struct {
-	k, n   int
-	chunks [][]int32
-}
-
-// arenaFirst is the tuple capacity of an arena's first chunk; chunk c ≥ 1
-// holds arenaFirst<<(c-1) tuples, starting at ordinal arenaFirst<<(c-1).
-const arenaFirst = 16
-
-// locate returns the chunk and the slot within it of tuple ordinal m.
-func (a *tupleArena) locate(m int) (c, slot int) {
-	if c = bits.Len(uint(m) / arenaFirst); c == 0 {
-		return 0, m
-	}
-	return c, m - arenaFirst<<(c-1)
-}
-
-// alloc returns the zeroed storage of a new tuple.
-func (a *tupleArena) alloc() []int32 {
-	c, slot := a.locate(a.n)
-	if c == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]int32, max(arenaFirst, a.n)*a.k))
-	}
-	a.n++
-	return a.chunks[c][slot*a.k : (slot+1)*a.k : (slot+1)*a.k]
-}
-
-// at returns tuple ordinal m.
-func (a *tupleArena) at(m int) []int32 {
-	c, slot := a.locate(m)
-	return a.chunks[c][slot*a.k : (slot+1)*a.k]
-}
-
-// posSet is a set of position tuples: open addressing with linear probing
-// over the members' ordinals, the members themselves in an arena. Keys are
-// compared as integers; nothing is boxed or converted.
-type posSet struct {
-	members tupleArena
-	slots   []uint32 // member ordinal + 1; 0 = empty; len is a power of two
-}
-
-// hashPositions mixes a position tuple into 64 well-spread bits.
-func hashPositions(ps []int32) uint64 {
-	h := uint64(len(ps))
-	for _, p := range ps {
-		h = (h ^ uint64(uint32(p))) * 0x9e3779b97f4a7c15
-		h ^= h >> 32
-	}
-	return h
-}
-
-// insert adds ps, whose hash is h, and reports whether it was new.
-func (s *posSet) insert(h uint64, ps []int32) bool {
-	if 2*(s.members.n+1) > len(s.slots) {
-		s.grow()
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		m := s.slots[i]
-		if m == 0 {
-			copy(s.members.alloc(), ps)
-			s.slots[i] = uint32(s.members.n)
-			return true
-		}
-		if slices.Equal(s.members.at(int(m-1)), ps) {
-			return false
-		}
-	}
-}
-
-// grow doubles the slot table and re-seats every member.
-func (s *posSet) grow() {
-	s.slots = make([]uint32, max(2*len(s.slots), 16))
-	mask := uint64(len(s.slots) - 1)
-	for m := 0; m < s.members.n; m++ {
-		i := hashPositions(s.members.at(m)) & mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = uint32(m + 1)
-	}
-}
 
 // starDedup is the global set of projected tuples one star evaluation has
 // produced, shared by its parallel workers. Section 6 picks the dedup
@@ -128,9 +43,11 @@ const (
 	bitmapBitsPerJoinTuple = 64
 )
 
+// dedupShard is one stripe of the hash set; a tuples.Table is not safe for
+// concurrent use, so each stripe keeps its own lock.
 type dedupShard struct {
 	mu  sync.Mutex
-	set posSet
+	set *tuples.Table
 }
 
 // newStarDedup sizes the dedup structure for tuples over domains of the
@@ -149,7 +66,7 @@ func newStarDedup(domains []int, joinSize float64) *starDedup {
 	}
 	d.shards = new([dedupShards]dedupShard)
 	for i := range d.shards {
-		d.shards[i].set.members.k = len(domains)
+		d.shards[i].set = tuples.NewTable(len(domains))
 	}
 	return d
 }
@@ -176,29 +93,20 @@ func (d *starDedup) insert(ps []int32) bool {
 			}
 		}
 	}
-	h := hashPositions(ps)
+	h := tuples.Hash(ps)
 	sh := &d.shards[h>>(64-6)]
 	sh.mu.Lock()
-	fresh := sh.set.insert(h, ps)
+	_, fresh := sh.set.InsertHashed(h, ps)
 	sh.mu.Unlock()
 	return fresh
 }
 
-func packTuple(key []byte, xs []int32) []byte {
-	key = key[:0]
-	for _, v := range xs {
-		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return key
-}
-
-// starScratch is the per-worker tuple/key buffer pair of the star
-// evaluation: every producer (light-enumeration chunk, combinatorial chunk,
-// matrix-product row) checks one out for its lifetime, so the per-tuple hot
-// path allocates nothing.
+// starScratch is the per-worker tuple buffer of the star evaluation: every
+// producer (light-enumeration chunk, combinatorial chunk, matrix-product
+// row) checks one out for its lifetime, so the per-tuple hot path allocates
+// nothing.
 type starScratch struct {
-	ps  []int32 // the position tuple under construction
-	key []byte
+	ps []int32 // the position tuple under construction
 }
 
 var starScratchPool = sync.Pool{New: func() any { return new(starScratch) }}
@@ -207,7 +115,6 @@ func getStarScratch(k int) *starScratch {
 	s := starScratchPool.Get().(*starScratch)
 	if cap(s.ps) < k {
 		s.ps = make([]int32, k)
-		s.key = make([]byte, 0, 4*k)
 	}
 	s.ps = s.ps[:k]
 	return s
@@ -391,12 +298,11 @@ func (c *starCtx) heavyColumns() (yCol []int32, ncols int) {
 // [jlo, jhi): rows are distinct position tuples of heavy x values
 // co-occurring under some eligible heavy y, columns are those y values.
 func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCol []int32, ncols int) (rows [][]int32, bm *matrix.BitMatrix) {
-	rowID := make(map[string]int)
+	rowID := tuples.NewTable(jhi - jlo)
 	type cell struct{ row, col int }
 	var cells []cell
 	ps := make([]int32, jhi-jlo)
 	heavyLists := make([][]int32, jhi-jlo)
-	var key []byte
 	for i, col := range yCol {
 		if col < 0 {
 			continue
@@ -419,16 +325,11 @@ func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCol []int32, ncols int) (rows 
 			continue
 		}
 		crossEmit(heavyLists, ps, 0, func() {
-			key = packTuple(key, ps)
-			id, seen := rowID[string(key)]
-			if !seen {
-				id = len(rows)
-				rowID[string(key)] = id
-				rows = append(rows, slices.Clone(ps))
-			}
+			id, _ := rowID.Insert(ps)
 			cells = append(cells, cell{id, int(col)})
 		})
 	}
+	rows = rowID.Rows()
 	bm = matrix.NewBitMatrix(len(rows), ncols)
 	for _, cl := range cells {
 		bm.Set(cl.row, cl.col)
@@ -529,16 +430,14 @@ func starThresholds(rels []*relation.Relation, opt Options) Options {
 // stored back to back in one arena.
 func (c *starCtx) collect(workers int, useMM bool) [][]int32 {
 	var mu sync.Mutex
-	var out [][]int32
-	store := tupleArena{k: c.k}
+	store := tuples.NewArena[int32](c.k)
 	c.runStar(workers, useMM, func(ps []int32) {
 		mu.Lock()
-		xs := store.alloc()
-		out = append(out, xs)
+		xs := store.Alloc()
 		mu.Unlock()
 		c.values(xs, ps)
 	})
-	return out
+	return store.Rows()
 }
 
 // StarMM evaluates the projected star query π_{x1..xk}(R1 ⋈ ... ⋈ Rk) with
@@ -587,28 +486,28 @@ func StarMMCounts(rels []*relation.Relation, opt Options) []TupleCount {
 	opt = starThresholds(rels, opt)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
-	counts := make(map[string]int32) // packed position tuple → witnesses
+	tally := tuples.NewTable(c.k) // position tuple → its ordinal in witnesses
+	var witnesses []int32
 	var mu sync.Mutex
 	add := func(sc *starScratch, n int32) {
-		sc.key = packTuple(sc.key, sc.ps)
+		h := tuples.Hash(sc.ps)
 		mu.Lock()
-		counts[string(sc.key)] += n
+		m, fresh := tally.InsertHashed(h, sc.ps)
+		if fresh {
+			witnesses = append(witnesses, 0)
+		}
+		witnesses[m] += n
 		mu.Unlock()
 	}
 	// Light categories: every enumerated combination is one witness.
 	c.enumerateLight(opt.Workers, func(sc *starScratch) { add(sc, 1) })
 	// All-heavy witnesses via the grouped matrix product.
 	c.heavyProduct(opt.Workers, add)
-	out := make([]TupleCount, 0, len(counts))
-	ps := make([]int32, c.k)
-	for key, n := range counts {
-		for i := range ps {
-			b := []byte(key[4*i : 4*i+4])
-			ps[i] = int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-		}
-		xs := make([]int32, c.k)
-		c.values(xs, ps)
-		out = append(out, TupleCount{Xs: xs, Count: n})
+	out := make([]TupleCount, len(witnesses))
+	xs := tuples.NewArena[int32](c.k)
+	for m, n := range witnesses {
+		out[m] = TupleCount{Xs: xs.Alloc(), Count: n}
+		c.values(out[m].Xs, tally.At(m))
 	}
 	return out
 }

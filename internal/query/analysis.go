@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/tuples"
 )
 
 // AtomClass says how one body atom constrains its variables.
@@ -188,39 +190,34 @@ func (h *HeadLayout) Project(cols []int, rows [][]int32) [][]int64 {
 	for i, hp := range h.Pos {
 		pos[i] = slices.Index(cols, h.Vars[hp])
 	}
+	out := tuples.NewArena[int64](len(pos))
 	if h.CountIdx < 0 {
-		out := make([][]int64, len(rows))
-		for i, r := range rows {
-			t := make([]int64, len(pos))
+		for _, r := range rows {
+			t := out.Alloc()
 			for j, p := range pos {
 				t[j] = int64(r[p])
 			}
-			out[i] = t
 		}
-		return out
+		return out.Rows()
 	}
 	if len(pos) == 1 {
 		return [][]int64{{int64(len(rows))}}
 	}
+	// A group's ordinal in the table is its tuple's ordinal in out.
 	groupPos := slices.Delete(slices.Clone(pos), h.CountIdx, h.CountIdx+1)
-	out := [][]int64{}
-	groupAt := map[string]int{}
-	var key []byte
+	groups := tuples.NewTable(len(groupPos))
+	key := make([]int32, len(groupPos))
 	for _, r := range rows {
-		k := rowKey(&key, r, groupPos)
-		gi, ok := groupAt[string(k)]
-		if !ok {
-			gi = len(out)
-			groupAt[string(k)] = gi
-			t := make([]int64, len(pos))
+		gi, fresh := groups.Insert(pick(key, r, groupPos))
+		if fresh {
+			t := out.Alloc()
 			for j, p := range pos {
 				if j != h.CountIdx {
 					t[j] = int64(r[p])
 				}
 			}
-			out = append(out, t)
 		}
-		out[gi][h.CountIdx]++
+		out.At(gi)[h.CountIdx]++
 	}
-	return out
+	return out.Rows()
 }

@@ -274,6 +274,9 @@ var cyclicShapes = []string{
 	"Q(x, z) :- R(x, y), S(y, z), T(z, x), U(x, z)",                             // triangle + parallel closing atom
 	"Q(x, a) :- R(x, y), S(y, z), T(z, x), U(a, b)",                             // cyclic × acyclic cross product
 	"Q(x, COUNT(a)) :- R(x, y), S(y, z), T(z, x), U(x, a)",                      // aggregate over cyclic + arm
+	"Q(x, y, COUNT(z)) :- R(x, y), S(y, z), T(z, x)",                            // COUNT grouped after a k-ary bag (no pushdown)
+	"Q(a, COUNT(c), b) :- R(a, b), S(b, c), T(c, d), U(d, a)",                   // COUNT grouped after a two-bag k-ary join
+	"Q(x, COUNT(a)) :- R(x, y), S(y, z), T(z, x), U(a, b)",                      // COUNT split across components: cross, then group
 	"Q(x, z) :- R(x, y), S(y, z), T(z, x) WITH strategy=wcoj",                   // strategy pin through bags
 	"Q(a, c) :- R(a, b), S(b, c), T(c, d), U(d, a) WITH strategy=mm, workers=2", // pinned MM folds
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/joinproject"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/tuples"
 )
 
 // ExecOptions configures one evaluation of a Prepared query.
@@ -228,10 +229,12 @@ func (ex *executor) run() (*Result, error) {
 	if !ex.dry && !p.empty && grouped == nil {
 		for _, pr := range producers {
 			cols = append(cols, pr.cols...)
-			rows = crossRows(rows, pr.rows)
-			if err := ex.charge(len(rows), rowBudgetBytes(len(cols))); err != nil {
+			// The product's size is known before it is built: a budget must
+			// refuse it before the memory is spent.
+			if err := ex.charge(len(rows)*len(pr.rows), rowBudgetBytes(len(cols))); err != nil {
 				return nil, err
 			}
+			rows = crossRows(rows, pr.rows)
 		}
 	}
 
@@ -258,13 +261,13 @@ func (ex *executor) run() (*Result, error) {
 	}
 	if grouped != nil {
 		ci := q.CountIndex()
-		res.Tuples = make([][]int64, len(grouped.rows))
+		out := tuples.NewArena[int64](2)
 		for i, r := range grouped.rows {
-			row := make([]int64, 2)
+			row := out.Alloc()
 			row[1-ci] = int64(r[0])
 			row[ci] = grouped.counts[i]
-			res.Tuples[i] = row
 		}
+		res.Tuples = out.Rows()
 	} else {
 		res.Tuples = p.head.Project(cols, rows)
 	}
@@ -297,17 +300,24 @@ func headLabels(q *Query) string {
 	return strings.Join(parts, ", ")
 }
 
+// crossRows returns the cross product of two row sets, a's columns first.
+// Against the seed — the one zero-column row — that is b itself.
 func crossRows(a, b [][]int32) [][]int32 {
-	out := make([][]int32, 0, len(a)*len(b))
+	if len(a) == 1 && len(a[0]) == 0 {
+		return b
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	out := tuples.NewArena[int32](len(a[0]) + len(b[0]))
 	for _, ra := range a {
 		for _, rb := range b {
-			r := make([]int32, 0, len(ra)+len(rb))
-			r = append(r, ra...)
-			r = append(r, rb...)
-			out = append(out, r)
+			r := out.Alloc()
+			copy(r, ra)
+			copy(r[len(ra):], rb)
 		}
 	}
-	return out
+	return out.Rows()
 }
 
 // liveEdge is one edge of the working tree during Steiner pruning and
@@ -395,10 +405,7 @@ func (ex *executor) evalComponent(c *component) (*compResult, error) {
 		cr.cols = []int{h}
 		dom := c.allowed[h]
 		if !ex.dry {
-			cr.rows = make([][]int32, len(dom))
-			for i, v := range dom {
-				cr.rows[i] = []int32{v}
-			}
+			cr.rows = columnRows(len(dom), func(i int) int32 { return dom[i] })
 		}
 		compNode.Children = append([]*Node{{
 			Op: "domain", Detail: p.vars[h], Rows: int64(len(dom)),
@@ -562,10 +569,9 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	if err := ex.charge(len(groups), rowBudgetBytes(1)+8); err != nil {
 		return nil, err
 	}
-	cr.rows = make([][]int32, len(groups))
+	cr.rows = columnRows(len(groups), func(i int) int32 { return groups[i].X })
 	cr.counts = make([]int64, len(groups))
 	for i, gc := range groups {
-		cr.rows[i] = []int32{gc.X}
 		cr.counts[i] = gc.Distinct
 	}
 	node.Rows = int64(len(groups))
@@ -633,10 +639,9 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 				if err := ex.charge(ix.NumKeys(), rowBudgetBytes(1)+8); err != nil {
 					return nil, err
 				}
-				cr.rows = make([][]int32, ix.NumKeys())
+				cr.rows = columnRows(ix.NumKeys(), ix.Key)
 				cr.counts = make([]int64, ix.NumKeys())
-				for i := 0; i < ix.NumKeys(); i++ {
-					cr.rows[i] = []int32{ix.Key(i)}
+				for i := range cr.counts {
 					cr.counts[i] = int64(ix.Degree(i))
 				}
 				node.Rows = int64(ix.NumKeys())
@@ -648,10 +653,12 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 			if err := ex.charge(e.rel.Size(), rowBudgetBytes(2)); err != nil {
 				return nil, err
 			}
-			cr.rows = make([][]int32, 0, e.rel.Size())
+			rows := tuples.NewArena[int32](2)
 			for _, pr := range e.rel.Pairs() {
-				cr.rows = append(cr.rows, []int32{pr.X, pr.Y})
+				r := rows.Alloc()
+				r[0], r[1] = pr.X, pr.Y
 			}
+			cr.rows = rows.Rows()
 		}
 		return cr, nil
 	}
@@ -891,15 +898,12 @@ func (ex *executor) evalBagTree(c *component) (*compResult, error) {
 	foldTotal.With("bagjoin", "hash").Inc()
 	join.Rows = int64(len(rows))
 	headPos := varPositions(cols, c.heads)
-	cr.rows = make([][]int32, 0, len(rows))
+	distinct := tuples.NewTable(len(headPos))
+	t := make([]int32, len(headPos))
 	for _, r := range rows {
-		t := make([]int32, len(headPos))
-		for i, hp := range headPos {
-			t[i] = r[hp]
-		}
-		cr.rows = append(cr.rows, t)
+		distinct.Insert(pick(t, r, headPos))
 	}
-	cr.rows = dedupRows(cr.rows)
+	cr.rows = distinct.Rows()
 	compNode.Rows = int64(len(cr.rows))
 	return cr, nil
 }
@@ -918,23 +922,23 @@ func SortTuples(tuples [][]int64) {
 	slices.SortFunc(tuples, slices.Compare[[]int64])
 }
 
-// dedupRows removes duplicate rows (by value).
+// dedupRows returns the distinct rows, in first-appearance order.
 func dedupRows(rows [][]int32) [][]int32 {
 	if len(rows) <= 1 {
 		return rows
 	}
-	seen := make(map[string]bool, len(rows))
-	var key []byte
-	all := make([]int, len(rows[0]))
-	for i := range all {
-		all[i] = i
-	}
-	out := rows[:0:0]
+	seen := tuples.NewTable(len(rows[0]))
 	for _, r := range rows {
-		if k := rowKey(&key, r, all); !seen[string(k)] {
-			seen[string(k)] = true
-			out = append(out, r)
-		}
+		seen.Insert(r)
 	}
-	return out
+	return seen.Rows()
+}
+
+// columnRows returns the n one-column rows whose values are at(0..n-1).
+func columnRows(n int, at func(i int) int32) [][]int32 {
+	col := tuples.NewArena[int32](1)
+	for i := 0; i < n; i++ {
+		col.Alloc()[0] = at(i)
+	}
+	return col.Rows()
 }

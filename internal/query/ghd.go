@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/hypertree"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/tuples"
 	"repro/internal/wcoj"
 )
 
@@ -359,14 +359,15 @@ func (p *Prepared) foldBag(bagVars, needed []int, inBag []*edge, hasUnary map[in
 			ch = ch.Swap()
 		}
 	}
-	rows := make([][]int32, 0, v.Size())
+	rows := tuples.NewArena[int32](2)
 	for _, pr := range v.Pairs() {
 		if ch != nil && !ch.Contains(pr.X, pr.Y) {
 			continue
 		}
-		rows = append(rows, []int32{pr.X, pr.Y})
+		row := rows.Alloc()
+		row[0], row[1] = pr.X, pr.Y
 	}
-	return rows, step.Strategy, true
+	return rows.Rows(), step.Strategy, true
 }
 
 // enumerateBag materializes a bag with the shared variable-at-a-time join
@@ -412,24 +413,18 @@ func (p *Prepared) enumerateBag(ctx context.Context, c *component, bagVars, need
 		}
 	}
 
-	seen := map[string]bool{}
-	var rows [][]int32
-	var key []byte
+	seen := tuples.NewTable(len(needed))
+	row := make([]int32, len(needed))
 	search := plan.Search(rels, domains, ctx.Err, func(assign []int32) bool {
-		if k := rowKey(&key, assign, needed); !seen[string(k)] {
-			seen[string(k)] = true
-			row := make([]int32, len(needed))
-			for i, v := range needed {
-				row[i] = assign[v]
-			}
-			rows = append(rows, row)
-		}
+		seen.Insert(pick(row, assign, needed))
 		return len(needed) > 0 // a boolean bag is decided by its first witness
 	})
 	if err := search.Run(make([]int32, len(p.vars))); err != nil {
 		return nil, err
 	}
-	sortRows(rows)
+	// Sorted for deterministic plans.
+	rows := seen.Rows()
+	slices.SortFunc(rows, slices.Compare[[]int32])
 	return rows, nil
 }
 
@@ -488,7 +483,9 @@ func bagsByDepth(bags []*bagInfo) []int {
 }
 
 // semijoinRows keeps the rows of dst whose shared-variable projection
-// appears in src.
+// appears in src. Survivors are copied to a store of their own: bag rows are
+// views into one arena, and a cached plan must not pin the unreduced bag
+// through them.
 func semijoinRows(dst, src *bagInfo) {
 	shared := intersectInts(dst.needed, src.needed)
 	if len(shared) == 0 {
@@ -496,26 +493,26 @@ func semijoinRows(dst, src *bagInfo) {
 	}
 	dstPos := varPositions(dst.needed, shared)
 	srcPos := varPositions(src.needed, shared)
-	keys := make(map[string]bool, len(src.rows))
-	var key []byte
+	keys := tuples.NewTable(len(shared))
+	key := make([]int32, len(shared))
 	for _, r := range src.rows {
-		keys[string(rowKey(&key, r, srcPos))] = true
+		keys.Insert(pick(key, r, srcPos))
 	}
-	out := dst.rows[:0:0]
+	out := tuples.NewArena[int32](len(dst.needed))
 	for _, r := range dst.rows {
-		if keys[string(rowKey(&key, r, dstPos))] {
-			out = append(out, r)
+		if keys.Find(pick(key, r, dstPos)) >= 0 {
+			copy(out.Alloc(), r)
 		}
 	}
-	dst.rows = out
+	dst.rows = out.Rows()
 }
 
 // joinBagTree joins the reduced bag tree below bag i and returns the result
 // columns (variable ids) and rows. The context is polled between child
 // joins and every few thousand output rows, so a request deadline abandons
 // a blowing-up intermediate; the per-query budget riding the context is
-// charged for every joined intermediate, so an output explosion trips
-// govern.ErrBudgetExceeded before it exhausts memory.
+// charged at the same poll, while the joined intermediate grows, so an output
+// explosion trips govern.ErrBudgetExceeded before it exhausts memory.
 func joinBagTree(ctx context.Context, bags []*bagInfo, i int) ([]int, [][]int32, error) {
 	budget := govern.FromContext(ctx)
 	cols := slices.Clone(bags[i].needed)
@@ -548,45 +545,60 @@ func joinBagTree(ctx context.Context, bags []*bagInfo, i int) ([]int, [][]int32,
 				cols = append(cols, v)
 			}
 		}
-		index := make(map[string][][]int32, len(crows))
-		var key []byte
+		// Hash index on the child's shared columns: a Table of the distinct
+		// keys, and per key ordinal the child rows carrying it.
+		index := tuples.NewTable(len(shared))
+		var buckets [][][]int32
+		key := make([]int32, len(shared))
 		for _, r := range crows {
-			k := string(rowKey(&key, r, csharedPos))
-			index[k] = append(index[k], r)
+			m, fresh := index.Insert(pick(key, r, csharedPos))
+			if fresh {
+				buckets = append(buckets, nil)
+			}
+			buckets[m] = append(buckets[m], r)
 		}
-		var joined [][]int32
+		joined := tuples.NewArena[int32](len(cols))
+		rowBytes := int64(rowBudgetBytes(len(cols)))
 		for _, r := range rows {
-			for _, cr := range index[string(rowKey(&key, r, sharedPos))] {
-				row := make([]int32, 0, len(r)+len(extraPos))
-				row = append(row, r...)
-				for _, ep := range extraPos {
-					row = append(row, cr[ep])
+			m := index.Find(pick(key, r, sharedPos))
+			if m < 0 {
+				continue
+			}
+			for _, cr := range buckets[m] {
+				row := joined.Alloc()
+				copy(row, r)
+				for e, ep := range extraPos {
+					row[len(r)+e] = cr[ep]
 				}
-				joined = append(joined, row)
-				if len(joined)&0x1fff == 0 {
+				if joined.Len()%joinPollRows == 0 {
 					if err := ctx.Err(); err != nil {
+						return nil, nil, err
+					}
+					if err := budget.ChargeRows(joinPollRows, rowBytes); err != nil {
 						return nil, nil, err
 					}
 				}
 			}
 		}
-		if err := budget.ChargeRows(int64(len(joined)), int64(24+4*len(cols))); err != nil {
+		if err := budget.ChargeRows(int64(joined.Len()%joinPollRows), rowBytes); err != nil {
 			return nil, nil, err
 		}
-		rows = joined
+		rows = joined.Rows()
 	}
 	return cols, rows, nil
 }
 
-// rowKey encodes the projection of r onto positions into *buf and returns it.
-func rowKey(buf *[]byte, r []int32, positions []int) []byte {
-	b := (*buf)[:0]
-	for _, p := range positions {
-		b = strconv.AppendInt(b, int64(r[p]), 10)
-		b = append(b, ',')
+// joinPollRows is how many joined rows joinBagTree builds between polls of
+// the context and charges to the budget.
+const joinPollRows = 8192
+
+// pick writes the projection of r onto positions into dst and returns dst —
+// the key a tuples.Table is probed with.
+func pick(dst, r []int32, positions []int) []int32 {
+	for i, p := range positions {
+		dst[i] = r[p]
 	}
-	*buf = b
-	return b
+	return dst
 }
 
 // varPositions maps each variable of sub to its position in cols.
@@ -621,17 +633,4 @@ func intersectInts(a, b []int) []int {
 func containsInt(s []int, v int) bool {
 	i := sort.SearchInts(s, v)
 	return i < len(s) && s[i] == v
-}
-
-// sortRows orders rows lexicographically for deterministic plans.
-func sortRows(rows [][]int32) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/relation"
+	"repro/internal/tuples"
 )
 
 // GetSizeBoundary chooses the size threshold x of Algorithm 2: sets of size
@@ -162,15 +163,6 @@ func sizeAwareHeavy(f *family, c, x, workers int, sink *pairSink, onlyAgainst []
 	})
 }
 
-// subsetKey packs a c-subset of element values into a string key.
-func subsetKey(buf []byte, subset []int32) []byte {
-	buf = buf[:0]
-	for _, v := range subset {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return buf
-}
-
 // forEachCSubset enumerates all c-subsets of set, invoking fn with a reused
 // buffer.
 func forEachCSubset(set []int32, c int, fn func(subset []int32)) {
@@ -198,23 +190,24 @@ func forEachCSubset(set []int32, c int, fn func(subset []int32)) {
 // (Algorithm 2 lines 4–8): two light sets are similar iff they share a
 // c-subset.
 func sizeAwareLight(f *family, c, x int, sink *pairSink) {
-	buckets := make(map[string][]int32)
-	var buf []byte
+	subsets := tuples.NewTable(c)
+	var buckets [][]int32 // by subset ordinal: the light sets containing it
 	for i := 0; i < len(f.ids); i++ {
 		if f.sizes[i] >= x {
 			continue
 		}
 		forEachCSubset(f.sets[i], c, func(subset []int32) {
-			buf = subsetKey(buf, subset)
-			key := string(buf)
-			bucket := buckets[key]
+			m, fresh := subsets.Insert(subset)
+			if fresh {
+				buckets = append(buckets, nil)
+			}
 			// Pair the new set with everything already in the bucket
 			// (line 8); the sink deduplicates pairs discovered through
 			// multiple shared subsets.
-			for _, j := range bucket {
+			for _, j := range buckets[m] {
 				sink.add(f.normalize(int32(i), j))
 			}
-			buckets[key] = append(bucket, int32(i))
+			buckets[m] = append(buckets[m], int32(i))
 		})
 	}
 }

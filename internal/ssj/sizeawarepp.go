@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/joinproject"
 	"repro/internal/relation"
+	"repro/internal/tuples"
 )
 
 // PPOptions toggles the three SizeAware++ optimizations. The zero value
@@ -97,21 +98,15 @@ func heavyViaMM(rel *relation.Relation, f *family, c, x int, opt PPOptions, sink
 // sets are similar iff they share a c-subset, which is exactly a 2-path
 // through the subset vertex.
 func lightViaMM(f *family, c, x int, opt PPOptions, sink *pairSink) {
-	subsetIDs := make(map[string]int32)
+	subsets := tuples.NewTable(c) // a subset's vertex id is its ordinal
 	var bp []relation.Pair
-	var buf []byte
 	for i := 0; i < len(f.ids); i++ {
 		if f.sizes[i] >= x {
 			continue
 		}
 		forEachCSubset(f.sets[i], c, func(subset []int32) {
-			buf = subsetKey(buf, subset)
-			id, ok := subsetIDs[string(buf)]
-			if !ok {
-				id = int32(len(subsetIDs))
-				subsetIDs[string(buf)] = id
-			}
-			bp = append(bp, relation.Pair{X: f.ids[i], Y: id})
+			id, _ := subsets.Insert(subset)
+			bp = append(bp, relation.Pair{X: f.ids[i], Y: int32(id)})
 		})
 	}
 	if len(bp) == 0 {
