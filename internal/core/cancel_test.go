@@ -16,7 +16,7 @@ import (
 func TestCancelHeavyQueryReturnsFast(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	eng := NewEngine()
-	if _, err := eng.Register("R", randPairs(rng, 90_000, 400)); err != nil {
+	if _, err := eng.Register("R", randPairs(rng, 250_000, 800)); err != nil {
 		t.Fatal(err)
 	}
 	const q = "Q(a, d) :- R(a, b), R(b, c), R(c, d)"

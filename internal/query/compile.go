@@ -119,7 +119,7 @@ func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared,
 	hasUnary := map[int]bool{}
 	addUnary := func(v int, set []int32, why string) {
 		if hasUnary[v] {
-			unary[v] = intersectSorted(unary[v], set)
+			unary[v] = relation.IntersectSorted(nil, unary[v], set)
 		} else {
 			hasUnary[v] = true
 			unary[v] = set
@@ -166,35 +166,12 @@ func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared,
 	for ei, group := range parallel {
 		e := group[0]
 		if len(group) > 1 {
-			var ps []relation.Pair
-			for _, pr := range group[0].rel.Pairs() {
-				ok := true
-				for _, other := range group[1:] {
-					if !other.rel.Contains(pr.X, pr.Y) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					ps = append(ps, pr)
-				}
-			}
+			rels := make([]*relation.Relation, len(group))
 			labels := make([]string, len(group))
 			for i, g := range group {
-				labels[i] = g.label
+				rels[i], labels[i] = g.rel, g.label
 			}
-			name := ""
-			for i, g := range group {
-				if i > 0 {
-					name += "∩"
-				}
-				name += g.rel.Name()
-			}
-			e = edge{a: e.a, b: e.b, rel: relation.FromPairs(name, ps), label: strings.Join(labels, " ∩ ")}
-			if e.rel.Size() == 0 && !p.empty {
-				p.empty = true
-				p.emptyWhy = e.label + " is empty"
-			}
+			e = edge{a: e.a, b: e.b, rel: intersectRels(rels...), label: strings.Join(labels, " ∩ ")}
 		}
 		e.origSize = e.rel.Size()
 		if e.origSize == 0 && !p.empty {
@@ -269,73 +246,61 @@ func (p *Prepared) Vars() []string { return append([]string(nil), p.vars...) }
 // Empty reports whether compilation proved the result empty, with the reason.
 func (p *Prepared) Empty() (bool, string) { return p.empty, p.emptyWhy }
 
-// reduce runs the two Yannakakis passes over one component tree and filters
-// every edge relation down to its globally consistent tuples. After this,
-// every remaining tuple and every remaining domain value participates in at
-// least one full solution of the component — the property that lets the
-// executor prune non-head branches entirely and keep every fold
-// output-sensitive. Returns ok=false with a reason if some domain empties.
+// reduce is the Yannakakis full reducer over one component tree: afterwards
+// every remaining domain value and tuple participates in at least one full
+// solution of the component, which lets the executor prune non-head branches
+// and keep every fold output-sensitive. It roots the tree at its most
+// selective bound variable (the smallest unary domain) and seeds only the
+// root, so its cost follows the tuples reached from the constants, not the
+// relation sizes. Returns ok=false with a reason if some domain empties.
 func (p *Prepared) reduce(c *component, unary map[int][]int32, hasUnary map[int]bool) (string, bool) {
-	// Incidence lists.
-	adj := map[int][]int{} // var → edge indices
+	if len(c.vars) == 0 {
+		return "", true // a cyclic component decided by its bags alone
+	}
+	adj := map[int][]int{} // var → incident edge indices
 	for i, e := range c.edges {
 		adj[e.a] = append(adj[e.a], i)
 		adj[e.b] = append(adj[e.b], i)
 	}
-
-	// Initial domains: intersection of every incident edge's key list and the
-	// unary constraints (local consistency).
+	root := c.vars[0]
 	for _, v := range c.vars {
-		var dom []int32
-		have := false
-		if hasUnary[v] {
-			dom, have = unary[v], true
+		if hasUnary[v] && (!hasUnary[root] || len(unary[v]) < len(unary[root])) {
+			root = v
 		}
-		for _, ei := range adj[v] {
-			keys := edgeKeys(&c.edges[ei], v)
-			if !have {
-				dom, have = slices.Clone(keys), true
-			} else {
-				dom = intersectSorted(dom, keys)
-			}
-		}
-		if !have || len(dom) == 0 {
-			return fmt.Sprintf("variable %s has an empty domain", p.vars[v]), false
-		}
-		c.allowed[v] = dom
 	}
-
-	if len(c.edges) > 0 {
-		root := c.vars[0]
-		// Upward pass (post-order): each variable's domain is filtered by the
-		// values its children subtrees support.
-		var up func(v, parentEdge int)
-		up = func(v, parentEdge int) {
-			for _, ei := range adj[v] {
-				if ei == parentEdge {
-					continue
-				}
-				e := &c.edges[ei]
-				u := e.other(v)
-				up(u, ei)
-				c.allowed[v] = filterSupported(c.allowed[v], e, v, c.allowed[u])
+	if hasUnary[root] {
+		c.allowed[root] = unary[root]
+	} else { // an unconstrained variable lies on some edge
+		c.allowed[root] = slices.Clone(edgeKeys(&c.edges[adj[root][0]], root))
+	}
+	// The tree's edges in pre-order from the root, each as parent v, child u.
+	type step struct {
+		v, u int
+		e    *edge
+	}
+	var order []step
+	var walk func(v, parentEdge int)
+	walk = func(v, parentEdge int) {
+		for _, ei := range adj[v] {
+			if e := &c.edges[ei]; ei != parentEdge {
+				order = append(order, step{v, e.other(v), e})
+				walk(e.other(v), ei)
 			}
 		}
-		up(root, -1)
-		// Downward pass (pre-order): push the root-side support back out.
-		var down func(v, parentEdge int)
-		down = func(v, parentEdge int) {
-			for _, ei := range adj[v] {
-				if ei == parentEdge {
-					continue
-				}
-				e := &c.edges[ei]
-				u := e.other(v)
-				c.allowed[u] = filterSupported(c.allowed[u], e, u, c.allowed[v])
-				down(u, ei)
-			}
+	}
+	walk(root, -1)
+	for _, s := range order { // expand: each child starts from its parent's partners
+		c.allowed[s.u] = reachable(c.allowed[s.v], s.e, s.v)
+		if hasUnary[s.u] {
+			c.allowed[s.u] = relation.IntersectSorted(nil, c.allowed[s.u], unary[s.u])
 		}
-		down(root, -1)
+	}
+	for i := len(order) - 1; i >= 0; i-- { // upward: children's subtrees filter parents
+		s := order[i]
+		c.allowed[s.v] = filterSupported(c.allowed[s.v], s.e, s.v, c.allowed[s.u])
+	}
+	for _, s := range order { // downward: push the root-side support back out
+		c.allowed[s.u] = filterSupported(c.allowed[s.u], s.e, s.u, c.allowed[s.v])
 	}
 	for _, v := range c.vars {
 		if len(c.allowed[v]) == 0 {
@@ -343,27 +308,65 @@ func (p *Prepared) reduce(c *component, unary map[int][]int32, hasUnary map[int]
 		}
 	}
 
-	// Filter every edge down to tuples with both endpoints allowed.
+	// Rebuild each edge from its allowed X values' partners allowed in Y.
 	for i := range c.edges {
 		e := &c.edges[i]
-		domA, domB := c.allowed[e.a], c.allowed[e.b]
 		var ps []relation.Pair
-		kept := 0
-		for _, pr := range e.rel.Pairs() {
-			if containsSorted(domA, pr.X) && containsSorted(domB, pr.Y) {
-				ps = append(ps, pr)
-				kept++
+		var ys []int32
+		for _, x := range c.allowed[e.a] {
+			ys = relation.IntersectSorted(ys[:0], e.rel.ByX().Lookup(x), c.allowed[e.b])
+			for _, y := range ys {
+				ps = append(ps, relation.Pair{X: x, Y: y})
 			}
 		}
-		if kept == e.rel.Size() {
-			continue // nothing dangled; keep the original indexes
+		if len(ps) < e.rel.Size() { // else nothing dangled; keep the original indexes
+			e.rel = relation.FromPairs(e.rel.Name(), ps)
 		}
-		if kept == 0 {
-			return e.label + " is empty after reduction", false
-		}
-		e.rel = relation.FromPairs(e.rel.Name(), ps)
 	}
 	return "", true
+}
+
+// reachable returns the sorted distinct partners of dom's values through edge
+// e, seen from variable v. Once the partners found reach the edge's key count
+// on the other side, that key list is returned instead: it is no larger, and
+// the reduction passes filter it just the same.
+func reachable(dom []int32, e *edge, v int) []int32 {
+	keys := edgeKeys(e, e.other(v))
+	var out []int32
+	for _, val := range dom {
+		out = append(out, edgePartners(e, v, val)...)
+		if len(out) >= len(keys) {
+			return slices.Clone(keys)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// intersectRels returns the tuples common to every relation, named after all
+// of them ("R∩S"). It walks the smallest relation's index and probes the
+// others, so its cost follows the smallest input.
+func intersectRels(rels ...*relation.Relation) *relation.Relation {
+	small := slices.MinFunc(rels, func(a, b *relation.Relation) int { return a.Size() - b.Size() })
+	names := make([]string, len(rels))
+	for i, r := range rels {
+		names[i] = r.Name()
+	}
+	var ps []relation.Pair
+	ix := small.ByX()
+	for i := range ix.NumKeys() {
+		x := ix.Key(i)
+	next:
+		for _, y := range ix.List(i) {
+			for _, r := range rels {
+				if r != small && !r.Contains(x, y) {
+					continue next
+				}
+			}
+			ps = append(ps, relation.Pair{X: x, Y: y})
+		}
+	}
+	return relation.FromPairs(strings.Join(names, "∩"), ps)
 }
 
 // other returns the edge endpoint that is not v.
@@ -435,16 +438,6 @@ func intersectsSorted(a, b []int32) bool {
 		}
 	}
 	return false
-}
-
-func intersectSorted(a, b []int32) []int32 {
-	return relation.IntersectSorted(nil, a, b)
-}
-
-// containsSorted reports membership in an ascending slice.
-func containsSorted(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
 }
 
 func varNames(names []string, idx []int) string {

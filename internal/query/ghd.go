@@ -236,13 +236,7 @@ func (p *Prepared) rewriteBinary(c *component, bags []*bagInfo, addUnary func(in
 					if e.a != a {
 						rel = rel.Swap()
 					}
-					var in []relation.Pair
-					for _, pr := range e.rel.Pairs() {
-						if rel.Contains(pr.X, pr.Y) {
-							in = append(in, pr)
-						}
-					}
-					e.rel = relation.FromPairs(e.rel.Name()+"∩"+rel.Name(), in)
+					e.rel = intersectRels(e.rel, rel)
 					e.label += " ∩ " + bg.label
 					if e.rel.Size() == 0 && !p.empty {
 						p.empty = true
