@@ -190,15 +190,14 @@ func (h *HeadLayout) Project(cols []int, rows [][]int32) [][]int64 {
 	for i, hp := range h.Pos {
 		pos[i] = slices.Index(cols, h.Vars[hp])
 	}
-	out := tuples.NewArena[int64](len(pos))
 	if h.CountIdx < 0 {
-		for _, r := range rows {
-			t := out.Alloc()
+		out := tuples.Block[int64](len(rows), len(pos))
+		for i, r := range rows {
 			for j, p := range pos {
-				t[j] = int64(r[p])
+				out[i][j] = int64(r[p])
 			}
 		}
-		return out.Rows()
+		return out
 	}
 	if len(pos) == 1 {
 		return [][]int64{{int64(len(rows))}}
@@ -206,6 +205,7 @@ func (h *HeadLayout) Project(cols []int, rows [][]int32) [][]int64 {
 	// A group's ordinal in the table is its tuple's ordinal in out.
 	groupPos := slices.Delete(slices.Clone(pos), h.CountIdx, h.CountIdx+1)
 	groups := tuples.NewTable(len(groupPos))
+	out := tuples.NewArena[int64](len(pos))
 	key := make([]int32, len(groupPos))
 	for _, r := range rows {
 		gi, fresh := groups.Insert(pick(key, r, groupPos))

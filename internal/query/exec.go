@@ -261,13 +261,11 @@ func (ex *executor) run() (*Result, error) {
 	}
 	if grouped != nil {
 		ci := q.CountIndex()
-		out := tuples.NewArena[int64](2)
+		res.Tuples = tuples.Block[int64](len(grouped.rows), 2)
 		for i, r := range grouped.rows {
-			row := out.Alloc()
-			row[1-ci] = int64(r[0])
-			row[ci] = grouped.counts[i]
+			res.Tuples[i][1-ci] = int64(r[0])
+			res.Tuples[i][ci] = grouped.counts[i]
 		}
-		res.Tuples = out.Rows()
 	} else {
 		res.Tuples = p.head.Project(cols, rows)
 	}
@@ -309,15 +307,15 @@ func crossRows(a, b [][]int32) [][]int32 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	out := tuples.NewArena[int32](len(a[0]) + len(b[0]))
-	for _, ra := range a {
-		for _, rb := range b {
-			r := out.Alloc()
+	out := tuples.Block[int32](len(a)*len(b), len(a[0])+len(b[0]))
+	for i, ra := range a {
+		for j, rb := range b {
+			r := out[i*len(b)+j]
 			copy(r, ra)
 			copy(r[len(ra):], rb)
 		}
 	}
-	return out.Rows()
+	return out
 }
 
 // liveEdge is one edge of the working tree during Steiner pruning and
@@ -653,12 +651,16 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 			if err := ex.charge(e.rel.Size(), rowBudgetBytes(2)); err != nil {
 				return nil, err
 			}
-			rows := tuples.NewArena[int32](2)
-			for _, pr := range e.rel.Pairs() {
-				r := rows.Alloc()
-				r[0], r[1] = pr.X, pr.Y
+			// The index walk is the relation's (x, y) order.
+			cr.rows = tuples.Block[int32](e.rel.Size(), 2)
+			ix, i := e.rel.ByX(), 0
+			for k := 0; k < ix.NumKeys(); k++ {
+				x := ix.Key(k)
+				for _, y := range ix.List(k) {
+					cr.rows[i][0], cr.rows[i][1] = x, y
+					i++
+				}
 			}
-			cr.rows = rows.Rows()
 		}
 		return cr, nil
 	}
@@ -936,9 +938,9 @@ func dedupRows(rows [][]int32) [][]int32 {
 
 // columnRows returns the n one-column rows whose values are at(0..n-1).
 func columnRows(n int, at func(i int) int32) [][]int32 {
-	col := tuples.NewArena[int32](1)
-	for i := 0; i < n; i++ {
-		col.Alloc()[0] = at(i)
+	col := tuples.Block[int32](n, 1)
+	for i, r := range col {
+		r[0] = at(i)
 	}
-	return col.Rows()
+	return col
 }

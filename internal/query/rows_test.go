@@ -106,3 +106,59 @@ func TestExecuteRowPathDoesNotBoxRows(t *testing.T) {
 	}
 	t.Logf("%v allocations for %d rows", allocs, rows)
 }
+
+// TestRowProducersWriteExactBlocks pins the exact-block rule: a producer
+// that knows its row count makes the same few allocations for 10 rows as
+// for 100 000, and spends within 5 % of one header per row plus the values
+// — no doubling chunks, no second copy.
+func TestRowProducersWriteExactBlocks(t *testing.T) {
+	plain := func(n, k int) [][]int32 {
+		rows := make([][]int32, n)
+		for i := range rows {
+			rows[i] = make([]int32, k)
+			for j := range rows[i] {
+				rows[i][j] = int32(i*k + j)
+			}
+		}
+		return rows
+	}
+	head := &HeadLayout{Vars: []int{0, 1, 2}, Pos: []int{2, 0, 1}, CountIdx: -1}
+	cols := []int{1, 2, 0}
+	const small, large = 10, 100_000
+	producers := []struct {
+		name      string
+		valueSize int // bytes per value of the produced rows
+		k         int // columns of the produced rows
+		run       func(n int) func()
+	}{
+		{"HeadLayout.Project", 8, 3, func(n int) func() {
+			rows := plain(n, 3)
+			return func() { head.Project(cols, rows) }
+		}},
+		{"crossRows", 4, 3, func(n int) func() {
+			a, b := plain(n/10, 2), plain(10, 1)
+			return func() { crossRows(a, b) }
+		}},
+		{"columnRows", 4, 1, func(n int) func() {
+			return func() { columnRows(n, func(i int) int32 { return int32(i) }) }
+		}},
+	}
+	for _, p := range producers {
+		few := testing.AllocsPerRun(5, p.run(small))
+		many := testing.AllocsPerRun(2, p.run(large))
+		if few != many {
+			t.Errorf("%s: %v allocations for %d rows but %v for %d; want the same count", p.name, few, small, many, large)
+		}
+		run := p.run(large)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		spent := float64(after.TotalAlloc - before.TotalAlloc)
+		exact := float64(large * (24 + p.valueSize*p.k))
+		if spent > 1.05*exact || spent < exact {
+			t.Errorf("%s: %d rows allocated %.0f bytes; want within 5%% of %.0f", p.name, large, spent, exact)
+		}
+		t.Logf("%s: %v allocations, %.0f bytes for %d rows", p.name, many, spent, large)
+	}
+}

@@ -44,6 +44,14 @@
 // cache (keyed on query text + referenced relation versions), so a page
 // sequence over an unchanged catalog re-slices one sorted result instead of
 // re-evaluating and re-sorting per page.
+//
+// Every row-bearing body (POST /query, paged or not, and GET /views/{name})
+// is written by one row writer (rows.go) instead of encoding/json: header
+// fields in struct order, tuple values through strconv.AppendInt, streamed
+// through one pooled fixed-size buffer that is flushed to the
+// ResponseWriter whenever it fills, so a large answer costs no reflection
+// and bounded server memory. Its bytes are identical to encoding/json's.
+// Every other response is small and goes through writeJSON.
 package server
 
 import (
@@ -585,7 +593,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if tuples == nil {
 		tuples = [][]int64{}
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
+	writeRows(w, &queryResponse{
 		Columns:   res.Columns,
 		Tuples:    tuples,
 		Rows:      len(tuples),
@@ -614,7 +622,7 @@ func (s *Server) handleQueryPage(w http.ResponseWriter, r *http.Request, req que
 		s.error(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
+	writeRows(w, &queryResponse{
 		Columns:     res.Columns,
 		Tuples:      tuples,
 		Rows:        len(res.Tuples),
@@ -977,7 +985,7 @@ func (s *Server) handleGetView(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, viewResultResponse{
+	writeRows(w, &viewResultResponse{
 		Name: name, Query: v.Text(), Columns: cols, Tuples: tuples,
 		Rows: total, Freshness: fresh, NextCursor: next,
 	})

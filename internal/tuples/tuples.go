@@ -1,9 +1,16 @@
 // Package tuples is the one store of fixed-width integer tuples above the
-// kernels: an Arena keeps tuples back to back, and a Table is the set of
-// int32 tuples every dedup, group-by and hash-join index in the engine is
-// built from. Tuples are compared and hashed as integers — nothing is boxed
-// per tuple or re-encoded into a string — which is Section 6's "deduplicate
-// by addressing" applied to every row path, not only the star's.
+// kernels: a Block holds a row set whose size is known before it is written,
+// an Arena keeps tuples of a not-yet-known count back to back, and a Table is
+// the set of int32 tuples every dedup, group-by and hash-join index in the
+// engine is built from. Tuples are compared and hashed as integers — nothing
+// is boxed per tuple or re-encoded into a string — which is Section 6's
+// "deduplicate by addressing" applied to every row path, not only the star's.
+//
+// The rule for row producers: one that knows its row count before it starts
+// (a projection, a cross product, an index walk) writes one Block — a flat
+// backing array and one header slice, the least a [][]T can cost. The Arena
+// is for the producers that cannot know it: dedup tables, star collectors,
+// bag joins.
 //
 // A member's ordinal (its insertion rank, from 0) is stable, so a map keyed
 // by a tuple is a Table plus a slice indexed by ordinal. Width 0 is a valid
@@ -17,6 +24,18 @@ import (
 	"math/bits"
 	"slices"
 )
+
+// Block returns n zeroed k-wide tuples cut from one backing array: two
+// allocations for any n. Each tuple's capacity is its length, so appending
+// to one cannot reach the next. The result is never nil.
+func Block[T int32 | int64](n, k int) [][]T {
+	flat := make([]T, n*k)
+	rows := make([][]T, n)
+	for i := range rows {
+		rows[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return rows
+}
 
 // Arena stores fixed-width tuples back to back in chunks of doubling size, so
 // a stored tuple never moves and storage grows without copying. Rows handed

@@ -134,6 +134,28 @@ func TestZeroWidth(t *testing.T) {
 	}
 }
 
+// TestBlock: n zeroed rows of width k, each capped at its width, never nil.
+func TestBlock(t *testing.T) {
+	for _, k := range []int{0, 1, 3} {
+		for _, n := range []int{0, 1, 100} {
+			rows := Block[int64](n, k)
+			if rows == nil || len(rows) != n {
+				t.Fatalf("Block(%d, %d) has %d rows (nil=%v)", n, k, len(rows), rows == nil)
+			}
+			for i, r := range rows {
+				if len(r) != k || cap(r) != k || slices.ContainsFunc(r, func(v int64) bool { return v != 0 }) {
+					t.Fatalf("Block(%d, %d) row %d = %v (cap %d)", n, k, i, r, cap(r))
+				}
+			}
+		}
+	}
+	rows := Block[int32](3, 2)
+	rows[0] = append(rows[0], 9)
+	if rows[1][0] != 0 {
+		t.Fatal("append to row 0 reached row 1")
+	}
+}
+
 // TestArenaRowsDoNotOverlap: appending to a row must not reach its
 // neighbour, and rows stay where they are while the arena grows.
 func TestArenaRowsDoNotOverlap(t *testing.T) {
