@@ -2,6 +2,7 @@ package joinmm_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	joinmm "repro"
@@ -33,6 +34,42 @@ func ExampleEngine_joinProject() {
 	// 2 3
 	// 3 2
 	// 3 3
+}
+
+// Chains and reachability are text queries over registered relations: who
+// reaches whom in two hops, π_{a,c}(follows(a,b) ⋈ follows(b,c)), and
+// whether a constant-bound chain connects at all.
+func ExampleEngine_query() {
+	eng := joinmm.New(joinmm.WithWorkers(1))
+	eng.Register("follows", []joinmm.Pair{
+		{X: 1, Y: 2}, {X: 2, Y: 3}, {X: 2, Y: 4}, {X: 3, Y: 4},
+	})
+	eng.Register("hop", []joinmm.Pair{{X: 1, Y: 5}, {X: 5, Y: 9}})
+
+	res, err := eng.Query("Q(a, c) :- follows(a, b), follows(b, c)")
+	if err != nil {
+		panic(err)
+	}
+	slices.SortFunc(res.Tuples, slices.Compare)
+	for _, p := range res.Tuples {
+		fmt.Printf("%d reaches %d in two hops\n", p[0], p[1])
+	}
+	for _, src := range []string{
+		"Q() :- hop(1, y), hop(y, 9)",
+		"Q() :- hop(5, y), hop(y, 9)",
+	} {
+		res, err := eng.Query(src)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(len(res.Tuples) > 0)
+	}
+	// Output:
+	// 1 reaches 3 in two hops
+	// 1 reaches 4 in two hops
+	// 2 reaches 4 in two hops
+	// true
+	// false
 }
 
 // Witness counts: how many common friends each pair has.

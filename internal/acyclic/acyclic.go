@@ -1,32 +1,16 @@
-// Package acyclic extends the join-project engine beyond star queries, in
-// the direction the paper's conclusion proposes: "extend our techniques to
-// arbitrary acyclic queries with projections ... building a query plan that
-// decomposes the join into multiple subqueries and evaluates in the optimal
-// way".
+// Package acyclic is the composition step behind the paper's proposed
+// extension to "arbitrary acyclic queries with projections ... building a
+// query plan that decomposes the join into multiple subqueries and
+// evaluates in the optimal way".
 //
-// The package provides the composition layer the generic planner of
-// internal/query is built on: every acyclic shape is evaluated by composing
-// the output-sensitive 2-path and star primitives of internal/joinproject,
-// each fold planned by optimizer.PlanTwoPath.
-//
-//   - Path queries P_k(x0, xk) = R1(x0,x1), R2(x1,x2), ..., Rk(x_{k-1},xk),
-//     projected onto the endpoints. Adjacent relations are folded with the
-//     2-path algorithm (each fold is a projection, so intermediates stay
-//     output-sensitive rather than growing like the full join), either
-//     left-deep or by balanced halving (bushy), mirroring a query plan's
-//     choice of join order.
-//
-//   - Snowflake queries: a star whose arms are chains. Each arm is folded
-//     into a (center, leaf) view with PathProject, then the arm views are
-//     combined with the Section-3.2 star algorithm.
-//
-//   - Arbitrary folds: Compose exposes one planned composition step so the
-//     internal/query executor can collapse any acyclic join tree, recording
-//     a Step per node for EXPLAIN.
-//
-// Every intermediate is itself deduplicated, which is exactly the reason
-// pushing projections through the plan wins over materializing the full
-// acyclic join.
+// Compose runs one fold V(a, c) = π_{a,c}(L(a, b) ⋈ R(b, c)) with the
+// output-sensitive 2-path primitive of internal/joinproject, planned by
+// optimizer.PlanTwoPath, and returns a Step recording the decision for
+// EXPLAIN. The internal/query executor stacks these folds to collapse any
+// acyclic join tree (chains, snowflakes, constant-restricted reachability)
+// after semijoin reduction, and GHD bag materialization uses the same step.
+// Every intermediate is itself deduplicated, which is why pushing
+// projections through the plan wins over materializing the full join.
 package acyclic
 
 import (
@@ -37,19 +21,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Order selects the fold order for path queries.
-type Order int
-
-const (
-	// OrderAuto picks bushy for k ≥ 4 relations and left-deep otherwise.
-	OrderAuto Order = iota
-	// OrderLeftDeep folds relations left to right.
-	OrderLeftDeep
-	// OrderBushy recursively folds halves — the balanced plan, whose
-	// intermediates depend only on log-many compositions.
-	OrderBushy
-)
-
 // Strategy names for composition decisions.
 const (
 	StrategyMM    = optimizer.StrategyMM
@@ -57,17 +28,15 @@ const (
 	StrategyNonMM = optimizer.StrategyNonMM
 )
 
-// Options configures acyclic evaluation.
+// Options configures one composition.
 type Options struct {
-	// Join options forwarded to every 2-path / star composition; its
-	// Delta1/Delta2 pin the thresholds of every fold.
+	// Join options forwarded to the 2-path kernel; its Delta1/Delta2 pin
+	// the fold's thresholds.
 	Join joinproject.Options
-	// Order selects the fold order for chains.
-	Order Order
-	// Optimizer, when non-nil, chooses MM or WCOJ per composition from the
-	// calibrated cost model; nil runs every fold with the MM algorithm.
+	// Optimizer, when non-nil, chooses MM or WCOJ from the calibrated cost
+	// model; nil runs the fold with the MM algorithm.
 	Optimizer *optimizer.Optimizer
-	// Force pins every composition to one strategy (StrategyMM, StrategyWCOJ
+	// Force pins the composition to one strategy (StrategyMM, StrategyWCOJ
 	// or StrategyNonMM), overriding Optimizer. Empty or "auto" means no pin.
 	Force string
 }
@@ -118,64 +87,4 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 	// operands' own key lists, so indexing it is two counting passes.
 	v := out.Relation(l.Name() + "∘" + r.Name())
 	return v, Step{Left: l.Name(), Right: r.Name(), Decision: dec, Rows: v.Size()}
-}
-
-// PathProject evaluates π_{x0,xk}(R1(x0,x1) ⋈ ... ⋈ Rk(x_{k-1},x_k)).
-// Relations are oriented head→tail: Ri's first column joins R(i−1)'s second.
-func PathProject(rels []*relation.Relation, opt Options) ([][2]int32, error) {
-	v, _, err := FoldPathPlanned(rels, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][2]int32, 0, v.Size())
-	for _, p := range v.Pairs() {
-		out = append(out, [2]int32{p.X, p.Y})
-	}
-	return out, nil
-}
-
-// FoldPathPlanned reduces the chain to a single (head, tail) relation,
-// recording every composition for plan reporting.
-func FoldPathPlanned(rels []*relation.Relation, opt Options) (*relation.Relation, []Step, error) {
-	if len(rels) == 0 {
-		return nil, nil, fmt.Errorf("acyclic: empty path query")
-	}
-	var steps []Step
-	v := foldPath(rels, opt, &steps)
-	return v, steps, nil
-}
-
-// foldPath reduces the chain to a single (head, tail) relation. steps, when
-// non-nil, accumulates the composition records.
-func foldPath(rels []*relation.Relation, opt Options, steps *[]Step) *relation.Relation {
-	if len(rels) == 1 {
-		return rels[0]
-	}
-	order := opt.Order
-	if order == OrderAuto {
-		if len(rels) >= 4 {
-			order = OrderBushy
-		} else {
-			order = OrderLeftDeep
-		}
-	}
-	if order == OrderBushy {
-		mid := len(rels) / 2
-		left := foldPath(rels[:mid], opt, steps)
-		right := foldPath(rels[mid:], opt, steps)
-		return compose(left, right, opt, steps)
-	}
-	acc := rels[0]
-	for _, next := range rels[1:] {
-		acc = compose(acc, next, opt, steps)
-	}
-	return acc
-}
-
-func compose(l, r *relation.Relation, opt Options, steps *[]Step) *relation.Relation {
-	v, step := Compose(l, r, opt)
-	if steps != nil {
-		*steps = append(*steps, step)
-	}
-	return v
 }

@@ -13,10 +13,7 @@ func ExamplePathProject() {
 	follows := relation.FromPairs("follows", []relation.Pair{
 		{X: 1, Y: 2}, {X: 2, Y: 3}, {X: 2, Y: 4}, {X: 3, Y: 4},
 	})
-	pairs, err := acyclic.PathProject([]*relation.Relation{follows, follows}, acyclic.Options{})
-	if err != nil {
-		panic(err)
-	}
+	pairs := acyclic.PathProject([]*relation.Relation{follows, follows}, acyclic.Options{})
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i][0] != pairs[j][0] {
 			return pairs[i][0] < pairs[j][0]
@@ -37,10 +34,8 @@ func ExampleReachable() {
 	hop := relation.FromPairs("hop", []relation.Pair{
 		{X: 1, Y: 5}, {X: 5, Y: 9},
 	})
-	ok, _ := acyclic.Reachable([]*relation.Relation{hop, hop}, 1, 9, acyclic.Options{})
-	fmt.Println(ok)
-	ok, _ = acyclic.Reachable([]*relation.Relation{hop, hop}, 5, 9, acyclic.Options{})
-	fmt.Println(ok)
+	fmt.Println(acyclic.Reachable([]*relation.Relation{hop, hop}, 1, 9, acyclic.Options{}))
+	fmt.Println(acyclic.Reachable([]*relation.Relation{hop, hop}, 5, 9, acyclic.Options{}))
 	// Output:
 	// true
 	// false

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/acyclic"
 	"repro/internal/bsi"
 	"repro/internal/catalog"
 	"repro/internal/compress"
@@ -102,7 +101,8 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // WithStrategy pins the planning strategy.
 func WithStrategy(s Strategy) Option { return func(c *Config) { c.Strategy = s } }
 
-// WithThresholds pins the degree thresholds Δ1, Δ2.
+// WithThresholds pins the degree thresholds Δ1, Δ2 of the single-kernel
+// entry points; text queries plan their own.
 func WithThresholds(d1, d2 int) Option {
 	return func(c *Config) { c.Delta1, c.Delta2 = d1, d2 }
 }
@@ -321,23 +321,6 @@ func (e *Engine) CompressView(r, s *relation.Relation) *compress.View {
 	})
 }
 
-// PathProject evaluates an endpoint-projected chain query
-// π_{x0,xk}(R1(x0,x1) ⋈ ... ⋈ Rk(x_{k-1},xk)) by composing 2-path
-// join-projects (the acyclic-queries extension).
-func (e *Engine) PathProject(rels []*relation.Relation) ([][2]int32, error) {
-	return acyclic.PathProject(rels, acyclic.Options{
-		Join: joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers},
-	})
-}
-
-// SnowflakeProject evaluates a star query whose arms are chains, projected
-// onto the arm leaves.
-func (e *Engine) SnowflakeProject(arms [][]*relation.Relation) ([][]int32, error) {
-	return acyclic.SnowflakeProject(arms, acyclic.Options{
-		Join: joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers},
-	})
-}
-
 // Catalog exposes the engine's relation catalog: named registration,
 // concurrent loads and the LRU plan cache behind Query.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
@@ -427,7 +410,12 @@ func (e *Engine) execOptions() query.ExecOptions {
 // Any join-project query over registered relations is supported — acyclic
 // queries run the GYO fold pipeline, cyclic ones (triangles, cycles,
 // cliques) are admitted via hypertree decomposition; compiled plans are
-// cached per (query, catalog epoch).
+// cached per (query, catalog epoch). Chains, snowflakes and reachability are
+// plain texts: "Q(a, d) :- R(a, b), S(b, c), T(c, d)",
+// "Q(l1, l2) :- R(c, l1), S(c, u), T(u, l2)" and
+// "Q() :- R(1, b), S(b, c), T(c, 4)". WithThresholds pins apply only to the
+// single-kernel entry points (JoinProject*, StarJoin, the set joins), not
+// to the folds of a text query.
 func (e *Engine) Query(src string) (*query.Result, error) {
 	return e.QueryContext(context.Background(), src)
 }

@@ -202,30 +202,6 @@ func TestEngineCompressView(t *testing.T) {
 	}
 }
 
-func TestEnginePathAndSnowflake(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	r1 := randomRel(rng, "R1", 200, 20, 20)
-	r2 := randomRel(rng, "R2", 200, 20, 20)
-	r3 := randomRel(rng, "R3", 200, 20, 20)
-	eng := NewEngine(WithWorkers(2))
-	path, err := eng.PathProject([]*relation.Relation{r1, r2, r3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sanity: every endpoint pair must be connected through some witness.
-	if len(path) == 0 {
-		t.Skip("random chain disconnected; acyclic package tests cover correctness")
-	}
-	snow, err := eng.SnowflakeProject([][]*relation.Relation{{r1}, {r2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = snow
-	if _, err := eng.PathProject(nil); err == nil {
-		t.Fatal("empty path should error")
-	}
-}
-
 func TestSketchRefinedPlanning(t *testing.T) {
 	dense, _ := dataset.ByName("Image", 0.4)
 	eng := NewEngine(WithSketchRefinement(1 << 30))

@@ -281,6 +281,22 @@ var cyclicShapes = []string{
 	"Q(a, c) :- R(a, b), S(b, c), T(c, d), U(d, a) WITH strategy=mm, workers=2", // pinned MM folds
 }
 
+// acyclicShapes is the fixed acyclic corpus: the chains, snowflakes and
+// constant-bound reachability probes that query text is the only way to
+// evaluate.
+var acyclicShapes = []string{
+	"Q(a, b) :- R(a, b)",                            // one-atom path
+	"Q(a, c) :- R(a, b), R(b, c)",                   // 2-hop over one relation twice
+	"Q(a, e) :- R(a, b), S(b, c), T(c, d), U(d, e)", // 4-chain
+	"Q(a, f) :- R(a, b), S(b, c), T(c, d), U(d, e), R(e, f) WITH strategy=nonmm, workers=2", // pinned 5-chain
+	"Q(l1, l2, l3) :- R(c, l1), S(c, u), T(u, l2), U(c, v), R(v, l3)",                       // snowflake, arms 1/2/2
+	"Q(l1, l2, l3) :- R(c, l1), S(c, u), T(u, l2), U(c, v), R(v, l3) WITH strategy=wcoj",
+	"Q(b) :- R(a, b)",                  // one-armed snowflake: distinct leaves
+	"Q() :- R(1, b), S(b, c), T(c, 4)", // boolean reachability 1 → 4
+	"Q() :- R(1, b), S(b, c), T(c, 4) WITH strategy=mm",
+	"Q() :- R(2, 5)", // ground atom
+}
+
 // smallRelations builds a catalog small enough for the nested-loop oracle to
 // finish the dense cyclic shapes (K4, theta) within its step budget.
 func smallRelations(rng *rand.Rand) map[string]*relation.Relation {
@@ -298,13 +314,22 @@ func smallRelations(rng *rand.Rand) map[string]*relation.Relation {
 
 // TestDifferentialCyclicShapes runs every cyclic shape against several
 // random catalogs and compares engine results with the nested-loop oracle.
-func TestDifferentialCyclicShapes(t *testing.T) {
+func TestDifferentialCyclicShapes(t *testing.T) { diffFixedShapes(t, cyclicShapes) }
+
+// TestDifferentialAcyclicShapes does the same for the acyclic corpus.
+func TestDifferentialAcyclicShapes(t *testing.T) { diffFixedShapes(t, acyclicShapes) }
+
+// diffFixedShapes runs each shape against six random catalogs, alternating
+// planned and planner-less execution, and fails for a shape the oracle's
+// step budget never let it compare.
+func diffFixedShapes(t *testing.T, shapes []string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(20260731))
 	opt := optimizer.New()
-	comparedBy := make([]int, len(cyclicShapes))
+	comparedBy := make([]int, len(shapes))
 	for round := 0; round < 6; round++ {
 		rels := smallRelations(rng)
-		for si, src := range cyclicShapes {
+		for si, src := range shapes {
 			q, err := Parse(src)
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", src, err)
@@ -336,7 +361,7 @@ func TestDifferentialCyclicShapes(t *testing.T) {
 	}
 	for si, n := range comparedBy {
 		if n == 0 {
-			t.Errorf("shape %q never compared (oracle budget)", cyclicShapes[si])
+			t.Errorf("shape %q never compared (oracle budget)", shapes[si])
 		}
 	}
 }
