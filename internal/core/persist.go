@@ -437,13 +437,7 @@ func (e *Engine) restoreSnapshot(st *snapshot.State, rec *RecoveryStats) error {
 		rec.RestoredRelations++
 	}
 	for _, v := range st.Views {
-		entries := make([]view.StateEntry, len(v.Entries))
-		for i, t := range v.Entries {
-			entries[i] = view.StateEntry{Vals: t.Vals, Count: t.Count}
-		}
-		if err := e.views.Restore(view.State{
-			Name: v.Name, Text: v.Text, Incremental: v.Incremental, Entries: entries,
-		}); err != nil {
+		if err := e.views.Restore(v); err != nil {
 			return fmt.Errorf("core: restore view %q: %w", v.Name, err)
 		}
 		rec.RestoredViews++
@@ -610,15 +604,7 @@ func (p *persistence) checkpointTo(dir string, own bool) (*CheckpointInfo, error
 		for _, name := range names {
 			st.Relations = append(st.Relations, snapshot.Relation{Name: name, Pairs: rels[name].Pairs()})
 		}
-		for _, vs := range e.views.ExportStates() {
-			entries := make([]snapshot.CountedTuple, len(vs.Entries))
-			for i, en := range vs.Entries {
-				entries[i] = snapshot.CountedTuple{Vals: en.Vals, Count: en.Count}
-			}
-			st.Views = append(st.Views, snapshot.View{
-				Name: vs.Name, Text: vs.Text, Incremental: vs.Incremental, Entries: entries,
-			})
-		}
+		st.Views = e.views.ExportStates()
 		st.AppliedLSN = p.w.NextLSN() - 1
 	})
 	p.opMu.Unlock()

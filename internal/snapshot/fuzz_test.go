@@ -22,11 +22,21 @@ func FuzzDecode(f *testing.F) {
 		},
 		Views: []View{{
 			Name: "V", Text: "V(x, z) :- R(x, y), S(y, z)", Incremental: true,
-			Entries: []CountedTuple{{Vals: []int32{1, 5}, Count: 2}},
+			Width: 2, Vals: []int32{1, 5}, Counts: []int64{2},
 		}},
 	}
 	f.Add(append([]byte{0}, Encode(st)...))
 	f.Add(append([]byte{0}, Encode(&State{})...))
+	// The decode branches of a view's entries: several of one arity, a
+	// zero-width entry, and arities that disagree (rejected).
+	f.Add(append([]byte{0}, Encode(&State{Views: []View{{
+		Name: "V", Text: "V(x, z) :- R(x, y), S(y, z)", Incremental: true,
+		Width: 2, Vals: []int32{1, 5, -4, 0, 9, 9}, Counts: []int64{2, 1, 7},
+	}}})...))
+	f.Add(append([]byte{0}, Encode(&State{Views: []View{{
+		Name: "B", Text: "B() :- R(x, y), S(y, z)", Incremental: true, Counts: []int64{4},
+	}}})...))
+	f.Add(append([]byte{0}, mixedArityImage()...))
 	f.Add(append([]byte{1}, []byte(`{"snapshot":"snap-0000000000000007.snap","applied_lsn":7}`)...))
 	f.Add(append([]byte{1}, []byte(`{"snapshot":"../escape.snap"}`)...))
 	f.Add([]byte{0})

@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,7 +47,8 @@ type Relation struct {
 	Pairs []relation.Pair
 }
 
-// View is one view image.
+// View is one view image: the only form a counted view store takes outside
+// its view, passed as is by checkpoints, recovery and replica bootstrap.
 type View struct {
 	// Name is the registry name.
 	Name string
@@ -56,17 +58,13 @@ type View struct {
 	// views persist only their definition and recompute lazily after
 	// recovery.
 	Incremental bool
-	// Entries is the count-backed store of an incremental view.
-	Entries []CountedTuple
-}
-
-// CountedTuple is one live output tuple of a counted view store: its head
-// values and its support count (number of join witnesses).
-type CountedTuple struct {
-	// Vals are the head variable values.
+	// Width is the store's tuple width (the head arity). An image with no
+	// entries records none, so it decodes as 0.
+	Width int
+	// Vals holds the stored tuples back to back, Width values each.
 	Vals []int32
-	// Count is the support count.
-	Count int64
+	// Counts is each tuple's support count (number of join witnesses).
+	Counts []int64
 }
 
 // Manifest is the checkpoint commit record, stored as MANIFEST.json.
@@ -113,13 +111,14 @@ func Encode(st *State) []byte {
 		buf = appendString(buf, v.Text)
 		if v.Incremental {
 			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(len(v.Entries)))
-			for _, e := range v.Entries {
-				buf = binary.AppendUvarint(buf, uint64(len(e.Vals)))
-				for _, val := range e.Vals {
+			buf = binary.AppendUvarint(buf, uint64(len(v.Counts)))
+			for i, c := range v.Counts {
+				// Per-entry arity keeps the encoding existing images use.
+				buf = binary.AppendUvarint(buf, uint64(v.Width))
+				for _, val := range v.Vals[i*v.Width : (i+1)*v.Width] {
 					buf = binary.AppendVarint(buf, int64(val))
 				}
-				buf = binary.AppendVarint(buf, e.Count)
+				buf = binary.AppendVarint(buf, c)
 			}
 		} else {
 			buf = append(buf, 0)
@@ -191,9 +190,7 @@ func Decode(data []byte) (*State, error) {
 			if nEnt > maxSections {
 				return nil, fmt.Errorf("snapshot: view %q: implausible entry count %d", v.Name, nEnt)
 			}
-			v.Entries = make([]CountedTuple, 0, int(min(nEnt, 1<<16)))
 			for j := uint64(0); j < nEnt; j++ {
-				var e CountedTuple
 				var nv uint64
 				if nv, b, err = decodeUvarint(b); err != nil {
 					return nil, fmt.Errorf("snapshot: view %q entry %d: %w", v.Name, j, err)
@@ -201,8 +198,15 @@ func Decode(data []byte) (*State, error) {
 				if nv > maxVals {
 					return nil, fmt.Errorf("snapshot: view %q entry %d: implausible arity %d", v.Name, j, nv)
 				}
-				e.Vals = make([]int32, nv)
-				for k := range e.Vals {
+				if j == 0 {
+					// Size both once; a value or count takes a byte or more, so b caps them.
+					v.Width = int(nv)
+					v.Vals = slices.Grow(v.Vals, min(int(nEnt)*v.Width, len(b)))
+					v.Counts = make([]int64, 0, min(int(nEnt), len(b)))
+				} else if int(nv) != v.Width {
+					return nil, fmt.Errorf("snapshot: view %q entry %d: arity %d, earlier entries %d", v.Name, j, nv, v.Width)
+				}
+				for range v.Width {
 					var val int64
 					if val, b, err = decodeVarint(b); err != nil {
 						return nil, fmt.Errorf("snapshot: view %q entry %d: %w", v.Name, j, err)
@@ -210,12 +214,13 @@ func Decode(data []byte) (*State, error) {
 					if val < -1<<31 || val > 1<<31-1 {
 						return nil, fmt.Errorf("snapshot: view %q entry %d value overflow", v.Name, j)
 					}
-					e.Vals[k] = int32(val)
+					v.Vals = append(v.Vals, int32(val))
 				}
-				if e.Count, b, err = decodeVarint(b); err != nil {
+				var c int64
+				if c, b, err = decodeVarint(b); err != nil {
 					return nil, fmt.Errorf("snapshot: view %q entry %d count: %w", v.Name, j, err)
 				}
-				v.Entries = append(v.Entries, e)
+				v.Counts = append(v.Counts, c)
 			}
 		}
 		st.Views = append(st.Views, v)

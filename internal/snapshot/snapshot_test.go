@@ -1,14 +1,21 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
 )
 
+// sampleState is the state testdata/parent.snap was encoded from: a
+// zero-width incremental view with one entry, an incremental view with no
+// entries, a two-wide one holding a negative value, and a refresh view.
 func sampleState() *State {
 	return &State{
 		AppliedLSN: 42,
@@ -17,13 +24,52 @@ func sampleState() *State {
 			{Name: "S", Pairs: nil},
 		},
 		Views: []View{
-			{Name: "refresh", Text: "V(x, x) :- R(x, x)"},
+			{Name: "vb", Text: "VB() :- R(x, y), S(y, z)", Incremental: true, Counts: []int64{3}},
+			{Name: "ve", Text: "VE(x, z) :- S(x, y), R(y, z)", Incremental: true},
 			{Name: "vp", Text: "VP(x, z) :- R(x, y), S(y, z)", Incremental: true,
-				Entries: []CountedTuple{
-					{Vals: []int32{1, 7}, Count: 2},
-					{Vals: []int32{-3, 0}, Count: 9},
-				}},
+				Width: 2, Vals: []int32{1, 7, -3, 0}, Counts: []int64{2, 9}},
+			{Name: "vr", Text: "V(x, x) :- R(x, x)"},
 		},
+	}
+}
+
+// mixedArityImage is a CRC-valid image whose one view holds a two-wide and
+// a one-wide entry: the codec's per-entry arity can say so, a store cannot.
+func mixedArityImage() []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = binary.AppendUvarint(b, 1) // applied LSN
+	b = binary.AppendUvarint(b, 0) // relations
+	b = binary.AppendUvarint(b, 1) // views
+	b = appendString(b, "vp")
+	b = appendString(b, "VP(x, z) :- R(x, y), S(y, z)")
+	b = append(b, 1)               // incremental
+	b = binary.AppendUvarint(b, 2) // entries
+	for _, e := range [][]int64{{1, 7, 2}, {3, 1}} {
+		b = binary.AppendUvarint(b, uint64(len(e)-1))
+		for _, x := range e {
+			b = binary.AppendVarint(b, x)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// TestDecodesParentImage pins the encoding: testdata/parent.snap was
+// written by the codec that stored a view's entries as separate tuples, and
+// it must decode into the flat form and re-encode to the same bytes.
+func TestDecodesParentImage(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded state:\n got %+v\nwant %+v", got, want)
+	}
+	if again := Encode(got); !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding differs from the parent image:\n got %x\nwant %x", again, data)
 	}
 }
 
@@ -39,6 +85,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
+	if _, err := Decode(mixedArityImage()); err == nil || !strings.Contains(err.Error(), "arity 1, earlier entries 2") {
+		t.Fatalf("a view with mixed entry arities: err = %v", err)
+	}
 	data := Encode(sampleState())
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := Decode(data[:cut]); err == nil {

@@ -11,6 +11,8 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/snapshot"
+	"repro/internal/tuples"
 )
 
 // ErrExists reports a registration or restore under a name already taken;
@@ -81,12 +83,19 @@ func NewRegistry(cfg Config) *Registry {
 // full relations through the same delta machinery (for two-path views that
 // is one counting kernel fold over the full inputs — the normal pipeline);
 // refresh views evaluate once through Config.Evaluate.
+func (r *Registry) Register(ctx context.Context, name, src string) (*View, error) {
+	return r.install(ctx, name, src, nil)
+}
+
+// install is the one registration path. With img nil it materializes the
+// view (Register); otherwise it adopts the checkpointed image, and a
+// refresh view starts stale (Restore).
 //
 // Materialization runs outside the registry lock, so concurrent catalog
 // mutations are never blocked behind a slow registration: any mutation that
 // lands mid-seed is caught up at insertion time by diffing the relation
 // versions the seed was taken at against the catalog's current ones.
-func (r *Registry) Register(ctx context.Context, name, src string) (*View, error) {
+func (r *Registry) install(ctx context.Context, name, src string, img *snapshot.View) (*View, error) {
 	if name == "" {
 		return nil, fmt.Errorf("view: empty view name")
 	}
@@ -94,47 +103,51 @@ func (r *Registry) Register(ctx context.Context, name, src string) (*View, error
 	if err != nil {
 		return nil, fmt.Errorf("view %q: %w", name, err)
 	}
-	r.mu.RLock()
-	_, dup := r.views[name]
-	r.mu.RUnlock()
-	if dup {
+	if _, dup := r.Get(name); dup {
 		return nil, fmt.Errorf("view %q %w", name, ErrExists)
 	}
 
-	v, plan, reason := r.newView(name, q)
+	v := r.newView(name, q)
+	if img != nil && img.Incremental != (v.mode == ModeIncremental) {
+		return nil, fmt.Errorf("view %q: restore: image mode (incremental=%v) disagrees with compiled fragment", name, img.Incremental)
+	}
 	rels, vers, _ := r.cfg.Catalog.Snapshot()
 	names := q.Relations()
 	for _, n := range names {
 		if _, ok := rels[n]; !ok {
 			return nil, fmt.Errorf("view %q: unknown relation %q", name, n)
 		}
+		v.curVer[n] = vers[n]
 	}
-
-	if plan == nil {
-		v.mode, v.reason = ModeRefresh, reason
-		for _, n := range names {
-			v.curVer[n] = vers[n]
-		}
-		if err := func() error { v.mu.Lock(); defer v.mu.Unlock(); return v.refreshLocked(ctx) }(); err != nil {
-			return nil, err
-		}
-	} else {
-		v.mode, v.plan = ModeIncremental, plan
-		// Seed from empty relations by replaying each base relation as one
-		// big insert batch, in slot order: already-seeded relations read
-		// their full contents, unseeded ones read empty — exactly the
-		// sequential delta rule, so the final counts are the full counts.
-		for _, n := range names {
-			v.cur[n] = emptyRel(n)
-		}
+	if err := func() error {
 		v.mu.Lock()
-		for _, n := range names {
-			full := rels[n]
-			v.applyMutation(n, v.cur[n], full, full.Pairs(), nil)
-			v.curVer[n] = vers[n]
+		defer v.mu.Unlock()
+		switch {
+		case v.mode == ModeRefresh && img == nil:
+			return v.refreshLocked(ctx)
+		case v.mode == ModeRefresh:
+			v.stale = true // recompute lazily on first read
+		case img == nil:
+			// Seed from empty relations by replaying each base relation as
+			// one big insert batch, in slot order: already-seeded relations
+			// read their full contents, unseeded ones read empty — exactly
+			// the sequential delta rule, so the final counts are the full
+			// counts.
+			for _, n := range names {
+				v.cur[n] = emptyRel(n)
+			}
+			for _, n := range names {
+				v.applyMutation(n, v.cur[n], rels[n], rels[n].Pairs(), nil)
+			}
+		default:
+			for _, n := range names {
+				v.cur[n] = rels[n]
+			}
+			return v.adopt(img)
 		}
-		v.dirty = true
-		v.mu.Unlock()
+		return nil
+	}(); err != nil {
+		return nil, err
 	}
 
 	r.mu.Lock()
@@ -160,13 +173,13 @@ func (r *Registry) Register(ctx context.Context, name, src string) (*View, error
 }
 
 // newView builds the unregistered, unmaterialized view for q under the
-// registry's configuration, with its maintenance plan (nil, with the reason,
-// outside the incremental fragment).
-func (r *Registry) newView(name string, q *query.Query) (*View, *maintPlan, string) {
+// registry's configuration, with its maintenance mode and plan (or, outside
+// the incremental fragment, the reason).
+func (r *Registry) newView(name string, q *query.Query) *View {
 	v := &View{
 		name:         name,
 		text:         q.String(),
-		counts:       map[string]*entry{},
+		mode:         ModeRefresh,
 		cur:          map[string]*relation.Relation{},
 		curVer:       map[string]uint64{},
 		refreshAfter: r.cfg.RefreshAfter,
@@ -178,8 +191,10 @@ func (r *Registry) newView(name string, q *query.Query) (*View, *maintPlan, stri
 	for i, h := range q.Head {
 		v.cols[i] = h.String()
 	}
-	plan, reason := compileMaint(q)
-	return v, plan, reason
+	if v.plan, v.reason = compileMaint(q); v.plan != nil {
+		v.mode, v.store = ModeIncremental, tuples.NewTable(len(v.plan.an.Head.Vars))
+	}
+	return v
 }
 
 // Get returns the view registered under name.

@@ -1,50 +1,27 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/query"
+	"repro/internal/snapshot"
 )
 
-// State is one view's serializable materialization, the unit the durability
-// layer checkpoints: the definition plus — for incremental views — the
-// count-backed store itself, so recovery restores the view without
-// recomputing it. Refresh-mode views persist only their definition and are
-// restored stale (recomputed lazily on first read, exactly the staleness
-// semantics they have live).
-type State struct {
-	// Name is the registered view name.
-	Name string
-	// Text is the canonical query text.
-	Text string
-	// Incremental marks a view whose Entries carry the counted store.
-	Incremental bool
-	// Entries is the counted store of an incremental view (unordered).
-	Entries []StateEntry
-}
-
-// StateEntry is one live output tuple of a counted store: head values in
-// store key order plus the support count.
-type StateEntry struct {
-	// Vals are the head variable values.
-	Vals []int32
-	// Count is the support count (join witnesses).
-	Count int64
-}
-
-// ExportStates deep-copies every registered view's state, sorted by name.
-// To get a checkpoint image consistent with a catalog snapshot, call it
-// under the catalog's mutation freeze (maintenance runs synchronously inside
-// the mutation lock, so freezing mutations freezes the stores too).
-func (r *Registry) ExportStates() []State {
+// ExportStates copies every registered view's checkpoint image, sorted by
+// name: the definition plus — for incremental views — the counted store
+// itself, so recovery restores the view without recomputing it. To get
+// images consistent with a catalog snapshot, call it under the catalog's
+// mutation freeze (maintenance runs synchronously inside the mutation lock,
+// so freezing mutations freezes the stores too).
+func (r *Registry) ExportStates() []snapshot.View {
 	r.mu.RLock()
 	views := make([]*View, 0, len(r.views))
 	for _, v := range r.views {
 		views = append(views, v)
 	}
 	r.mu.RUnlock()
-	out := make([]State, 0, len(views))
+	out := make([]snapshot.View, 0, len(views))
 	for _, v := range views {
 		out = append(out, v.exportState())
 	}
@@ -52,88 +29,61 @@ func (r *Registry) ExportStates() []State {
 	return out
 }
 
-// exportState deep-copies one view's state.
-func (v *View) exportState() State {
+// exportState copies one view's live members into its image.
+func (v *View) exportState() snapshot.View {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	st := State{Name: v.name, Text: v.text, Incremental: v.mode == ModeIncremental}
-	if !st.Incremental {
-		return st
+	img := snapshot.View{Name: v.name, Text: v.text, Incremental: v.mode == ModeIncremental}
+	if !img.Incremental {
+		return img
 	}
-	st.Entries = make([]StateEntry, 0, len(v.counts))
-	for _, e := range v.counts {
-		st.Entries = append(st.Entries, StateEntry{
-			Vals:  append([]int32(nil), e.vals...),
-			Count: e.count,
-		})
+	img.Width = len(v.plan.an.Head.Vars)
+	img.Vals = make([]int32, 0, img.Width*v.live)
+	img.Counts = make([]int64, 0, v.live)
+	for m, c := range v.counts {
+		if c != 0 {
+			img.Vals = append(img.Vals, v.store.At(m)...)
+			img.Counts = append(img.Counts, c)
+		}
 	}
-	return st
+	return img
 }
 
-// Restore registers a checkpointed view from its serialized state against
-// the catalog's CURRENT contents: the caller guarantees the catalog has been
-// restored to the same point the state was exported at (that is what the
+// Restore registers a checkpointed view from its image against the
+// catalog's CURRENT contents: the caller guarantees the catalog has been
+// restored to the same point the image was exported at (that is what the
 // snapshot/WAL pairing provides). Incremental views adopt the saved counted
 // store directly — no recomputation; refresh-mode views are restored stale
 // and recompute lazily on first read. The maintenance mode is re-derived
-// from the query text, so a state whose Incremental flag disagrees with the
+// from the query text, so an image whose Incremental flag disagrees with the
 // compiled fragment is rejected rather than silently served.
-func (r *Registry) Restore(st State) error {
-	if st.Name == "" {
-		return fmt.Errorf("view: restore with empty view name")
-	}
-	q, err := query.Parse(st.Text)
-	if err != nil {
-		return fmt.Errorf("view %q: restore: %w", st.Name, err)
-	}
-	r.mu.RLock()
-	_, dup := r.views[st.Name]
-	r.mu.RUnlock()
-	if dup {
-		return fmt.Errorf("view %q %w", st.Name, ErrExists)
-	}
+func (r *Registry) Restore(img snapshot.View) error {
+	_, err := r.install(context.Background(), img.Name, img.Text, &img)
+	return err
+}
 
-	v, plan, reason := r.newView(st.Name, q)
-	if (plan != nil) != st.Incremental {
-		return fmt.Errorf("view %q: restore: state mode (incremental=%v) disagrees with compiled fragment", st.Name, st.Incremental)
+// adopt fills the empty counted store from img, skipping zero-count
+// entries. An image that does not fit the head, or repeats a tuple, is
+// rejected rather than restored wrongly. Callers hold v.mu.
+func (v *View) adopt(img *snapshot.View) error {
+	w := len(v.plan.an.Head.Vars)
+	if len(img.Vals) != img.Width*len(img.Counts) {
+		return fmt.Errorf("view %q: restore: %d values for %d entries of arity %d", v.name, len(img.Vals), len(img.Counts), img.Width)
 	}
-	rels, vers, _ := r.cfg.Catalog.Snapshot()
-	names := q.Relations()
-	for _, n := range names {
-		if _, ok := rels[n]; !ok {
-			return fmt.Errorf("view %q: restore: unknown relation %q", st.Name, n)
-		}
+	if len(img.Counts) > 0 && img.Width != w {
+		return fmt.Errorf("view %q: restore: entry arity %d, store wants %d", v.name, img.Width, w)
 	}
-	if plan == nil {
-		v.mode, v.reason = ModeRefresh, reason
-		v.stale = true // recompute lazily on first read
-		for _, n := range names {
-			v.curVer[n] = vers[n]
+	v.counts = make([]int64, 0, len(img.Counts))
+	for i, c := range img.Counts {
+		if c == 0 {
+			continue
 		}
-	} else {
-		v.mode, v.plan = ModeIncremental, plan
-		for _, e := range st.Entries {
-			if len(e.Vals) != len(plan.an.Head.Vars) {
-				return fmt.Errorf("view %q: restore: entry arity %d, store wants %d", st.Name, len(e.Vals), len(plan.an.Head.Vars))
-			}
-			if e.Count == 0 {
-				continue
-			}
-			vals := append([]int32(nil), e.Vals...)
-			v.counts[key(vals)] = &entry{vals: vals, count: e.Count}
+		m, fresh := v.store.Insert(img.Vals[i*w : (i+1)*w])
+		if !fresh {
+			return fmt.Errorf("view %q: restore: repeated tuple %v", v.name, v.store.At(m))
 		}
-		for _, n := range names {
-			v.cur[n] = rels[n]
-			v.curVer[n] = vers[n]
-		}
-		v.dirty = true
+		v.counts = append(v.counts, c)
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.views[st.Name]; dup {
-		return fmt.Errorf("view %q %w", st.Name, ErrExists)
-	}
-	r.views[st.Name] = v
+	v.live = len(v.counts)
 	return nil
 }

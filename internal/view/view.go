@@ -28,7 +28,6 @@ package view
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/tuples"
 )
 
 // Maintenance modes.
@@ -57,13 +57,6 @@ const (
 // MM/WCOJ kernels. Below it, the positional-index build of the kernel path
 // would dominate the delta work itself.
 const kernelDeltaMin = 128
-
-// entry is one live (or transiently dead) output tuple of a counted view
-// materialization: its head values and its support count (join witnesses).
-type entry struct {
-	vals  []int32
-	count int64
-}
 
 // Freshness is the metadata served alongside a view's materialized result.
 type Freshness struct {
@@ -100,7 +93,13 @@ type View struct {
 	plan   *maintPlan // nil for refresh views
 	reason string     // refresh fallback reason
 
-	counts map[string]*entry
+	// The counted store: head tuples by ordinal, each one's support count
+	// (join witnesses) in counts. A member whose count reaches 0 stays as a
+	// dead ordinal until compact drops it; live counts the others.
+	store  *tuples.Table // nil for refresh views
+	counts []int64
+	live   int
+
 	cur    map[string]*relation.Relation // view's belief of its base relations
 	curVer map[string]uint64
 
@@ -132,28 +131,38 @@ func (v *View) Text() string { return v.text }
 // Mode returns ModeIncremental or ModeRefresh.
 func (v *View) Mode() string { return v.mode }
 
-// key packs head values into a map key.
-func key(vals []int32) string {
-	b := make([]byte, 4*len(vals))
-	for i, val := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(val))
+// bump adjusts one output tuple's support count, tracking the live members
+// as the count crosses zero.
+func (v *View) bump(vals []int32, delta int64) {
+	m, fresh := v.store.Insert(vals)
+	if fresh {
+		v.counts = append(v.counts, 0)
 	}
-	return string(b)
+	was := v.counts[m]
+	v.counts[m] += delta
+	switch {
+	case was == 0 && v.counts[m] != 0:
+		v.live++
+	case was != 0 && v.counts[m] == 0:
+		v.live--
+	}
 }
 
-// bump adjusts one output tuple's support count, creating and retiring
-// entries as the count crosses zero.
-func (v *View) bump(vals []int32, delta int64) {
-	k := key(vals)
-	e, ok := v.counts[k]
-	if !ok {
-		e = &entry{vals: append([]int32(nil), vals...)}
-		v.counts[k] = e
+// compact rebuilds the store from its live members once dead ones outnumber
+// them. Every dead member took a bump since the last rebuild, so the rebuild
+// is amortised O(1) per bump and the store stays within twice the live size.
+func (v *View) compact() {
+	if v.store.Len() <= 2*v.live {
+		return
 	}
-	e.count += delta
-	if e.count == 0 {
-		delete(v.counts, k)
+	store, counts := tuples.NewTable(len(v.plan.an.Head.Vars)), make([]int64, 0, v.live)
+	for m, c := range v.counts {
+		if c != 0 {
+			store.Insert(v.store.At(m))
+			counts = append(counts, c)
+		}
 	}
+	v.store, v.counts = store, counts
 }
 
 // emptyRel is the relation an absent (or dropped) base relation reads as.
@@ -191,6 +200,7 @@ func (v *View) applyMutation(name string, old, next *relation.Relation, added, r
 			v.backtrackDelta(j, removed, -1, relFor)
 		}
 	}
+	v.compact()
 	v.cur[name] = next
 	v.updates++
 	v.lastDur = time.Since(start)
@@ -294,14 +304,16 @@ func (v *View) rebuildLocked() {
 	// The gather buffer is kept across rebuilds: a view under writes is
 	// rebuilt on every read, and a fresh slice header per stored row each
 	// time was a fifth of the bytes bench's view_writes allocated per op.
-	rows := v.rows[:0]
-	for _, e := range v.counts {
-		rows = append(rows, e.vals)
+	rows := slices.Grow(v.rows[:0], v.live)
+	for m, c := range v.counts {
+		if c != 0 {
+			rows = append(rows, v.store.At(m))
+		}
 	}
 	slices.SortFunc(rows, slices.Compare[[]int32])
 	h := &v.plan.an.Head
 	out := h.Project(h.Vars, rows)
-	clear(rows) // drop the references: a deleted row must not outlive its entry
+	clear(rows) // drop the references: a compacted store must not outlive its rebuild
 	v.rows = rows
 	if h.CountIdx >= 0 {
 		// Groups come out in first-appearance order, and the group key need
@@ -396,7 +408,7 @@ func (v *View) Rows() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	if v.mode == ModeIncremental {
-		return len(v.counts)
+		return v.live
 	}
 	return len(v.cached)
 }
@@ -421,7 +433,7 @@ func (v *View) MaintenancePlan() *query.Plan {
 		}}
 		return plan
 	}
-	root.Detail += fmt.Sprintf(" shape=%s rows=%d", v.plan.shape, len(v.counts))
+	root.Detail += fmt.Sprintf(" shape=%s rows=%d", v.plan.shape, v.live)
 	for j := range v.plan.an.Atoms {
 		root.Children = append(root.Children, v.deltaNode(j))
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/snapshot"
 	"repro/internal/view"
 )
 
@@ -236,12 +237,18 @@ func randomPairs(rng *rand.Rand, n, domain int) []relation.Pair {
 }
 
 // checkView asserts one view's served result equals the oracle on the
-// current catalog contents.
+// current catalog contents, and that an incremental view's counted store
+// holds at most one dead member per live one.
 func checkView(t *testing.T, h *harness, name, src string, step int) {
 	t.Helper()
 	v, ok := h.reg.Get(name)
 	if !ok {
 		t.Fatalf("view %q missing", name)
+	}
+	if v.Mode() == view.ModeIncremental {
+		if members, live := view.StoreSize(v); members > 2*live || v.Rows() != live {
+			t.Fatalf("step %d: view %q store holds %d members for %d live, Rows() = %d", step, name, members, live, v.Rows())
+		}
 	}
 	_, got, _, err := v.Result(context.Background())
 	if err != nil {
@@ -294,9 +301,9 @@ func exportIncremental(h *harness) map[string][]string {
 		if !st.Incremental {
 			continue
 		}
-		entries := make([]string, len(st.Entries))
-		for i, e := range st.Entries {
-			entries[i] = fmt.Sprint(e.Vals, "×", e.Count)
+		entries := make([]string, len(st.Counts))
+		for i, c := range st.Counts {
+			entries[i] = fmt.Sprint(st.Vals[i*st.Width:(i+1)*st.Width], "×", c)
 		}
 		sort.Strings(entries)
 		out[st.Name] = entries
@@ -451,6 +458,15 @@ func TestTwoPathThousandMutations(t *testing.T) {
 	if effective < 900 {
 		t.Fatalf("effective mutations = %d; the driver should produce ≥ 900", effective)
 	}
+	// Emptying R kills every output tuple, and compaction drops them all.
+	r, _ := h.cat.Get("R")
+	if _, err := h.cat.DeletePairs("R", r.Pairs()); err != nil {
+		t.Fatal(err)
+	}
+	checkView(t, h, "vp", src, 1000)
+	if members, _ := view.StoreSize(v); members != 0 {
+		t.Fatalf("store holds %d members after R was emptied", members)
+	}
 }
 
 // TestKernelDeltaPath forces a delta batch past kernelDeltaMin so the
@@ -596,6 +612,50 @@ func TestRegistryBasics(t *testing.T) {
 	}
 	if !h.reg.Drop("v") || h.reg.Drop("v") {
 		t.Fatal("drop semantics")
+	}
+}
+
+// TestRestoreRejectsMalformedImages feeds Restore images that do not fit
+// the view: each is rejected instead of restored wrongly, while zero-count
+// entries and an empty image (which records no width) restore cleanly.
+func TestRestoreRejectsMalformedImages(t *testing.T) {
+	h := newHarness()
+	pairs := []relation.Pair{{X: 1, Y: 2}, {X: 2, Y: 3}}
+	for _, name := range []string{"R", "S"} {
+		if _, err := h.cat.RegisterPairs(name, pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const src = "VP(x, z) :- R(x, y), S(y, z)"
+	img := func(width int, vals []int32, counts ...int64) snapshot.View {
+		return snapshot.View{Name: "vp", Text: src, Incremental: true, Width: width, Vals: vals, Counts: counts}
+	}
+	bad := map[string]snapshot.View{
+		"repeated tuple": img(2, []int32{1, 3, 1, 3}, 1, 2),
+		"wrong width":    img(1, []int32{1}, 1),
+		"short values":   img(2, []int32{1, 3, 4}, 1, 1),
+		"refresh image":  {Name: "vp", Text: src},
+	}
+	for what, im := range bad {
+		if err := h.reg.Restore(im); err == nil {
+			t.Errorf("%s: restored cleanly", what)
+		}
+		if h.reg.Len() != 0 {
+			t.Fatalf("%s: a rejected image left a view behind", what)
+		}
+	}
+	if err := h.reg.Restore(img(2, []int32{7, 7, 1, 3}, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	checkView(t, h, "vp", src, 0)
+	if v, _ := h.reg.Get("vp"); v.Rows() != 1 {
+		t.Fatalf("zero-count entry restored: Rows() = %d", v.Rows())
+	}
+	if err := h.reg.Restore(snapshot.View{Name: "ve", Text: "VE(x, z) :- S(x, y), R(y, z)", Incremental: true}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := h.reg.Get("ve"); v.Rows() != 0 {
+		t.Fatalf("empty image restored %d rows", v.Rows())
 	}
 }
 
