@@ -403,6 +403,10 @@ func (e *Engine) Open(dir string, opts PersistOptions) error {
 	if rec.ReplayedRecords > 0 {
 		rec.ReplayNsPerRecord = float64(time.Since(replayStart).Nanoseconds()) / float64(rec.ReplayedRecords)
 	}
+	// Build every incremental view's result now that it reflects the tail:
+	// the first reads after a restart then slice it, instead of the first
+	// full read each paying for its whole store.
+	e.views.Materialize()
 
 	// 3. Open the log for appends (truncating any torn tail) and attach the
 	// sink — from here on every mutation is logged before it is applied.

@@ -608,6 +608,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // once, later pages (and repeats of the same query while its relations are
 // unmutated) slice the cached sorted tuples.
 func (s *Server) handleQueryPage(w http.ResponseWriter, r *http.Request, req queryRequest, start time.Time) {
+	offset, err := decodeCursor(req.Cursor)
+	if err != nil {
+		s.error(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
 	res, err := guarded(s, r, s.requestTimeout(req), req.Query, func(ctx context.Context) (catalog.SortedResult, error) {
 		return s.eng.QuerySorted(ctx, req.Query)
 	})
@@ -617,10 +622,10 @@ func (s *Server) handleQueryPage(w http.ResponseWriter, r *http.Request, req que
 		return
 	}
 	s.noteSlow(r, req.Query, time.Since(start), len(res.Tuples), res.PlanCached)
-	tuples, next, err := paginate(res.Tuples, req.Limit, req.Cursor)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "%v", err)
-		return
+	offset = min(offset, len(res.Tuples))
+	tuples := res.Tuples[offset:]
+	if req.Limit > 0 && req.Limit < len(tuples) {
+		tuples = tuples[:req.Limit]
 	}
 	writeRows(w, &queryResponse{
 		Columns:     res.Columns,
@@ -630,40 +635,37 @@ func (s *Server) handleQueryPage(w http.ResponseWriter, r *http.Request, req que
 		PlanCache:   res.PlanCached,
 		ResultCache: res.Cached,
 		ElapsedMs:   float64(time.Since(start).Microseconds()) / 1000,
-		NextCursor:  next,
+		NextCursor:  nextCursor(offset+len(tuples), len(res.Tuples)),
 	})
 }
 
 // cursorPrefix versions the opaque pagination cursor.
 const cursorPrefix = "v1:"
 
-// paginate slices one page out of the sorted result: limit tuples starting
-// at the cursor's offset (limit ≤ 0 with a cursor serves the remainder).
-// The returned cursor resumes after the page, or is empty at the end.
-func paginate(tuples [][]int64, limit int, cursor string) ([][]int64, string, error) {
-	offset := 0
-	if cursor != "" {
-		raw, err := base64.URLEncoding.DecodeString(cursor)
-		if err != nil || !strings.HasPrefix(string(raw), cursorPrefix) {
-			return nil, "", fmt.Errorf("malformed cursor %q", cursor)
-		}
-		offset, err = strconv.Atoi(strings.TrimPrefix(string(raw), cursorPrefix))
-		if err != nil || offset < 0 {
-			return nil, "", fmt.Errorf("malformed cursor %q", cursor)
-		}
+// decodeCursor returns the row offset an opaque pagination cursor resumes
+// at; the empty cursor starts at row 0.
+func decodeCursor(cursor string) (int, error) {
+	if cursor == "" {
+		return 0, nil
 	}
-	if offset > len(tuples) {
-		offset = len(tuples)
+	raw, err := base64.URLEncoding.DecodeString(cursor)
+	if err != nil || !strings.HasPrefix(string(raw), cursorPrefix) {
+		return 0, fmt.Errorf("malformed cursor %q", cursor)
 	}
-	end := len(tuples)
-	if limit > 0 && offset+limit < end {
-		end = offset + limit
+	offset, err := strconv.Atoi(strings.TrimPrefix(string(raw), cursorPrefix))
+	if err != nil || offset < 0 {
+		return 0, fmt.Errorf("malformed cursor %q", cursor)
 	}
-	next := ""
-	if end < len(tuples) {
-		next = base64.URLEncoding.EncodeToString([]byte(cursorPrefix + strconv.Itoa(end)))
+	return offset, nil
+}
+
+// nextCursor returns the cursor that resumes a result of total rows after
+// row end, or "" when the page reached the end.
+func nextCursor(end, total int) string {
+	if end >= total {
+		return ""
 	}
-	return tuples[offset:end], next, nil
+	return base64.URLEncoding.EncodeToString([]byte(cursorPrefix + strconv.Itoa(end)))
 }
 
 type explainResponse struct {
@@ -961,33 +963,30 @@ func (s *Server) handleGetView(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	offset, err := decodeCursor(r.URL.Query().Get("cursor"))
+	if err != nil {
+		s.error(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
 	// Reading a stale refresh-mode view recomputes it from scratch, so the
 	// read goes through the same admission gate as query evaluation.
 	var cols []string
+	var total int
 	var fresh view.Freshness
 	tuples, err := guarded(s, r, s.timeout, v.Text(), func(ctx context.Context) (tuples [][]int64, err error) {
 		if testHookViewRead != nil {
 			testHookViewRead()
 		}
-		cols, tuples, fresh, err = v.Result(ctx)
+		cols, tuples, total, fresh, err = v.Page(ctx, offset, limit)
 		return tuples, err
 	})
 	if err != nil {
 		s.error(w, r, statusFor(err), "%v", err)
 		return
 	}
-	total := len(tuples)
-	next := ""
-	if cursor := r.URL.Query().Get("cursor"); limit > 0 || cursor != "" {
-		tuples, next, err = paginate(tuples, limit, cursor)
-		if err != nil {
-			s.error(w, r, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
 	writeRows(w, &viewResultResponse{
 		Name: name, Query: v.Text(), Columns: cols, Tuples: tuples,
-		Rows: total, Freshness: fresh, NextCursor: next,
+		Rows: total, Freshness: fresh, NextCursor: nextCursor(offset+len(tuples), total),
 	})
 }
 

@@ -139,6 +139,9 @@ func (r *Registry) install(ctx context.Context, name, src string, img *snapshot.
 			for _, n := range names {
 				v.applyMutation(n, v.cur[n], rels[n], rels[n].Pairs(), nil)
 			}
+			// Every member was just born: sort them once here, so the
+			// first batch after registration merges only its own births.
+			v.sortLive()
 		default:
 			for _, n := range names {
 				v.cur[n] = rels[n]

@@ -3,6 +3,7 @@ package view
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/snapshot"
@@ -29,22 +30,22 @@ func (r *Registry) ExportStates() []snapshot.View {
 	return out
 }
 
-// exportState copies one view's live members into its image.
+// exportState copies one view's live members into its image, in head
+// order, so the image adopts without a sort.
 func (v *View) exportState() snapshot.View {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	img := snapshot.View{Name: v.name, Text: v.text, Incremental: v.mode == ModeIncremental}
 	if !img.Incremental {
 		return img
 	}
+	v.sortLive()
 	img.Width = len(v.plan.an.Head.Vars)
 	img.Vals = make([]int32, 0, img.Width*v.live)
 	img.Counts = make([]int64, 0, v.live)
-	for m, c := range v.counts {
-		if c != 0 {
-			img.Vals = append(img.Vals, v.store.At(m)...)
-			img.Counts = append(img.Counts, c)
-		}
+	for _, m := range v.order {
+		img.Vals = append(img.Vals, v.store.At(int(m))...)
+		img.Counts = append(img.Counts, v.counts[m])
 	}
 	return img
 }
@@ -62,9 +63,29 @@ func (r *Registry) Restore(img snapshot.View) error {
 	return err
 }
 
+// Materialize builds the result of every incremental view changed since it
+// was last read. Recovery calls it once the log tail is replayed, so the
+// first reads after a restart slice a built result; refresh views still
+// recompute lazily.
+func (r *Registry) Materialize() {
+	r.mu.RLock()
+	views := make([]*View, 0, len(r.views))
+	for _, v := range r.views {
+		views = append(views, v)
+	}
+	r.mu.RUnlock()
+	for _, v := range views {
+		if v.mode == ModeIncremental {
+			_, _, _, _ = v.Result(context.Background()) // an incremental read cannot fail
+		}
+	}
+}
+
 // adopt fills the empty counted store from img, skipping zero-count
-// entries. An image that does not fit the head, or repeats a tuple, is
-// rejected rather than restored wrongly. Callers hold v.mu.
+// entries, and lists its members in head order: as stored when the image is
+// sorted, as every exported one is, else after one sort. An image that does
+// not fit the head, or repeats a tuple, is rejected rather than restored
+// wrongly. Callers hold v.mu.
 func (v *View) adopt(img *snapshot.View) error {
 	w := len(v.plan.an.Head.Vars)
 	if len(img.Vals) != img.Width*len(img.Counts) {
@@ -74,15 +95,24 @@ func (v *View) adopt(img *snapshot.View) error {
 		return fmt.Errorf("view %q: restore: entry arity %d, store wants %d", v.name, img.Width, w)
 	}
 	v.counts = make([]int64, 0, len(img.Counts))
+	v.order = make([]int32, 0, len(img.Counts))
+	sorted, last := true, []int32(nil)
 	for i, c := range img.Counts {
 		if c == 0 {
 			continue
 		}
-		m, fresh := v.store.Insert(img.Vals[i*w : (i+1)*w])
+		tup := img.Vals[i*w : (i+1)*w]
+		m, fresh := v.store.Insert(tup)
 		if !fresh {
-			return fmt.Errorf("view %q: restore: repeated tuple %v", v.name, v.store.At(m))
+			return fmt.Errorf("view %q: restore: repeated tuple %v", v.name, tup)
 		}
+		sorted = sorted && (m == 0 || slices.Compare(last, tup) < 0)
+		last = tup
 		v.counts = append(v.counts, c)
+		v.order = append(v.order, int32(m))
+	}
+	if !sorted {
+		slices.SortFunc(v.order, v.compareMembers)
 	}
 	v.live = len(v.counts)
 	return nil

@@ -81,9 +81,9 @@ type Freshness struct {
 }
 
 // View is one registered, materialized, maintained query. All methods are
-// safe for concurrent use; readers are only blocked for the duration of a
-// result-cache rebuild, never for the maintenance work itself on other
-// views.
+// safe for concurrent use; readers are only blocked while the first read
+// after a mutation merges the new members (and, for Result, rebuilds its
+// cache), never for the maintenance work itself on other views.
 type View struct {
 	name string
 	text string
@@ -100,12 +100,16 @@ type View struct {
 	counts []int64
 	live   int
 
+	// The live members' ordinals in head-tuple order, as of the last
+	// sortLive; born lists the members that turned live since, spare is the
+	// merge's other buffer. dirty marks a store changed since sortLive.
+	order, born, spare []int32
+	dirty              bool
+
 	cur    map[string]*relation.Relation // view's belief of its base relations
 	curVer map[string]uint64
 
-	dirty  bool
-	cached [][]int64
-	rows   [][]int32 // rebuildLocked's scratch, empty between calls
+	cached [][]int64 // the whole result; nil until a read after a change
 	cols   []string
 
 	stale        bool
@@ -143,24 +147,68 @@ func (v *View) bump(vals []int32, delta int64) {
 	switch {
 	case was == 0 && v.counts[m] != 0:
 		v.live++
+		v.born = append(v.born, int32(m))
 	case was != 0 && v.counts[m] == 0:
 		v.live--
 	}
 }
 
+// compareMembers orders two members by their head tuples.
+func (v *View) compareMembers(a, b int32) int {
+	return slices.Compare(v.store.At(int(a)), v.store.At(int(b)))
+}
+
+// sortLive brings order up to date with the store: it drops the members
+// that died since the last call, sorts only the ones born since, and merges
+// those in by galloping binary search — O(live) copying plus
+// O(|born| log |born| + |born| log(live/|born|)) tuple comparisons, and no
+// comparison sort of the whole store. Callers hold v.mu for writing.
+func (v *View) sortLive() {
+	if !v.dirty {
+		return
+	}
+	dead := func(m int32) bool { return v.counts[m] == 0 }
+	live := slices.DeleteFunc(v.order, dead)
+	// A member born, dead and born again since the last call is listed
+	// twice; equal tuples are equal ordinals, so the copies meet here, and
+	// a member still in order meets its copy in the merge.
+	born := slices.DeleteFunc(v.born, dead)
+	slices.SortFunc(born, v.compareMembers)
+	born = slices.Compact(born)
+	out := slices.Grow(v.spare[:0], len(live)+len(born))
+	for _, m := range born {
+		// Gallop to the first power of two past m's place, then search
+		// below it: a merge of many births costs O(1) comparisons each.
+		hi := 1
+		for hi < len(live) && v.compareMembers(live[hi-1], m) < 0 {
+			hi *= 2
+		}
+		i, found := slices.BinarySearchFunc(live[:min(hi, len(live))], m, v.compareMembers)
+		out = append(out, live[:i]...)
+		if !found {
+			out = append(out, m)
+		}
+		live = live[i:]
+	}
+	out = append(out, live...)
+	v.order, v.spare, v.born, v.dirty = out, v.order[:0], v.born[:0], false
+}
+
 // compact rebuilds the store from its live members once dead ones outnumber
-// them. Every dead member took a bump since the last rebuild, so the rebuild
-// is amortised O(1) per bump and the store stays within twice the live size.
+// them, renumbering them in head order, so afterwards the ordinals are
+// themselves sorted and order is 0..live−1. Every dead member took a bump
+// since the last rebuild, so the rebuild is amortised O(1) per bump and the
+// store stays within twice the live size.
 func (v *View) compact() {
 	if v.store.Len() <= 2*v.live {
 		return
 	}
+	v.sortLive()
 	store, counts := tuples.NewTable(len(v.plan.an.Head.Vars)), make([]int64, 0, v.live)
-	for m, c := range v.counts {
-		if c != 0 {
-			store.Insert(v.store.At(m))
-			counts = append(counts, c)
-		}
+	for i, m := range v.order {
+		store.Insert(v.store.At(int(m)))
+		counts = append(counts, v.counts[m])
+		v.order[i] = int32(i)
 	}
 	v.store, v.counts = store, counts
 }
@@ -200,12 +248,17 @@ func (v *View) applyMutation(name string, old, next *relation.Relation, added, r
 			v.backtrackDelta(j, removed, -1, relFor)
 		}
 	}
+	v.dirty, v.cached = true, nil
 	v.compact()
+	if len(v.born) > v.live {
+		// Nobody has read since enough members were born to outnumber the
+		// live ones: merge now, so a view nobody reads keeps born bounded.
+		v.sortLive()
+	}
 	v.cur[name] = next
 	v.updates++
 	v.lastDur = time.Since(start)
 	maintainIncremental.Observe(v.lastDur.Seconds())
-	v.dirty = true
 }
 
 // backtrackDelta extends every delta tuple of slot j through the remaining
@@ -297,30 +350,40 @@ func orientPairs(pairs []relation.Pair, s query.AtomInfo, headVar int) []relatio
 	return out
 }
 
-// rebuildLocked refreshes the sorted result cache from the counted store;
-// the query layer's head projector forms the tuples (COUNT included).
-// Callers hold v.mu for writing.
+// rebuildLocked refreshes the sorted result cache from the counted store,
+// walking the members in head order. Callers hold v.mu for writing.
 func (v *View) rebuildLocked() {
-	// The gather buffer is kept across rebuilds: a view under writes is
-	// rebuilt on every read, and a fresh slice header per stored row each
-	// time was a fifth of the bytes bench's view_writes allocated per op.
-	rows := slices.Grow(v.rows[:0], v.live)
-	for m, c := range v.counts {
-		if c != 0 {
-			rows = append(rows, v.store.At(m))
+	v.sortLive()
+	h := &v.plan.an.Head
+	if h.CountIdx < 0 {
+		v.cached = v.project(v.order)
+		return
+	}
+	// The query layer's head projector forms the groups. They come out in
+	// first-appearance order, and the group key need not be a prefix of the
+	// store's sort order.
+	rows := make([][]int32, len(v.order))
+	for i, m := range v.order {
+		rows[i] = v.store.At(int(m))
+	}
+	v.cached = h.Project(h.Vars, rows)
+	query.SortTuples(v.cached)
+}
+
+// project forms the head tuples of members under a head without COUNT:
+// each member's stored tuple, with repeated head variables copied out, as
+// query.HeadLayout.Project forms them, but read straight from the store so
+// that no row-sized gather is allocated on the way.
+func (v *View) project(members []int32) [][]int64 {
+	pos := v.plan.an.Head.Pos
+	out := tuples.Block[int64](len(members), len(pos))
+	for i, m := range members {
+		r := v.store.At(int(m))
+		for j, p := range pos {
+			out[i][j] = int64(r[p])
 		}
 	}
-	slices.SortFunc(rows, slices.Compare[[]int32])
-	h := &v.plan.an.Head
-	out := h.Project(h.Vars, rows)
-	clear(rows) // drop the references: a compacted store must not outlive its rebuild
-	v.rows = rows
-	if h.CountIdx >= 0 {
-		// Groups come out in first-appearance order, and the group key need
-		// not be a prefix of the store's sort order.
-		query.SortTuples(out)
-	}
-	v.cached, v.dirty = out, false
+	return out
 }
 
 // Result returns the view's materialized result: column labels, tuples in
@@ -342,7 +405,7 @@ func (v *View) Result(ctx context.Context) ([]string, [][]int64, Freshness, erro
 	// Clean-cache fast path: concurrent readers share the read lock and are
 	// only serialized for the duration of a rebuild after a mutation.
 	v.mu.RLock()
-	if !v.dirty && v.cached != nil {
+	if v.cached != nil {
 		cols, tuples, fresh := v.cols, v.cached, v.freshnessLocked()
 		v.mu.RUnlock()
 		return cols, tuples, fresh, nil
@@ -350,10 +413,61 @@ func (v *View) Result(ctx context.Context) ([]string, [][]int64, Freshness, erro
 	v.mu.RUnlock()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.dirty || v.cached == nil {
+	if v.cached == nil {
 		v.rebuildLocked()
 	}
 	return v.cols, v.cached, v.freshnessLocked(), nil
+}
+
+// Page returns rows [offset, offset+limit) of Result's tuples (limit ≤ 0:
+// through the end), their total count, the column labels and freshness
+// metadata. An incremental view without COUNT projects only the rows it
+// serves, straight from its head-ordered members; refresh views and COUNT
+// heads, whose groups need the whole store, slice Result. The returned
+// slices are shared — callers must not modify them.
+func (v *View) Page(ctx context.Context, offset, limit int) ([]string, [][]int64, int, Freshness, error) {
+	if v.mode == ModeRefresh || v.plan.an.Head.CountIdx >= 0 {
+		cols, all, fresh, err := v.Result(ctx)
+		start, end := pageBounds(offset, limit, len(all))
+		return cols, all[start:end:end], len(all), fresh, err
+	}
+	// Concurrent readers of a sorted store share the read lock; only the
+	// first read after a mutation takes the write lock, to merge the births.
+	v.mu.RLock()
+	if !v.dirty {
+		defer v.mu.RUnlock()
+		return v.pageLocked(offset, limit)
+	}
+	v.mu.RUnlock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.sortLive()
+	return v.pageLocked(offset, limit)
+}
+
+// pageLocked serves one page of the sorted members: a slice of the result
+// cache when a read has built it since the last change, else the page's
+// members projected alone. Callers hold v.mu and have brought order up to
+// date.
+func (v *View) pageLocked(offset, limit int) ([]string, [][]int64, int, Freshness, error) {
+	start, end := pageBounds(offset, limit, len(v.order))
+	rows := v.cached
+	if rows != nil {
+		rows = rows[start:end:end]
+	} else {
+		rows = v.project(v.order[start:end])
+	}
+	return v.cols, rows, len(v.order), v.freshnessLocked(), nil
+}
+
+// pageBounds clamps the page of limit rows at offset (limit ≤ 0: through
+// the end) to a result of total rows.
+func pageBounds(offset, limit, total int) (start, end int) {
+	start = min(max(offset, 0), total)
+	if end = total; limit > 0 && limit < total-start {
+		end = start + limit
+	}
+	return start, end
 }
 
 // Freshness returns the view's current freshness metadata.

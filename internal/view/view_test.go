@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -237,8 +240,11 @@ func randomPairs(rng *rand.Rand, n, domain int) []relation.Pair {
 }
 
 // checkView asserts one view's served result equals the oracle on the
-// current catalog contents, and that an incremental view's counted store
-// holds at most one dead member per live one.
+// current catalog contents, that its pages of 1, 7 and total+1 rows
+// concatenate to exactly that result, and that an incremental view's
+// counted store holds at most one dead member per live one and lists its
+// members in strictly ascending head order. Odd steps read a page first, so
+// both Page and Result take the first read after a mutation.
 func checkView(t *testing.T, h *harness, name, src string, step int) {
 	t.Helper()
 	v, ok := h.reg.Get(name)
@@ -250,9 +256,28 @@ func checkView(t *testing.T, h *harness, name, src string, step int) {
 			t.Fatalf("step %d: view %q store holds %d members for %d live, Rows() = %d", step, name, members, live, v.Rows())
 		}
 	}
+	if step%2 != 0 {
+		pageThrough(t, v, 7)
+	}
 	_, got, _, err := v.Result(context.Background())
 	if err != nil {
 		t.Fatalf("step %d: view %q: %v", step, name, err)
+	}
+	for _, limit := range []int{1, 7, len(got) + 1} {
+		if pages, total := pageThrough(t, v, limit); total != len(got) || !rowsEqual(pages, got) {
+			t.Fatalf("step %d: view %q: pages of %d hold %v (total %d), Result %v", step, name, limit, pages, total, got)
+		}
+	}
+	if v.Mode() == view.ModeIncremental {
+		members := view.SortedMembers(v)
+		for i := 1; i < len(members); i++ {
+			if slices.Compare(members[i-1], members[i]) >= 0 {
+				t.Fatalf("step %d: view %q: members %v then %v out of head order", step, name, members[i-1], members[i])
+			}
+		}
+		if len(members) != v.Rows() {
+			t.Fatalf("step %d: view %q lists %d members in order, Rows() = %d", step, name, len(members), v.Rows())
+		}
 	}
 	q, err := query.Parse(src)
 	if err != nil {
@@ -266,6 +291,28 @@ func checkView(t *testing.T, h *harness, name, src string, step int) {
 	want := oracle(t, q, rels)
 	if !rowsEqual(got, want) {
 		t.Fatalf("step %d: view %q diverged:\n got %v\nwant %v", step, name, got, want)
+	}
+}
+
+// pageThrough reads v page by page, limit rows at a time, and returns the
+// rows served and the total every page reported.
+func pageThrough(t *testing.T, v *view.View, limit int) ([][]int64, int) {
+	t.Helper()
+	var rows [][]int64
+	total := -1
+	for offset := 0; ; offset += limit {
+		_, page, n, _, err := v.Page(context.Background(), offset, limit)
+		if err != nil {
+			t.Fatalf("view %q: page at %d: %v", v.Name(), offset, err)
+		}
+		if total >= 0 && n != total {
+			t.Fatalf("view %q: page at %d reports %d rows, earlier pages %d", v.Name(), offset, n, total)
+		}
+		total = n
+		rows = append(rows, page...)
+		if len(page) < limit || offset+limit >= total {
+			return rows, total
+		}
 	}
 }
 
@@ -294,8 +341,10 @@ var viewSuite = map[string]string{
 }
 
 // exportIncremental snapshots every incremental view's counted store — head
-// values and witness counts — in a comparable form.
-func exportIncremental(h *harness) map[string][]string {
+// values and witness counts — in a comparable form, and asserts each image
+// lists its tuples in strictly ascending head order.
+func exportIncremental(t *testing.T, h *harness) map[string][]string {
+	t.Helper()
 	out := map[string][]string{}
 	for _, st := range h.reg.ExportStates() {
 		if !st.Incremental {
@@ -303,7 +352,11 @@ func exportIncremental(h *harness) map[string][]string {
 		}
 		entries := make([]string, len(st.Counts))
 		for i, c := range st.Counts {
-			entries[i] = fmt.Sprint(st.Vals[i*st.Width:(i+1)*st.Width], "×", c)
+			tup := st.Vals[i*st.Width : (i+1)*st.Width]
+			if i > 0 && slices.Compare(st.Vals[(i-1)*st.Width:i*st.Width], tup) >= 0 {
+				t.Fatalf("view %q: image entry %d %v is not above its predecessor", st.Name, i, tup)
+			}
+			entries[i] = fmt.Sprint(tup, "×", c)
 		}
 		sort.Strings(entries)
 		out[st.Name] = entries
@@ -353,7 +406,7 @@ func TestDifferentialRandomMutations(t *testing.T) {
 		if step%8 == 0 {
 			// Metamorphic: a batch followed by its exact inverse returns every
 			// counted store — values and witness counts — to where it was.
-			before := exportIncremental(h)
+			before := exportIncremental(t, h)
 			r, _ := h.cat.Get(rel)
 			ps := r.Pairs()
 			m, err := h.cat.Mutate(rel, randomPairs(rng, 1+rng.Intn(6), domain), ps[:min(len(ps), rng.Intn(4))])
@@ -363,7 +416,7 @@ func TestDifferentialRandomMutations(t *testing.T) {
 			if _, err := h.cat.Mutate(rel, m.Removed, m.Added); err != nil {
 				t.Fatal(err)
 			}
-			if after := exportIncremental(h); !reflect.DeepEqual(after, before) {
+			if after := exportIncremental(t, h); !reflect.DeepEqual(after, before) {
 				t.Fatalf("step %d: Δ%s then its inverse left the stores changed:\n got %v\nwant %v", step, rel, after, before)
 			}
 		}
@@ -659,8 +712,100 @@ func TestRestoreRejectsMalformedImages(t *testing.T) {
 	}
 }
 
+// TestUnreadViewBoundsBirths churns a view nobody reads: 5 000 batches
+// that each insert or delete a few tuples, so members die and are born
+// again without ever growing the store enough to compact it. The list of
+// members born since the last merge must stay within the live count.
+func TestUnreadViewBoundsBirths(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	h := newHarness()
+	const domain = 12
+	for _, name := range []string{"R", "S"} {
+		if _, err := h.cat.RegisterPairs(name, randomPairs(rng, 30, domain)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := h.reg.Register(context.Background(), "vp", "VP(x, z) :- R(x, y), S(y, z)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for batch := 0; batch < 5000; batch++ {
+		rel := []string{"R", "S"}[batch%2]
+		ps := randomPairs(rng, 1+rng.Intn(4), domain)
+		if batch%4 >= 2 {
+			_, err = h.cat.DeletePairs(rel, ps)
+		} else {
+			_, err = h.cat.InsertPairs(rel, ps)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if born, live := view.Births(v); born > max(live, 1) {
+			t.Fatalf("batch %d: %d members born since the last merge, %d live", batch, born, live)
+		}
+	}
+	checkView(t, h, "vp", "VP(x, z) :- R(x, y), S(y, z)", 0)
+}
+
+// TestRestoresInsertionOrderImage restores testdata/parent.snap from the
+// snapshot package, written before images were kept in head order (its
+// two-wide view lists (1, 7) before (-3, 0)), applies one mutation, and
+// checks every view still pages out exactly its sorted result, which
+// Materialize has built for every incremental view, as recovery does.
+func TestRestoresInsertionOrderImage(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "parent.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness()
+	for _, r := range st.Relations {
+		if _, err := h.cat.RegisterPairs(r.Name, r.Pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, img := range st.Views {
+		if err := h.reg.Restore(img); err != nil {
+			t.Fatalf("restore %q: %v", img.Name, err)
+		}
+	}
+	if _, err := h.cat.InsertPairs("S", []relation.Pair{{X: 2, Y: 4}, {X: 3, Y: -5}, {X: 1, Y: 0}, {X: 7, Y: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	h.reg.Materialize()
+	for _, img := range st.Views {
+		v, _ := h.reg.Get(img.Name)
+		if built := view.Built(v); built != img.Incremental {
+			t.Fatalf("view %q: result built = %v after Materialize", img.Name, built)
+		}
+		_, all, total, _, err := v.Page(context.Background(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, _, err := v.Result(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total != len(want) || !rowsEqual(all, want) {
+			t.Fatalf("view %q: Page serves %v (total %d), Result %v", img.Name, all, total, want)
+		}
+		for i := 1; i < len(all); i++ {
+			if slices.Compare(all[i-1], all[i]) >= 0 {
+				t.Fatalf("view %q: rows %v then %v out of order", img.Name, all[i-1], all[i])
+			}
+		}
+	}
+	if v, _ := h.reg.Get("vp"); v.Rows() != 5 {
+		t.Fatalf("vp holds %d rows, want its 2 restored and 3 new", v.Rows())
+	}
+}
+
 // TestConcurrentReadersDuringMaintenance exercises concurrent view reads
-// while mutations stream in; run with -race.
+// while mutations stream in: two readers take the whole result, two read
+// pages at random offsets and limits. Run with -race.
 func TestConcurrentReadersDuringMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	h := newHarness()
@@ -677,7 +822,7 @@ func TestConcurrentReadersDuringMaintenance(t *testing.T) {
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(rng *rand.Rand) {
 			defer wg.Done()
 			v, _ := h.reg.Get("vp")
 			for {
@@ -686,13 +831,26 @@ func TestConcurrentReadersDuringMaintenance(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, _, err := v.Result(context.Background()); err != nil {
+				var err error
+				if g%2 == 0 {
+					_, _, _, err = v.Result(context.Background())
+				} else {
+					var page [][]int64
+					var total int
+					offset, limit := rng.Intn(400), rng.Intn(50)
+					_, page, total, _, err = v.Page(context.Background(), offset, limit)
+					if want := min(max(total-offset, 0), limit); err == nil && limit > 0 && len(page) != want {
+						t.Errorf("page at %d of limit %d holds %d rows of %d", offset, limit, len(page), total)
+						return
+					}
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
 				h.reg.List()
 			}
-		}()
+		}(rand.New(rand.NewSource(int64(g))))
 	}
 	mrng := rand.New(rand.NewSource(17))
 	for i := 0; i < 60; i++ {
