@@ -119,6 +119,23 @@ func WithQueryBudget(maxBytes, maxRows int64) Option {
 	return func(c *Config) { c.MaxQueryBytes, c.MaxQueryRows = maxBytes, maxRows }
 }
 
+// WithOptimizerConstants pins the optimizer's (Ts, Tm, TI) machine
+// constants, skipping the startup micro-probe: reproducible plan choices
+// across runners, and the manual escape hatch when drift detection fires.
+func WithOptimizerConstants(c optimizer.Constants) Option {
+	return func(cfg *Config) { cfg.OptimizerConstants = &c }
+}
+
+// WithRecalibration enables online constant recalibration (default off):
+// the optimizer adopts EWMA-smoothed observed constants with a bounded step
+// per adoption, never mid-query.
+func WithRecalibration(rc optimizer.RecalConfig) Option {
+	return func(cfg *Config) {
+		rc.Enabled = true
+		cfg.Recalibrate = &rc
+	}
+}
+
 // Engine evaluates join-project queries and their applications.
 type Engine struct {
 	cfg   Config
@@ -134,7 +151,6 @@ type Engine struct {
 	stmts    *stats.Statements
 	activity *stats.Activity
 	flight   *stats.Flight
-	planner  *stats.Planner
 }
 
 // NewEngine builds an engine; calibration of the optimizer's machine
@@ -156,7 +172,6 @@ func NewEngine(opts ...Option) *Engine {
 		stmts:    stats.NewStatements(cfg.Introspect.MaxStatements),
 		activity: stats.NewActivity(),
 		flight:   stats.NewFlight(cfg.Introspect.FlightSize, cfg.Introspect.FlightSample, cfg.Introspect.SlowThreshold),
-		planner:  stats.NewPlanner(cfg.Introspect.MaxStatements),
 	}
 	e.views = view.NewRegistry(view.Config{
 		Catalog:   e.cat,
@@ -438,7 +453,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 		// extra parse only on this cold error path); unparseable statements
 		// land in the <invalid> bucket.
 		e.recordQuery(ctx, query.FingerprintText(src), src, start,
-			classifyOutcome(err, false), 0, 0, false, nil, err, nil)
+			classifyOutcome(err, false), 0, 0, false, nil, err)
 		return nil, err
 	}
 	prepared := time.Now()
@@ -458,7 +473,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	if err != nil {
 		queryErrors.Inc()
 		e.recordQuery(ctx, p.Fingerprint, p.Text, start,
-			classifyOutcome(err, act.Killed()), act.Rows(), act.Bytes(), hit, nil, err, nil)
+			classifyOutcome(err, act.Killed()), act.Rows(), act.Bytes(), hit, nil, err)
 		return nil, err
 	}
 	res.Plan.CacheHit = hit
@@ -469,15 +484,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	queryRowsTotal.Add(uint64(len(res.Tuples)))
 	queryBudgetBytes.Add(uint64(res.Plan.BudgetBytes))
 	e.recordQuery(ctx, p.Fingerprint, p.Text, start, stats.OutcomeOK,
-		int64(len(res.Tuples)), res.Plan.BudgetBytes, hit, res.Plan.Strategies(), nil,
-		func() string {
-			// Lazily rendered only when the flight recorder retains the
-			// record; the copy keeps the caller's plan un-mutated.
-			pl := *res.Plan
-			pl.Analyzed = true
-			return pl.String()
-		})
-	e.notePlanner(p.Fingerprint, res.Plan)
+		int64(len(res.Tuples)), res.Plan.BudgetBytes, hit, res.Plan, nil)
 	// Between queries is the only place constants may move: every decision
 	// in the evaluation above read one consistent snapshot.
 	e.opt.MaybeRecalibrate()

@@ -17,8 +17,9 @@ import (
 // hot-path cost is a handful of atomics and one mutex acquisition per
 // query).
 type IntrospectionConfig struct {
-	// MaxStatements caps distinct fingerprints in /stats/statements before
-	// new ones fold into the overflow bucket.
+	// MaxStatements caps distinct fingerprints on the statement sheet (both
+	// /stats/statements and /stats/planner) before new ones fold into the
+	// overflow bucket.
 	MaxStatements int
 	// FlightSize is the flight-recorder ring capacity.
 	FlightSize int
@@ -51,15 +52,7 @@ func (e *Engine) FlightRecorder() *stats.Flight { return e.flight }
 // was shed: the query never reached evaluation, so the server reports it
 // here for the statement sheet and flight recorder.
 func (e *Engine) NoteShed(ctx context.Context, src string) {
-	fp := query.FingerprintText(src)
-	e.stmts.RecordShed(fp)
-	e.flight.Record(stats.FlightRecord{
-		RequestID:   obs.RequestIDFrom(ctx),
-		Fingerprint: fp,
-		Query:       src,
-		Outcome:     stats.OutcomeShed,
-		StartUnix:   time.Now().UnixMilli(),
-	}, nil)
+	e.recordQuery(ctx, query.FingerprintText(src), src, time.Now(), stats.OutcomeShed, 0, 0, false, nil, nil)
 }
 
 // classifyOutcome maps an evaluation error to its statement-stats outcome.
@@ -82,20 +75,37 @@ func classifyOutcome(err error, killed bool) stats.Outcome {
 	}
 }
 
-// recordQuery feeds one completed evaluation into the statement sheet and
-// the flight recorder. planFn lazily renders the analyzed plan tree; nil
-// when the query never produced a plan (prepare failures).
+// recordQuery is the one recording path for a finished, failed or shed
+// query: one statement-sheet row and one flight record. plan is the executed
+// plan, nil when the query produced none; one walk over it gathers the
+// strategy breakdown and the audited (optimizer-priced) nodes for the sheet
+// and feeds each audited node's measured time to the optimizer's drift
+// EWMAs.
 func (e *Engine) recordQuery(ctx context.Context, fingerprint, text string, start time.Time,
-	outcome stats.Outcome, rows, bytes int64, hit bool, strategies []string, err error, planFn func() string) {
+	outcome stats.Outcome, rows, bytes int64, hit bool, plan *query.Plan, err error) {
 	elapsed := time.Since(start)
-	e.stmts.Record(fingerprint, stats.Observation{
-		Outcome:    outcome,
-		Elapsed:    elapsed,
-		Rows:       rows,
-		Bytes:      bytes,
-		CacheHit:   hit,
-		Strategies: strategies,
-	})
+	o := stats.Observation{Outcome: outcome, Elapsed: elapsed, Rows: rows, Bytes: bytes, CacheHit: hit}
+	var planFn func() string
+	if plan != nil {
+		plan.Walk(func(n *query.Node) {
+			if n.Strategy != "" {
+				o.Strategies = append(o.Strategies, n.Op+"="+n.Strategy)
+			}
+			if n.PredictedCost <= 0 && n.OutJoin <= 0 {
+				return
+			}
+			o.Nodes = append(o.Nodes, stats.NodeObservation{Op: n.Op, Decision: n.Decision, ActualNs: n.TimeNs, Rows: n.Rows})
+			e.opt.ObserveNode(n.Strategy, n.PredictedCost, float64(n.TimeNs))
+		})
+		planFn = func() string {
+			// Lazily rendered only when the flight recorder retains the
+			// record; the copy keeps the caller's plan un-mutated.
+			pl := *plan
+			pl.Analyzed = true
+			return pl.String()
+		}
+	}
+	e.stmts.Record(fingerprint, o)
 	rec := stats.FlightRecord{
 		RequestID:   obs.RequestIDFrom(ctx),
 		Fingerprint: fingerprint,

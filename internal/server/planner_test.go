@@ -2,10 +2,12 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -30,7 +32,8 @@ func findPlannerRow(rows []stats.PlannerRow, fp string) *stats.PlannerRow {
 // TestPlannerSheetAggregatesAndResets drives strategy-bearing queries through
 // the live HTTP stack and asserts the misprediction sheet aggregates them per
 // fingerprint with error ratios, margins and decision history, honors its
-// sort params, and resets through the shared POST /stats/reset.
+// sort params, and resets through the shared POST /stats/reset — also on a
+// capped sheet, where both views must agree on the overflow bucket.
 func TestPlannerSheetAggregatesAndResets(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	registerChain(t, ts)
@@ -101,18 +104,62 @@ func TestPlannerSheetAggregatesAndResets(t *testing.T) {
 		t.Fatalf("malformed limit: status %d", code)
 	}
 
-	// POST /stats/reset clears the planner sheet alongside the statement one.
-	var reset struct {
-		Reset          bool `json:"reset"`
-		Dropped        int  `json:"dropped"`
-		DroppedPlanner int  `json:"dropped_planner"`
+	// POST /stats/reset clears the planner view alongside the statement one.
+	if reset := assertOneSheet(t, ts); reset.DroppedPlanner == 0 {
+		t.Fatalf("reset dropped no planner rows: %+v", reset)
 	}
-	if code := post(t, ts, "/stats/reset", map[string]any{}, &reset); code != http.StatusOK || !reset.Reset || reset.DroppedPlanner == 0 {
+
+	// A capped sheet: past MaxStatements the two-path query folds into the
+	// overflow row on both views, and one reset empties both.
+	capped := httptest.NewServer(New(Config{Engine: core.NewEngine(
+		core.WithIntrospection(core.IntrospectionConfig{MaxStatements: 2}))}).Handler())
+	defer capped.Close()
+	if code := post(t, capped, "/catalog/relations", map[string]any{"name": "R", "pairs": [][2]int32{{1, 2}, {2, 3}}}, nil); code != http.StatusOK {
+		t.Fatalf("register R: status %d", code)
+	}
+	for _, q := range []string{"Q(a, b) :- R(a, b)", "Q(a) :- R(a, b)", "Q(x, z) :- R(x, y), R(y, z)"} {
+		if code := post(t, capped, "/query", map[string]any{"query": q}, nil); code != http.StatusOK {
+			t.Fatalf("query %q: status %d", q, code)
+		}
+	}
+	assertOneSheet(t, capped)
+}
+
+type resetResponse struct {
+	Reset          bool `json:"reset"`
+	Dropped        int  `json:"dropped"`
+	DroppedPlanner int  `json:"dropped_planner"`
+}
+
+// assertOneSheet checks that /stats/planner names only fingerprints that
+// /stats/statements names, then that POST /stats/reset leaves both views
+// empty, and returns the reset response.
+func assertOneSheet(t *testing.T, ts *httptest.Server) resetResponse {
+	t.Helper()
+	var senv statementsEnvelope
+	var penv plannerEnvelope
+	if code := get(t, ts, "/stats/statements", &senv); code != http.StatusOK {
+		t.Fatalf("statements: status %d", code)
+	}
+	if code := get(t, ts, "/stats/planner", &penv); code != http.StatusOK || penv.Count == 0 {
+		t.Fatalf("planner: status %d count %d", code, penv.Count)
+	}
+	for _, row := range penv.Fingerprints {
+		if findStatement(senv.Statements, row.Fingerprint) == nil {
+			t.Fatalf("planner row %q is not on /stats/statements %+v", row.Fingerprint, senv.Statements)
+		}
+	}
+	var reset resetResponse
+	if code := post(t, ts, "/stats/reset", map[string]any{}, &reset); code != http.StatusOK || !reset.Reset {
 		t.Fatalf("reset: status %d %+v", code, reset)
 	}
-	if code := get(t, ts, "/stats/planner", &env); code != http.StatusOK || env.Count != 0 {
-		t.Fatalf("after reset: status %d count %d", code, env.Count)
+	if code := get(t, ts, "/stats/statements", &senv); code != http.StatusOK || senv.Count != 0 {
+		t.Fatalf("statements after reset: status %d count %d", code, senv.Count)
 	}
+	if code := get(t, ts, "/stats/planner", &penv); code != http.StatusOK || penv.Count != 0 {
+		t.Fatalf("planner after reset: status %d count %d", code, penv.Count)
+	}
+	return reset
 }
 
 // TestPlannerSheetOnReplica runs queries on a read-only follower and asserts

@@ -25,7 +25,7 @@
 //	GET    /healthz                          → ok|degraded + WAL/recovery stats
 //	GET    /stats/statements?sort=K&limit=N  → per-fingerprint statement stats
 //	GET    /stats/planner?sort=K&limit=N     → planner accuracy + decision audit
-//	POST   /stats/reset                      → clear the statement + planner sheets
+//	POST   /stats/reset                      → clear the statement sheet (both views)
 //	GET    /stats/activity                   → in-flight queries (live view)
 //	POST   /stats/activity/{id}/cancel       → kill a running query
 //	GET    /debug/flight?limit=N             → recently completed query traces
@@ -659,6 +659,22 @@ func decodeCursor(cursor string) (int, error) {
 	return offset, nil
 }
 
+// limitParam parses the ?limit=N parameter of the GET routes that page or
+// truncate (absent: 0, no limit). A malformed or negative value answers 400
+// and reports false.
+func (s *Server) limitParam(w http.ResponseWriter, r *http.Request) (int, bool) {
+	lq := r.URL.Query().Get("limit")
+	if lq == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(lq)
+	if err != nil || n < 0 {
+		s.error(w, r, http.StatusBadRequest, "malformed limit %q", lq)
+		return 0, false
+	}
+	return n, true
+}
+
 // nextCursor returns the cursor that resumes a result of total rows after
 // row end, or "" when the page reached the end.
 func nextCursor(end, total int) string {
@@ -954,14 +970,9 @@ func (s *Server) handleGetView(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusNotFound, "unknown view %q", name)
 		return
 	}
-	limit := 0
-	if lq := r.URL.Query().Get("limit"); lq != "" {
-		n, err := strconv.Atoi(lq)
-		if err != nil || n < 0 {
-			s.error(w, r, http.StatusBadRequest, "malformed limit %q", lq)
-			return
-		}
-		limit = n
+	limit, ok := s.limitParam(w, r)
+	if !ok {
+		return
 	}
 	offset, err := decodeCursor(r.URL.Query().Get("cursor"))
 	if err != nil {

@@ -28,22 +28,16 @@ func (s *Server) role() string {
 // statement sheet sorted descending by total_ms (default), calls, mean_ms,
 // max_ms, rows or errors.
 func (s *Server) handleStatements(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sortBy := q.Get("sort")
+	sortBy := r.URL.Query().Get("sort")
 	switch sortBy {
 	case "", stats.SortCalls, stats.SortTotalMs, stats.SortMeanMs, stats.SortMaxMs, stats.SortRows, stats.SortErrors:
 	default:
 		s.error(w, r, http.StatusBadRequest, "unknown sort key %q", sortBy)
 		return
 	}
-	limit := 0
-	if lq := q.Get("limit"); lq != "" {
-		n, err := strconv.Atoi(lq)
-		if err != nil || n < 0 {
-			s.error(w, r, http.StatusBadRequest, "malformed limit %q", lq)
-			return
-		}
-		limit = n
+	limit, ok := s.limitParam(w, r)
+	if !ok {
+		return
 	}
 	rows := s.eng.StatementStats().Snapshot(sortBy, limit)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -61,13 +55,12 @@ func orDefault(v, def string) string {
 	return v
 }
 
-// handlePlanner serves GET /stats/planner?sort=K&limit=N: the planner-
-// accuracy misprediction sheet, ranked by call-weighted error magnitude by
-// default, with per-fingerprint decision history and the optimizer's
-// constant/drift report.
+// handlePlanner serves GET /stats/planner?sort=K&limit=N: the statement
+// sheet's planner-accuracy view (rows with audited nodes only), ranked by
+// call-weighted error magnitude by default, with per-fingerprint decision
+// history and the optimizer's constant/drift report.
 func (s *Server) handlePlanner(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sortBy := q.Get("sort")
+	sortBy := r.URL.Query().Get("sort")
 	switch sortBy {
 	case "", stats.PlannerSortScore, stats.PlannerSortCalls, stats.PlannerSortNodes,
 		stats.PlannerSortNearMargin, stats.PlannerSortWorst:
@@ -75,16 +68,11 @@ func (s *Server) handlePlanner(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "unknown sort key %q", sortBy)
 		return
 	}
-	limit := 0
-	if lq := q.Get("limit"); lq != "" {
-		n, err := strconv.Atoi(lq)
-		if err != nil || n < 0 {
-			s.error(w, r, http.StatusBadRequest, "malformed limit %q", lq)
-			return
-		}
-		limit = n
+	limit, ok := s.limitParam(w, r)
+	if !ok {
+		return
 	}
-	rows := s.eng.PlannerStats().Snapshot(sortBy, limit)
+	rows := s.eng.StatementStats().PlannerSnapshot(sortBy, limit)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"role":         s.role(),
 		"sort":         orDefault(sortBy, stats.PlannerSortScore),
@@ -94,12 +82,12 @@ func (s *Server) handlePlanner(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStatsReset serves POST /stats/reset: drop every statement and
-// planner-accuracy aggregate and start fresh sheets. Cumulative /metrics
+// handleStatsReset serves POST /stats/reset: drop every row of the statement
+// sheet, and with it both views, in one step. dropped_planner counts the
+// dropped rows that had planner-accuracy aggregates. Cumulative /metrics
 // counters are unaffected.
 func (s *Server) handleStatsReset(w http.ResponseWriter, r *http.Request) {
-	n := s.eng.StatementStats().Reset()
-	np := s.eng.PlannerStats().Reset()
+	n, np := s.eng.StatementStats().Reset()
 	writeJSON(w, http.StatusOK, map[string]any{"reset": true, "dropped": n, "dropped_planner": np})
 }
 
@@ -139,14 +127,9 @@ func (s *Server) handleActivityCancel(w http.ResponseWriter, r *http.Request) {
 // retained query traces, newest first, plus how many unremarkable queries
 // were sampled out (what the ring is not showing).
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if lq := r.URL.Query().Get("limit"); lq != "" {
-		n, err := strconv.Atoi(lq)
-		if err != nil || n < 0 {
-			s.error(w, r, http.StatusBadRequest, "malformed limit %q", lq)
-			return
-		}
-		limit = n
+	limit, ok := s.limitParam(w, r)
+	if !ok {
+		return
 	}
 	fl := s.eng.FlightRecorder()
 	recs := fl.Snapshot(limit)

@@ -2,21 +2,17 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/optimizer"
 )
 
-// Planner-accuracy registry: the per-fingerprint predicted-vs-actual sheet
-// behind GET /stats/planner. The executor reports every audited plan node —
-// one the optimizer priced — after a query completes; the registry folds the
+// Planner accuracy: the predicted-vs-actual half of a statement row, served
+// as GET /stats/planner. The executor reports every audited plan node — one
+// the optimizer priced — with the query's observation; the row folds the
 // cost- and cardinality-error ratios into per-strategy aggregates, keeps a
-// short decision history per fingerprint, and ranks fingerprints by a
-// call-weighted misprediction score so the worst-modeled statements surface
-// first.
+// short decision history, and ranks fingerprints by a call-weighted
+// misprediction score so the worst-modeled statements surface first.
 
 // NodeObservation is one executed, optimizer-priced plan node.
 type NodeObservation struct {
@@ -45,6 +41,14 @@ func bucketIndex(ratio float64) int {
 		}
 	}
 	return len(RatioBuckets)
+}
+
+// bucketLabel renders one histogram bucket bound as its JSON key.
+func bucketLabel(i int) string {
+	if i >= len(RatioBuckets) {
+		return "+inf"
+	}
+	return strconv.FormatFloat(RatioBuckets[i], 'g', -1, 64)
 }
 
 // DecisionRecord is one audited strategy decision in a fingerprint's history
@@ -87,8 +91,10 @@ type StrategyErrors struct {
 	CostErrHist map[string]uint64 `json:"cost_err_hist,omitempty"`
 }
 
-// plannerRow is the mutable per-fingerprint aggregate.
-type plannerRow struct {
+// plannerAgg is a statement row's planner-accuracy aggregate, allocated on
+// the fingerprint's first audited call (so nodes ≥ 1, and every strategyAgg
+// has nodes ≥ 1).
+type plannerAgg struct {
 	calls      uint64
 	nodes      uint64
 	nearMargin uint64
@@ -96,10 +102,7 @@ type plannerRow struct {
 	byStrategy map[string]*strategyAgg
 	worstAbs   float64
 	worst      *DecisionRecord
-	history    [decisionHistory]DecisionRecord
-	histLen    int
-	histNext   int
-	lastUnixMs int64
+	history    [decisionHistory]DecisionRecord // node i's record at i % decisionHistory
 }
 
 // PlannerRow is one fingerprint's planner-accuracy aggregate as
@@ -120,60 +123,24 @@ type PlannerRow struct {
 	// Worst is the single worst-predicted node seen for this fingerprint.
 	Worst *DecisionRecord `json:"worst,omitempty"`
 	// Decisions is the recent decision history, newest first.
-	Decisions  []DecisionRecord `json:"decisions,omitempty"`
-	LastUnixMs int64            `json:"last_unix_ms"`
+	Decisions []DecisionRecord `json:"decisions,omitempty"`
+	// LastUnixMs is the fingerprint's last call, as on /stats/statements.
+	LastUnixMs int64 `json:"last_unix_ms"`
 }
 
-// Planner is the per-fingerprint planner-accuracy registry. The zero value
-// is not usable; use NewPlanner. All methods are safe for concurrent use.
-type Planner struct {
-	mu   sync.Mutex
-	max  int
-	rows map[string]*plannerRow
-}
-
-// NewPlanner returns a registry tracking at most max distinct fingerprints
-// (0 or negative: DefaultMaxStatements), with overflow folded into the
-// overflow bucket like the statement sheet.
-func NewPlanner(max int) *Planner {
-	if max <= 0 {
-		max = DefaultMaxStatements
-	}
-	return &Planner{max: max, rows: make(map[string]*plannerRow)}
-}
-
-// Record folds one query's audited plan nodes into the fingerprint's
-// aggregate. No-op when nodes is empty (queries whose plans the optimizer
-// never priced carry no accuracy signal).
-func (p *Planner) Record(fingerprint string, nodes []NodeObservation) {
-	if len(nodes) == 0 {
-		return
-	}
-	if fingerprint == "" {
-		fingerprint = InvalidFingerprint
-	}
-	p.mu.Lock()
-	r, ok := p.rows[fingerprint]
-	if !ok {
-		if len(p.rows) >= p.max && fingerprint != OverflowFingerprint && fingerprint != InvalidFingerprint {
-			p.mu.Unlock()
-			p.Record(OverflowFingerprint, nodes)
-			return
-		}
-		r = &plannerRow{byStrategy: make(map[string]*strategyAgg)}
-		p.rows[fingerprint] = r
-	}
-	r.calls++
+// observe folds one query's audited plan nodes into the aggregate.
+func (p *plannerAgg) observe(nodes []NodeObservation) {
+	p.calls++
 	for _, n := range nodes {
-		r.nodes++
+		p.nodes++
 		if n.NearMargin {
-			r.nearMargin++
+			p.nearMargin++
 		}
 		plannerNodes.With(orDefaultStrategy(n.Strategy)).Inc()
-		agg := r.byStrategy[n.Strategy]
+		agg := p.byStrategy[n.Strategy]
 		if agg == nil {
 			agg = &strategyAgg{}
-			r.byStrategy[n.Strategy] = agg
+			p.byStrategy[n.Strategy] = agg
 		}
 		agg.nodes++
 		rec := DecisionRecord{
@@ -186,26 +153,20 @@ func (p *Planner) Record(fingerprint string, nodes []NodeObservation) {
 			agg.sumAbsLogCost += math.Abs(logCE)
 			agg.sumLogCost += logCE
 			agg.costBuckets[bucketIndex(ce)]++
-			r.score += math.Abs(logCE)
+			p.score += math.Abs(logCE)
 			rec.CostErr = ce
-			if math.Abs(logCE) > r.worstAbs || r.worst == nil {
-				r.worstAbs = math.Abs(logCE)
+			if math.Abs(logCE) > p.worstAbs || p.worst == nil {
+				p.worstAbs = math.Abs(logCE)
 				w := rec
-				r.worst = &w
+				p.worst = &w
 			}
 		}
 		if re := n.RowsErr(n.Rows); re > 0 {
 			agg.sumAbsLogRows += math.Abs(math.Log(re))
 			rec.RowsErr = re
 		}
-		r.history[r.histNext] = rec
-		r.histNext = (r.histNext + 1) % decisionHistory
-		if r.histLen < decisionHistory {
-			r.histLen++
-		}
+		p.history[(p.nodes-1)%decisionHistory] = rec
 	}
-	r.lastUnixMs = time.Now().UnixMilli()
-	p.mu.Unlock()
 }
 
 func orDefaultStrategy(s string) string {
@@ -215,16 +176,49 @@ func orDefaultStrategy(s string) string {
 	return s
 }
 
-// Reset drops every aggregate, returning how many fingerprints were dropped.
-func (p *Planner) Reset() int {
-	p.mu.Lock()
-	n := len(p.rows)
-	p.rows = make(map[string]*plannerRow)
-	p.mu.Unlock()
-	return n
+// row renders the aggregate for /stats/planner. Decision histories come
+// back newest first.
+func (p *plannerAgg) row(fingerprint string, lastUnixMs int64) PlannerRow {
+	pr := PlannerRow{
+		Fingerprint: fingerprint,
+		Calls:       p.calls,
+		Nodes:       p.nodes,
+		NearMargin:  p.nearMargin,
+		Score:       p.score,
+		LastUnixMs:  lastUnixMs,
+	}
+	if p.worst != nil {
+		w := *p.worst
+		pr.Worst = &w
+	}
+	pr.Strategies = make(map[string]StrategyErrors, len(p.byStrategy))
+	for s, agg := range p.byStrategy {
+		se := StrategyErrors{Nodes: agg.nodes, MeanAbsLogRows: agg.sumAbsLogRows / float64(agg.nodes)}
+		var costN uint64
+		for _, c := range agg.costBuckets {
+			costN += c
+		}
+		if costN > 0 {
+			se.CostErrGeomean = math.Exp(agg.sumLogCost / float64(costN))
+			se.MeanAbsLogCost = agg.sumAbsLogCost / float64(costN)
+			se.CostErrHist = make(map[string]uint64)
+			for i, c := range agg.costBuckets {
+				if c > 0 {
+					se.CostErrHist[bucketLabel(i)] = c
+				}
+			}
+		}
+		pr.Strategies[s] = se
+	}
+	n := min(p.nodes, decisionHistory)
+	pr.Decisions = make([]DecisionRecord, n)
+	for i := range n {
+		pr.Decisions[i] = p.history[(p.nodes-1-i)%decisionHistory]
+	}
+	return pr
 }
 
-// Sort keys Planner.Snapshot accepts.
+// Sort keys PlannerSnapshot accepts.
 const (
 	PlannerSortScore      = "score"
 	PlannerSortCalls      = "calls"
@@ -233,69 +227,20 @@ const (
 	PlannerSortWorst      = "worst"
 )
 
-// bucketLabel renders one histogram bucket bound as its JSON key.
-func bucketLabel(i int) string {
-	if i >= len(RatioBuckets) {
-		return "+inf"
+// PlannerSnapshot returns the planner-accuracy half of every row that has
+// had audited nodes, sorted descending by the given key (unknown or empty:
+// score) and truncated to limit rows (0 or negative: all).
+func (s *Statements) PlannerSnapshot(sortBy string, limit int) []PlannerRow {
+	s.mu.Lock()
+	out := make([]PlannerRow, 0, len(s.rows))
+	for fp, r := range s.rows {
+		if r.planner != nil {
+			out = append(out, r.planner.row(fp, r.lastUnixMs))
+		}
 	}
-	return strconv.FormatFloat(RatioBuckets[i], 'g', -1, 64)
-}
+	s.mu.Unlock()
 
-// Snapshot returns the current aggregates, sorted descending by the given
-// key (unknown or empty: score) and truncated to limit rows (0 or negative:
-// all). Decision histories come back newest first.
-func (p *Planner) Snapshot(sortBy string, limit int) []PlannerRow {
-	p.mu.Lock()
-	out := make([]PlannerRow, 0, len(p.rows))
-	for fp, r := range p.rows {
-		pr := PlannerRow{
-			Fingerprint: fp,
-			Calls:       r.calls,
-			Nodes:       r.nodes,
-			NearMargin:  r.nearMargin,
-			Score:       r.score,
-			LastUnixMs:  r.lastUnixMs,
-		}
-		if r.worst != nil {
-			w := *r.worst
-			pr.Worst = &w
-		}
-		if len(r.byStrategy) > 0 {
-			pr.Strategies = make(map[string]StrategyErrors, len(r.byStrategy))
-			for s, agg := range r.byStrategy {
-				se := StrategyErrors{Nodes: agg.nodes}
-				var costN uint64
-				for _, c := range agg.costBuckets {
-					costN += c
-				}
-				if costN > 0 {
-					se.CostErrGeomean = math.Exp(agg.sumLogCost / float64(costN))
-					se.MeanAbsLogCost = agg.sumAbsLogCost / float64(costN)
-					se.CostErrHist = make(map[string]uint64)
-					for i, c := range agg.costBuckets {
-						if c > 0 {
-							se.CostErrHist[bucketLabel(i)] = c
-						}
-					}
-				}
-				if agg.nodes > 0 {
-					se.MeanAbsLogRows = agg.sumAbsLogRows / float64(agg.nodes)
-				}
-				pr.Strategies[s] = se
-			}
-		}
-		if r.histLen > 0 {
-			pr.Decisions = make([]DecisionRecord, 0, r.histLen)
-			for i := 0; i < r.histLen; i++ {
-				idx := (r.histNext - 1 - i + decisionHistory*2) % decisionHistory
-				pr.Decisions = append(pr.Decisions, r.history[idx])
-			}
-		}
-		out = append(out, pr)
-	}
-	p.mu.Unlock()
-
-	key := func(r PlannerRow) float64 {
+	return sortRows(out, limit, func(r PlannerRow) string { return r.Fingerprint }, func(r PlannerRow) float64 {
 		switch sortBy {
 		case PlannerSortCalls:
 			return float64(r.Calls)
@@ -311,16 +256,5 @@ func (p *Planner) Snapshot(sortBy string, limit int) []PlannerRow {
 		default:
 			return r.Score
 		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ki, kj := key(out[i]), key(out[j])
-		if ki != kj {
-			return ki > kj
-		}
-		return out[i].Fingerprint < out[j].Fingerprint
 	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

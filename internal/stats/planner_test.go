@@ -11,18 +11,23 @@ func obsNode(strategy string, predicted float64, actual int64) NodeObservation {
 	return NodeObservation{Op: "fold", Decision: optimizer.Decision{Strategy: strategy, PredictedCost: predicted}, ActualNs: actual}
 }
 
+// audited is an observation carrying only audited plan nodes.
+func audited(nodes ...NodeObservation) Observation {
+	return Observation{Outcome: OutcomeOK, Nodes: nodes}
+}
+
 func TestPlannerAggregation(t *testing.T) {
-	p := NewPlanner(0)
+	p := NewStatements(0)
 	// Fingerprint A: one accurate mm node, one 4×-slow wcoj node.
-	p.Record("A", []NodeObservation{
+	p.Record("A", audited(
 		obsNode("mm", 1e6, 1e6),
 		obsNode("wcoj", 1e6, 4e6),
-	})
+	))
 	// Fingerprint B: called twice, mildly off.
-	p.Record("B", []NodeObservation{obsNode("mm", 1e6, 2e6)})
-	p.Record("B", []NodeObservation{obsNode("mm", 1e6, 2e6)})
+	p.Record("B", audited(obsNode("mm", 1e6, 2e6)))
+	p.Record("B", audited(obsNode("mm", 1e6, 2e6)))
 
-	rows := p.Snapshot("", 0)
+	rows := p.PlannerSnapshot("", 0)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -59,32 +64,32 @@ func TestPlannerAggregation(t *testing.T) {
 	}
 
 	// Sort by calls puts B first.
-	rows = p.Snapshot(PlannerSortCalls, 0)
+	rows = p.PlannerSnapshot(PlannerSortCalls, 0)
 	if rows[0].Fingerprint != "B" {
 		t.Errorf("sort=calls: first = %s, want B", rows[0].Fingerprint)
 	}
 	// Limit truncates.
-	if got := len(p.Snapshot("", 1)); got != 1 {
+	if got := len(p.PlannerSnapshot("", 1)); got != 1 {
 		t.Errorf("limit=1 returned %d rows", got)
 	}
 
-	if n := p.Reset(); n != 2 {
+	if _, n := p.Reset(); n != 2 {
 		t.Errorf("Reset dropped %d, want 2", n)
 	}
-	if got := len(p.Snapshot("", 0)); got != 0 {
+	if got := len(p.PlannerSnapshot("", 0)); got != 0 {
 		t.Errorf("%d rows after reset", got)
 	}
 }
 
 func TestPlannerDecisionHistoryRing(t *testing.T) {
-	p := NewPlanner(0)
+	p := NewStatements(0)
 	for i := 1; i <= decisionHistory+3; i++ {
-		p.Record("Q", []NodeObservation{{
+		p.Record("Q", audited(NodeObservation{
 			Op: "fold", Decision: optimizer.Decision{Strategy: "mm", Margin: float64(i), PredictedCost: 1e6},
 			ActualNs: 1e6,
-		}})
+		}))
 	}
-	rows := p.Snapshot("", 0)
+	rows := p.PlannerSnapshot("", 0)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -102,11 +107,11 @@ func TestPlannerDecisionHistoryRing(t *testing.T) {
 }
 
 func TestPlannerOverflowAndEmpty(t *testing.T) {
-	p := NewPlanner(2)
-	p.Record("A", []NodeObservation{obsNode("mm", 1e6, 1e6)})
-	p.Record("B", []NodeObservation{obsNode("mm", 1e6, 1e6)})
-	p.Record("C", []NodeObservation{obsNode("mm", 1e6, 1e6)})
-	rows := p.Snapshot("", 0)
+	p := NewStatements(2)
+	p.Record("A", audited(obsNode("mm", 1e6, 1e6)))
+	p.Record("B", audited(obsNode("mm", 1e6, 1e6)))
+	p.Record("C", audited(obsNode("mm", 1e6, 1e6)))
+	rows := p.PlannerSnapshot("", 0)
 	fps := map[string]bool{}
 	for _, r := range rows {
 		fps[r.Fingerprint] = true
@@ -117,10 +122,29 @@ func TestPlannerOverflowAndEmpty(t *testing.T) {
 	if fps["C"] {
 		t.Errorf("C should have folded into overflow")
 	}
-	// Empty node lists carry no signal and create no row.
+	// Past the cap, a statement with audited nodes folds into the overflow
+	// row on both views: the planner view names only fingerprints the
+	// statement view names.
 	p.Reset()
-	p.Record("D", nil)
-	if got := len(p.Snapshot("", 0)); got != 0 {
+	p.Record("a", Observation{Outcome: OutcomeOK})
+	p.Record("b", Observation{Outcome: OutcomeOK})
+	p.Record("c", audited(obsNode("mm", 1e6, 1e6)))
+	named := map[string]bool{}
+	for _, r := range p.Snapshot("", 0) {
+		named[r.Fingerprint] = true
+	}
+	for _, r := range p.PlannerSnapshot("", 0) {
+		if !named[r.Fingerprint] {
+			t.Errorf("planner row %q missing from the statement view %v", r.Fingerprint, named)
+		}
+	}
+	if named["c"] {
+		t.Errorf("c should have folded into overflow on the statement view")
+	}
+	// Empty node lists carry no signal and create no planner row.
+	p.Reset()
+	p.Record("D", Observation{Outcome: OutcomeOK})
+	if got := len(p.PlannerSnapshot("", 0)); got != 0 {
 		t.Errorf("empty observation created %d rows", got)
 	}
 }

@@ -1,16 +1,23 @@
-// Package stats is the workload-introspection layer: per-fingerprint
-// statement statistics, a live registry of in-flight queries with external
-// kill, and a flight recorder retaining traces of recently completed
-// queries. It sits between the executor (which reports per-node progress)
-// and the HTTP surfaces /stats/statements, /stats/activity and
+// Package stats is the workload-introspection layer: one per-fingerprint
+// statement sheet, a live registry of in-flight queries with external kill,
+// and a flight recorder retaining traces of recently completed queries. It
+// sits between the executor (which reports per-node progress) and the HTTP
+// surfaces /stats/statements, /stats/planner, /stats/activity and
 // /debug/flight; internal/core owns the instances and wires them into the
 // single evaluation path, so every query — HTTP, embedded, primary or
 // replica — is attributed identically.
 //
-// The package imports only internal/obs and the standard library: it must be
-// linkable from the executor without dependency cycles, and its hot-path
-// cost (one mutex acquisition per query completion, atomics during
-// execution) is part of the ≤2% query-overhead budget.
+// The statement sheet is one registry with two views: Snapshot serves each
+// row's call, outcome, latency and strategy aggregates, PlannerSnapshot the
+// same rows' planner-accuracy aggregates (predicted cost and est|OUT|
+// against what each audited fold or star did). One fingerprint map, one cap
+// with its overflow and invalid buckets, and one Reset cover both, and each
+// finished, failed or shed query takes the sheet's lock once.
+//
+// The package imports only internal/obs, internal/optimizer and the standard
+// library: it must be linkable from the executor without dependency cycles,
+// and its hot-path cost (one mutex acquisition per query completion, atomics
+// during execution) is part of the ≤2% query-overhead budget.
 package stats
 
 import (
@@ -51,6 +58,9 @@ type Observation struct {
 	// Strategies is the per-plan-node strategy breakdown in tree order, e.g.
 	// ["fold=mm", "star=nonmm"] (Plan.Strategies form).
 	Strategies []string
+	// Nodes are the executed plan's audited (optimizer-priced) nodes; a
+	// non-empty list counts one call on the row's planner-accuracy view.
+	Nodes []NodeObservation
 }
 
 // row is the mutable per-fingerprint aggregate. All fields are guarded by
@@ -72,6 +82,7 @@ type row struct {
 	bytes       int64
 	strategies  map[string]uint64
 	lastUnixMs  int64
+	planner     *plannerAgg // nil until the first call with audited nodes
 }
 
 // StatementRow is one fingerprint's aggregate as /stats/statements serves
@@ -100,9 +111,9 @@ type StatementRow struct {
 	LastUnixMs int64             `json:"last_unix_ms"`
 }
 
-// Statements is the per-fingerprint statement-statistics registry. The zero
-// value is not usable; use NewStatements. All methods are safe for
-// concurrent use.
+// Statements is the per-fingerprint statement sheet behind /stats/statements
+// and /stats/planner. The zero value is not usable; use NewStatements. All
+// methods are safe for concurrent use.
 type Statements struct {
 	mu   sync.Mutex
 	max  int
@@ -122,27 +133,23 @@ func NewStatements(max int) *Statements {
 	return &Statements{max: max, rows: make(map[string]*row)}
 }
 
-// Record folds one observation into the fingerprint's aggregate. Empty
-// fingerprints (unparseable statements) land in the invalid bucket;
+// Record folds one observation into the fingerprint's row under one lock.
+// Empty fingerprints (unparseable statements) land in the invalid bucket;
 // fingerprints past the cap land in the overflow bucket.
 func (s *Statements) Record(fingerprint string, o Observation) {
 	if fingerprint == "" {
 		fingerprint = InvalidFingerprint
 	}
 	stmtObservations.With(string(o.Outcome)).Inc()
-	s.record(fingerprint, o)
-}
-
-func (s *Statements) record(fingerprint string, o Observation) {
 	s.mu.Lock()
-	r, ok := s.rows[fingerprint]
-	if !ok {
-		if len(s.rows) >= s.max && fingerprint != OverflowFingerprint && fingerprint != InvalidFingerprint {
-			s.mu.Unlock()
-			stmtOverflow.Inc()
-			s.record(OverflowFingerprint, o)
-			return
-		}
+	defer s.mu.Unlock()
+	r := s.rows[fingerprint]
+	if r == nil && len(s.rows) >= s.max && fingerprint != OverflowFingerprint && fingerprint != InvalidFingerprint {
+		stmtOverflow.Inc()
+		fingerprint = OverflowFingerprint
+		r = s.rows[fingerprint]
+	}
+	if r == nil {
 		r = &row{}
 		s.rows[fingerprint] = r
 		stmtFingerprints.Set(float64(len(s.rows)))
@@ -185,26 +192,31 @@ func (s *Statements) record(fingerprint string, o Observation) {
 			r.strategies[st]++
 		}
 	}
+	if len(o.Nodes) > 0 {
+		if r.planner == nil {
+			r.planner = &plannerAgg{byStrategy: make(map[string]*strategyAgg)}
+		}
+		r.planner.observe(o.Nodes)
+	}
 	r.lastUnixMs = time.Now().UnixMilli()
-	s.mu.Unlock()
 }
 
-// RecordShed counts an admission-control rejection: the statement arrived
-// but never ran, so only the call/shed counters move.
-func (s *Statements) RecordShed(fingerprint string) {
-	s.Record(fingerprint, Observation{Outcome: OutcomeShed})
-}
-
-// Reset drops every aggregate. The sheet starts clean; process-wide
+// Reset drops every row, returning how many there were and how many of them
+// had planner-accuracy aggregates. The sheet starts clean; process-wide
 // counters in /metrics are unaffected (they are cumulative by contract).
-func (s *Statements) Reset() int {
+func (s *Statements) Reset() (rows, audited int) {
 	s.mu.Lock()
-	n := len(s.rows)
+	rows = len(s.rows)
+	for _, r := range s.rows {
+		if r.planner != nil {
+			audited++
+		}
+	}
 	s.rows = make(map[string]*row)
 	stmtFingerprints.Set(0)
 	s.mu.Unlock()
 	stmtResets.Inc()
-	return n
+	return rows, audited
 }
 
 // Sort keys Snapshot accepts.
@@ -257,7 +269,7 @@ func (s *Statements) Snapshot(sortBy string, limit int) []StatementRow {
 	}
 	s.mu.Unlock()
 
-	key := func(r StatementRow) float64 {
+	return sortRows(out, limit, func(r StatementRow) string { return r.Fingerprint }, func(r StatementRow) float64 {
 		switch sortBy {
 		case SortCalls:
 			return float64(r.Calls)
@@ -272,13 +284,18 @@ func (s *Statements) Snapshot(sortBy string, limit int) []StatementRow {
 		default:
 			return r.TotalMs
 		}
-	}
+	})
+}
+
+// sortRows sorts one view's rows descending by key, ties by fingerprint,
+// and truncates them to limit (0 or negative: all).
+func sortRows[T any](out []T, limit int, fingerprint func(T) string, key func(T) float64) []T {
 	sort.SliceStable(out, func(i, j int) bool {
 		ki, kj := key(out[i]), key(out[j])
 		if ki != kj {
 			return ki > kj
 		}
-		return out[i].Fingerprint < out[j].Fingerprint
+		return fingerprint(out[i]) < fingerprint(out[j])
 	})
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]

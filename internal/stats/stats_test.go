@@ -42,7 +42,7 @@ func TestStatementsAggregateAndSort(t *testing.T) {
 		t.Fatalf("top row by total_ms: %+v", rows[0])
 	}
 
-	if n := s.Reset(); n != 2 {
+	if n, _ := s.Reset(); n != 2 {
 		t.Fatalf("reset dropped %d rows, want 2", n)
 	}
 	if rows := s.Snapshot("", 0); len(rows) != 0 {
@@ -193,8 +193,10 @@ func TestConcurrentUse(t *testing.T) {
 				}
 				reg.List()
 				reg.Finish(a)
-				s.Record(fp, Observation{Outcome: OutcomeOK, Elapsed: time.Microsecond, Strategies: []string{"fold=mm"}})
+				s.Record(fp, Observation{Outcome: OutcomeOK, Elapsed: time.Microsecond, Strategies: []string{"fold=mm"},
+					Nodes: []NodeObservation{{Op: "fold", ActualNs: 1}}})
 				s.Snapshot(SortCalls, 4)
+				s.PlannerSnapshot(PlannerSortScore, 4)
 				f.Record(FlightRecord{Fingerprint: fp, Outcome: OutcomeOK}, func() string { return "p" })
 				f.Snapshot(4)
 			}
