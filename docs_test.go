@@ -2,7 +2,7 @@ package joinmm
 
 // The repository's gates on what `go test ./...` does not otherwise see,
 // run as ordinary tests so CI and developers share one entry point (the CI
-// docs job runs `go test -run 'TestDocs' .`):
+// docs job runs `go test -run 'TestDocs|TestNoUnusedExports' -v .`):
 //
 //   - TestDocsMarkdownLinks: every relative link in every markdown file
 //     must resolve to an existing file or directory.
@@ -11,6 +11,9 @@ package joinmm
 //     missing-doc lint enforces).
 //   - TestDocsIdentifiersExist: every Go identifier the living docs name in
 //     backticks must still be declared where they say it is.
+//   - TestNoUnusedExports (exports_test.go): every exported function or
+//     method under internal/ is called from outside its own package's
+//     tests, or sits on a short allowlist with a reason.
 //   - TestBenchBuilds: bench/ — its own module, frozen between benchmark
 //     changes — still compiles against the engine.
 
@@ -99,25 +102,36 @@ func TestBenchBuilds(t *testing.T) {
 	}
 }
 
-func TestDocsGodocCoverage(t *testing.T) {
-	fset := token.NewFileSet()
-	var missing []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+// walkPackages parses the Go files keep accepts in every directory under
+// root, skipping dot-directories and testdata, and hands fn each directory's
+// packages (a directory with external tests yields two).
+func walkPackages(fset *token.FileSet, root string, keep func(fs.FileInfo) bool, mode parser.Mode,
+	fn func(dir string, pkgs map[string]*ast.Package)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if !d.IsDir() {
 			return nil
 		}
-		if strings.HasPrefix(d.Name(), ".") && path != "." {
+		if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		pkgs, err := parser.ParseDir(fset, path, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
+		pkgs, err := parser.ParseDir(fset, path, keep, mode)
 		if err != nil {
 			return err
 		}
+		fn(path, pkgs)
+		return nil
+	})
+}
+
+func nonTest(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
+func TestDocsGodocCoverage(t *testing.T) {
+	fset := token.NewFileSet()
+	var missing []string
+	err := walkPackages(fset, ".", nonTest, parser.ParseComments, func(_ string, pkgs map[string]*ast.Package) {
 		for name, pkg := range pkgs {
 			if name == "main" {
 				continue // commands and examples document via the command comment
@@ -126,7 +140,6 @@ func TestDocsGodocCoverage(t *testing.T) {
 				missing = append(missing, undocumented(fset, fname, file)...)
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,9 +252,7 @@ func (p *pkgDecls) anyMember(name string) bool {
 
 func parsePkgDecls(t *testing.T, dir string) *pkgDecls {
 	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nonTest, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

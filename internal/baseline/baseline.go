@@ -285,12 +285,3 @@ func EmptyHeadedJoin(r, s *relation.Relation, workers int) [][2]int32 {
 	}
 	return out
 }
-
-// HashJoinDedupStar extends the Postgres-style plan to Q★k: enumerate the
-// full star join and deduplicate the projected tuples in a hash set. The
-// paper reports these engines failing to finish star queries on dense data;
-// this function exists so the harness can demonstrate the same blow-up at
-// reduced scale.
-func HashJoinDedupStar(rels []*relation.Relation) [][]int32 {
-	return wcoj.ProjectStar(rels)
-}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/relation"
+	"repro/internal/wcoj"
 )
 
 func randomRel(rng *rand.Rand, name string, n, xdom, ydom int) *relation.Relation {
@@ -161,6 +162,8 @@ func TestPackUnpack(t *testing.T) {
 	}
 }
 
+// The Postgres-style plan extended to Q★k: enumerate the full star join and
+// deduplicate the projected tuples in a hash set (wcoj.ProjectStar).
 func TestHashJoinDedupStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	rels := []*relation.Relation{
@@ -168,7 +171,7 @@ func TestHashJoinDedupStar(t *testing.T) {
 		randomRel(rng, "R2", 120, 10, 8),
 		randomRel(rng, "R3", 120, 10, 8),
 	}
-	got := HashJoinDedupStar(rels)
+	got := wcoj.ProjectStar(rels)
 	seen := map[[3]int32]bool{}
 	for _, tp := range got {
 		key := [3]int32{tp[0], tp[1], tp[2]}

@@ -31,25 +31,9 @@ func FromWords(words []uint64, n int) *Bitset {
 	return &Bitset{words: words, n: n}
 }
 
-// Len returns the capacity of the bitset in bits.
-func (b *Bitset) Len() int { return b.n }
-
-// Words exposes the backing word slice. Callers must not change its length.
-func (b *Bitset) Words() []uint64 { return b.words }
-
 // Set sets bit i to 1. It panics if i is out of range.
 func (b *Bitset) Set(i int) {
 	b.words[i/wordBits] |= 1 << uint(i%wordBits)
-}
-
-// Clear sets bit i to 0. It panics if i is out of range.
-func (b *Bitset) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
-// Test reports whether bit i is set. It panics if i is out of range.
-func (b *Bitset) Test(i int) bool {
-	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
 // Reset zeroes every bit, keeping capacity.
@@ -57,15 +41,6 @@ func (b *Bitset) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
 	}
-}
-
-// Count returns the number of set bits.
-func (b *Bitset) Count() int {
-	c := 0
-	for _, w := range b.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // AndCount returns |b ∩ o| without materializing the intersection.
@@ -107,34 +82,6 @@ func (b *Bitset) Intersects(o *Bitset) bool {
 	return false
 }
 
-// InPlaceUnion sets b = b ∪ o. Capacities must satisfy o.Len() ≤ b.Len().
-func (b *Bitset) InPlaceUnion(o *Bitset) {
-	for i, w := range o.words {
-		b.words[i] |= w
-	}
-}
-
-// InPlaceIntersect sets b = b ∩ o.
-func (b *Bitset) InPlaceIntersect(o *Bitset) {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] &= o.words[i]
-	}
-	for i := n; i < len(b.words); i++ {
-		b.words[i] = 0
-	}
-}
-
-// Clone returns a deep copy of b.
-func (b *Bitset) Clone() *Bitset {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitset{words: w, n: b.n}
-}
-
 // ForEach calls fn for every set bit in ascending order.
 func (b *Bitset) ForEach(fn func(i int)) {
 	for wi, w := range b.words {
@@ -144,54 +91,4 @@ func (b *Bitset) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// ToSlice returns the indexes of all set bits in ascending order.
-func (b *Bitset) ToSlice() []int {
-	out := make([]int, 0, b.Count())
-	b.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (b *Bitset) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := b.words[wi] >> uint(i%wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(b.words[wi])
-		}
-	}
-	return -1
-}
-
-// Equal reports whether b and o contain exactly the same set bits.
-// Capacities may differ; trailing bits beyond the shorter capacity must be
-// zero for the sets to be equal.
-func (b *Bitset) Equal(o *Bitset) bool {
-	wa, wb := b.words, o.words
-	if len(wa) > len(wb) {
-		wa, wb = wb, wa
-	}
-	for i := range wa {
-		if wa[i] != wb[i] {
-			return false
-		}
-	}
-	for _, w := range wb[len(wa):] {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,12 +1,13 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func TestSetTestClear(t *testing.T) {
+func TestSetTest(t *testing.T) {
 	b := New(200)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
 		if b.Test(i) {
@@ -19,13 +20,6 @@ func TestSetTestClear(t *testing.T) {
 	}
 	if got := b.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
-	}
-	b.Clear(64)
-	if b.Test(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if got := b.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
 	}
 }
 
@@ -47,9 +41,6 @@ func TestZeroValue(t *testing.T) {
 	var b Bitset
 	if b.Count() != 0 || b.Len() != 0 {
 		t.Fatal("zero value not empty")
-	}
-	if b.NextSet(0) != -1 {
-		t.Fatal("NextSet on empty should be -1")
 	}
 }
 
@@ -116,65 +107,15 @@ func TestForEachAndToSlice(t *testing.T) {
 	for _, i := range want {
 		b.Set(i)
 	}
-	got := b.ToSlice()
+	var got []int
+	b.ForEach(func(i int) { got = append(got, i) })
 	if len(got) != len(want) {
-		t.Fatalf("ToSlice len = %d, want %d", len(got), len(want))
+		t.Fatalf("ForEach visited %d bits, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ToSlice[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("ForEach visit %d = %d, want %d", i, got[i], want[i])
 		}
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	b := New(256)
-	b.Set(10)
-	b.Set(70)
-	b.Set(255)
-	cases := []struct{ from, want int }{
-		{0, 10}, {10, 10}, {11, 70}, {70, 70}, {71, 255}, {255, 255}, {-3, 10},
-	}
-	for _, c := range cases {
-		if got := b.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	b2 := New(256)
-	if got := b2.NextSet(0); got != -1 {
-		t.Errorf("NextSet on empty = %d, want -1", got)
-	}
-}
-
-func TestUnionIntersect(t *testing.T) {
-	a, b := New(128), New(128)
-	a.Set(1)
-	a.Set(100)
-	b.Set(1)
-	b.Set(50)
-	u := a.Clone()
-	u.InPlaceUnion(b)
-	for _, i := range []int{1, 50, 100} {
-		if !u.Test(i) {
-			t.Fatalf("union missing bit %d", i)
-		}
-	}
-	x := a.Clone()
-	x.InPlaceIntersect(b)
-	if !x.Test(1) || x.Count() != 1 {
-		t.Fatalf("intersection wrong: count=%d", x.Count())
-	}
-}
-
-func TestIntersectShorterOther(t *testing.T) {
-	a := New(256)
-	a.Set(200)
-	a.Set(5)
-	b := New(64)
-	b.Set(5)
-	a.InPlaceIntersect(b)
-	if !a.Test(5) || a.Count() != 1 {
-		t.Fatalf("intersect with shorter: bit 200 should be cleared, count=%d", a.Count())
 	}
 }
 
@@ -204,7 +145,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 // Property: for random bit patterns, Count(a ∩ b) computed by AndCount
-// matches counting the materialized InPlaceIntersect result.
+// matches counting the materialized intersection.
 func TestQuickAndCountMatchesMaterialized(t *testing.T) {
 	f := func(wa, wb []uint64) bool {
 		n := len(wa)
@@ -216,31 +157,11 @@ func TestQuickAndCountMatchesMaterialized(t *testing.T) {
 		}
 		a := FromWords(append([]uint64(nil), wa[:n]...), n*64)
 		b := FromWords(append([]uint64(nil), wb[:n]...), n*64)
-		cnt := a.AndCount(b)
-		m := a.Clone()
-		m.InPlaceIntersect(b)
-		return cnt == m.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: union is commutative and contains both operands.
-func TestQuickUnionLaws(t *testing.T) {
-	f := func(wa, wb [4]uint64) bool {
-		a := FromWords(wa[:], 256)
-		b := FromWords(wb[:], 256)
-		u1 := a.Clone()
-		u1.InPlaceUnion(b)
-		u2 := b.Clone()
-		u2.InPlaceUnion(a)
-		if !u1.Equal(u2) {
-			return false
+		m := New(n * 64)
+		for i := range m.words {
+			m.words[i] = a.words[i] & b.words[i]
 		}
-		x := a.Clone()
-		x.InPlaceIntersect(u1)
-		return x.Equal(a)
+		return a.AndCount(b) == m.Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -262,4 +183,51 @@ func BenchmarkAndCount4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = x.AndCount(y)
 	}
+}
+
+// The accessors below are read only by these tests, so they live here.
+
+// Test reports whether bit i is set.
+func (b *Bitset) Test(i int) bool {
+	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
+}
+
+// Len returns the capacity of the bitset in bits.
+func (b *Bitset) Len() int { return b.n }
+
+// Count returns the number of set bits.
+func (b *Bitset) Count() int {
+	c := 0
+	for _, w := range b.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// Clone returns a deep copy of b.
+func (b *Bitset) Clone() *Bitset {
+	w := make([]uint64, len(b.words))
+	copy(w, b.words)
+	return &Bitset{words: w, n: b.n}
+}
+
+// Equal reports whether b and o contain exactly the same set bits.
+// Capacities may differ; trailing bits beyond the shorter capacity must be
+// zero for the sets to be equal.
+func (b *Bitset) Equal(o *Bitset) bool {
+	wa, wb := b.words, o.words
+	if len(wa) > len(wb) {
+		wa, wb = wb, wa
+	}
+	for i := range wa {
+		if wa[i] != wb[i] {
+			return false
+		}
+	}
+	for _, w := range wb[len(wa):] {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }

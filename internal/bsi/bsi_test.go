@@ -126,44 +126,6 @@ func TestProp2Model(t *testing.T) {
 	}
 }
 
-func TestAnswerBatchAYZ(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	r := randomRel(rng, "R", 800, 60, 30)
-	s := randomRel(rng, "S", 800, 60, 30)
-	batch := RandomWorkload(r, s, 300, 9)
-	for _, delta := range []int{0, 1, 3, 100} {
-		got := AnswerBatchAYZ(r, s, batch, delta)
-		for i, q := range batch {
-			if got[i] != AnswerSingle(r, s, q) {
-				t.Fatalf("delta=%d: query %v = %v, want %v", delta, q, got[i], !got[i])
-			}
-		}
-	}
-	if AnswerBatchAYZ(r, s, nil, 0) != nil {
-		t.Fatal("empty AYZ batch should be nil")
-	}
-}
-
-// Property: AYZ agrees with per-query answers for random thresholds.
-func TestQuickAYZMatchesSingle(t *testing.T) {
-	f := func(seed int64, draw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRel(rng, "R", 1+rng.Intn(250), 1+rng.Intn(40), 1+rng.Intn(20))
-		s := randomRel(rng, "S", 1+rng.Intn(250), 1+rng.Intn(40), 1+rng.Intn(20))
-		batch := RandomWorkload(r, s, 1+rng.Intn(50), seed)
-		got := AnswerBatchAYZ(r, s, batch, int(draw%8))
-		for i, q := range batch {
-			if got[i] != AnswerSingle(r, s, q) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: batched answers always match per-query answers.
 func TestQuickBatchMatchesSingle(t *testing.T) {
 	f := func(seed int64, useMM bool) bool {

@@ -25,14 +25,3 @@ func ExampleAnswerBatch() {
 	// Output:
 	// [true false false]
 }
-
-// The AYZ-style variant splits the batch by a single degree threshold.
-func ExampleAnswerBatchAYZ() {
-	r := relation.FromPairs("sets", []relation.Pair{
-		{X: 1, Y: 10}, {X: 2, Y: 10}, {X: 3, Y: 99},
-	})
-	answers := bsi.AnswerBatchAYZ(r, r, []bsi.Query{{A: 1, B: 2}, {A: 1, B: 3}}, 0)
-	fmt.Println(answers)
-	// Output:
-	// [true false]
-}

@@ -510,7 +510,7 @@ func (e *Engine) applyRecord(r *wal.Record, rec *RecoveryStats) error {
 // capture blocks mutations.
 //
 // A failed checkpoint never clobbers the last-good MANIFEST or leaks temp
-// files (the atomic-write path cleans up; Prune sweeps crash leftovers). A
+// files (the atomic-write path cleans up; PruneFS sweeps crash leftovers). A
 // successful checkpoint on a degraded engine probes the WAL and re-arms
 // writes when the disk has recovered — e.g. when the truncated segments
 // freed the space an ENOSPC complained about.

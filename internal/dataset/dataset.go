@@ -53,19 +53,6 @@ func ByName(name string, scale float64) (*relation.Relation, error) {
 	}
 }
 
-// All generates every Table-2 shape at the given scale, keyed by name.
-func All(scale float64) map[string]*relation.Relation {
-	out := make(map[string]*relation.Relation, 6)
-	for _, n := range Names() {
-		r, err := ByName(n, scale)
-		if err != nil {
-			panic(err) // unreachable: Names and ByName agree
-		}
-		out[n] = r
-	}
-	return out
-}
-
 func scaled(base int, scale float64) int {
 	v := int(math.Round(float64(base) * scale))
 	if v < 1 {
@@ -390,28 +377,4 @@ func Table2(scale float64) string {
 			n, s.Tuples, s.NumSets, s.DomainSize, s.AvgSetSize, s.MinSetSize, s.MaxSetSize)
 	}
 	return out
-}
-
-// SetFamily converts a relation into the explicit family-of-sets view used
-// by the SSJ and SCJ algorithms: setIDs in ascending order, each with its
-// sorted element list.
-func SetFamily(r *relation.Relation) (ids []int32, sets [][]int32) {
-	ix := r.ByX()
-	ids = make([]int32, ix.NumKeys())
-	sets = make([][]int32, ix.NumKeys())
-	for i := 0; i < ix.NumKeys(); i++ {
-		ids[i] = ix.Key(i)
-		sets[i] = ix.List(i)
-	}
-	return ids, sets
-}
-
-// SortedByY returns distinct y values of r sorted ascending by their degree.
-// Useful for inspecting skew in tests and the harness.
-func SortedByY(r *relation.Relation) []int32 {
-	ys := append([]int32(nil), r.ByY().Keys()...)
-	sort.Slice(ys, func(i, j int) bool {
-		return len(r.ByY().Lookup(ys[i])) < len(r.ByY().Lookup(ys[j]))
-	})
-	return ys
 }

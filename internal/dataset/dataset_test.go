@@ -122,39 +122,6 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
-func TestSetFamily(t *testing.T) {
-	r, _ := ByName("Jokes", 0.05)
-	ids, sets := SetFamily(r)
-	if len(ids) != len(sets) || len(ids) != r.NumX() {
-		t.Fatalf("SetFamily sizes: ids=%d sets=%d numX=%d", len(ids), len(sets), r.NumX())
-	}
-	total := 0
-	for i, s := range sets {
-		total += len(s)
-		for j := 1; j < len(s); j++ {
-			if s[j] <= s[j-1] {
-				t.Fatalf("set %d not strictly sorted", i)
-			}
-		}
-	}
-	if total != r.Size() {
-		t.Fatalf("SetFamily total %d != relation size %d", total, r.Size())
-	}
-}
-
-func TestSortedByY(t *testing.T) {
-	r, _ := ByName("Words", 0.1)
-	ys := SortedByY(r)
-	if len(ys) != r.NumY() {
-		t.Fatalf("SortedByY len %d != NumY %d", len(ys), r.NumY())
-	}
-	for i := 1; i < len(ys); i++ {
-		if len(r.ByY().Lookup(ys[i-1])) > len(r.ByY().Lookup(ys[i])) {
-			t.Fatal("SortedByY not ascending by degree")
-		}
-	}
-}
-
 func TestMinSizeRespectsDomain(t *testing.T) {
 	// Tiny scale should not wedge generators whose min/max exceed the domain.
 	for _, n := range Names() {

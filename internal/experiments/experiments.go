@@ -2,8 +2,8 @@
 // evaluation (Section 7) on the synthetic dataset shapes. Each experiment
 // returns the same rows/series the paper reports — dataset × algorithm ×
 // running time for the bar charts, parameter sweeps for the line charts —
-// so paper-vs-measured comparisons (EXPERIMENTS.md) can be produced
-// mechanically.
+// so paper-vs-measured comparisons can be produced mechanically (recording
+// them is ROADMAP direction 9).
 //
 // The harness is deliberately engine-agnostic: cmd/joinbench renders the
 // rows as text tables, and the root-level testing.B benchmarks wrap

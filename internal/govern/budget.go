@@ -43,7 +43,7 @@ func New(maxBytes, maxRows int64) *Budget {
 
 // Charge records rows materialized rows occupying bytes bytes. It returns
 // a wrapped ErrBudgetExceeded once either cap is crossed; the first charge
-// that crosses still counts, so Used reports what was actually allocated.
+// that crosses still counts, so the totals hold what was actually allocated.
 func (b *Budget) Charge(rows, bytes int64) error {
 	if b == nil {
 		return nil
@@ -75,14 +75,6 @@ func (b *Budget) ChargeRows(rows int64, rowBytes int64) error {
 		return nil
 	}
 	return b.Charge(rows, rows*rowBytes)
-}
-
-// Used reports the rows and bytes charged so far.
-func (b *Budget) Used() (rows, bytes int64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.rows.Load(), b.bytes.Load()
 }
 
 // budgetKey keys the context value.

@@ -11,9 +11,9 @@
 // running-intersection property). The width of the decomposition is the
 // largest cover size; acyclic queries are exactly the width-1 case.
 //
-// Decompose searches elimination orders of the primal graph: every order
-// yields a valid tree decomposition, whose bags are then covered with an
-// exact minimum set cover. For hypergraphs of at most ExhaustiveLimit edges
+// DecomposeScored searches elimination orders of the primal graph: every
+// order yields a valid tree decomposition, whose bags are then covered with
+// an exact minimum set cover. For hypergraphs of at most ExhaustiveLimit edges
 // the search tries every order (exact in practice at query sizes); beyond
 // that it falls back to the greedy min-fill heuristic, which is the standard
 // polynomial-time approximation.
@@ -59,25 +59,22 @@ type Decomposition struct {
 	Width int
 }
 
-// ExhaustiveLimit is the hyperedge count up to which Decompose tries every
-// vertex-elimination order; larger inputs use the greedy min-fill heuristic.
+// ExhaustiveLimit is the hyperedge count up to which DecomposeScored tries
+// every vertex-elimination order; larger inputs use the greedy min-fill
+// heuristic.
 const ExhaustiveLimit = 6
 
 // maxExhaustiveVertices caps the factorial search independently of the edge
 // count (8! = 40320 orders, each linear work — still instant).
 const maxExhaustiveVertices = 8
 
-// Decompose returns a GHD of h, minimizing width (then bag count) over the
-// searched elimination orders. The zero hypergraph yields one empty bag.
-func Decompose(h Hypergraph) (Decomposition, error) {
-	return DecomposeScored(h, nil)
-}
-
-// DecomposeScored is Decompose with a caller-supplied tie-break: among
+// DecomposeScored returns a GHD of h, minimizing width over the searched
+// elimination orders, with a caller-supplied tie-break: among
 // decompositions of equal (minimal) width, lower score wins, then fewer
-// bags. The query compiler scores by how many bags would project to more
-// than two variables, steering equal-width searches toward decompositions
-// that re-enter the binary fold pipeline. A nil score is zero everywhere.
+// bags. The zero hypergraph yields one empty bag. The query compiler scores
+// by how many bags would project to more than two variables, steering
+// equal-width searches toward decompositions that re-enter the binary fold
+// pipeline. A nil score is zero everywhere.
 func DecomposeScored(h Hypergraph, score func(Decomposition) int) (Decomposition, error) {
 	if err := checkInput(h); err != nil {
 		return Decomposition{}, err
@@ -222,8 +219,8 @@ func minFillOrder(h Hypergraph) []int {
 }
 
 // primalMatrix builds the dense primal-graph adjacency matrix: u and v are
-// adjacent when some hyperedge contains both. Computed once per Decompose
-// call and cloned per elimination order, which keeps the exhaustive search
+// adjacent when some hyperedge contains both. Computed once per
+// DecomposeScored call and cloned per elimination order, which keeps the exhaustive search
 // free of per-permutation map churn.
 func primalMatrix(h Hypergraph) [][]bool {
 	n := h.NumVertices
@@ -463,111 +460,4 @@ func coverBag(h Hypergraph, bag []int, exact bool) ([]int, bool) {
 	}
 	sort.Ints(out)
 	return out, true
-}
-
-// Validate checks that d is a proper GHD of h: a single-rooted tree whose
-// bags cover every vertex and every hyperedge, satisfy the
-// running-intersection property, and are each contained in the union of
-// their cover edges. Tests and the query compiler's debug builds use it; a
-// nil return means the decomposition is sound.
-func Validate(h Hypergraph, d Decomposition) error {
-	if len(d.Bags) == 0 {
-		return fmt.Errorf("hypertree: no bags")
-	}
-	roots := 0
-	for i, b := range d.Bags {
-		if b.Parent == -1 {
-			roots++
-		} else if b.Parent < 0 || b.Parent >= len(d.Bags) {
-			return fmt.Errorf("hypertree: bag %d has invalid parent %d", i, b.Parent)
-		}
-	}
-	if roots != 1 {
-		return fmt.Errorf("hypertree: %d roots; want 1", roots)
-	}
-	// Acyclic parent chains.
-	for i := range d.Bags {
-		seen := map[int]bool{}
-		for p := i; p != -1; p = d.Bags[p].Parent {
-			if seen[p] {
-				return fmt.Errorf("hypertree: parent cycle through bag %d", i)
-			}
-			seen[p] = true
-		}
-	}
-	// Vertex and edge coverage.
-	vertexBags := make([][]int, h.NumVertices)
-	for i, b := range d.Bags {
-		for _, v := range b.Vertices {
-			if v < 0 || v >= h.NumVertices {
-				return fmt.Errorf("hypertree: bag %d has out-of-range vertex %d", i, v)
-			}
-			vertexBags[v] = append(vertexBags[v], i)
-		}
-	}
-	for v := 0; v < h.NumVertices; v++ {
-		if len(vertexBags[v]) == 0 {
-			return fmt.Errorf("hypertree: vertex %d is in no bag", v)
-		}
-	}
-	for ei, e := range h.Edges {
-		housed := false
-		for _, b := range d.Bags {
-			if subsetOfSet(e, b.Vertices) {
-				housed = true
-				break
-			}
-		}
-		if !housed {
-			return fmt.Errorf("hypertree: edge %d fits in no bag", ei)
-		}
-	}
-	// Running intersection: for each vertex, exactly one of its bags has a
-	// parent not containing it (the subtree's top).
-	for v := 0; v < h.NumVertices; v++ {
-		tops := 0
-		for _, bi := range vertexBags[v] {
-			p := d.Bags[bi].Parent
-			if p == -1 || !containsVertex(d.Bags[p].Vertices, v) {
-				tops++
-			}
-		}
-		if tops != 1 {
-			return fmt.Errorf("hypertree: vertex %d spans %d disconnected subtrees", v, tops)
-		}
-	}
-	// Covers.
-	for i, b := range d.Bags {
-		in := map[int]bool{}
-		for _, ei := range b.Cover {
-			if ei < 0 || ei >= len(h.Edges) {
-				return fmt.Errorf("hypertree: bag %d covers with invalid edge %d", i, ei)
-			}
-			for _, v := range h.Edges[ei] {
-				in[v] = true
-			}
-		}
-		for _, v := range b.Vertices {
-			if !in[v] {
-				return fmt.Errorf("hypertree: bag %d vertex %d not covered by λ", i, v)
-			}
-		}
-	}
-	return nil
-}
-
-// subsetOfSet reports whether every element of a appears in sorted b.
-func subsetOfSet(a, b []int) bool {
-	for _, v := range a {
-		if !containsVertex(b, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// containsVertex reports membership of v in a sorted vertex list.
-func containsVertex(s []int, v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
 }

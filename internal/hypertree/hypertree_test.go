@@ -3,6 +3,7 @@ package hypertree
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func graph(n int, edges ...[2]int) Hypergraph {
 
 func mustDecompose(t *testing.T, h Hypergraph) Decomposition {
 	t.Helper()
-	d, err := Decompose(h)
+	d, err := DecomposeScored(h, nil)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
@@ -158,7 +159,7 @@ func TestRandomGraphsValidate(t *testing.T) {
 		for _, e := range edges {
 			h.Edges = append(h.Edges, []int{remap[e[0]], remap[e[1]]})
 		}
-		d, err := Decompose(h)
+		d, err := DecomposeScored(h, nil)
 		if err != nil {
 			t.Fatalf("iter %d: Decompose(%v): %v", iter, h.Edges, err)
 		}
@@ -170,7 +171,7 @@ func TestRandomGraphsValidate(t *testing.T) {
 
 func TestIsolatedVertexFails(t *testing.T) {
 	h := Hypergraph{NumVertices: 3, Edges: [][]int{{0, 1}}}
-	if _, err := Decompose(h); err == nil {
+	if _, err := DecomposeScored(h, nil); err == nil {
 		t.Fatal("want error for vertex outside every edge")
 	}
 }
@@ -187,11 +188,118 @@ func TestValidateRejectsBrokenRIP(t *testing.T) {
 	}
 }
 
-func ExampleDecompose() {
+func ExampleDecomposeScored() {
 	// The triangle query Q(x,z) :- R(x,y), S(y,z), T(z,x).
 	h := Hypergraph{NumVertices: 3, Edges: [][]int{{0, 1}, {1, 2}, {2, 0}}}
-	d, _ := Decompose(h)
+	d, _ := DecomposeScored(h, nil)
 	fmt.Println("width:", d.Width, "bags:", len(d.Bags))
 	// Output:
 	// width: 2 bags: 1
+}
+
+// Validate checks that d is a proper GHD of h: a single-rooted tree whose
+// bags cover every vertex and every hyperedge, satisfy the
+// running-intersection property, and are each contained in the union of
+// their cover edges. It is the oracle the decomposition tests check
+// against; a nil return means the decomposition is sound.
+func Validate(h Hypergraph, d Decomposition) error {
+	if len(d.Bags) == 0 {
+		return fmt.Errorf("hypertree: no bags")
+	}
+	roots := 0
+	for i, b := range d.Bags {
+		if b.Parent == -1 {
+			roots++
+		} else if b.Parent < 0 || b.Parent >= len(d.Bags) {
+			return fmt.Errorf("hypertree: bag %d has invalid parent %d", i, b.Parent)
+		}
+	}
+	if roots != 1 {
+		return fmt.Errorf("hypertree: %d roots; want 1", roots)
+	}
+	// Acyclic parent chains.
+	for i := range d.Bags {
+		seen := map[int]bool{}
+		for p := i; p != -1; p = d.Bags[p].Parent {
+			if seen[p] {
+				return fmt.Errorf("hypertree: parent cycle through bag %d", i)
+			}
+			seen[p] = true
+		}
+	}
+	// Vertex and edge coverage.
+	vertexBags := make([][]int, h.NumVertices)
+	for i, b := range d.Bags {
+		for _, v := range b.Vertices {
+			if v < 0 || v >= h.NumVertices {
+				return fmt.Errorf("hypertree: bag %d has out-of-range vertex %d", i, v)
+			}
+			vertexBags[v] = append(vertexBags[v], i)
+		}
+	}
+	for v := 0; v < h.NumVertices; v++ {
+		if len(vertexBags[v]) == 0 {
+			return fmt.Errorf("hypertree: vertex %d is in no bag", v)
+		}
+	}
+	for ei, e := range h.Edges {
+		housed := false
+		for _, b := range d.Bags {
+			if subsetOfSet(e, b.Vertices) {
+				housed = true
+				break
+			}
+		}
+		if !housed {
+			return fmt.Errorf("hypertree: edge %d fits in no bag", ei)
+		}
+	}
+	// Running intersection: for each vertex, exactly one of its bags has a
+	// parent not containing it (the subtree's top).
+	for v := 0; v < h.NumVertices; v++ {
+		tops := 0
+		for _, bi := range vertexBags[v] {
+			p := d.Bags[bi].Parent
+			if p == -1 || !containsVertex(d.Bags[p].Vertices, v) {
+				tops++
+			}
+		}
+		if tops != 1 {
+			return fmt.Errorf("hypertree: vertex %d spans %d disconnected subtrees", v, tops)
+		}
+	}
+	// Covers.
+	for i, b := range d.Bags {
+		in := map[int]bool{}
+		for _, ei := range b.Cover {
+			if ei < 0 || ei >= len(h.Edges) {
+				return fmt.Errorf("hypertree: bag %d covers with invalid edge %d", i, ei)
+			}
+			for _, v := range h.Edges[ei] {
+				in[v] = true
+			}
+		}
+		for _, v := range b.Vertices {
+			if !in[v] {
+				return fmt.Errorf("hypertree: bag %d vertex %d not covered by λ", i, v)
+			}
+		}
+	}
+	return nil
+}
+
+// subsetOfSet reports whether every element of a appears in sorted b.
+func subsetOfSet(a, b []int) bool {
+	for _, v := range a {
+		if !containsVertex(b, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// containsVertex reports membership of v in a sorted vertex list.
+func containsVertex(s []int, v int) bool {
+	i := sort.SearchInts(s, v)
+	return i < len(s) && s[i] == v
 }

@@ -33,11 +33,6 @@ func (m *BitMatrix) Set(i, j int) {
 	m.words[i*m.rowWords+j/64] |= 1 << uint(j%64)
 }
 
-// Test reports whether entry (i, j) is 1.
-func (m *BitMatrix) Test(i, j int) bool {
-	return m.words[i*m.rowWords+j/64]&(1<<uint(j%64)) != 0
-}
-
 // RowWords returns row i's backing words.
 func (m *BitMatrix) RowWords(i int) []uint64 {
 	return m.words[i*m.rowWords : (i+1)*m.rowWords]
@@ -107,21 +102,17 @@ func MulBitCountStop(a, bT *BitMatrix, workers int, stop func() bool) *Int32 {
 	return c
 }
 
-// ForEachRowProduct streams the product A × Bᵀ one output row at a time
+// ForEachRowProductStop streams the product A × Bᵀ one output row at a time
 // without materializing the full count matrix: fn(i, counts) is invoked with
 // counts[j] = |row_i(A) ∩ row_j(B)|. The counts slice is reused per worker,
 // so fn must not retain it. fn is called concurrently for distinct i and
 // must be safe under that concurrency. Count buffers come from a pool, so a
 // warm steady state allocates nothing per call.
-func ForEachRowProduct(a, bT *BitMatrix, workers int, fn func(i int, counts []int32)) {
-	ForEachRowProductStop(a, bT, workers, nil, fn)
-}
-
-// ForEachRowProductStop is ForEachRowProduct with a cooperative cancellation
-// hook: stop is polled once per register block (every ibTile output rows) and
-// a true return abandons the remaining rows, so a deadline on a long product
-// takes effect within one block rather than after the full sweep. A nil stop
-// keeps the kernel on its original path.
+//
+// stop is a cooperative cancellation hook: it is polled once per register
+// block (every ibTile output rows) and a true return abandons the remaining
+// rows, so a deadline on a long product takes effect within one block rather
+// than after the full sweep. A nil stop runs every row.
 func ForEachRowProductStop(a, bT *BitMatrix, workers int, stop func() bool, fn func(i int, counts []int32)) {
 	if a.Cols != bT.Cols {
 		panic("matrix: bit product dimension mismatch")
@@ -267,27 +258,4 @@ func andCountEq(a, b []uint64) int {
 		c += bits.OnesCount64(a[i] & b[i])
 	}
 	return c
-}
-
-// andCountWords counts shared bits of two word slices that may differ in
-// length (the shorter prefix is used). Kept for the naive oracles and row
-// views.
-func andCountWords(a, b []uint64) int {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	return andCountEq(a, b)
-}
-
-// ToInt32 expands the bit matrix into a dense 0/1 int32 matrix (test oracle).
-func (m *BitMatrix) ToInt32() *Int32 {
-	d := NewInt32(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.Test(i, j) {
-				d.Set(i, j, 1)
-			}
-		}
-	}
-	return d
 }

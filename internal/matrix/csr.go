@@ -40,31 +40,6 @@ func NewCSR(rows, cols int, rowLists [][]int32) *CSR {
 // Row returns row i's sorted column indexes (aliasing internal storage).
 func (m *CSR) Row(i int) []int32 { return m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] }
 
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.ColIdx) }
-
-// CSRFromBitMatrix converts a bit matrix into CSR layout.
-func CSRFromBitMatrix(b *BitMatrix) *CSR {
-	lists := make([][]int32, b.Rows)
-	for i := 0; i < b.Rows; i++ {
-		var l []int32
-		b.Row(i).ForEach(func(j int) { l = append(l, int32(j)) })
-		lists[i] = l
-	}
-	return NewCSR(b.Rows, b.Cols, lists)
-}
-
-// ToBitMatrix converts back to the packed layout.
-func (m *CSR) ToBitMatrix() *BitMatrix {
-	b := NewBitMatrix(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for _, j := range m.Row(i) {
-			b.Set(i, int(j))
-		}
-	}
-	return b
-}
-
 // denseHarvestDiv is the dense-row crossover of SpGEMMCounts: once an output
 // row's nonzero count reaches 1/denseHarvestDiv of the column domain, one
 // linear scan of the accumulator is cheaper than sorting the column list —
@@ -134,28 +109,4 @@ func spGEMMChunk(a, b *CSR, lo, hi int, fn func(i int, cols []int32, counts []in
 	}
 	sc.cols, sc.counts = cols, counts
 	putSpGEMMScratch(sc)
-}
-
-// SpGEMMToInt32 materializes the sparse product densely (test oracle and
-// small instances).
-func SpGEMMToInt32(a, b *CSR, workers int) *Int32 {
-	c := NewInt32(a.Rows, b.Cols)
-	SpGEMMCounts(a, b, workers, func(i int, cols, counts []int32) {
-		row := c.Row(i)
-		for k, j := range cols {
-			row[j] = counts[k]
-		}
-	})
-	return c
-}
-
-// Transpose returns mᵀ in CSR layout.
-func (m *CSR) Transpose() *CSR {
-	lists := make([][]int32, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for _, j := range m.Row(i) {
-			lists[j] = append(lists[j], int32(i))
-		}
-	}
-	return NewCSR(m.Cols, m.Rows, lists)
 }

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,13 +23,13 @@ func TestCSRRoundTripBitMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := randomBitMatrix(rng, 17, 130, 0.2)
 	c := CSRFromBitMatrix(b)
-	if c.NNZ() != b.Ones() {
-		t.Fatalf("NNZ = %d, want %d", c.NNZ(), b.Ones())
+	if len(c.ColIdx) != b.Ones() {
+		t.Fatalf("%d stored entries, want %d", len(c.ColIdx), b.Ones())
 	}
-	back := c.ToBitMatrix()
 	for i := 0; i < b.Rows; i++ {
+		row := c.Row(i)
 		for j := 0; j < b.Cols; j++ {
-			if b.Test(i, j) != back.Test(i, j) {
+			if _, found := slices.BinarySearch(row, int32(j)); b.Test(i, j) != found {
 				t.Fatalf("round trip differs at (%d,%d)", i, j)
 			}
 		}
@@ -41,7 +42,7 @@ func TestSpGEMMMatchesDense(t *testing.T) {
 		u, v, w := 1+rng.Intn(25), 1+rng.Intn(25), 1+rng.Intn(25)
 		a := randomCSR(rng, u, v, 0.3)
 		b := randomCSR(rng, v, w, 0.3)
-		got := SpGEMMToInt32(a, b, 1+rng.Intn(3))
+		got := spGEMMDense(a, b, 1+rng.Intn(3))
 		want := MulNaive(toDense(a), toDense(b))
 		if !got.Equal(want) {
 			t.Fatalf("trial %d (%d,%d,%d): SpGEMM != dense", trial, u, v, w)
@@ -93,7 +94,7 @@ func TestCSRTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	m := randomCSR(rng, 13, 29, 0.3)
 	mt := m.Transpose()
-	if mt.Rows != m.Cols || mt.Cols != m.Rows || mt.NNZ() != m.NNZ() {
+	if mt.Rows != m.Cols || mt.Cols != m.Rows || len(mt.ColIdx) != len(m.ColIdx) {
 		t.Fatalf("transpose shape/NNZ wrong")
 	}
 	d := toDense(m)
@@ -105,15 +106,15 @@ func TestCSRTranspose(t *testing.T) {
 
 func TestCSREmptyRows(t *testing.T) {
 	m := NewCSR(5, 10, [][]int32{nil, {1, 2}, nil})
-	if m.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2", m.NNZ())
+	if len(m.ColIdx) != 2 {
+		t.Fatalf("%d stored entries, want 2", len(m.ColIdx))
 	}
 	if len(m.Row(0)) != 0 || len(m.Row(3)) != 0 || len(m.Row(4)) != 0 {
 		t.Fatal("missing rows should be empty")
 	}
 	// Product with empty operand.
 	e := NewCSR(10, 4, nil)
-	c := SpGEMMToInt32(m, e, 1)
+	c := spGEMMDense(m, e, 1)
 	for _, v := range c.Data {
 		if v != 0 {
 			t.Fatal("product with empty matrix must be zero")
@@ -131,7 +132,7 @@ func TestQuickSpGEMMMatchesBitKernel(t *testing.T) {
 		want := MulBitCount(ab, bbT, 1)
 		a := CSRFromBitMatrix(ab)
 		b := CSRFromBitMatrix(bbT).Transpose()
-		got := SpGEMMToInt32(a, b, 2)
+		got := spGEMMDense(a, b, 2)
 		return got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -68,7 +68,7 @@ func TestDiffKernels(t *testing.T) {
 		}
 
 		got := NewInt32(u, w)
-		ForEachRowProduct(a, bT, workers, func(i int, counts []int32) {
+		ForEachRowProductStop(a, bT, workers, nil, func(i int, counts []int32) {
 			copy(got.Row(i), counts)
 		})
 		want := NewInt32(u, w)
@@ -153,7 +153,7 @@ func TestDiffKernelsEdgeShapes(t *testing.T) {
 	if c := MulBitCount(other, empty, 2); c.Rows != 3 || c.Cols != 0 {
 		t.Fatal("zero-col product has wrong shape")
 	}
-	ForEachRowProduct(empty, other, 2, func(int, []int32) { t.Fatal("unexpected row") })
+	ForEachRowProductStop(empty, other, 2, nil, func(int, []int32) { t.Fatal("unexpected row") })
 }
 
 // TestForEachRowProductZeroAllocs verifies the pooled scratch: after warm-up
@@ -164,7 +164,7 @@ func TestForEachRowProductZeroAllocs(t *testing.T) {
 	bT := diffMatrix(rng, 29, 190)
 	var sink int32
 	cb := func(i int, counts []int32) { sink += counts[0] }
-	run := func() { ForEachRowProduct(a, bT, 1, cb) }
+	run := func() { ForEachRowProductStop(a, bT, 1, nil, cb) }
 	run() // warm the pool
 	if avg := testing.AllocsPerRun(100, run); avg > 0.01 && !raceEnabled {
 		t.Fatalf("ForEachRowProduct allocates %.2f objects per run, want 0", avg)
@@ -213,7 +213,7 @@ func TestKernelsConcurrentScratch(t *testing.T) {
 					return
 				}
 				got := NewInt32(a.Rows, bT.Rows)
-				ForEachRowProduct(a, bT, 3, func(i int, counts []int32) {
+				ForEachRowProductStop(a, bT, 3, nil, func(i int, counts []int32) {
 					copy(got.Row(i), counts)
 				})
 				if !got.Equal(wantCount) {
@@ -274,6 +274,6 @@ func BenchmarkForEachRowProduct1024(b *testing.B) {
 	x, y := benchBitPair(b, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ForEachRowProduct(x, y, 1, func(int, []int32) {})
+		ForEachRowProductStop(x, y, 1, nil, func(int, []int32) {})
 	}
 }

@@ -86,7 +86,7 @@ func TestForEachRowProduct(t *testing.T) {
 	bT := randomBitMatrix(rng, 11, 130, 0.25)
 	want := MulBitCount(a, bT, 1)
 	got := NewInt32(31, 11)
-	ForEachRowProduct(a, bT, 4, func(i int, counts []int32) {
+	ForEachRowProductStop(a, bT, 4, nil, func(i int, counts []int32) {
 		copy(got.Row(i), counts)
 	})
 	if !got.Equal(want) {

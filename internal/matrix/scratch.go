@@ -2,13 +2,13 @@ package matrix
 
 import "sync"
 
-// Per-worker scratch recycling for the streaming kernels. ForEachRowProduct
-// and SpGEMMCounts are invoked once per engine chunk (star join groups, BSI
-// batches, SSJ probes); pooling the count/accumulator buffers makes a warm
+// Per-worker scratch recycling for the streaming kernels.
+// ForEachRowProductStop and SpGEMMCounts are invoked once per engine chunk
+// (star join groups, BSI batches, SSJ probes); pooling the count/accumulator buffers makes a warm
 // steady state allocate nothing per call, which the zero-alloc tests in
 // diff_test.go pin down.
 
-// int32Pool recycles the per-worker count blocks of ForEachRowProduct.
+// int32Pool recycles the per-worker count blocks of ForEachRowProductStop.
 var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
 
 func getInt32Scratch(n int) *[]int32 {

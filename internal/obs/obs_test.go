@@ -188,3 +188,6 @@ func TestConcurrency(t *testing.T) {
 		t.Fatalf("post-concurrency exposition invalid: %v", err)
 	}
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }

@@ -172,9 +172,6 @@ func (c cdf) sumUpTo(delta int) float64 {
 	return c.prefix[i]
 }
 
-// total returns the whole distribution's weight.
-func (c cdf) total() float64 { return c.prefix[len(c.degs)] }
-
 // countAbove returns how many entries have degree > delta.
 func (c cdf) countAbove(delta int) int {
 	i := sort.Search(len(c.degs), func(i int) bool { return int(c.degs[i]) > delta })
@@ -305,10 +302,6 @@ func (o *Optimizer) Constants() Constants {
 	return *o.consts.Load()
 }
 
-// ProbedConstants returns the startup baseline the drift gauges compare
-// against.
-func (o *Optimizer) ProbedConstants() Constants { return o.probed }
-
 // lightCost models the light-part work of Algorithm 1 for thresholds
 // (d1, d2): expansion of light-y witnesses, expansion of light-x values and
 // the dedup bookkeeping (Algorithm 3 lines 10–11).
@@ -333,14 +326,9 @@ func (o *Optimizer) heavyCost(ix *Indexes, d1, d2, cores int) float64 {
 	return mul + build
 }
 
-// Cost returns the full modeled cost for explicit thresholds; exposed for
-// the threshold-ablation benchmark.
-func (o *Optimizer) Cost(ix *Indexes, d1, d2, cores int) float64 {
-	return o.costWith(o.Constants(), ix, d1, d2, cores)
-}
-
-// costWith is Cost against one constants snapshot, so a descent prices every
-// candidate under the same triple even if recalibration lands mid-search.
+// costWith returns the full modeled cost for explicit thresholds against one
+// constants snapshot, so a descent prices every candidate under the same
+// triple even if recalibration lands mid-search.
 func (o *Optimizer) costWith(c Constants, ix *Indexes, d1, d2, cores int) float64 {
 	return o.lightCost(c, ix, d1, d2) + o.heavyCost(ix, d1, d2, cores)
 }

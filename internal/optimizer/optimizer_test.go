@@ -143,7 +143,7 @@ func TestChosenThresholdsNearGridOptimum(t *testing.T) {
 	best := dec.PredictedCost
 	for d1 := 1; d1 <= r.Size(); d1 *= 2 {
 		for d2 := 1; d2 <= r.Size(); d2 *= 2 {
-			if c := o.Cost(ix, d1, d2, 1); c < best {
+			if c := o.costWith(o.Constants(), ix, d1, d2, 1); c < best {
 				best = c
 			}
 		}
@@ -264,3 +264,6 @@ func TestQuickCDF(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// total returns the whole distribution's weight.
+func (c cdf) total() float64 { return c.prefix[len(c.degs)] }

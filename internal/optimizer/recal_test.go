@@ -66,7 +66,7 @@ func TestRecalibrationConvergesFromMispinnedConstants(t *testing.T) {
 	// The probed baseline must stay at the mis-pinned values for drift
 	// reporting even after adoptions moved the current triple.
 	if info.Probed != mis {
-		t.Errorf("ProbedConstants moved: %+v", info.Probed)
+		t.Errorf("probed constants moved: %+v", info.Probed)
 	}
 }
 

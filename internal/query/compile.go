@@ -84,17 +84,12 @@ type Prepared struct {
 	matRows  int    // total bag rows materialized for cyclic components
 }
 
-// Compile parses nothing: it takes a parsed query and resolves, validates and
-// reduces it against the relations the resolver provides. Use Prepare to go
-// straight from text.
-func Compile(q *Query, resolve Resolver) (*Prepared, error) {
-	return CompileContext(context.Background(), q, resolve)
-}
-
-// CompileContext is Compile with cancellation: compiling a cyclic query
-// materializes hypertree-decomposition bags, which can dominate the whole
-// evaluation, so the context is polled during that work and a deadline
-// abandons compilation mid-bag.
+// CompileContext parses nothing: it takes a parsed query and resolves,
+// validates and reduces it against the relations the resolver provides. Use
+// Prepare to go straight from text. Compiling a cyclic query materializes
+// hypertree-decomposition bags, which can dominate the whole evaluation, so
+// ctx is polled during that work and a deadline abandons compilation
+// mid-bag.
 func CompileContext(ctx context.Context, q *Query, resolve Resolver) (*Prepared, error) {
 	an, err := Analyze(q)
 	if err != nil {
@@ -239,12 +234,6 @@ func PrepareContext(ctx context.Context, src string, resolve Resolver) (*Prepare
 // compile time for cyclic components — zero for acyclic queries. The
 // catalog uses it to keep giant compiled artifacts out of the plan cache.
 func (p *Prepared) MaterializedRows() int { return p.matRows }
-
-// Vars returns the query's variable names in first-appearance order.
-func (p *Prepared) Vars() []string { return append([]string(nil), p.vars...) }
-
-// Empty reports whether compilation proved the result empty, with the reason.
-func (p *Prepared) Empty() (bool, string) { return p.empty, p.emptyWhy }
 
 // reduce is the Yannakakis full reducer over one component tree: afterwards
 // every remaining domain value and tuple participates in at least one full

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -75,9 +76,9 @@ func TestReduceMatchesFullJoin(t *testing.T) {
 		if !ok {
 			continue
 		}
-		p, err := Compile(q, MapResolver(rels))
+		p, err := CompileContext(context.Background(), q, MapResolver(rels))
 		if err != nil {
-			t.Fatalf("Compile(%q): %v", src, err)
+			t.Fatalf("CompileContext(%q): %v", src, err)
 		}
 		compared++
 		if empty, why := p.Empty(); empty != (len(rows) == 0) {
@@ -193,3 +194,6 @@ func TestCompileCostFollowsConstant(t *testing.T) {
 		t.Fatalf("compile allocation grew %.1f× with a 10× larger graph; want ≤ 2×", large/small)
 	}
 }
+
+// Empty reports whether compilation proved the result empty, with the reason.
+func (p *Prepared) Empty() (bool, string) { return p.empty, p.emptyWhy }

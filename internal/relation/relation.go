@@ -128,17 +128,6 @@ func (ix *Index) Lookup(key int32) []int32 {
 	return nil
 }
 
-// MaxDegree returns the largest partner-list length, or 0 for an empty index.
-func (ix *Index) MaxDegree() int {
-	m := 0
-	for i := range ix.keys {
-		if d := ix.Degree(i); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Relation is an immutable, fully indexed binary relation R(x,y).
 type Relation struct {
 	name string
@@ -386,24 +375,6 @@ func FullJoinSize(rels ...*Relation) int64 {
 		}
 	}
 	return total
-}
-
-// DegreesX returns the multiset of x degrees (set sizes), unsorted.
-func (r *Relation) DegreesX() []int {
-	out := make([]int, r.byX.NumKeys())
-	for i := range out {
-		out[i] = r.byX.Degree(i)
-	}
-	return out
-}
-
-// DegreesY returns the multiset of y degrees, unsorted.
-func (r *Relation) DegreesY() []int {
-	out := make([]int, r.byY.NumKeys())
-	for i := range out {
-		out[i] = r.byY.Degree(i)
-	}
-	return out
 }
 
 // IntersectSorted intersects two ascending int32 slices, appending the

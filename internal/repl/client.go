@@ -2,7 +2,6 @@ package repl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -200,19 +199,6 @@ func (c *Client) Fetch(ctx context.Context, from uint64) (*Batch, error) {
 		b.Records = append(b.Records, ShippedRecord{LSN: lsn, Record: r})
 		want++
 	}
-}
-
-// Status fetches the primary's /repl/status document.
-func (c *Client) Status(ctx context.Context) (*SourceStatus, error) {
-	body, _, err := c.get(ctx, "/repl/status")
-	if err != nil {
-		return nil, err
-	}
-	var st SourceStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return nil, fmt.Errorf("repl: status: %w", err)
-	}
-	return &st, nil
 }
 
 // ValidateBase checks a primary URL flag value early, before the follower

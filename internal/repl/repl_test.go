@@ -2,7 +2,9 @@ package repl
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -222,4 +224,17 @@ func TestValidateBase(t *testing.T) {
 			t.Errorf("ValidateBase(%q): no error", bad)
 		}
 	}
+}
+
+// Status fetches the primary's /repl/status document.
+func (c *Client) Status(ctx context.Context) (*SourceStatus, error) {
+	body, _, err := c.get(ctx, "/repl/status")
+	if err != nil {
+		return nil, err
+	}
+	var st SourceStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		return nil, fmt.Errorf("repl: status: %w", err)
+	}
+	return &st, nil
 }

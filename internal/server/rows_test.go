@@ -375,3 +375,6 @@ func TestRowWriterStreamsInBoundedMemory(t *testing.T) {
 		t.Logf("%d rows: %d body bytes in %d writes, %d bytes allocated", n, w.bytes, w.writes, spent)
 	}
 }
+
+// Engine returns the wrapped engine (for preloading relations in tests).
+func (s *Server) Engine() *core.Engine { return s.eng }

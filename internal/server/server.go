@@ -193,9 +193,6 @@ func New(cfg Config) *Server {
 	}
 }
 
-// Engine returns the wrapped engine (for preloading relations).
-func (s *Server) Engine() *core.Engine { return s.eng }
-
 // Handler returns the HTTP handler with all routes mounted. Every route runs
 // under the observability middleware (request ID + per-route metrics); the
 // route label is the mount pattern, so path parameters never explode the

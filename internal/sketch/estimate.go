@@ -21,33 +21,3 @@ func EstimateJoinProjectHLL(r, s *relation.Relation, p uint8) float64 {
 	})
 	return h.Estimate()
 }
-
-// EstimateJoinProjectKMV is the KMV variant of the same estimator.
-func EstimateJoinProjectKMV(r, s *relation.Relation, k int) float64 {
-	s2 := NewKMV(k)
-	wcoj.EnumerateJoin([]*relation.Relation{r, s}, func(_ int32, lists [][]int32) {
-		for _, x := range lists[0] {
-			for _, z := range lists[1] {
-				s2.Add(PairKey(x, z))
-			}
-		}
-	})
-	return s2.Estimate()
-}
-
-// EstimateDomainsHLL sketches |dom(x)| and |dom(z)| in one pass each —
-// the set-union estimation building block. Mostly useful when relations are
-// streamed rather than indexed; with indexes the exact values are free, so
-// this exists for parity with the KMV/HLL toolkit.
-func EstimateDomainsHLL(r, s *relation.Relation, p uint8) (domX, domZ float64) {
-	hx, hz := NewHLL(p), NewHLL(p)
-	rx := r.ByX()
-	for i := 0; i < rx.NumKeys(); i++ {
-		hx.Add(uint64(uint32(rx.Key(i))))
-	}
-	sx := s.ByX()
-	for i := 0; i < sx.NumKeys(); i++ {
-		hz.Add(uint64(uint32(sx.Key(i))))
-	}
-	return hx.Estimate(), hz.Estimate()
-}

@@ -57,7 +57,7 @@ func TestWriteFaultLeavesNoTempFiles(t *testing.T) {
 
 func TestManifestFaultKeepsLastGood(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteManifest(dir, Manifest{Snapshot: FileName(5), AppliedLSN: 5}); err != nil {
+	if err := WriteManifestFS(nil, dir, Manifest{Snapshot: FileName(5), AppliedLSN: 5}); err != nil {
 		t.Fatal(err)
 	}
 	in := faultfs.NewInjector(nil)
@@ -80,15 +80,15 @@ func TestManifestFaultKeepsLastGood(t *testing.T) {
 
 func TestPruneRemovesStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	// A crash mid-atomic-write leaves a .tmp- file; Prune sweeps it.
+	// A crash mid-atomic-write leaves a .tmp- file; PruneFS sweeps it.
 	stale := filepath.Join(dir, "."+FileName(3)+".tmp-123")
 	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Write(dir, testState(9)); err != nil {
+	if _, _, err := WriteFS(nil, dir, testState(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Prune(dir, FileName(9)); err != nil {
+	if err := PruneFS(nil, dir, FileName(9)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {

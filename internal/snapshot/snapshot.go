@@ -266,16 +266,11 @@ func decodeVarint(b []byte) (int64, []byte, error) {
 	return v, b[used:], nil
 }
 
-// Write encodes st and atomically installs it in dir as FileName(lsn):
-// temp file, fsync, rename, directory fsync. It returns the installed file
-// name and the encoded size. The manifest is NOT updated — WriteManifest is
-// the separate commit point.
-func Write(dir string, st *State) (name string, size int, err error) {
-	return WriteFS(nil, dir, st)
-}
-
-// WriteFS is Write through an injectable filesystem (nil means the real
-// one). A failed write never leaves a temp file behind and never touches
+// WriteFS encodes st and atomically installs it in dir as FileName(lsn)
+// through fsys (nil means the real filesystem): temp file, fsync, rename,
+// directory fsync. It returns the installed file name and the encoded size.
+// The manifest is NOT updated — WriteManifestFS is the separate commit
+// point. A failed write never leaves a temp file behind and never touches
 // the previously installed image.
 func WriteFS(fsys faultfs.FS, dir string, st *State) (name string, size int, err error) {
 	f := faultfs.OrOS(fsys)
@@ -293,13 +288,8 @@ func WriteFS(fsys faultfs.FS, dir string, st *State) (name string, size int, err
 	return name, len(data), nil
 }
 
-// WriteManifest atomically installs the manifest, committing a checkpoint.
-func WriteManifest(dir string, m Manifest) error {
-	return WriteManifestFS(nil, dir, m)
-}
-
-// WriteManifestFS is WriteManifest through an injectable filesystem. On
-// failure the last-good manifest is untouched (the rename either happened
+// WriteManifestFS atomically installs the manifest through fsys (nil means
+// the real filesystem), committing a checkpoint. On failure the last-good manifest is untouched (the rename either happened
 // or it did not; a torn manifest is impossible).
 func WriteManifestFS(fsys faultfs.FS, dir string, m Manifest) error {
 	if m.WrittenAt == "" {
@@ -374,13 +364,9 @@ func LoadFS(fsys faultfs.FS, dir string, m *Manifest) (*State, error) {
 	return st, nil
 }
 
-// Prune removes snapshot images other than keep (the just-committed one),
-// plus any temp files a crashed checkpoint left behind.
-func Prune(dir, keep string) error {
-	return PruneFS(nil, dir, keep)
-}
-
-// PruneFS is Prune through an injectable filesystem.
+// PruneFS removes snapshot images other than keep (the just-committed one),
+// plus any temp files a crashed checkpoint left behind, through fsys (nil
+// means the real filesystem).
 func PruneFS(fsys faultfs.FS, dir, keep string) error {
 	f := faultfs.OrOS(fsys)
 	ents, err := f.ReadDir(dir)

@@ -109,14 +109,14 @@ func TestWriteLoadManifestCycle(t *testing.T) {
 		t.Fatalf("fresh dir: manifest ok=%v err=%v", ok, err)
 	}
 	st := sampleState()
-	name, size, err := Write(dir, st)
+	name, size, err := WriteFS(nil, dir, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() != int64(size) {
 		t.Fatalf("reported size %d, file %v (%v)", size, fi, err)
 	}
-	if err := WriteManifest(dir, Manifest{Snapshot: name, AppliedLSN: st.AppliedLSN}); err != nil {
+	if err := WriteManifestFS(nil, dir, Manifest{Snapshot: name, AppliedLSN: st.AppliedLSN}); err != nil {
 		t.Fatal(err)
 	}
 	m, ok, err := LoadManifest(dir)
@@ -133,14 +133,14 @@ func TestWriteLoadManifestCycle(t *testing.T) {
 	// A second checkpoint supersedes; prune removes the old image.
 	st2 := sampleState()
 	st2.AppliedLSN = 99
-	name2, _, err := Write(dir, st2)
+	name2, _, err := WriteFS(nil, dir, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteManifest(dir, Manifest{Snapshot: name2, AppliedLSN: 99}); err != nil {
+	if err := WriteManifestFS(nil, dir, Manifest{Snapshot: name2, AppliedLSN: 99}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Prune(dir, name2); err != nil {
+	if err := PruneFS(nil, dir, name2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
@@ -161,7 +161,7 @@ func TestWriteLoadManifestCycle(t *testing.T) {
 func TestLoadDetectsManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st := sampleState()
-	name, _, err := Write(dir, st)
+	name, _, err := WriteFS(nil, dir, st)
 	if err != nil {
 		t.Fatal(err)
 	}

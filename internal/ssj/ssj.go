@@ -133,11 +133,6 @@ func newFamily(r *relation.Relation) *family {
 	return f
 }
 
-// overlap computes |sets[i] ∩ sets[j]| exactly.
-func (f *family) overlap(i, j int32) int32 {
-	return int32(relation.IntersectCount(f.sets[i], f.sets[j]))
-}
-
 // normalize converts position pairs into id pairs with A < B.
 func (f *family) normalize(i, j int32) Pair {
 	a, b := f.ids[i], f.ids[j]

@@ -160,21 +160,6 @@ func ForEachFullTuple(rels []*relation.Relation, fn TupleVisitor) {
 	_ = search.Run(make([]int32, k+1)) // no poll, so no error
 }
 
-// CountFullJoin returns the full join size by summing degree products,
-// matching relation.FullJoinSize but via the enumeration skeleton (used to
-// cross-check the two in tests).
-func CountFullJoin(rels []*relation.Relation) int64 {
-	var total int64
-	EnumerateJoin(rels, func(y int32, lists [][]int32) {
-		prod := int64(1)
-		for _, l := range lists {
-			prod *= int64(len(l))
-		}
-		total += prod
-	})
-	return total
-}
-
 // Project2Path computes π_{x,z}(R ⋈ S) — full enumeration followed by
 // hash deduplication. It is the simple WCOJ+dedup plan the optimizer falls
 // back to when the full join is not much larger than the input

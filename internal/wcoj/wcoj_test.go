@@ -278,3 +278,18 @@ func TestQuickProjectStarSound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// CountFullJoin returns the full join size by summing degree products,
+// matching relation.FullJoinSize but via the enumeration skeleton: the
+// oracle the tests cross-check the two with.
+func CountFullJoin(rels []*relation.Relation) int64 {
+	var total int64
+	EnumerateJoin(rels, func(y int32, lists [][]int32) {
+		prod := int64(1)
+		for _, l := range lists {
+			prod *= int64(len(l))
+		}
+		total += prod
+	})
+	return total
+}
