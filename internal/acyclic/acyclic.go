@@ -62,11 +62,22 @@ func (s Step) String() string {
 }
 
 // Compose computes V(a, c) = π_{a,c}(L(a, b) ⋈ R(b, c)) as one planned
-// composition step. Algorithm 1 joins the second columns of both operands, so
-// the right-hand relation is swapped into (c, b) orientation first (O(1): the
-// indexes are shared); the output pairs are then (L.x, R.Swap().x) = (a, c)
-// as required. The result is the same relation for every worker count.
+// composition step, indexed as a relation for the next fold to probe. The
+// result is the same relation for every worker count.
 func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
+	out, step := ComposeGroups(l, r, opt)
+	// The kernel's output is already grouped by x position over the
+	// operands' own key lists, so indexing it is two counting passes.
+	return out.Relation(l.Name() + "∘" + r.Name()), step
+}
+
+// ComposeGroups is Compose without the indexing: the fold's output in the
+// kernel's own grouped form, for a last fold whose pairs are read once and
+// never probed. Algorithm 1 joins the second columns of both operands, so
+// the right-hand relation is swapped into (c, b) orientation first (O(1):
+// the indexes are shared); the groups are then keyed by L.x = a over
+// R.Swap().x = c, as required.
+func ComposeGroups(l, r *relation.Relation, opt Options) (joinproject.Groups, Step) {
 	halt := func() bool { return opt.Join.Stop != nil && opt.Join.Stop() }
 	rs := r.Swap()
 	dec := opt.Optimizer.PlanTwoPath(l, rs, opt.Join, opt.Force, 0)
@@ -83,8 +94,5 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 			out = joinproject.Groups{}
 		}
 	}
-	// The kernel's output is already grouped by x position over the
-	// operands' own key lists, so indexing it is two counting passes.
-	v := out.Relation(l.Name() + "∘" + r.Name())
-	return v, Step{Left: l.Name(), Right: r.Name(), Decision: dec, Rows: v.Size()}
+	return out, Step{Left: l.Name(), Right: r.Name(), Decision: dec, Rows: len(out.ZPos)}
 }

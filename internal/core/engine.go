@@ -442,6 +442,19 @@ func (e *Engine) Query(src string) (*query.Result, error) {
 // top-level query (and every view refresh, which evaluates through here)
 // gets its own cap, while nested evaluation shares the caller's.
 func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, error) {
+	return e.query(ctx, src, false)
+}
+
+// QueryRows is QueryContext for a caller that reads the answer once, in
+// order, through Result.EachRow after the call returns: Result.Tuples is
+// left nil wherever the executor can project the rows from the answer's
+// last form as they are read (query.ExecOptions.DeferTuples). The unpaged
+// /query route serves its rows this way.
+func (e *Engine) QueryRows(ctx context.Context, src string) (*query.Result, error) {
+	return e.query(ctx, src, true)
+}
+
+func (e *Engine) query(ctx context.Context, src string, deferTuples bool) (*query.Result, error) {
 	if (e.cfg.MaxQueryBytes > 0 || e.cfg.MaxQueryRows > 0) && govern.FromContext(ctx) == nil {
 		ctx = govern.WithBudget(ctx, govern.New(e.cfg.MaxQueryBytes, e.cfg.MaxQueryRows))
 	}
@@ -468,7 +481,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	// server's guard) still leaves the activity view.
 	defer e.activity.Finish(act)
 	opts := e.execOptions()
-	opts.Observer = act
+	opts.Observer, opts.DeferTuples = act, deferTuples
 	res, err := p.Execute(qctx, opts)
 	if err != nil {
 		queryErrors.Inc()
@@ -481,10 +494,10 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	queryOK.Inc()
 	queryPrepareSeconds.Observe(float64(res.Plan.PrepareNs) / 1e9)
 	querySeconds.ObserveSince(start)
-	queryRowsTotal.Add(uint64(len(res.Tuples)))
+	queryRowsTotal.Add(uint64(res.Len()))
 	queryBudgetBytes.Add(uint64(res.Plan.BudgetBytes))
 	e.recordQuery(ctx, p.Fingerprint, p.Text, start, stats.OutcomeOK,
-		int64(len(res.Tuples)), res.Plan.BudgetBytes, hit, res.Plan, nil)
+		int64(res.Len()), res.Plan.BudgetBytes, hit, res.Plan, nil)
 	// Between queries is the only place constants may move: every decision
 	// in the evaluation above read one consistent snapshot.
 	e.opt.MaybeRecalibrate()

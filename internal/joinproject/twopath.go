@@ -23,7 +23,8 @@
 // and every set-semantics entry point is a reading of that one result:
 // TwoPathMM and TwoPathNonMM flatten it to pairs (x ascending; the z order
 // within one x is the order of discovery, which depends on the thresholds),
-// Groups.Relation indexes it by counting; TwoPathSize counts the same rows
+// Groups.Sort puts z ascending within each x in place, Groups.Relation
+// indexes it by counting; TwoPathSize counts the same rows
 // without storing them. The pair set, the grouping and the indexed relation are the same for every worker
 // count. The counting entry points (TwoPathMMCounts, TwoPathMMVisit,
 // TwoPathGroupBy) deliver whole x rows from whichever worker owns the x, so
@@ -45,6 +46,7 @@
 package joinproject
 
 import (
+	mathbits "math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -485,6 +487,36 @@ func (g Groups) Pairs() [][2]int32 {
 	return out
 }
 
+// Sort orders every group's z positions ascending, in place: the pairs then
+// run x ascending and z ascending within each x, the order Relation's x
+// index walks them in, without building either index. A group dense over
+// ZKeys is sorted by setting and reading back one bit per position, a sparse
+// one by comparison.
+func (g Groups) Sort() {
+	bits := make([]uint64, (len(g.ZKeys)+63)/64)
+	for i := 0; i+1 < len(g.Off); i++ {
+		grp := g.ZPos[g.Off[i]:g.Off[i+1]]
+		if len(grp) < 2 {
+			continue
+		}
+		if len(grp) < len(bits) {
+			slices.Sort(grp)
+			continue
+		}
+		for _, zp := range grp {
+			bits[zp>>6] |= 1 << (zp & 63)
+		}
+		k := 0
+		for w := 0; k < len(grp); w++ {
+			for b := bits[w]; b != 0; b &= b - 1 {
+				grp[k] = int32(w<<6 + mathbits.TrailingZeros64(b))
+				k++
+			}
+			bits[w] = 0
+		}
+	}
+}
+
 // Relation indexes the result as a relation (x, z) by counting
 // transpositions over the positions, in O(|ZPos| + |XKeys| + |ZKeys|): no
 // sort, no search.
@@ -547,7 +579,8 @@ func twoPathCounts(r, s *relation.Relation, opt Options, useMM bool) []PairCount
 // combinatorial Lemma-2 variant (the same degree partitioning, the heavy
 // residual by pairwise sorted-list intersection) otherwise. This is the one
 // evaluation every set-semantics entry point shares; TwoPathMM and
-// TwoPathNonMM are its Pairs, acyclic.Compose takes its Relation.
+// TwoPathNonMM are its Pairs, acyclic.Compose takes its Relation, and a
+// query's last fold reads it directly (acyclic.ComposeGroups).
 func TwoPathGroups(r, s *relation.Relation, opt Options, mm bool) Groups {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)

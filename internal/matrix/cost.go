@@ -184,9 +184,9 @@ func (cm *CostModel) EstimateConstruct(u, v, w int64) time.Duration {
 }
 
 // Table is the paper's precomputed M̂ lookup table: measured multiply times
-// for square p×p×p instances at several core counts, extrapolated to
-// arbitrary (u, v, w, co) by volume scaling from the nearest probe
-// (Section 5, "Matrix multiplication cost").
+// for square p×p×p instances at several core counts (Section 5, "Matrix
+// multiplication cost"). cmd/mmcalib prints it beside the CostModel the
+// planner prices products with.
 type Table struct {
 	Ps      []int
 	Cores   []int
@@ -215,44 +215,4 @@ func BuildTable(ps, cores []int) *Table {
 		}
 	}
 	return t
-}
-
-// Estimate extrapolates M̂(u,v,w,co) from the nearest measured probe by
-// effective-volume scaling (volume = u·w·ceil(v/64) word operations).
-func (t *Table) Estimate(u, v, w int64, cores int) time.Duration {
-	if len(t.Ps) == 0 {
-		return 0
-	}
-	vol := float64(u) * float64(w) * float64((v+63)/64)
-	side := math.Cbrt(vol * 64) // equivalent square dimension
-	bestP := t.Ps[0]
-	for _, p := range t.Ps {
-		if math.Abs(float64(p)-side) < math.Abs(float64(bestP)-side) {
-			bestP = p
-		}
-	}
-	bestCo := t.Cores[0]
-	for _, co := range t.Cores {
-		if abs(co-cores) < abs(bestCo-cores) {
-			bestCo = co
-		}
-	}
-	base := t.Entries[[2]int{bestP, bestCo}]
-	baseVol := float64(bestP) * float64(bestP) * float64((int64(bestP)+63)/64)
-	if baseVol == 0 {
-		return 0
-	}
-	scaled := float64(base) * vol / baseVol
-	// Adjust for the residual core-count mismatch linearly.
-	if bestCo != cores && cores >= 1 && bestCo >= 1 {
-		scaled *= float64(bestCo) / float64(cores)
-	}
-	return time.Duration(scaled)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -126,23 +126,10 @@ func TestCostModelMonotone(t *testing.T) {
 	}
 }
 
-func TestBuildTableAndEstimate(t *testing.T) {
+func TestBuildTable(t *testing.T) {
 	tab := BuildTable([]int{64, 128}, []int{1, 2})
 	if len(tab.Entries) != 4 {
 		t.Fatalf("table entries = %d, want 4", len(tab.Entries))
-	}
-	e := tab.Estimate(128, 128, 128, 1)
-	if e <= 0 {
-		t.Fatalf("table estimate = %v, want > 0", e)
-	}
-	// Estimating a larger instance must not be cheaper.
-	bigger := tab.Estimate(512, 512, 512, 1)
-	if bigger < e {
-		t.Fatalf("bigger instance estimated cheaper: %v < %v", bigger, e)
-	}
-	var empty Table
-	if empty.Estimate(10, 10, 10, 1) != 0 {
-		t.Fatal("empty table should estimate 0")
 	}
 }
 

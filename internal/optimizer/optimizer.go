@@ -21,7 +21,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -150,20 +149,50 @@ type cdf struct {
 	prefix []float64 // prefix[i] = weight of degs[0..i-1]
 }
 
+// buildCDF returns the cdf of one weighting of degs; nil weights weigh
+// every entry 1.
 func buildCDF(degs []int32, weights []float64) cdf {
-	// Order entries by degree: (degree, entry) packed into one integer sorts
-	// without a comparator.
-	order := make([]uint64, len(degs))
+	return degreeCDFs(degs, weights)[0]
+}
+
+// degreeCDFs returns one cdf per weighting of the same entries (nil: every
+// entry weighs 1). The entries are ordered by degree, ties by entry index,
+// once for all the weightings, by a stable counting sort — a degree is at
+// most the relation's size — and the cdfs share the sorted degrees.
+func degreeCDFs(degs []int32, weightings ...[]float64) []cdf {
+	var maxDeg int32
+	for _, d := range degs {
+		maxDeg = max(maxDeg, d)
+	}
+	next := make([]int32, maxDeg+2) // per degree: the next free slot in order
+	for _, d := range degs {
+		next[d+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	order := make([]int32, len(degs))
 	for i, d := range degs {
-		order[i] = uint64(d)<<32 | uint64(i)
+		order[next[d]] = int32(i)
+		next[d]++
 	}
-	slices.Sort(order)
-	c := cdf{degs: make([]int32, len(degs)), prefix: make([]float64, len(degs)+1)}
-	for i, o := range order {
-		c.degs[i] = int32(o >> 32)
-		c.prefix[i+1] = c.prefix[i] + weights[uint32(o)]
+	sorted := make([]int32, len(degs))
+	for i, e := range order {
+		sorted[i] = degs[e]
 	}
-	return c
+	cdfs := make([]cdf, len(weightings))
+	for k, w := range weightings {
+		c := cdf{degs: sorted, prefix: make([]float64, len(degs)+1)}
+		for i, e := range order {
+			wi := 1.0
+			if w != nil {
+				wi = w[e]
+			}
+			c.prefix[i+1] = c.prefix[i] + wi
+		}
+		cdfs[k] = c
+	}
+	return cdfs
 }
 
 // sumUpTo returns the summed weight of entries with degree ≤ delta.
@@ -214,8 +243,8 @@ func BuildIndexes(r, s *relation.Relation) *Indexes {
 		}
 		xw[i] = effort
 	}
-	ix.sumX = buildCDF(xdegs, xw)
-	ix.countX = buildCDF(xdegs, ones(len(xdegs)))
+	xcdfs := degreeCDFs(xdegs, xw, nil)
+	ix.sumX, ix.countX = xcdfs[0], xcdfs[1]
 
 	// Per-y weights keyed by S-degree.
 	ydegs := make([]int32, sY.NumKeys())
@@ -228,24 +257,15 @@ func BuildIndexes(r, s *relation.Relation) *Indexes {
 		yw[i] = float64(dR) * float64(dS)
 		ycdf[i] = float64(dR)
 	}
-	ix.sumY = buildCDF(ydegs, yw)
-	ix.cdfx = buildCDF(ydegs, ycdf)
-	ix.countY = buildCDF(ydegs, ones(len(ydegs)))
+	ycdfs := degreeCDFs(ydegs, yw, ycdf, nil)
+	ix.sumY, ix.cdfx, ix.countY = ycdfs[0], ycdfs[1], ycdfs[2]
 
 	zdegs := make([]int32, sX.NumKeys())
 	for i := 0; i < sX.NumKeys(); i++ {
 		zdegs[i] = int32(sX.Degree(i))
 	}
-	ix.countZ = buildCDF(zdegs, ones(len(zdegs)))
+	ix.countZ = buildCDF(zdegs, nil)
 	return ix
-}
-
-func ones(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
 }
 
 // Constants is one calibrated (Ts, Tm, TI) triple in nanoseconds: average

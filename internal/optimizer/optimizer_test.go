@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -267,3 +268,53 @@ func TestQuickCDF(t *testing.T) {
 
 // total returns the whole distribution's weight.
 func (c cdf) total() float64 { return c.prefix[len(c.degs)] }
+
+// sortedCDF is the comparison-sort construction degreeCDFs replaced:
+// (degree, entry) packed into one integer and sorted.
+func sortedCDF(degs []int32, weights []float64) cdf {
+	order := make([]uint64, len(degs))
+	for i, d := range degs {
+		order[i] = uint64(d)<<32 | uint64(i)
+	}
+	slices.Sort(order)
+	c := cdf{degs: make([]int32, len(degs)), prefix: make([]float64, len(degs)+1)}
+	for i, o := range order {
+		c.degs[i] = int32(o >> 32)
+		c.prefix[i+1] = c.prefix[i] + weights[uint32(o)]
+	}
+	return c
+}
+
+// TestDegreeCDFsMatchSortedOrder: the counting sort orders entries exactly as
+// sorting (degree, entry) keys does, so every prefix sum is bit-identical —
+// on uniform degrees, on Zipf-skewed ones with a long tail, and with the
+// shared order serving several weightings at once.
+func TestDegreeCDFsMatchSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.1, 1, 5000)
+	for trial := 0; trial < 60; trial++ {
+		n := rng.Intn(3000)
+		degs := make([]int32, n)
+		w1, w2 := make([]float64, n), make([]float64, n)
+		for i := range degs {
+			if trial%2 == 0 {
+				degs[i] = int32(rng.Intn(40))
+			} else {
+				degs[i] = int32(1 + zipf.Uint64())
+			}
+			w1[i] = rng.Float64() * 1e6
+			w2[i] = float64(rng.Intn(1000)) * float64(degs[i])
+		}
+		unit := make([]float64, n)
+		for i := range unit {
+			unit[i] = 1
+		}
+		got := degreeCDFs(degs, w1, w2, nil)
+		for k, w := range [][]float64{w1, w2, unit} {
+			want := sortedCDF(degs, w)
+			if !slices.Equal(got[k].degs, want.degs) || !slices.Equal(got[k].prefix, want.prefix) {
+				t.Fatalf("trial %d, weighting %d: the counted cdf differs from the sorted one", trial, k)
+			}
+		}
+	}
+}

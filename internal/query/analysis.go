@@ -186,28 +186,89 @@ func Analyze(q *Query) (*Analysis, error) {
 // that is the distinct-v count — and emits groups in first-appearance order;
 // a bare COUNT yields the single global-count row, zero included.
 func (h *HeadLayout) Project(cols []int, rows [][]int32) [][]int64 {
-	pos := make([]int, len(h.Pos)) // per head term: its column in rows
+	return h.block(&answer{cols: cols, rows: rows})
+}
+
+// grouping reports whether forming a's head tuples means grouping its rows
+// first: a COUNT beside other head terms, not pushed into the final fold.
+// Only then is the head-row count unknown until every row has been read.
+func (h *HeadLayout) grouping(a *answer) bool {
+	return h.CountIdx >= 0 && len(h.Pos) > 1 && a.counts == nil
+}
+
+// rowCount returns the number of head tuples a yields, for an a that needs
+// no grouping.
+func (h *HeadLayout) rowCount(a *answer) int {
+	if h.CountIdx >= 0 && a.counts == nil {
+		return 1
+	}
+	return a.len()
+}
+
+// block forms a's head tuples as one Block (a grouping head keeps its
+// groups' arena).
+func (h *HeadLayout) block(a *answer) [][]int64 {
+	if h.grouping(a) {
+		return h.groupCount(a)
+	}
+	out, i := tuples.Block[int64](h.rowCount(a), len(h.Pos)), 0
+	h.project(a, func(t []int64) {
+		copy(out[i], t)
+		i++
+	})
+	return out
+}
+
+// project is the one loop from an answer that needs no grouping to head
+// tuples, for both of their destinations: block's Tuples, and a caller of
+// Result.EachRow that formats them as they come. Tuple after tuple goes to
+// emit in one reused slice.
+func (h *HeadLayout) project(a *answer, emit func(t []int64)) {
+	t := make([]int64, len(h.Pos))
+	switch ci := h.CountIdx; {
+	case a.counts != nil:
+		// A pushed-down COUNT: one group value and its count per row.
+		i := 0
+		a.each(func(r []int32) {
+			t[1-ci], t[ci] = int64(r[0]), a.counts[i]
+			emit(t)
+			i++
+		})
+	case ci < 0:
+		pos := h.columns(a.cols)
+		a.each(func(r []int32) {
+			for j, p := range pos {
+				t[j] = int64(r[p])
+			}
+			emit(t)
+		})
+	default: // a bare COUNT
+		t[0] = int64(a.len())
+		emit(t)
+	}
+}
+
+// columns returns, per head term, the column of cols that carries its
+// variable.
+func (h *HeadLayout) columns(cols []int) []int {
+	pos := make([]int, len(h.Pos))
 	for i, hp := range h.Pos {
 		pos[i] = slices.Index(cols, h.Vars[hp])
 	}
-	if h.CountIdx < 0 {
-		out := tuples.Block[int64](len(rows), len(pos))
-		for i, r := range rows {
-			for j, p := range pos {
-				out[i][j] = int64(r[p])
-			}
-		}
-		return out
-	}
-	if len(pos) == 1 {
-		return [][]int64{{int64(len(rows))}}
-	}
+	return pos
+}
+
+// groupCount forms the head tuples of a COUNT beside other head terms: the
+// rows of each group of the other terms are counted, groups in
+// first-appearance order.
+func (h *HeadLayout) groupCount(a *answer) [][]int64 {
+	pos := h.columns(a.cols)
 	// A group's ordinal in the table is its tuple's ordinal in out.
 	groupPos := slices.Delete(slices.Clone(pos), h.CountIdx, h.CountIdx+1)
 	groups := tuples.NewTable(len(groupPos))
 	out := tuples.NewArena[int64](len(pos))
 	key := make([]int32, len(groupPos))
-	for _, r := range rows {
+	a.each(func(r []int32) {
 		gi, fresh := groups.Insert(pick(key, r, groupPos))
 		if fresh {
 			t := out.Alloc()
@@ -218,6 +279,6 @@ func (h *HeadLayout) Project(cols []int, rows [][]int32) [][]int64 {
 			}
 		}
 		out.At(gi)[h.CountIdx]++
-	}
+	})
 	return out.Rows()
 }

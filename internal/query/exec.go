@@ -31,6 +31,13 @@ type ExecOptions struct {
 	// granularity, so implementations must be cheap (atomics, no locks on the
 	// hot path).
 	Observer ExecObserver
+	// DeferTuples leaves Result.Tuples nil wherever the answer's last form
+	// (a final fold's groups, a star's rows, a cross product) can be
+	// projected on demand: the caller then reads the rows once, in order,
+	// through Result.EachRow, and no int64 copy of the answer is built.
+	// Budgets are charged as if Tuples had been built, and every check that
+	// can fail has run by the time Execute returns.
+	DeferTuples bool
 }
 
 // ExecObserver is the executor's progress hook: ExecNode fires when
@@ -45,10 +52,37 @@ type ExecObserver interface {
 
 // Result is one evaluated query: column labels, distinct output tuples and
 // the plan that produced them (with the actual per-node strategy choices).
+// Under ExecOptions.DeferTuples Tuples may be nil; Len and EachRow read the
+// answer either way.
 type Result struct {
 	Columns []string
 	Tuples  [][]int64
 	Plan    *Plan
+	// deferred, when non-nil, holds the answer in its last form in place of
+	// Tuples (ExecOptions.DeferTuples), and head forms its rows.
+	deferred *answer
+	head     *HeadLayout
+}
+
+// Len returns the number of answer rows, whether or not Tuples was built.
+func (r *Result) Len() int {
+	if r.deferred == nil {
+		return len(r.Tuples)
+	}
+	return r.head.rowCount(r.deferred)
+}
+
+// EachRow hands every answer row to fn, in Tuples' order: Tuples' own rows
+// when it was built, otherwise each head row as HeadLayout.Project forms it
+// from the deferred answer, in one reused slice that fn must not keep.
+func (r *Result) EachRow(fn func(row []int64)) {
+	if r.deferred == nil {
+		for _, t := range r.Tuples {
+			fn(t)
+		}
+		return
+	}
+	r.head.project(r.deferred, fn)
 }
 
 // Execute evaluates the prepared query. The context is checked between plan
@@ -89,6 +123,8 @@ type executor struct {
 	// the working-set figure EXPLAIN ANALYZE reports per query.
 	charged int64
 	watch   ExecObserver // nil unless an activity view is attached
+	// deferTuples is ExecOptions.DeferTuples.
+	deferTuples bool
 }
 
 func (p *Prepared) newExecutor(ctx context.Context, opts ExecOptions, dry bool) *executor {
@@ -100,7 +136,7 @@ func (p *Prepared) newExecutor(ctx context.Context, opts ExecOptions, dry bool) 
 	if p.Query.Hints.Workers > 0 {
 		workers = p.Query.Hints.Workers
 	}
-	ex := &executor{p: p, ctx: ctx, dry: dry, budget: govern.FromContext(ctx)}
+	ex := &executor{p: p, ctx: ctx, dry: dry, budget: govern.FromContext(ctx), deferTuples: opts.DeferTuples}
 	if !dry {
 		ex.watch = opts.Observer
 	}
@@ -177,16 +213,68 @@ func (ex *executor) nodeEvent(op, detail string) {
 	}
 }
 
-// compResult is one component's contribution: the variables it binds (cols,
-// only head variables), its distinct rows, and its plan subtree. A grouped
-// result carries the pushed-down COUNT aggregate instead: rows hold the
-// group values (one column) and counts the distinct-partner count per row.
+// answer is a set of distinct rows over the head variables cols, in the
+// form its producer left it. A final fold leaves its groups (pairs, columns
+// x and z, sorted so that they run x ascending, then z ascending); every
+// other producer leaves rows. A pushed-down COUNT aggregate carries counts
+// too: rows hold the group values (one column) and counts[i] the
+// distinct-partner count of row i.
+type answer struct {
+	cols   []int
+	rows   [][]int32
+	pairs  *joinproject.Groups
+	counts []int64
+}
+
+// len returns the number of rows.
+func (a *answer) len() int {
+	if a.pairs != nil {
+		return len(a.pairs.ZPos)
+	}
+	return len(a.rows)
+}
+
+// each hands every row to fn, in order; a final fold's pairs pass through
+// one reused two-column row.
+func (a *answer) each(fn func(r []int32)) {
+	g := a.pairs
+	if g == nil {
+		for _, r := range a.rows {
+			fn(r)
+		}
+		return
+	}
+	r := make([]int32, 2)
+	for i, x := range g.XKeys {
+		r[0] = x
+		for _, zp := range g.ZPos[g.Off[i]:g.Off[i+1]] {
+			r[1] = g.ZKeys[zp]
+			fn(r)
+		}
+	}
+}
+
+// rowForm returns the rows as a [][]int32, writing a final fold's pairs out
+// as one Block; only a cross product with another component needs that.
+func (a *answer) rowForm() [][]int32 {
+	if a.pairs == nil {
+		return a.rows
+	}
+	rows, i := tuples.Block[int32](a.len(), 2), 0
+	a.each(func(r []int32) {
+		copy(rows[i], r)
+		i++
+	})
+	return rows
+}
+
+// compResult is one component's contribution: its answer over the head
+// variables it binds (none for a pure filter), and its plan subtree. A
+// grouped result carries the pushed-down COUNT aggregate.
 type compResult struct {
-	cols    []int
-	rows    [][]int32
+	answer
 	node    *Node
 	grouped bool
-	counts  []int64
 }
 
 func (ex *executor) run() (*Result, error) {
@@ -224,17 +312,22 @@ func (ex *executor) run() (*Result, error) {
 	if len(producers) == 1 && producers[0].grouped {
 		grouped = producers[0]
 	}
-	var cols []int
-	rows := [][]int32{{}}
+	// The seed is the one zero-column row; against it a producer's answer
+	// is the product itself, in whatever form it was left.
+	ans := &answer{rows: [][]int32{{}}}
 	if !ex.dry && !p.empty && grouped == nil {
-		for _, pr := range producers {
-			cols = append(cols, pr.cols...)
+		for i, pr := range producers {
+			cols := append(slices.Clip(ans.cols), pr.cols...)
 			// The product's size is known before it is built: a budget must
 			// refuse it before the memory is spent.
-			if err := ex.charge(len(rows)*len(pr.rows), rowBudgetBytes(len(cols))); err != nil {
+			if err := ex.charge(ans.len()*pr.len(), rowBudgetBytes(len(cols))); err != nil {
 				return nil, err
 			}
-			rows = crossRows(rows, pr.rows)
+			if i == 0 {
+				ans = &pr.answer
+			} else {
+				ans = &answer{cols: cols, rows: crossRows(ans.rowForm(), pr.rowForm())}
+			}
 		}
 	}
 
@@ -256,25 +349,23 @@ func (ex *executor) run() (*Result, error) {
 		return res, nil
 	}
 
-	if p.empty {
-		rows = nil
+	switch {
+	case p.empty:
+		ans = &answer{}
+	case grouped != nil:
+		ans = &grouped.answer
 	}
-	if grouped != nil {
-		ci := q.CountIndex()
-		res.Tuples = tuples.Block[int64](len(grouped.rows), 2)
-		for i, r := range grouped.rows {
-			res.Tuples[i][1-ci] = int64(r[0])
-			res.Tuples[i][ci] = grouped.counts[i]
-		}
+	if ex.deferTuples && !p.head.grouping(ans) {
+		res.deferred, res.head = ans, p.head
 	} else {
-		res.Tuples = p.head.Project(cols, rows)
+		res.Tuples = p.head.block(ans)
 	}
-	if err := ex.charge(len(res.Tuples), 24+8*len(q.Head)); err != nil {
+	if err := ex.charge(res.Len(), 24+8*len(q.Head)); err != nil {
 		return nil, err
 	}
-	top.Rows = int64(len(res.Tuples))
+	top.Rows = int64(res.Len())
 	if len(top.Children) == 1 && top.Children[0].Op == "cross" {
-		top.Children[0].Rows = int64(len(rows))
+		top.Children[0].Rows = int64(ans.len())
 	}
 	// The kernels' Stop hook abandons work mid-sweep on cancellation, so a
 	// deadline that fires inside the final kernel leaves truncated rows here.
@@ -319,11 +410,14 @@ func crossRows(a, b [][]int32) [][]int32 {
 }
 
 // liveEdge is one edge of the working tree during Steiner pruning and
-// degree-2 collapsing, carrying its plan subtree.
+// degree-2 collapsing, carrying its plan subtree. The edge a component's
+// last fold leaves is never probed, so it keeps the fold's groups (pairs,
+// keyed by a over b) in place of an indexed relation.
 type liveEdge struct {
-	a, b int
-	rel  *relation.Relation // nil in dry runs for folded edges
-	node *Node
+	a, b  int
+	rel   *relation.Relation // nil in dry runs for folded edges, and beside pairs
+	pairs *joinproject.Groups
+	node  *Node
 }
 
 // evalComponent evaluates one component tree down to its head variables.
@@ -422,10 +516,10 @@ func (ex *executor) evalComponent(c *component) (*compResult, error) {
 			return nil, err
 		}
 	}
-	cr.cols, cr.rows, cr.counts, cr.grouped = final.cols, final.rows, final.counts, final.grouped
+	cr.answer, cr.grouped = final.answer, final.grouped
 	compNode.Children = append([]*Node{final.node}, prunedNodes...)
 	if !ex.dry {
-		compNode.Rows = int64(len(cr.rows))
+		compNode.Rows = int64(cr.len())
 	}
 	return cr, nil
 }
@@ -435,7 +529,9 @@ func (ex *executor) evalComponent(c *component) (*compResult, error) {
 // branching variables remain. When the last fold would produce exactly the
 // (group, count) pair of a pushed-down aggregate, it runs the counting
 // kernel instead and returns the grouped result (second value) without
-// materializing the distinct pairs.
+// materializing the distinct pairs. Any other fold that leaves a single
+// edge between two head variables keeps its groups: they are the
+// component's answer, read once in order and never indexed.
 func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *compResult, error) {
 	p := ex.p
 	for {
@@ -489,7 +585,15 @@ func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *
 		} else {
 			ex.nodeEvent("fold", detail)
 			t0 := time.Now()
-			rel, step := acyclic.Compose(r1, r2, ex.aopt)
+			var step acyclic.Step
+			if len(live) == 2 && heads[u] && heads[w] {
+				var pairs joinproject.Groups
+				pairs, step = acyclic.ComposeGroups(r1, r2, ex.aopt)
+				pairs.Sort()
+				folded.pairs = &pairs
+			} else {
+				folded.rel, step = acyclic.Compose(r1, r2, ex.aopt)
+			}
 			node.TimeNs = time.Since(t0).Nanoseconds()
 			foldTotal.With("fold", step.Strategy).Inc()
 			// The Stop hook makes Compose return partial output when the
@@ -497,12 +601,11 @@ func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *
 			if err := ex.check(); err != nil {
 				return nil, nil, err
 			}
-			if err := ex.charge(rel.Size(), pairBudgetBytes); err != nil {
+			if err := ex.charge(step.Rows, pairBudgetBytes); err != nil {
 				return nil, nil, err
 			}
-			folded.rel = rel
 			node.setFold(step.Decision, detail)
-			node.Rows = int64(rel.Size())
+			node.Rows = int64(step.Rows)
 		}
 		folded.node = node
 		// Replace the two edges with the fold (remove the higher index first).
@@ -538,7 +641,7 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	node := &Node{Op: "groupfold", Rows: -1, Children: []*Node{e1.node, e2.node}}
 	detail := fmt.Sprintf("γ[%s; COUNT(%s)] eliminating %s (count pushed into fold)",
 		p.vars[g], p.vars[cv], p.vars[v])
-	cr := &compResult{grouped: true, cols: []int{g}, node: node}
+	cr := &compResult{answer: answer{cols: []int{g}}, node: node, grouped: true}
 	gRel, cvRel := r1, r2
 	if u == cv {
 		gRel, cvRel = r2, r1
@@ -631,7 +734,7 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 			node := &Node{Op: "groupfold", Rows: -1, Children: []*Node{e.node},
 				Detail: fmt.Sprintf("γ[%s; COUNT(%s)] from index degrees (count pushed into scan)",
 					ex.p.vars[g], ex.p.vars[cv])}
-			cr := &compResult{grouped: true, cols: []int{g}, node: node}
+			cr := &compResult{answer: answer{cols: []int{g}}, node: node, grouped: true}
 			if !ex.dry {
 				ix := rel.ByX()
 				if err := ex.charge(ix.NumKeys(), rowBudgetBytes(1)+8); err != nil {
@@ -646,12 +749,16 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 			}
 			return cr, nil
 		}
-		cr := &compResult{cols: []int{e.a, e.b}, node: e.node}
+		cr := &compResult{answer: answer{cols: []int{e.a, e.b}, pairs: e.pairs}, node: e.node}
 		if !ex.dry {
-			if err := ex.charge(e.rel.Size(), rowBudgetBytes(2)); err != nil {
+			if err := ex.charge(cr.len(), rowBudgetBytes(2)); err != nil {
 				return nil, err
 			}
-			// The index walk is the relation's (x, y) order.
+			if e.pairs != nil {
+				return cr, nil
+			}
+			// The index walk is the relation's (x, y) order, the order the
+			// sorted pairs of a last fold run in.
 			cr.rows = tuples.Block[int32](e.rel.Size(), 2)
 			ix, i := e.rel.ByX(), 0
 			for k := 0; k < ix.NumKeys(); k++ {
@@ -711,7 +818,7 @@ func (ex *executor) starNode(live []liveEdge, center int) (*compResult, error) {
 	}
 	node := &Node{Op: "star", Rows: -1, Children: children,
 		Detail: fmt.Sprintf("center %s leaves [%s]", p.vars[center], strings.Join(leafNames, ", "))}
-	cr := &compResult{cols: leaves, node: node}
+	cr := &compResult{answer: answer{cols: leaves}, node: node}
 
 	// Only a predicted plan can have an arm that is itself a deferred fold.
 	if !ready && ex.aopt.Force == "" {
@@ -789,7 +896,7 @@ func (ex *executor) enumerate(c *component, live []liveEdge, heads map[int]bool)
 	for i := range live {
 		node.Children = append(node.Children, live[i].node)
 	}
-	cr := &compResult{cols: cols, node: node}
+	cr := &compResult{answer: answer{cols: cols}, node: node}
 	if ex.dry {
 		return cr, nil
 	}
@@ -885,7 +992,7 @@ func (ex *executor) evalBagTree(c *component) (*compResult, error) {
 		compNode.Rows = 1
 		return &compResult{node: compNode}, nil
 	}
-	cr := &compResult{cols: c.heads, node: compNode}
+	cr := &compResult{answer: answer{cols: c.heads}, node: compNode}
 	if ex.dry {
 		return cr, nil
 	}

@@ -214,33 +214,87 @@ func (ix *Index) mirror() *Index {
 }
 
 // mergeDelta returns ix with the sorted packed run add merged in and the
-// tuples of the sorted packed run rem left out, in one linear pass; both
-// runs are packed in ix's (key, val) orientation. A tuple in both runs is
-// left out.
+// tuples of the sorted packed run rem left out; both runs are packed in
+// ix's (key, val) orientation. A tuple in both runs is left out. Only the
+// keys the runs touch are merged value by value: the lists between them are
+// copied over whole, so a small delta costs one copy of ix's arrays.
 func mergeDelta(ix *Index, add, rem []uint64) *Index {
-	out := make([]uint64, 0, len(ix.vals)+len(add))
-	for i, k := range ix.keys {
-		for _, v := range ix.List(i) {
-			p := pack(k, v)
-			for len(add) > 0 && add[0] < p {
-				out = append(out, add[0])
-				add = add[1:]
+	out := &Index{
+		keys: make([]int32, 0, len(ix.keys)+len(add)),
+		off:  make([]int32, 0, len(ix.keys)+len(add)+1),
+		vals: make([]int32, 0, len(ix.vals)+len(add)),
+	}
+	next := 0 // ix's first key not yet in out
+	// copyKeys moves ix's keys next..hi-1 and their lists over whole.
+	copyKeys := func(hi int) {
+		shift := int32(len(out.vals)) - ix.off[next]
+		for _, o := range ix.off[next:hi] {
+			out.off = append(out.off, o+shift)
+		}
+		out.keys = append(out.keys, ix.keys[next:hi]...)
+		out.vals = append(out.vals, ix.vals[ix.off[next]:ix.off[hi]]...)
+		next = hi
+	}
+	for len(add) > 0 || len(rem) > 0 {
+		var k int32
+		switch {
+		case len(rem) == 0 || len(add) > 0 && add[0] < rem[0]:
+			k, _ = unpack(add[0])
+		default:
+			k, _ = unpack(rem[0])
+		}
+		at, found := slices.BinarySearch(ix.keys[next:], k)
+		copyKeys(next + at)
+		var list []int32
+		if found {
+			list = ix.List(next)
+			next++
+		}
+		// This key's runs, as values.
+		ka, kr := keyRun(add, k), keyRun(rem, k)
+		add, rem = add[len(ka):], rem[len(kr):]
+		start := len(out.vals)
+		for len(list) > 0 || len(ka) > 0 {
+			var v int32
+			if len(ka) == 0 || len(list) > 0 && list[0] <= runVal(ka[0]) {
+				v, list = list[0], list[1:]
+			} else {
+				v, ka = runVal(ka[0]), ka[1:]
 			}
-			out = append(out, p)
+			if n := len(out.vals); n > start && out.vals[n-1] == v {
+				continue // already present, or added twice
+			}
+			for len(kr) > 0 && runVal(kr[0]) < v {
+				kr = kr[1:]
+			}
+			if len(kr) > 0 && runVal(kr[0]) == v {
+				continue
+			}
+			out.vals = append(out.vals, v)
+		}
+		if len(out.vals) > start {
+			out.keys = append(out.keys, k)
+			out.off = append(out.off, int32(start))
 		}
 	}
-	out = append(out, add...)
-	if len(rem) > 0 {
-		kept := out[:0]
-		for _, p := range out {
-			for len(rem) > 0 && rem[0] < p {
-				rem = rem[1:]
-			}
-			if len(rem) == 0 || rem[0] != p {
-				kept = append(kept, p)
-			}
-		}
-		out = kept
+	copyKeys(len(ix.keys))
+	out.off = append(out.off, int32(len(out.vals)))
+	out.addressKeys()
+	return out
+}
+
+// keyRun returns the leading tuples of the sorted packed run p whose key is
+// k.
+func keyRun(p []uint64, k int32) []uint64 {
+	n := 0
+	for n < len(p) && p[n]>>32 == pack(k, 0)>>32 {
+		n++
 	}
-	return indexFromPacked(out)
+	return p[:n]
+}
+
+// runVal returns the value half of a packed tuple.
+func runVal(p uint64) int32 {
+	_, v := unpack(p)
+	return v
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/query"
 	"repro/internal/view"
 )
 
@@ -29,6 +30,12 @@ var rowBufs = sync.Pool{New: func() any { return new([rowBufSize]byte) }}
 // trailing newline), fields in struct order, without reflection and
 // without holding the body: tuples go through strconv.AppendInt into one
 // pooled buffer that is flushed whenever it fills.
+//
+// Pages and view reads hold their tuples as a [][]int64 already. An
+// unpaged /query answer does not: its rows go from the last plan node's own
+// form (a final fold's groups, a star's rows, a cross product) through the
+// query layer's head projector (query.Result.EachRow) straight into the
+// buffer, so the answer is never copied into a block of its own.
 type rowWriter struct {
 	w   io.Writer
 	arr *[rowBufSize]byte
@@ -189,9 +196,7 @@ func (rw *rowWriter) strs(ss []string) {
 	rw.raw("]")
 }
 
-// tuples writes the row array: the one loop every answer row passes
-// through. A row reserves its worst case once — brackets and separators
-// plus 20 digits per value — and then appends without checks.
+// tuples writes a row array held in memory.
 func (rw *rowWriter) tuples(ts [][]int64) {
 	if ts == nil {
 		rw.raw("null")
@@ -199,33 +204,72 @@ func (rw *rowWriter) tuples(ts [][]int64) {
 	}
 	rw.raw("[")
 	for i, t := range ts {
-		rw.room(3 + 21*len(t))
-		b := rw.buf
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if t == nil {
-			rw.buf = append(b, "null"...)
-			continue
-		}
-		b = append(b, '[')
-		for j, v := range t {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, v, 10)
-		}
-		rw.buf = append(b, ']')
+		rw.row(i > 0, t)
 	}
 	rw.raw("]")
 }
 
+// result writes res's rows as they are projected from its answer, never
+// null: an unpaged /query answer is an array even when empty.
+func (rw *rowWriter) result(res *query.Result) {
+	rw.raw("[")
+	first := true
+	res.EachRow(func(t []int64) {
+		rw.row(!first, t)
+		first = false
+	})
+	rw.raw("]")
+}
+
+// row writes one tuple, after a separating comma when sep is set: the one
+// loop every answer row passes through. A row reserves its worst case once
+// — brackets and separators plus 20 digits per value — and then appends
+// without checks.
+func (rw *rowWriter) row(sep bool, t []int64) {
+	rw.room(3 + 21*len(t))
+	b := rw.buf
+	if sep {
+		b = append(b, ',')
+	}
+	if t == nil {
+		rw.buf = append(b, "null"...)
+		return
+	}
+	b = append(b, '[')
+	for j, v := range t {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	rw.buf = append(b, ']')
+}
+
+// resultBody is an unpaged /query response: q's fields, with the tuples
+// read from res as they are written (q.Tuples is unused). The engine has
+// run every check that can fail before the body is built, so the rows it
+// streams can no longer turn into an error status.
+type resultBody struct {
+	q   queryResponse
+	res *query.Result
+}
+
+func (b *resultBody) encode(rw *rowWriter) { b.q.write(rw, b.res) }
+
 // encode writes q's fields in struct order, as encoding/json would.
-func (q *queryResponse) encode(rw *rowWriter) {
+func (q *queryResponse) encode(rw *rowWriter) { q.write(rw, nil) }
+
+// write is encode with the tuples taken from res instead of q.Tuples when
+// res is non-nil.
+func (q *queryResponse) write(rw *rowWriter, res *query.Result) {
 	rw.raw(`{"columns":`)
 	rw.strs(q.Columns)
 	rw.raw(`,"tuples":`)
-	rw.tuples(q.Tuples)
+	if res != nil {
+		rw.result(res)
+	} else {
+		rw.tuples(q.Tuples)
+	}
 	rw.raw(`,"rows":`)
 	rw.i64(int64(q.Rows))
 	rw.raw(`,"plan":`)

@@ -497,9 +497,9 @@ func (s *Server) evaluate(r *http.Request, req queryRequest) (*query.Result, err
 			return testHookEvaluate(ctx, req.Query)
 		}
 		start := time.Now()
-		res, err := s.eng.QueryContext(ctx, req.Query)
+		res, err := s.eng.QueryRows(ctx, req.Query)
 		if err == nil && res != nil {
-			s.noteSlow(r, req.Query, time.Since(start), len(res.Tuples), res.Plan.CacheHit)
+			s.noteSlow(r, req.Query, time.Since(start), res.Len(), res.Plan.CacheHit)
 		}
 		return res, err
 	})
@@ -586,18 +586,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, statusFor(err), "query failed: %v", err)
 		return
 	}
-	tuples := res.Tuples
-	if tuples == nil {
-		tuples = [][]int64{}
-	}
-	writeRows(w, &queryResponse{
+	// Every check that can fail has run: the rows are projected from the
+	// answer's last form as the writer formats them.
+	writeRows(w, &resultBody{res: res, q: queryResponse{
 		Columns:   res.Columns,
-		Tuples:    tuples,
-		Rows:      len(tuples),
+		Rows:      res.Len(),
 		Plan:      res.Plan.String(),
 		PlanCache: res.Plan.CacheHit,
 		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-	})
+	}})
 }
 
 // handleQueryPage serves one page of a sorted result through the engine's

@@ -10,7 +10,9 @@
 // (a projection, a cross product, an index walk) writes one Block — a flat
 // backing array and one header slice, the least a [][]T can cost. The Arena
 // is for the producers that cannot know it: dedup tables, star collectors,
-// bag joins.
+// bag joins. A query's last fold writes neither: its kernel output (grouped
+// z positions per x) already is the answer, and the head projector reads it
+// in place.
 //
 // A member's ordinal (its insertion rank, from 0) is stable, so a map keyed
 // by a tuple is a Table plus a slice indexed by ordinal. Width 0 is a valid
