@@ -19,10 +19,11 @@ import (
 // each with the reason. Keys are "pkg.Func" or "pkg.Type.Method", pkg being
 // the directory under internal/.
 var exportAllowlist = map[string]string{
-	"matrix.SpGEMMCounts": "the sparse kernel kept as the trial arm of a per-partition dense-vs-sparse choice (ROADMAP 3(c))",
-	"matrix.NewCSR":       "builds the operands of that trial arm",
-	"wal.WAL.Damaged":     "recovery code: reports a tail a failed append could not repair",
-	"wal.WAL.Repair":      "recovery code: re-attempts the truncate-to-acked-tail repair",
+	"matrix.SpGEMMCounts":      "the sparse kernel kept as the trial arm of a per-partition dense-vs-sparse choice (ROADMAP 3(c))",
+	"matrix.NewCSR":            "builds the operands of that trial arm",
+	"wal.WAL.Damaged":          "recovery code: reports a tail a failed append could not repair",
+	"wal.WAL.Repair":           "recovery code: re-attempts the truncate-to-acked-tail repair",
+	"core.Engine.CheckpointTo": "recovery code: the escape hatch that checkpoints a degraded data dir into a fresh one",
 }
 
 // implicitMethods are method names that standard-library interfaces call
@@ -55,8 +56,9 @@ func TestNoUnusedExports(t *testing.T) {
 }
 
 // TestNoUnusedExportsFixture runs the check on a small module: it reports an
-// export that only its own package's tests call and one that only calls
-// itself, and none of the ways an export counts as used.
+// export that only its own package's tests call, one that only calls itself
+// and a test-only method of a type the root package aliases, and none of the
+// ways an export counts as used.
 func TestNoUnusedExportsFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -65,7 +67,7 @@ func TestNoUnusedExportsFixture(t *testing.T) {
 
 import "fix/internal/a"
 
-// Aliased re-exports a type, and with it every method of a.Aliased.
+// Aliased re-exports a type; that alone uses none of its methods.
 type Aliased = a.Aliased
 `,
 		"internal/a/a.go": `package a
@@ -102,7 +104,7 @@ func (S) Unused() {}
 
 import "testing"
 
-func TestA(t *testing.T) { OnlyOwnTests(); S{}.Unused() }
+func TestA(t *testing.T) { OnlyOwnTests(); S{}.Unused(); Aliased{}.Method() }
 `,
 		"internal/b/b_test.go": `package b
 
@@ -145,11 +147,11 @@ func main() { a.FromBench() }
 	for _, d := range unused {
 		got = append(got, d.key())
 	}
-	want := []string{"a.Dead", "a.OnlyOwnTests", "a.Recursive", "a.S.Unused"}
+	want := []string{"a.Aliased.Method", "a.Dead", "a.OnlyOwnTests", "a.Recursive", "a.S.Unused"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reported %v, want %v", got, want)
 	}
-	if !declared["a.Allowed"] || !declared["a.Aliased.Method"] {
+	if !declared["a.Allowed"] {
 		t.Errorf("declared set misses fixture exports: %v", declared)
 	}
 }
@@ -179,8 +181,7 @@ func (d exportDecl) key() string {
 // go.mod) or from a _test.go file in another directory. Without type
 // information a method counts as used when any selector names it, so a
 // method is never reported while another type's method shares its name.
-// Methods of a type that root's own package aliases, implicit interface
-// methods and allowlisted keys count as used too.
+// Implicit interface methods and allowlisted keys count as used too.
 func unusedExports(root string, allow map[string]string) ([]exportDecl, map[string]bool, error) {
 	mod, err := modulePath(root)
 	if err != nil {
@@ -189,7 +190,6 @@ func unusedExports(root string, allow map[string]string) ([]exportDecl, map[stri
 	fset := token.NewFileSet()
 	var decls []exportDecl
 	r := &refs{funcs: map[string]bool{}, methods: map[string]bool{}, testMethods: map[string]map[string]bool{}}
-	aliased := map[string]bool{} // dir + "." + type name
 	all := func(fs.FileInfo) bool { return true }
 	err = walkPackages(fset, root, all, parser.SkipObjectResolution, func(path string, pkgs map[string]*ast.Package) {
 		rel, _ := filepath.Rel(root, path)
@@ -199,9 +199,6 @@ func unusedExports(root string, allow map[string]string) ([]exportDecl, map[stri
 				isTest := strings.HasSuffix(fname, "_test.go")
 				if !isTest && strings.HasPrefix(dir, "internal/") {
 					decls = append(decls, exportedFuncs(fset, root, dir, file)...)
-				}
-				if !isTest && dir == "." {
-					collectAliases(mod, file, aliased)
 				}
 				r.add(mod, dir, file, isTest)
 			}
@@ -218,7 +215,7 @@ func unusedExports(root string, allow map[string]string) ([]exportDecl, map[stri
 		if d.recv == "" {
 			used = used || r.funcs[d.dir+"."+d.name]
 		} else {
-			used = used || r.usedMethod(d.dir, d.name) || aliased[d.dir+"."+d.recv] || implicitMethods[d.name]
+			used = used || r.usedMethod(d.dir, d.name) || implicitMethods[d.name]
 		}
 		if !used {
 			out = append(out, d)
@@ -296,27 +293,6 @@ func internalImports(mod string, file *ast.File) map[string]string {
 		names[name] = dir
 	}
 	return names
-}
-
-// collectAliases records each `type X = pkg.T` in file as aliasing dir.T.
-func collectAliases(mod string, file *ast.File, aliased map[string]bool) {
-	imports := internalImports(mod, file)
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.TYPE {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			ts := spec.(*ast.TypeSpec)
-			sel, ok := ts.Type.(*ast.SelectorExpr)
-			if !ok || !ts.Assign.IsValid() {
-				continue
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				aliased[imports[x.Name]+"."+sel.Sel.Name] = true
-			}
-		}
-	}
 }
 
 // refs is what the scanned files reference: package-level functions by

@@ -64,7 +64,8 @@ func stretch(r *relation.Relation) *relation.Relation {
 // TestComposeMatchesNestedLoop checks the composed relation — both indexes,
 // not just the pair set — against FromPairs of the nested-loop answer, for
 // every strategy pin, worker count and threshold pin, over compact and
-// sparse key ranges, with and without a planner.
+// sparse key ranges, with and without a planner; a non-WCOJ step must
+// report the threshold pins it ran with.
 func TestComposeMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	type input struct {
@@ -95,6 +96,9 @@ func TestComposeMatchesNestedLoop(t *testing.T) {
 						sameRelation(t, label, got, want)
 						if step.Rows != want.Size() {
 							t.Fatalf("%s: step reports %d rows, want %d", label, step.Rows, want.Size())
+						}
+						if step.Strategy != StrategyWCOJ && d != [2]int{} && (step.Delta1 != d[0] || step.Delta2 != d[1]) {
+							t.Fatalf("%s: step reports Δ=(%d,%d), want the pins", label, step.Delta1, step.Delta2)
 						}
 					}
 				}

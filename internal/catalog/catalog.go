@@ -6,8 +6,8 @@
 //
 // Relations are immutable once registered, so readers never lock them;
 // mutations (InsertPairs, DeletePairs, Mutate) build a new immutable relation
-// and swap it in under a copy-on-write map, which lets Prepare compile a
-// query against one consistent snapshot without holding any lock during the
+// and swap it in under a copy-on-write map, which lets PrepareContext compile
+// a query against one consistent snapshot without holding any lock during the
 // (potentially expensive) compile. Every mutation bumps the global epoch and
 // the per-relation version. Cached plans embed relation pointers, so the
 // cache key includes the version of every relation the query references —
@@ -452,15 +452,10 @@ func (c *Catalog) LoadFiles(specs map[string]string) error {
 // just recompiled per request).
 const MaxCachedMaterializedRows = 1 << 20
 
-// Prepare compiles query text against the current catalog snapshot, serving
-// repeats from the LRU plan cache. The second result reports a cache hit.
-func (c *Catalog) Prepare(src string) (*query.Prepared, bool, error) {
-	return c.PrepareContext(context.Background(), src)
-}
-
-// PrepareContext is Prepare with cancellation: compiling a cyclic query
-// materializes decomposition bags, so the context deadline applies to
-// compilation too, not just execution.
+// PrepareContext compiles query text against the current catalog snapshot,
+// serving repeats from the LRU plan cache; the second result reports a cache
+// hit. Compiling a cyclic query materializes decomposition bags, so the
+// context deadline applies to compilation too, not just execution.
 func (c *Catalog) PrepareContext(ctx context.Context, src string) (*query.Prepared, bool, error) {
 	q, err := query.Parse(src)
 	if err != nil {

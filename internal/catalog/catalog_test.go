@@ -78,11 +78,11 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := "Q(a, c) :- R(a, b), R(b, c)"
-	if _, hit, err := c.Prepare(src); err != nil || hit {
+	if _, hit, err := c.PrepareContext(context.Background(), src); err != nil || hit {
 		t.Fatalf("first prepare: hit=%v err=%v", hit, err)
 	}
 	// Same text (even non-canonical spelling) hits the cache.
-	if _, hit, err := c.Prepare("Q(a , c) :- R(a,b), R(b,c)"); err != nil || !hit {
+	if _, hit, err := c.PrepareContext(context.Background(), "Q(a , c) :- R(a,b), R(b,c)"); err != nil || !hit {
 		t.Fatalf("second prepare: hit=%v err=%v", hit, err)
 	}
 	hits, misses, size := c.CacheStats()
@@ -94,14 +94,14 @@ func TestPlanCacheHitAndEpochInvalidation(t *testing.T) {
 	if _, err := c.RegisterPairs("S", pairs([2]int32{5, 9})); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _ := c.Prepare(src); !hit {
+	if _, hit, _ := c.PrepareContext(context.Background(), src); !hit {
 		t.Fatal("mutating an untouched relation must not evict the cached plan")
 	}
 	// Mutating R itself invalidates it.
 	if _, err := c.InsertPairs("R", pairs([2]int32{2, 10})); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, _ := c.Prepare(src); hit {
+	if _, hit, _ := c.PrepareContext(context.Background(), src); hit {
 		t.Fatal("mutating a referenced relation must invalidate the cached plan")
 	}
 }
@@ -193,7 +193,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := c.Prepare(fmt.Sprintf("Q%d(x) :- R(x, y)", i)); err != nil {
+		if _, _, err := c.PrepareContext(context.Background(), fmt.Sprintf("Q%d(x) :- R(x, y)", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,10 +201,10 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("size = %d, want 2", size)
 	}
 	// Oldest (Q0) evicted, Q2 retained.
-	if _, hit, _ := c.Prepare("Q2(x) :- R(x, y)"); !hit {
+	if _, hit, _ := c.PrepareContext(context.Background(), "Q2(x) :- R(x, y)"); !hit {
 		t.Fatal("Q2 should be cached")
 	}
-	if _, hit, _ := c.Prepare("Q0(x) :- R(x, y)"); hit {
+	if _, hit, _ := c.PrepareContext(context.Background(), "Q0(x) :- R(x, y)"); hit {
 		t.Fatal("Q0 should have been evicted")
 	}
 }
@@ -234,7 +234,7 @@ func TestConcurrentUse(t *testing.T) {
 					c.List()
 					c.Epoch()
 				default:
-					p, _, err := c.Prepare("Q(a, c) :- R(a, b), R(b, c)")
+					p, _, err := c.PrepareContext(context.Background(), "Q(a, c) :- R(a, b), R(b, c)")
 					if err != nil {
 						t.Error(err)
 						return
@@ -260,18 +260,18 @@ func TestCyclicPlansCachedAndWeightBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := "Q(x, z) :- R(x, y), R(y, z), R(z, x)"
-	p1, hit, err := c.Prepare(src)
+	p1, hit, err := c.PrepareContext(context.Background(), src)
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("PrepareContext: %v", err)
 	}
 	if hit {
-		t.Fatal("first Prepare must miss")
+		t.Fatal("first PrepareContext must miss")
 	}
 	if p1.MaterializedRows() == 0 {
 		t.Fatal("cyclic plan should report materialized bag rows")
 	}
-	if _, hit, _ := c.Prepare(src); !hit {
-		t.Fatal("second Prepare of a small cyclic plan must hit the cache")
+	if _, hit, _ := c.PrepareContext(context.Background(), src); !hit {
+		t.Fatal("second PrepareContext of a small cyclic plan must hit the cache")
 	}
 
 	// The weight-bounded LRU: lighter entries evict older ones to stay
@@ -288,9 +288,9 @@ func TestCyclicPlansCachedAndWeightBounded(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		key := mk(i)
-		p, _, err := c.Prepare(key.text)
+		p, _, err := c.PrepareContext(context.Background(), key.text)
 		if err != nil {
-			t.Fatalf("Prepare(%s): %v", key.text, err)
+			t.Fatalf("PrepareContext(%s): %v", key.text, err)
 		}
 		if w := p.MaterializedRows(); w != 3 {
 			t.Fatalf("triangle plan weight = %d; want 3", w)

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/bsi"
 	"repro/internal/catalog"
-	"repro/internal/compress"
 	"repro/internal/govern"
 	"repro/internal/joinproject"
 	"repro/internal/obs"
@@ -67,13 +66,12 @@ func (s Strategy) String() string {
 // Config collects the engine knobs. The zero value is a sensible default:
 // automatic planning on all cores.
 type Config struct {
-	Strategy       Strategy
-	Workers        int
-	Delta1, Delta2 int // explicit threshold overrides (0 = planner's choice)
-	// SketchBudget > 0 lets the planner refine its output-size estimate
-	// with a one-pass HyperLogLog over the full join whenever
-	// |OUT⋈| ≤ SketchBudget (the Section-9 refinement).
-	SketchBudget int64
+	// Strategy pins the plan of every query and library call (Auto: the
+	// cost-based optimizer chooses per instance).
+	Strategy Strategy
+	// Workers bounds the parallelism of every kernel the engine runs (0:
+	// all cores).
+	Workers int
 	// MaxQueryBytes and MaxQueryRows cap what one query may materialize
 	// (intermediate folds included); 0 means unlimited. An exceeded budget
 	// aborts the query with govern.ErrBudgetExceeded instead of exhausting
@@ -100,18 +98,6 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithStrategy pins the planning strategy.
 func WithStrategy(s Strategy) Option { return func(c *Config) { c.Strategy = s } }
-
-// WithThresholds pins the degree thresholds Δ1, Δ2 of the single-kernel
-// entry points; text queries plan their own.
-func WithThresholds(d1, d2 int) Option {
-	return func(c *Config) { c.Delta1, c.Delta2 = d1, d2 }
-}
-
-// WithSketchRefinement enables sketch-refined output estimation in the
-// planner for instances whose full join has at most budget tuples.
-func WithSketchRefinement(budget int64) Option {
-	return func(c *Config) { c.SketchBudget = budget }
-}
 
 // WithQueryBudget caps the bytes and rows one query may materialize (0:
 // unlimited for that dimension).
@@ -211,17 +197,11 @@ func planOf(dec optimizer.Decision) Plan {
 		EstOut: dec.EstOut, OutJoin: dec.OutJoin}
 }
 
-// joinOptions is the engine configuration as kernel options: the worker
-// count and the WithThresholds pins.
-func (e *Engine) joinOptions() joinproject.Options {
-	return joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers}
-}
-
 // decide plans one 2-path instance under the engine configuration and
 // returns the record with the kernel options that run it.
 func (e *Engine) decide(r, s *relation.Relation) (optimizer.Decision, joinproject.Options) {
-	base := e.joinOptions()
-	dec := e.opt.PlanTwoPath(r, s, base, e.cfg.Strategy.String(), e.cfg.SketchBudget)
+	base := joinproject.Options{Workers: e.cfg.Workers}
+	dec := e.opt.PlanTwoPath(r, s, base, e.cfg.Strategy.String(), 0)
 	return dec, dec.Options(base, r, s)
 }
 
@@ -245,37 +225,11 @@ func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairC
 	return joinproject.TwoPathMMCounts(r, s, opt), planOf(dec)
 }
 
-// JoinProjectVisit streams every distinct output pair with its witness
-// count to visit, without materializing the result. visit may be invoked
-// concurrently when the engine is parallel; it must be safe for concurrent
-// use. Returns the plan that ran.
-func (e *Engine) JoinProjectVisit(r, s *relation.Relation, visit func(x, z, count int32)) Plan {
-	dec, opt := e.decide(r, s)
-	if dec.Strategy == optimizer.StrategyNonMM {
-		// There is no Lemma-2 visit kernel: a nonmm pin runs the MM kernel at
-		// the same thresholds, and the plan reports what ran.
-		dec.Strategy = optimizer.StrategyMM
-	}
-	joinproject.TwoPathMMVisit(r, s, opt, visit)
-	return planOf(dec)
-}
-
-// StarJoin evaluates the projected star query over k relations.
-func (e *Engine) StarJoin(rels []*relation.Relation) ([][]int32, Plan) {
-	base := e.joinOptions()
-	dec := e.opt.PlanStar(rels, base, e.cfg.Strategy.String())
-	opt := dec.Options(base, rels...)
-	if dec.Strategy == optimizer.StrategyNonMM {
-		return joinproject.StarNonMM(rels, opt), planOf(dec)
-	}
-	return joinproject.StarMM(rels, opt), planOf(dec)
-}
-
 // SimilarSets returns all set pairs with overlap at least c, using the
 // engine's planning strategy (MMJoin under Auto/ForceMM, SizeAware++ when
 // the caller forces the combinatorial path).
 func (e *Engine) SimilarSets(r *relation.Relation, c int) []ssj.Pair {
-	opt := ssj.Options{Workers: e.cfg.Workers, Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
+	opt := ssj.Options{Workers: e.cfg.Workers}
 	if e.cfg.Strategy == ForceWCOJ || e.cfg.Strategy == ForceNonMM {
 		return ssj.SizeAware(r, c, opt)
 	}
@@ -284,13 +238,12 @@ func (e *Engine) SimilarSets(r *relation.Relation, c int) []ssj.Pair {
 
 // SimilarSetsOrdered returns similar pairs in decreasing overlap order.
 func (e *Engine) SimilarSetsOrdered(r *relation.Relation, c int) []ssj.ScoredPair {
-	opt := ssj.Options{Workers: e.cfg.Workers, Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
-	return ssj.MMJoinOrdered(r, c, opt)
+	return ssj.MMJoinOrdered(r, c, ssj.Options{Workers: e.cfg.Workers})
 }
 
 // ContainedSets returns every containment pair (sub ⊆ sup).
 func (e *Engine) ContainedSets(r *relation.Relation) []scj.Pair {
-	opt := scj.Options{Workers: e.cfg.Workers, Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
+	opt := scj.Options{Workers: e.cfg.Workers}
 	if e.cfg.Strategy == ForceWCOJ || e.cfg.Strategy == ForceNonMM {
 		return scj.PRETTI(r, opt)
 	}
@@ -302,37 +255,6 @@ func (e *Engine) IntersectBatch(r, s *relation.Relation, queries []bsi.Query) []
 	return bsi.AnswerBatch(r, s, queries, bsi.Options{
 		UseMM:   e.cfg.Strategy != ForceWCOJ && e.cfg.Strategy != ForceNonMM,
 		Workers: e.cfg.Workers,
-	})
-}
-
-// GroupByCount evaluates γ_{x; COUNT(DISTINCT z), COUNT(*)}(R ⋈ S)
-// output-sensitively, never materializing the join.
-func (e *Engine) GroupByCount(r, s *relation.Relation) []joinproject.GroupCount {
-	return joinproject.TwoPathGroupBy(r, s, e.joinOptions())
-}
-
-// TopSimilarSets returns the k most similar set pairs with overlap ≥ c,
-// keeping only a bounded heap while streaming the counting join.
-func (e *Engine) TopSimilarSets(r *relation.Relation, c, k int) []ssj.ScoredPair {
-	return ssj.TopK(r, c, k, ssj.Options{
-		Workers: e.cfg.Workers, Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2,
-	})
-}
-
-// KWaySimilarSets returns all k-tuples of distinct sets whose common
-// intersection has size at least c, via the counting star join.
-func (e *Engine) KWaySimilarSets(r *relation.Relation, k, c int) []ssj.Tuple {
-	return ssj.KWaySimilar(r, k, c, ssj.Options{
-		Workers: e.cfg.Workers, Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2,
-	})
-}
-
-// CompressView builds the compressed (factorized) representation of
-// π_{x,z}(R ⋈ S): light pairs stored explicitly, heavy pairs kept as the
-// two bit-matrix factors. See internal/compress.
-func (e *Engine) CompressView(r, s *relation.Relation) *compress.View {
-	return compress.Build(r, s, compress.Options{
-		Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers,
 	})
 }
 
@@ -428,9 +350,7 @@ func (e *Engine) execOptions() query.ExecOptions {
 // cached per (query, catalog epoch). Chains, snowflakes and reachability are
 // plain texts: "Q(a, d) :- R(a, b), S(b, c), T(c, d)",
 // "Q(l1, l2) :- R(c, l1), S(c, u), T(u, l2)" and
-// "Q() :- R(1, b), S(b, c), T(c, 4)". WithThresholds pins apply only to the
-// single-kernel entry points (JoinProject*, StarJoin, the set joins), not
-// to the folds of a text query.
+// "Q() :- R(1, b), S(b, c), T(c, 4)".
 func (e *Engine) Query(src string) (*query.Result, error) {
 	return e.QueryContext(context.Background(), src)
 }
@@ -564,10 +484,3 @@ func (e *Engine) ExplainQueryContext(ctx context.Context, src string) (*query.Pl
 // Optimizer exposes the engine's calibrated optimizer (for inspection and
 // the benchmark harness).
 func (e *Engine) Optimizer() *optimizer.Optimizer { return e.opt }
-
-// Explain returns the plan the engine would choose without running the
-// query.
-func (e *Engine) Explain(r, s *relation.Relation) Plan {
-	dec, _ := e.decide(r, s)
-	return planOf(dec)
-}

@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/acyclic"
@@ -64,56 +65,89 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 }
 
+// TestAutoPlanChoices: the planner falls back to WCOJ on a sparse road
+// network and picks MM on a dense image relation, as the fold node of the
+// predicted plan reports. The constants are pinned: on Image the two plans
+// price within the near-margin band, so probed constants could flip it.
 func TestAutoPlanChoices(t *testing.T) {
-	sparse, _ := dataset.ByName("RoadNet", 0.3)
-	eng := NewEngine()
-	if plan := eng.Explain(sparse, sparse); plan.Strategy != "wcoj" {
-		t.Fatalf("sparse plan = %s, want wcoj", plan.Strategy)
-	}
-	dense, _ := dataset.ByName("Image", 0.4)
-	if plan := eng.Explain(dense, dense); plan.Strategy != "mm" {
-		t.Fatalf("dense plan = %s, want mm", plan.Strategy)
+	eng := NewEngine(WithOptimizerConstants(optimizer.Constants{Ts: 0.5, Tm: 6, TI: 4}))
+	for _, tc := range []struct {
+		name  string
+		scale float64
+		want  string
+	}{{"RoadNet", 0.3, "wcoj"}, {"Image", 0.4, "mm"}} {
+		r, _ := dataset.ByName(tc.name, tc.scale)
+		if _, err := eng.Register(tc.name, r.Pairs()); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := eng.ExplainQuery(fmt.Sprintf("Q(x, z) :- %[1]s(x, y), %[1]s(z, y)", tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		folds := 0
+		plan.Walk(func(n *query.Node) {
+			if n.Op == "fold" {
+				folds++
+				if n.Strategy != tc.want {
+					t.Errorf("%s: fold strategy %q, want %q", tc.name, n.Strategy, tc.want)
+				}
+			}
+		})
+		if folds != 1 {
+			t.Fatalf("%s: %d fold nodes, want 1:\n%s", tc.name, folds, plan)
+		}
 	}
 }
 
-func TestThresholdOverride(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	r := randomRel(rng, "R", 400, 40, 20)
-	eng := NewEngine(WithStrategy(ForceMM), WithThresholds(3, 5))
-	got, plan := eng.JoinProject(r, r)
-	if plan.Delta1 != 3 || plan.Delta2 != 5 {
-		t.Fatalf("plan thresholds (%d,%d), want (3,5)", plan.Delta1, plan.Delta2)
-	}
-	if len(got) != len(brute(r, r)) {
-		t.Fatal("override changed the result")
-	}
-}
-
+// TestStarJoinStrategies evaluates the 3-star text under every strategy pin
+// and worker count and compares its rows with a nested-loop oracle, over
+// three random relations and over one relation joined with itself.
 func TestStarJoinStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
-	rels := []*relation.Relation{
-		randomRel(rng, "R1", 300, 20, 12),
-		randomRel(rng, "R2", 300, 20, 12),
-		randomRel(rng, "R3", 300, 20, 12),
+	eng := NewEngine()
+	for _, name := range []string{"R1", "R2", "R3"} {
+		if err := eng.RegisterRelation(randomRel(rng, name, 300, 20, 12)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var base map[string]bool
-	for _, strat := range []Strategy{Auto, ForceMM, ForceNonMM} {
-		eng := NewEngine(WithStrategy(strat), WithWorkers(2))
-		got, _ := eng.StarJoin(rels)
-		set := map[string]bool{}
-		for _, xs := range got {
-			key := ""
-			for _, v := range xs {
-				key += string(rune(v)) + ","
+	if _, err := eng.Register("T", []relation.Pair{{X: 1, Y: 7}, {X: 2, Y: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][3]string{{"R1", "R2", "R3"}, {"T", "T", "T"}} {
+		var want [][]int64
+		seen := map[[3]int32]bool{}
+		rels := make([][]relation.Pair, 3)
+		for i, name := range body {
+			r, _ := eng.Catalog().Get(name)
+			rels[i] = r.Pairs()
+		}
+		for _, a := range rels[0] {
+			for _, b := range rels[1] {
+				for _, c := range rels[2] {
+					if k := [3]int32{a.X, b.X, c.X}; a.Y == b.Y && b.Y == c.Y && !seen[k] {
+						seen[k] = true
+						want = append(want, []int64{int64(a.X), int64(b.X), int64(c.X)})
+					}
+				}
 			}
-			set[key] = true
 		}
-		if base == nil {
-			base = set
-			continue
-		}
-		if len(set) != len(base) {
-			t.Fatalf("%v star: %d tuples, want %d", strat, len(set), len(base))
+		query.SortTuples(want)
+		for _, strat := range []string{"auto", "mm", "nonmm"} {
+			for _, workers := range []int{1, 2} {
+				src := fmt.Sprintf("Q(a, b, c) :- %s(a, y), %s(b, y), %s(c, y) WITH strategy=%s, workers=%d",
+					body[0], body[1], body[2], strat, workers)
+				res, err := eng.Query(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strat != "auto" && !strings.Contains(res.Plan.String(), "star strategy="+strat) {
+					t.Fatalf("%s: no %s star node:\n%s", src, strat, res.Plan)
+				}
+				query.SortTuples(res.Tuples)
+				if !reflect.DeepEqual(res.Tuples, want) {
+					t.Fatalf("%s: %d rows, want the oracle's %d\n%s", src, len(res.Tuples), len(want), res.Plan)
+				}
+			}
 		}
 	}
 }
@@ -183,102 +217,6 @@ func TestStrategyString(t *testing.T) {
 func TestOptimizerAccessor(t *testing.T) {
 	if NewEngine().Optimizer() == nil {
 		t.Fatal("engine should expose its optimizer")
-	}
-}
-
-func TestEngineCompressView(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	r := randomRel(rng, "R", 400, 40, 20)
-	eng := NewEngine()
-	v := eng.CompressView(r, r)
-	want := brute(r, r)
-	if v.Count() != int64(len(want)) {
-		t.Fatalf("view count %d, want %d", v.Count(), len(want))
-	}
-	for p := range want {
-		if !v.Contains(p[0], p[1]) {
-			t.Fatalf("view missing %v", p)
-		}
-	}
-}
-
-func TestSketchRefinedPlanning(t *testing.T) {
-	dense, _ := dataset.ByName("Image", 0.4)
-	eng := NewEngine(WithSketchRefinement(1 << 30))
-	plan := eng.Explain(dense, dense)
-	if plan.Strategy != "mm" {
-		t.Fatalf("sketch-refined plan = %s, want mm", plan.Strategy)
-	}
-	out, _ := eng.JoinProject(dense, dense)
-	base, _ := NewEngine().JoinProject(dense, dense)
-	if len(out) != len(base) {
-		t.Fatalf("sketch refinement changed the result: %d vs %d", len(out), len(base))
-	}
-}
-
-func TestEngineGroupByAndTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(100))
-	r := randomRel(rng, "R", 400, 40, 20)
-	eng := NewEngine(WithWorkers(2))
-	groups := eng.GroupByCount(r, r)
-	want := brute(r, r)
-	wantDistinct := map[int32]int64{}
-	for p := range want {
-		wantDistinct[p[0]]++
-	}
-	if len(groups) != len(wantDistinct) {
-		t.Fatalf("%d groups, want %d", len(groups), len(wantDistinct))
-	}
-	for _, g := range groups {
-		if g.Distinct != wantDistinct[g.X] {
-			t.Fatalf("group %d: distinct %d, want %d", g.X, g.Distinct, wantDistinct[g.X])
-		}
-	}
-	top := eng.TopSimilarSets(r, 1, 5)
-	if len(top) == 0 || len(top) > 5 {
-		t.Fatalf("TopSimilarSets returned %d pairs", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i-1].Overlap < top[i].Overlap {
-			t.Fatal("top pairs not descending")
-		}
-	}
-}
-
-func TestJoinProjectVisit(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	r := randomRel(rng, "R", 500, 50, 25)
-	want := brute(r, r)
-	var mu sync.Mutex
-	got := map[[2]int32]int32{}
-	eng := NewEngine(WithWorkers(4))
-	plan := eng.JoinProjectVisit(r, r, func(x, z, n int32) {
-		mu.Lock()
-		got[[2]int32{x, z}] += n
-		mu.Unlock()
-	})
-	if plan.Strategy == "" {
-		t.Fatal("missing plan")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("visit saw %d pairs, want %d", len(got), len(want))
-	}
-	for p, c := range want {
-		if got[p] != c {
-			t.Fatalf("pair %v count %d, want %d", p, got[p], c)
-		}
-	}
-}
-
-func TestEngineKWaySimilar(t *testing.T) {
-	rng := rand.New(rand.NewSource(98))
-	r := randomRel(rng, "R", 250, 25, 15)
-	eng := NewEngine()
-	tuples := eng.KWaySimilarSets(r, 3, 2)
-	for _, tp := range tuples {
-		if len(tp.Sets) != 3 || tp.Overlap < 2 {
-			t.Fatalf("bad k-way tuple %+v", tp)
-		}
 	}
 }
 
@@ -402,16 +340,9 @@ func TestPlanningEntryPointsAgree(t *testing.T) {
 		t.Fatalf("query plan has %d fold nodes, want 1:\n%s", folds, res.Plan)
 	}
 
-	// A nonmm pin: the materializing entry points run the Lemma-2 kernel and
-	// say so; the visit entry point has only the MM kernel and must report
-	// that, at the thresholds the pin resolved.
+	// A nonmm pin runs the Lemma-2 kernel and says so.
 	pinned := NewEngine(WithWorkers(1), WithStrategy(ForceNonMM))
-	_, pinnedPlan := pinned.JoinProject(r, s)
-	if pinnedPlan.Strategy != "nonmm" {
-		t.Fatalf("JoinProject under ForceNonMM = %+v", pinnedPlan)
-	}
-	pinnedPlan.Strategy = "mm"
-	if got := pinned.JoinProjectVisit(r, s, func(x, z, count int32) {}); got != pinnedPlan {
-		t.Errorf("JoinProjectVisit under ForceNonMM = %+v, want %+v", got, pinnedPlan)
+	if _, got := pinned.JoinProject(r, s); got.Strategy != "nonmm" {
+		t.Fatalf("JoinProject under ForceNonMM = %+v", got)
 	}
 }

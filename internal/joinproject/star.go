@@ -339,8 +339,8 @@ func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCol []int32, ncols int) (rows 
 
 // heavyProduct runs step 3 of the Section-3.2 algorithm: the all-heavy
 // tuples as the grouped matrix product V × Wᵀ. visit receives a scratch
-// whose ps holds the tuple's positions, and the witness count.
-func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch, n int32)) {
+// whose ps holds the tuple's positions.
+func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch)) {
 	yCol, ncols := c.heavyColumns()
 	if ncols == 0 {
 		return
@@ -360,7 +360,7 @@ func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch, n int32)
 		for j, n := range counts {
 			if n != 0 {
 				copy(sc.ps[g:], rowsB[j])
-				visit(sc, n)
+				visit(sc)
 			}
 		}
 		putStarScratch(sc)
@@ -409,7 +409,7 @@ func (c *starCtx) runStar(workers int, useMM bool, emit func(ps []int32)) {
 	// Step 1+2: everything with a light component.
 	c.enumerateLight(workers, keyed)
 	// Step 3: all-heavy tuples via the grouped matrix product V × Wᵀ.
-	c.heavyProduct(workers, func(sc *starScratch, _ int32) { keyed(sc) })
+	c.heavyProduct(workers, keyed)
 }
 
 // starThresholds fills unset thresholds with the closed forms.
@@ -465,51 +465,6 @@ func StarNonMM(rels []*relation.Relation, opt Options) [][]int32 {
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
 	return c.collect(opt.Workers, false)
-}
-
-// TupleCount is one projected star tuple with its witness count
-// |{y : (xs[i], y) ∈ Ri ∀i}|.
-type TupleCount struct {
-	Xs    []int32
-	Count int32
-}
-
-// StarMMCounts evaluates the star query with exact witness counts: the
-// light categories contribute one witness per enumerated (y, tuple)
-// combination, and the grouped matrix product contributes the count of
-// shared heavy-eligible y values — the same witness-space partition
-// argument as the 2-path counting variant.
-func StarMMCounts(rels []*relation.Relation, opt Options) []TupleCount {
-	if len(rels) == 0 {
-		return nil
-	}
-	opt = starThresholds(rels, opt)
-	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
-	c.stop = opt.Stop
-	tally := tuples.NewTable(c.k) // position tuple → its ordinal in witnesses
-	var witnesses []int32
-	var mu sync.Mutex
-	add := func(sc *starScratch, n int32) {
-		h := tuples.Hash(sc.ps)
-		mu.Lock()
-		m, fresh := tally.InsertHashed(h, sc.ps)
-		if fresh {
-			witnesses = append(witnesses, 0)
-		}
-		witnesses[m] += n
-		mu.Unlock()
-	}
-	// Light categories: every enumerated combination is one witness.
-	c.enumerateLight(opt.Workers, func(sc *starScratch) { add(sc, 1) })
-	// All-heavy witnesses via the grouped matrix product.
-	c.heavyProduct(opt.Workers, add)
-	out := make([]TupleCount, len(witnesses))
-	xs := tuples.NewArena[int32](c.k)
-	for m, n := range witnesses {
-		out[m] = TupleCount{Xs: xs.Alloc(), Count: n}
-		c.values(out[m].Xs, tally.At(m))
-	}
-	return out
 }
 
 // StarMMSize returns the number of distinct projected star tuples without

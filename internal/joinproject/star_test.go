@@ -164,72 +164,6 @@ func TestQuickStarMatchesOracle(t *testing.T) {
 	}
 }
 
-// bruteStarCounts enumerates witness counts for projected star tuples.
-func bruteStarCounts(rels []*relation.Relation) map[string]int32 {
-	out := map[string]int32{}
-	k := len(rels)
-	var rec func(depth int, y int32, xs []int32)
-	rec = func(depth int, y int32, xs []int32) {
-		if depth == k {
-			out[fmt.Sprint(xs)]++
-			return
-		}
-		for _, x := range rels[depth].ByY().Lookup(y) {
-			xs[depth] = x
-			rec(depth+1, y, xs)
-		}
-	}
-	xs := make([]int32, k)
-	for _, y := range relation.CommonYs(rels...) {
-		rec(0, y, xs)
-	}
-	return out
-}
-
-func TestStarMMCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	for trial := 0; trial < 5; trial++ {
-		rels := []*relation.Relation{
-			skewedRel(rng, "R1", 120, 10, 8),
-			skewedRel(rng, "R2", 120, 10, 8),
-			skewedRel(rng, "R3", 120, 10, 8),
-		}
-		want := bruteStarCounts(rels)
-		for _, d := range []int{1, 3, 100} {
-			got := StarMMCounts(rels, Options{Delta1: d, Delta2: d, Workers: 2})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d d=%d: %d tuples, want %d", trial, d, len(got), len(want))
-			}
-			for _, tc := range got {
-				key := fmt.Sprint(tc.Xs)
-				if want[key] != tc.Count {
-					t.Fatalf("trial %d d=%d: tuple %v count %d, want %d", trial, d, tc.Xs, tc.Count, want[key])
-				}
-			}
-		}
-	}
-}
-
-func TestStarMMCountsFourWay(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	rels := []*relation.Relation{
-		skewedRel(rng, "R1", 80, 7, 6),
-		skewedRel(rng, "R2", 80, 7, 6),
-		skewedRel(rng, "R3", 80, 7, 6),
-		skewedRel(rng, "R4", 80, 7, 6),
-	}
-	want := bruteStarCounts(rels)
-	got := StarMMCounts(rels, Options{Delta1: 2, Delta2: 2})
-	if len(got) != len(want) {
-		t.Fatalf("%d tuples, want %d", len(got), len(want))
-	}
-	for _, tc := range got {
-		if want[fmt.Sprint(tc.Xs)] != tc.Count {
-			t.Fatalf("tuple %v count %d wrong", tc.Xs, tc.Count)
-		}
-	}
-}
-
 // TestStarBothDedupRepresentations runs StarMM and StarNonMM against brute
 // force on inputs that land on either side of the bitmap/set switch — few
 // head values under many join tuples (bitmap), many head values under few

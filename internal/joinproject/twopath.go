@@ -39,8 +39,8 @@
 // size the set is a bitmap addressed by the tuple's mixed-radix position
 // index; otherwise it is a hash set of position tuples (starDedup), 64
 // mutex-striped tuples.Table shards. internal/tuples is the one tuple store
-// here: the matrix step's row numbering (buildGroupMatrix), StarMMCounts'
-// witness tally and the collected output rows use the same Table and Arena.
+// here: the matrix step's row numbering (buildGroupMatrix) and the collected
+// output rows use the same Table and Arena.
 // The two-path light part makes the same kind of choice per x through
 // DedupMode.
 package joinproject

@@ -133,12 +133,13 @@ func TestChoosePartitionsOnDense(t *testing.T) {
 
 func TestChosenThresholdsNearGridOptimum(t *testing.T) {
 	// The Algorithm-3 descent should land within a modest factor of the best
-	// cost over an exhaustive power-of-two grid.
+	// cost over an exhaustive power-of-two grid. The constants are pinned, so
+	// the instance plans MM on every runner.
 	r, _ := dataset.ByName("Jokes", 0.2)
-	o := New()
+	o := NewWithConstants(Constants{Ts: 0.5, Tm: 6, TI: 4})
 	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
 	if dec.UseWCOJ() {
-		t.Skip("optimizer chose WCOJ for this scale")
+		t.Fatalf("Jokes planned %s, want mm (|OUT⋈|=%d)", dec.Strategy, dec.OutJoin)
 	}
 	ix := BuildIndexes(r, r)
 	best := dec.PredictedCost

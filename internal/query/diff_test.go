@@ -294,7 +294,8 @@ var acyclicShapes = []string{
 	"Q(b) :- R(a, b)",                  // one-armed snowflake: distinct leaves
 	"Q() :- R(1, b), S(b, c), T(c, 4)", // boolean reachability 1 → 4
 	"Q() :- R(1, b), S(b, c), T(c, 4) WITH strategy=mm",
-	"Q() :- R(2, 5)", // ground atom
+	"Q() :- R(2, 5)",                     // ground atom
+	"Q(x, COUNT(z)) :- R(x, y), R(z, y)", // distinct partners per x (counting self 2-path)
 }
 
 // smallRelations builds a catalog small enough for the nested-loop oracle to

@@ -25,23 +25,3 @@ func ExampleMMJoin() {
 	// Output:
 	// docs 1 and 2 are similar
 }
-
-// The most similar pairs first, without sorting the whole result.
-func ExampleTopK() {
-	top := ssj.TopK(family(), 1, 2, ssj.Options{Workers: 1})
-	for _, sp := range top {
-		fmt.Printf("docs %d,%d share %d keywords\n", sp.A, sp.B, sp.Overlap)
-	}
-	// Output:
-	// docs 1,2 share 3 keywords
-	// docs 1,3 share 1 keywords
-}
-
-// Triples of documents with a common keyword.
-func ExampleKWaySimilar() {
-	for _, tp := range ssj.KWaySimilar(family(), 3, 1, ssj.Options{Workers: 1}) {
-		fmt.Printf("docs %v share %d keywords\n", tp.Sets, tp.Overlap)
-	}
-	// Output:
-	// docs [1 2 3] share 1 keywords
-}

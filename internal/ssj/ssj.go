@@ -22,9 +22,7 @@ package ssj
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
-	"sync"
 
 	"repro/internal/joinproject"
 	"repro/internal/relation"
@@ -140,121 +138,6 @@ func (f *family) normalize(i, j int32) Pair {
 		a, b = b, a
 	}
 	return Pair{A: a, B: b}
-}
-
-// TopK returns the k most similar set pairs with overlap ≥ c, in decreasing
-// overlap order. Because the matrix-based join produces exact counts while
-// streaming, only a bounded min-heap of k candidates is kept — "users see
-// the most similar pairs first" without sorting (or even materializing) the
-// full result.
-func TopK(r *relation.Relation, c, k int, opt Options) []ScoredPair {
-	if c < 1 {
-		c = 1
-	}
-	if k <= 0 {
-		return nil
-	}
-	var mu sync.Mutex
-	h := make(scoredHeap, 0, k+1)
-	joinproject.TwoPathMMVisit(r, r, joinproject.Options{
-		Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers,
-	}, func(x, z, n int32) {
-		if x >= z || n < int32(c) {
-			return
-		}
-		mu.Lock()
-		if len(h) < k {
-			heap.Push(&h, ScoredPair{A: x, B: z, Overlap: n})
-		} else if scoredLess(h[0], ScoredPair{A: x, B: z, Overlap: n}) {
-			h[0] = ScoredPair{A: x, B: z, Overlap: n}
-			heap.Fix(&h, 0)
-		}
-		mu.Unlock()
-	})
-	out := make([]ScoredPair, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ScoredPair)
-	}
-	return out
-}
-
-// scoredLess orders pairs by (overlap, then id) ascending — the heap keeps
-// the weakest retained pair at the root.
-func scoredLess(a, b ScoredPair) bool {
-	if a.Overlap != b.Overlap {
-		return a.Overlap < b.Overlap
-	}
-	if a.A != b.A {
-		return a.A > b.A // larger ids are "weaker" so ties break like sortScored
-	}
-	return a.B > b.B
-}
-
-type scoredHeap []ScoredPair
-
-func (h scoredHeap) Len() int            { return len(h) }
-func (h scoredHeap) Less(i, j int) bool  { return scoredLess(h[i], h[j]) }
-func (h scoredHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scoredHeap) Push(x interface{}) { *h = append(*h, x.(ScoredPair)) }
-func (h *scoredHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Tuple is a k-way similar tuple: k distinct sets whose common intersection
-// has size at least c.
-type Tuple struct {
-	Sets    []int32 // ascending set ids
-	Overlap int32   // |∩ of all k sets|
-}
-
-// KWaySimilar generalizes the similarity join to k ≥ 2 sets (the Section
-// 2.1 generalization "to more than two relations"): it returns all k-tuples
-// of distinct sets whose k-way intersection has at least c elements,
-// evaluated as a counting star self-join Q★k. Tuples are normalized to
-// ascending set ids.
-func KWaySimilar(r *relation.Relation, k, c int, opt Options) []Tuple {
-	if k < 2 {
-		k = 2
-	}
-	if c < 1 {
-		c = 1
-	}
-	rels := make([]*relation.Relation, k)
-	for i := range rels {
-		rels[i] = r
-	}
-	counts := joinproject.StarMMCounts(rels, joinproject.Options{
-		Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers,
-	})
-	var out []Tuple
-	for _, tc := range counts {
-		if tc.Count < int32(c) {
-			continue
-		}
-		// Keep only strictly ascending tuples: one canonical orientation,
-		// all sets distinct.
-		ascending := true
-		for i := 1; i < len(tc.Xs); i++ {
-			if tc.Xs[i-1] >= tc.Xs[i] {
-				ascending = false
-				break
-			}
-		}
-		if ascending {
-			out = append(out, Tuple{Sets: tc.Xs, Overlap: tc.Count})
-		}
-	}
-	slices.SortFunc(out, func(a, b Tuple) int {
-		if a.Overlap != b.Overlap {
-			return cmp.Compare(b.Overlap, a.Overlap)
-		}
-		return slices.Compare(a.Sets, b.Sets)
-	})
-	return out
 }
 
 // OrderPairs scores and sorts an unordered result — what SizeAware must do

@@ -270,113 +270,6 @@ func TestCBelowOne(t *testing.T) {
 	checkPairs(t, MMJoin(r, 0, Options{}), want, "c=0 clamps to 1")
 }
 
-// bruteKWay enumerates k-way similar tuples by explicit intersection.
-func bruteKWay(r *relation.Relation, k, c int) map[string]int32 {
-	ix := r.ByX()
-	out := map[string]int32{}
-	n := ix.NumKeys()
-	idx := make([]int, k)
-	var rec func(depth, start int, inter []int32)
-	rec = func(depth, start int, inter []int32) {
-		if depth == k {
-			if len(inter) >= c {
-				key := ""
-				for _, i := range idx {
-					key += string(rune(ix.Key(i))) + "|"
-				}
-				out[key] = int32(len(inter))
-			}
-			return
-		}
-		for i := start; i < n; i++ {
-			var next []int32
-			if depth == 0 {
-				next = ix.List(i)
-			} else {
-				next = relation.IntersectSorted(nil, inter, ix.List(i))
-			}
-			if len(next) < c {
-				continue
-			}
-			idx[depth] = i
-			rec(depth+1, i+1, next)
-		}
-	}
-	rec(0, 0, nil)
-	return out
-}
-
-func TestKWaySimilar(t *testing.T) {
-	rng := rand.New(rand.NewSource(69))
-	r := randomSets(rng, 30, 15, 10)
-	for _, k := range []int{2, 3} {
-		for _, c := range []int{1, 2, 3} {
-			want := bruteKWay(r, k, c)
-			got := KWaySimilar(r, k, c, Options{Workers: 2})
-			if len(got) != len(want) {
-				t.Fatalf("k=%d c=%d: %d tuples, want %d", k, c, len(got), len(want))
-			}
-			for i, tp := range got {
-				if len(tp.Sets) != k {
-					t.Fatalf("tuple arity %d, want %d", len(tp.Sets), k)
-				}
-				for j := 1; j < k; j++ {
-					if tp.Sets[j-1] >= tp.Sets[j] {
-						t.Fatalf("tuple %v not strictly ascending", tp.Sets)
-					}
-				}
-				key := ""
-				for _, s := range tp.Sets {
-					key += string(rune(s)) + "|"
-				}
-				if want[key] != tp.Overlap {
-					t.Fatalf("tuple %v overlap %d, want %d", tp.Sets, tp.Overlap, want[key])
-				}
-				if i > 0 && got[i-1].Overlap < tp.Overlap {
-					t.Fatal("k-way output not sorted by overlap desc")
-				}
-			}
-		}
-	}
-}
-
-func TestTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	r := randomSets(rng, 60, 25, 12)
-	c := 2
-	full := MMJoinOrdered(r, c, Options{})
-	for _, k := range []int{1, 3, 10, len(full), len(full) + 50} {
-		got := TopK(r, c, k, Options{Workers: 3})
-		wantLen := k
-		if wantLen > len(full) {
-			wantLen = len(full)
-		}
-		if len(got) != wantLen {
-			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), wantLen)
-		}
-		for i, sp := range got {
-			// The i-th top pair must have the i-th largest overlap.
-			if sp.Overlap != full[i].Overlap {
-				t.Fatalf("k=%d: rank %d overlap %d, want %d", k, i, sp.Overlap, full[i].Overlap)
-			}
-		}
-	}
-	if got := TopK(r, c, 0, Options{}); got != nil {
-		t.Fatal("k=0 should be nil")
-	}
-}
-
-func TestKWaySimilarTwoMatchesPairwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	r := randomSets(rng, 50, 20, 12)
-	c := 2
-	pairs := MMJoin(r, c, Options{})
-	kway := KWaySimilar(r, 2, c, Options{})
-	if len(pairs) != len(kway) {
-		t.Fatalf("k=2 KWaySimilar %d tuples, pairwise MMJoin %d", len(kway), len(pairs))
-	}
-}
-
 // Property: all four algorithms agree on random instances for random c.
 func TestQuickAllAlgorithmsAgree(t *testing.T) {
 	f := func(seed int64, craw uint8) bool {

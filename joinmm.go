@@ -60,9 +60,7 @@ package joinmm
 import (
 	"repro/internal/bsi"
 	"repro/internal/catalog"
-	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/joinproject"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/scj"
@@ -97,10 +95,8 @@ const (
 
 // Engine options.
 var (
-	WithWorkers          = core.WithWorkers
-	WithStrategy         = core.WithStrategy
-	WithThresholds       = core.WithThresholds
-	WithSketchRefinement = core.WithSketchRefinement
+	WithWorkers  = core.WithWorkers
+	WithStrategy = core.WithStrategy
 )
 
 // SimilarPair is an unordered set pair with overlap ≥ c (set similarity).
@@ -114,17 +110,6 @@ type ContainmentPair = scj.Pair
 
 // IntersectionQuery asks whether sets A (in R) and B (in S) intersect.
 type IntersectionQuery = bsi.Query
-
-// SimilarTuple is a k-way similar tuple of distinct sets.
-type SimilarTuple = ssj.Tuple
-
-// GroupCount is a per-group aggregate over the projected join: distinct
-// partner count and total witness count for one x value.
-type GroupCount = joinproject.GroupCount
-
-// CompressedView is the factorized representation of a join-project result:
-// light pairs explicit, heavy pairs kept as bit-matrix factors.
-type CompressedView = compress.View
 
 // ParsedQuery is the AST of one text query (see ParseQuery).
 type ParsedQuery = query.Query

@@ -58,12 +58,3 @@ func TestPublicReduceAndJoinSize(t *testing.T) {
 		t.Fatalf("FullJoinSize = %d, want 1", joinmm.FullJoinSize(r, s))
 	}
 }
-
-func TestStarJoinPublic(t *testing.T) {
-	r := joinmm.NewRelation("R", []joinmm.Pair{{X: 1, Y: 7}, {X: 2, Y: 7}})
-	eng := joinmm.New(joinmm.WithStrategy(joinmm.ForceMM))
-	tuples, _ := eng.StarJoin([]*joinmm.Relation{r, r, r})
-	if len(tuples) != 8 {
-		t.Fatalf("3-star over 2 values = %d tuples, want 8", len(tuples))
-	}
-}
