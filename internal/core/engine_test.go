@@ -220,6 +220,51 @@ func TestOptimizerAccessor(t *testing.T) {
 	}
 }
 
+// TestEngineGroupByAndTopK: the group-by count of the self 2-path, asked as
+// query text, matches the nested-loop distinct partners per x; the first k
+// pairs of the ordered similar-sets join are in decreasing overlap and carry
+// the oracle's overlaps.
+func TestEngineGroupByAndTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(100))
+	r := randomRel(rng, "R", 400, 40, 20)
+	eng := NewEngine(WithWorkers(2))
+	if err := eng.RegisterRelation(r); err != nil {
+		t.Fatal(err)
+	}
+	want := brute(r, r)
+	wantDistinct := map[int64]int64{}
+	for p := range want {
+		wantDistinct[int64(p[0])]++
+	}
+	res, err := eng.Query("Q(x, COUNT(z)) :- R(x, y), R(z, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != len(wantDistinct) {
+		t.Fatalf("%d groups, want %d", len(res.Tuples), len(wantDistinct))
+	}
+	for _, g := range res.Tuples {
+		if g[1] != wantDistinct[g[0]] {
+			t.Fatalf("group %d: distinct %d, want %d", g[0], g[1], wantDistinct[g[0]])
+		}
+	}
+	top := eng.SimilarSetsOrdered(r, 1)
+	if len(top) > 5 {
+		top = top[:5]
+	}
+	if len(top) == 0 {
+		t.Fatal("ordered similar sets returned no pairs")
+	}
+	for i, p := range top {
+		if i > 0 && top[i-1].Overlap < p.Overlap {
+			t.Fatal("top pairs not descending")
+		}
+		if got := want[[2]int32{p.A, p.B}]; p.Overlap != got {
+			t.Fatalf("pair (%d, %d): overlap %d, want %d", p.A, p.B, p.Overlap, got)
+		}
+	}
+}
+
 // TestEngineViewsAndMutations covers the engine façade of the view
 // subsystem: register, serve, maintain under Mutate, explain, list, drop —
 // and that mutations keep plan caching per-relation.

@@ -58,3 +58,19 @@ func TestPublicReduceAndJoinSize(t *testing.T) {
 		t.Fatalf("FullJoinSize = %d, want 1", joinmm.FullJoinSize(r, s))
 	}
 }
+
+// TestStarJoinPublic: the 3-star over one relation whose two x values share
+// a y, asked as query text under the MM pin, is every one of the 2³ tuples.
+func TestStarJoinPublic(t *testing.T) {
+	eng := joinmm.New(joinmm.WithStrategy(joinmm.ForceMM))
+	if _, err := eng.Register("R", []joinmm.Pair{{X: 1, Y: 7}, {X: 2, Y: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query("Q(a, b, c) :- R(a, y), R(b, y), R(c, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != 8 {
+		t.Fatalf("3-star over 2 values = %d tuples, want 8", len(res.Tuples))
+	}
+}
