@@ -82,7 +82,8 @@ func main() {
 }
 
 // runViewBench measures the canned view-maintenance suite (register views,
-// stream update batches, time maintenance vs full recompute; min-of-reps),
+// stream update batches, time each beside a full recompute; the median of
+// several runs per view),
 // writes BENCH_views.json, and — when a baseline snapshot is given — gates
 // each view's speedup over recompute (a ratio the machine's speed cancels out
 // of) against it.

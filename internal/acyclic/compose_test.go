@@ -63,9 +63,9 @@ func stretch(r *relation.Relation) *relation.Relation {
 
 // TestComposeMatchesNestedLoop checks the composed relation — both indexes,
 // not just the pair set — against FromPairs of the nested-loop answer, for
-// every strategy pin, worker count and threshold pin, over compact and
-// sparse key ranges, with and without a planner; a non-WCOJ step must
-// report the threshold pins it ran with.
+// every strategy pin, worker count, threshold pin and light-part dedup
+// mode, over compact and sparse key ranges, with and without a planner; a
+// non-WCOJ step must report the threshold pins it ran with.
 func TestComposeMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	type input struct {
@@ -88,17 +88,19 @@ func TestComposeMatchesNestedLoop(t *testing.T) {
 			for _, force := range []string{"", StrategyMM, StrategyWCOJ, StrategyNonMM} {
 				for _, workers := range []int{1, 2, 8} {
 					for _, d := range deltas {
-						label := fmt.Sprintf("%s planner=%v force=%q workers=%d Δ=%v", in.name, opt != nil, force, workers, d)
-						got, step := Compose(in.l, in.r, Options{
-							Join:      joinproject.Options{Workers: workers, Delta1: d[0], Delta2: d[1]},
-							Optimizer: opt, Force: force,
-						})
-						sameRelation(t, label, got, want)
-						if step.Rows != want.Size() {
-							t.Fatalf("%s: step reports %d rows, want %d", label, step.Rows, want.Size())
-						}
-						if step.Strategy != StrategyWCOJ && d != [2]int{} && (step.Delta1 != d[0] || step.Delta2 != d[1]) {
-							t.Fatalf("%s: step reports Δ=(%d,%d), want the pins", label, step.Delta1, step.Delta2)
+						for _, dedup := range []joinproject.DedupMode{joinproject.DedupAuto, joinproject.DedupStamp, joinproject.DedupSort, joinproject.DedupBitmap} {
+							label := fmt.Sprintf("%s planner=%v force=%q workers=%d Δ=%v dedup=%d", in.name, opt != nil, force, workers, d, dedup)
+							got, step := Compose(in.l, in.r, Options{
+								Join:      joinproject.Options{Workers: workers, Delta1: d[0], Delta2: d[1], Dedup: dedup},
+								Optimizer: opt, Force: force,
+							})
+							sameRelation(t, label, got, want)
+							if step.Rows != want.Size() {
+								t.Fatalf("%s: step reports %d rows, want %d", label, step.Rows, want.Size())
+							}
+							if step.Strategy != StrategyWCOJ && d != [2]int{} && (step.Delta1 != d[0] || step.Delta2 != d[1]) {
+								t.Fatalf("%s: step reports Δ=(%d,%d), want the pins", label, step.Delta1, step.Delta2)
+							}
 						}
 					}
 				}

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,8 +32,8 @@ type ViewBench struct {
 	Batches   int     `json:"batches"`
 	BatchSize int     `json:"batch_size"`
 	Rows      int     `json:"rows"`
-	// Reps is how many full update-stream runs the min-of-reps estimator
-	// took MaintainNs/RecomputeNs over.
+	// Reps is how many full update-stream runs the median was taken over;
+	// MaintainNs and RecomputeNs are the median run's.
 	Reps int `json:"reps,omitempty"`
 }
 
@@ -95,28 +98,23 @@ func MeasureView(name, src string, scale float64) (ViewBench, error) {
 		Batches: viewBenchBatches, BatchSize: viewBenchBatchSize,
 	}
 
-	// Recompute baseline: cold Prepare + Execute of the view's query (what
-	// serving the view per request would cost without maintenance). The
-	// per-relation-versioned plan cache would hit between mutations of
-	// other relations, so bypass it via a fresh text alias each rep.
-	reps := 0
-	var recompute time.Duration
-	for reps < 3 || recompute < 300*time.Millisecond {
-		alias := fmt.Sprintf("B%d%s", reps, src[1:])
+	// The update stream alternates insert-heavy and delete-heavy batches
+	// over the view's base relations, timing the whole Mutate (catalog swap
+	// + synchronous view maintenance). Before each batch the view's query
+	// is recomputed cold — Prepare + Execute, what serving the view per
+	// request would cost without maintenance — under a fresh text alias,
+	// since the per-relation-versioned plan cache would hit between
+	// mutations of other relations. The two are timed side by side, so a
+	// stretch of machine noise weighs on both terms of the ratio alike.
+	runtime.GC()
+	var maintain, recompute time.Duration
+	for b := 0; b < viewBenchBatches; b++ {
 		start := time.Now()
-		if _, err := eng.Query(alias); err != nil {
+		if _, err := eng.Query(fmt.Sprintf("B%d%s", b, src[1:])); err != nil {
 			return ViewBench{}, err
 		}
 		recompute += time.Since(start)
-		reps++
-	}
-	vb.RecomputeNs = recompute.Nanoseconds() / int64(reps)
 
-	// Update stream: alternate insert-heavy and delete-heavy batches over
-	// the view's base relations, timing the whole Mutate (catalog swap +
-	// synchronous view maintenance).
-	var maintain time.Duration
-	for b := 0; b < viewBenchBatches; b++ {
 		rel := relNames[b%len(relNames)]
 		var ins, del []relation.Pair
 		if b%2 == 0 {
@@ -130,12 +128,13 @@ func MeasureView(name, src string, scale float64) (ViewBench, error) {
 				del = append(del, ps[rng.Intn(len(ps))])
 			}
 		}
-		start := time.Now()
+		start = time.Now()
 		if _, err := eng.Mutate(rel, ins, del); err != nil {
 			return ViewBench{}, err
 		}
 		maintain += time.Since(start)
 	}
+	vb.RecomputeNs = recompute.Nanoseconds() / int64(viewBenchBatches)
 	vb.MaintainNs = maintain.Nanoseconds() / int64(viewBenchBatches)
 	if vb.MaintainNs > 0 {
 		vb.Speedup = float64(vb.RecomputeNs) / float64(vb.MaintainNs)
@@ -171,42 +170,22 @@ func isIdent(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-// viewBenchReps is the min-of-reps width: each view's whole update-stream
-// run is repeated this many times and the fastest per-batch maintain and
-// recompute times are kept: scheduler and co-tenant interference only ever
-// add time, so the minimum is the estimator the regression gate can compare
-// across runs without tripping on machine noise.
-const viewBenchReps = 3
+// viewBenchReps is the number of fresh-engine runs per view. Each run
+// measures recompute and maintenance moments apart, and the runs of the
+// suite's views take turns, so every view samples the whole measurement
+// window; the run with the median speedup ratio is kept, so a few runs
+// disturbed by machine noise cannot move it.
+const viewBenchReps = 51
 
-// MeasureViewBest runs MeasureView reps times on fresh engines and keeps the
-// minimum per-batch MaintainNs and RecomputeNs. The row counts and strategy
-// mode are deterministic across reps; only the timings vary.
-func MeasureViewBest(name, src string, scale float64, reps int) (ViewBench, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var best ViewBench
-	for i := 0; i < reps; i++ {
-		vb, err := MeasureView(name, src, scale)
-		if err != nil {
-			return ViewBench{}, err
-		}
-		if i == 0 {
-			best = vb
-		} else {
-			if vb.MaintainNs < best.MaintainNs {
-				best.MaintainNs = vb.MaintainNs
-			}
-			if vb.RecomputeNs < best.RecomputeNs {
-				best.RecomputeNs = vb.RecomputeNs
-			}
-		}
-	}
-	if best.MaintainNs > 0 {
-		best.Speedup = float64(best.RecomputeNs) / float64(best.MaintainNs)
-	}
-	best.Reps = reps
-	return best, nil
+// medianRun returns the run with the median speedup (the lower of the two
+// middle ones for an even count), with Reps set to the number of runs. The
+// row counts and strategy mode are deterministic across runs; only the
+// timings vary.
+func medianRun(runs []ViewBench) ViewBench {
+	slices.SortFunc(runs, func(a, b ViewBench) int { return cmp.Compare(a.Speedup, b.Speedup) })
+	mid := runs[(len(runs)-1)/2]
+	mid.Reps = len(runs)
+	return mid
 }
 
 // ViewRegression is one view whose maintenance got slower relative to
@@ -258,8 +237,9 @@ func CompareViewSnapshots(baseline, current []byte, tol float64) ([]ViewRegressi
 	return regs, nil
 }
 
-// ViewBenchSnapshot measures the canned view suite (min-of-reps per view)
-// and renders the BENCH_views.json snapshot.
+// ViewBenchSnapshot measures the canned view suite (the median of
+// viewBenchReps runs per view, the views taking turns) and renders the
+// BENCH_views.json snapshot.
 func ViewBenchSnapshot(scale float64) ([]byte, error) {
 	snap := ViewSnapshot{
 		GoOS:       runtime.GOOS,
@@ -269,12 +249,20 @@ func ViewBenchSnapshot(scale float64) ([]byte, error) {
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		Benchmarks: map[string]ViewBench{},
 	}
-	for name, src := range DefaultViewSuite() {
-		vb, err := MeasureViewBest(name, src, scale, viewBenchReps)
-		if err != nil {
-			return nil, fmt.Errorf("view %q: %w", name, err)
+	suite := DefaultViewSuite()
+	names := slices.Sorted(maps.Keys(suite))
+	runs := map[string][]ViewBench{}
+	for range viewBenchReps {
+		for _, name := range names {
+			vb, err := MeasureView(name, suite[name], scale)
+			if err != nil {
+				return nil, fmt.Errorf("view %q: %w", name, err)
+			}
+			runs[name] = append(runs[name], vb)
 		}
-		snap.Benchmarks[name] = vb
+	}
+	for _, name := range names {
+		snap.Benchmarks[name] = medianRun(runs[name])
 	}
 	return json.MarshalIndent(snap, "", "  ")
 }

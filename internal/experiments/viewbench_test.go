@@ -47,3 +47,20 @@ func TestCompareViewSnapshotsGatesOnSpeedup(t *testing.T) {
 		t.Fatal("snapshots at different scales compared")
 	}
 }
+
+// TestMedianRun: the kept run is the one with the median speedup — the
+// lower middle one for an even count — with its own times, and Reps counts
+// the runs.
+func TestMedianRun(t *testing.T) {
+	run := func(maintain, recompute int64) ViewBench {
+		return ViewBench{MaintainNs: maintain, RecomputeNs: recompute, Speedup: float64(recompute) / float64(maintain)}
+	}
+	odd := []ViewBench{run(10, 90), run(10, 20), run(1, 1000), run(10, 50), run(10, 40)}
+	if got := medianRun(odd); got.Speedup != 5 || got.MaintainNs != 10 || got.RecomputeNs != 50 || got.Reps != 5 {
+		t.Fatalf("odd count: median run %+v, want the 5× run of 5", got)
+	}
+	even := []ViewBench{run(10, 90), run(10, 20), run(10, 50), run(10, 40)}
+	if got := medianRun(even); got.Speedup != 4 || got.Reps != 4 {
+		t.Fatalf("even count: median run %+v, want the lower middle 4× run of 4", got)
+	}
+}

@@ -23,16 +23,21 @@ import (
 // variables' key counts and the elements are the join tuples |OUT⋈|:
 //
 //   - a small domain gets one bit per possible tuple, addressed by the
-//     mixed-radix index of the tuple's positions — a test-and-set per join
-//     tuple;
+//     mixed-radix index of the tuple's positions with the last arm fastest,
+//     so bit order is head order: the kernel only sets bits, and the
+//     distinct tuples are read out afterwards by one walk over the bitmap,
+//     sorted and the same for every worker count;
 //   - a large one gets a hash set of the position tuples actually seen,
-//     striped over mutex-guarded shards.
+//     striped over mutex-guarded shards, which reports each tuple as new to
+//     whichever worker meets it first, so the output order varies with the
+//     schedule.
 //
 // Both are functions of the operands' sizes alone.
 type starDedup struct {
-	stride []uint64        // bitmap: tuple index = Σ ps[j]·stride[j]
-	bitmap []atomic.Uint64 // nil = use the shards
-	shards *[dedupShards]dedupShard
+	domains []int           // key count of each arm's head variable
+	stride  []uint64        // bitmap: tuple index = Σ ps[j]·stride[j]
+	bitmap  []atomic.Uint64 // nil = use the shards
+	shards  *[dedupShards]dedupShard
 }
 
 const (
@@ -53,11 +58,11 @@ type dedupShard struct {
 // newStarDedup sizes the dedup structure for tuples over domains of the
 // given key counts, of which about joinSize will be offered.
 func newStarDedup(domains []int, joinSize float64) *starDedup {
-	d := &starDedup{stride: make([]uint64, len(domains))}
+	d := &starDedup{domains: domains, stride: make([]uint64, len(domains))}
 	total, fits := uint64(1), true
-	for j, n := range domains {
+	for j := len(domains) - 1; j >= 0; j-- {
 		d.stride[j] = total
-		hi, lo := bits.Mul64(total, uint64(n))
+		hi, lo := bits.Mul64(total, uint64(domains[j]))
 		total, fits = lo, fits && hi == 0
 	}
 	if fits && total <= maxBitmapBits && float64(total) <= bitmapBitsPerJoinTuple*joinSize {
@@ -71,28 +76,49 @@ func newStarDedup(domains []int, joinSize float64) *starDedup {
 	return d
 }
 
-// insert adds the position tuple ps and reports whether it was new. Safe for
-// concurrent use.
-func (d *starDedup) insert(ps []int32) bool {
-	if d.bitmap != nil {
-		var idx uint64
-		for j, p := range ps {
-			idx += uint64(p) * d.stride[j]
-		}
-		// A compare-and-swap loop, not atomic Or: the bit's previous state
-		// is the answer, and most join tuples find it already set and leave
-		// after the load.
-		w, bit := &d.bitmap[idx/64], uint64(1)<<(idx%64)
-		for {
-			old := w.Load()
-			if old&bit != 0 {
-				return false
+// mark sets the bitmap bit of the position tuple ps. Safe for concurrent
+// use.
+func (d *starDedup) mark(ps []int32) {
+	var idx uint64
+	for j, p := range ps {
+		idx += uint64(p) * d.stride[j]
+	}
+	// Most join tuples find the bit already set and leave after the load.
+	if w, bit := &d.bitmap[idx/64], uint64(1)<<(idx%64); w.Load()&bit == 0 {
+		w.Or(bit)
+	}
+}
+
+// each calls f with every position tuple marked in the bitmap, in head
+// order (lexicographic in the positions, so in the keys). ps is reused
+// across calls.
+func (d *starDedup) each(f func(ps []int32)) {
+	ps := make([]int32, len(d.domains))
+	for w := range d.bitmap {
+		for b := d.bitmap[w].Load(); b != 0; b &= b - 1 {
+			idx := uint64(w)<<6 + uint64(bits.TrailingZeros64(b))
+			for j := len(ps) - 1; j >= 0; j-- {
+				n := uint64(d.domains[j])
+				ps[j] = int32(idx % n)
+				idx /= n
 			}
-			if w.CompareAndSwap(old, old|bit) {
-				return true
-			}
+			f(ps)
 		}
 	}
+}
+
+// count returns the number of tuples marked in the bitmap.
+func (d *starDedup) count() int64 {
+	var n int
+	for w := range d.bitmap {
+		n += bits.OnesCount64(d.bitmap[w].Load())
+	}
+	return int64(n)
+}
+
+// insert adds the position tuple ps to the hash set and reports whether it
+// was new. Safe for concurrent use.
+func (d *starDedup) insert(ps []int32) bool {
 	h := tuples.Hash(ps)
 	sh := &d.shards[h>>(64-6)]
 	sh.mu.Lock()
@@ -378,15 +404,20 @@ func (c *starCtx) newDedup() *starDedup {
 }
 
 // runStar evaluates Q★k with the MM (useMM=true) or combinatorial strategy
-// and streams each distinct projected tuple to emit as a position tuple
-// (called from multiple goroutines; the slice is the worker's scratch, valid
-// during the call — translate it with values).
-func (c *starCtx) runStar(workers int, useMM bool, emit func(ps []int32)) {
-	dedup := c.newDedup()
+// into dedup. Under the hash set it streams each distinct projected tuple to
+// emit as a position tuple as the workers meet it (called from multiple
+// goroutines; the slice is the worker's scratch, valid during the call —
+// translate it with values). Under the bitmap it only marks tuples and never
+// calls emit; the caller reads them afterwards with dedup.each or
+// dedup.count.
+func (c *starCtx) runStar(workers int, useMM bool, dedup *starDedup, emit func(ps []int32)) {
 	keyed := func(sc *starScratch) {
 		if dedup.insert(sc.ps) {
 			emit(sc.ps)
 		}
+	}
+	if dedup.bitmap != nil {
+		keyed = func(sc *starScratch) { dedup.mark(sc.ps) }
 	}
 	if !useMM {
 		// Combinatorial baseline: enumerate the full join and deduplicate.
@@ -427,11 +458,18 @@ func starThresholds(rels []*relation.Relation, opt Options) Options {
 }
 
 // collect runs the star and gathers the distinct output tuples as values,
-// stored back to back in one arena.
+// stored back to back in one arena: in head order under the bitmap, in the
+// order the workers meet them under the hash set.
 func (c *starCtx) collect(workers int, useMM bool) [][]int32 {
-	var mu sync.Mutex
+	dedup := c.newDedup()
 	store := tuples.NewArena[int32](c.k)
-	c.runStar(workers, useMM, func(ps []int32) {
+	if dedup.bitmap != nil {
+		c.runStar(workers, useMM, dedup, nil)
+		dedup.each(func(ps []int32) { c.values(store.Alloc(), ps) })
+		return store.Rows()
+	}
+	var mu sync.Mutex
+	c.runStar(workers, useMM, dedup, func(ps []int32) {
 		mu.Lock()
 		xs := store.Alloc()
 		mu.Unlock()
@@ -476,7 +514,11 @@ func StarMMSize(rels []*relation.Relation, opt Options) int64 {
 	opt = starThresholds(rels, opt)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
+	dedup := c.newDedup()
 	var n atomic.Int64
-	c.runStar(opt.Workers, true, func([]int32) { n.Add(1) })
+	c.runStar(opt.Workers, true, dedup, func([]int32) { n.Add(1) })
+	if dedup.bitmap != nil {
+		return dedup.count()
+	}
 	return n.Load()
 }

@@ -3,6 +3,7 @@ package joinproject
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,7 +169,7 @@ func TestQuickStarMatchesOracle(t *testing.T) {
 // force on inputs that land on either side of the bitmap/set switch — few
 // head values under many join tuples (bitmap), many head values under few
 // join tuples (set), and sparse ids that the positions hide — serially and
-// with several workers.
+// with several workers; under the bitmap the rows must come out sorted.
 func TestStarBothDedupRepresentations(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	sparse := func(r *relation.Relation) *relation.Relation {
@@ -207,8 +208,14 @@ func TestStarBothDedupRepresentations(t *testing.T) {
 		for _, workers := range []int{1, 2, 7} {
 			for _, d := range [][2]int{{1, 1}, {2, 3}, {1000, 1000}} {
 				opt := Options{Delta1: d[0], Delta2: d[1], Workers: workers}
-				checkTuplesEqual(t, StarMM(tc.rels, opt), want, tc.name+" StarMM")
-				checkTuplesEqual(t, StarNonMM(tc.rels, opt), want, tc.name+" StarNonMM")
+				mm, nonmm := StarMM(tc.rels, opt), StarNonMM(tc.rels, opt)
+				checkTuplesEqual(t, mm, want, tc.name+" StarMM")
+				checkTuplesEqual(t, nonmm, want, tc.name+" StarNonMM")
+				// The bitmap is read out in head order: sorted, so the same
+				// rows in the same order for every worker count.
+				if tc.bitmap && (!slices.IsSortedFunc(mm, slices.Compare[[]int32]) || !slices.IsSortedFunc(nonmm, slices.Compare[[]int32])) {
+					t.Fatalf("%s workers=%d Δ=%v: bitmap rows out of head order", tc.name, workers, d)
+				}
 				if n := StarMMSize(tc.rels, opt); n != int64(len(want)) {
 					t.Fatalf("%s: StarMMSize = %d, want %d", tc.name, n, len(want))
 				}
@@ -219,8 +226,10 @@ func TestStarBothDedupRepresentations(t *testing.T) {
 
 // TestStarDedup drives both representations of the star's tuple set — the
 // mixed-radix bitmap (small domain product, many join tuples) and the
-// sharded position-tuple set (everything else) — through the same script,
-// serially and from eight goroutines.
+// sharded position-tuple set (everything else) — through the same script
+// from eight goroutines: the bitmap marks every tuple and reads the set out
+// afterwards, once each and in head order; the hash set reports each tuple
+// new exactly once.
 func TestStarDedup(t *testing.T) {
 	domains := []int{7, 5, 9}
 	cases := []struct {
@@ -236,6 +245,16 @@ func TestStarDedup(t *testing.T) {
 		{"set above the cap", []int{1 << 9, 1 << 9, 1<<9 + 1}, 1e18, false},
 		{"set on 64-bit overflow", []int{1 << 22, 1 << 22, 1 << 22}, 1e18, false},
 	}
+	// The script: every (a, b, c) with c even, offered by each goroutine in
+	// its own order.
+	var want [][3]int32
+	for a := int32(0); a < 7; a++ {
+		for b := int32(0); b < 5; b++ {
+			for c := int32(0); c < 9; c += 2 {
+				want = append(want, [3]int32{a, b, c})
+			}
+		}
+	}
 	for _, tc := range cases {
 		d := newStarDedup(tc.domains, tc.joinSize)
 		if (d.bitmap != nil) != tc.bitmap {
@@ -248,27 +267,36 @@ func TestStarDedup(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				ps := make([]int32, 3)
-				for a := int32(0); a < 7; a++ {
-					for b := int32(0); b < 5; b++ {
-						for c := int32(0); c < 9; c += 2 {
-							ps[0], ps[1], ps[2] = a, b, c
-							if d.insert(ps) {
-								fresh.Add(1)
-							}
-						}
+				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(want)) {
+					copy(ps, want[i][:])
+					if d.bitmap != nil {
+						d.mark(ps)
+					} else if d.insert(ps) {
+						fresh.Add(1)
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		if fresh.Load() != 7*5*5 {
-			t.Fatalf("%s: %d tuples reported new, want %d", tc.name, fresh.Load(), 7*5*5)
+		if d.bitmap == nil {
+			if fresh.Load() != int64(len(want)) {
+				t.Fatalf("%s: %d tuples reported new, want %d", tc.name, fresh.Load(), len(want))
+			}
+			if d.insert([]int32{6, 4, 8}) {
+				t.Fatalf("%s: present tuple reported new", tc.name)
+			}
+			if !d.insert([]int32{6, 4, 7}) {
+				t.Fatalf("%s: absent tuple reported present", tc.name)
+			}
+			continue
 		}
-		if d.insert([]int32{6, 4, 8}) {
-			t.Fatalf("%s: present tuple reported new", tc.name)
+		var got [][3]int32
+		d.each(func(ps []int32) { got = append(got, [3]int32{ps[0], ps[1], ps[2]}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: bitmap reads out %v, want %v", tc.name, got, want)
 		}
-		if !d.insert([]int32{6, 4, 7}) {
-			t.Fatalf("%s: absent tuple reported present", tc.name)
+		if n := d.count(); n != int64(len(want)) {
+			t.Fatalf("%s: bitmap counts %d tuples, want %d", tc.name, n, len(want))
 		}
 	}
 }

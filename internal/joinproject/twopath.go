@@ -21,14 +21,16 @@
 // kernels produce their result in index form — Groups: for each x position
 // of R, in ascending x order, the distinct z positions of S it pairs with —
 // and every set-semantics entry point is a reading of that one result:
-// TwoPathMM and TwoPathNonMM flatten it to pairs (x ascending; the z order
-// within one x is the order of discovery, which depends on the thresholds),
-// Groups.Sort puts z ascending within each x in place, Groups.Relation
-// indexes it by counting; TwoPathSize counts the same rows
-// without storing them. The pair set, the grouping and the indexed relation are the same for every worker
-// count. The counting entry points (TwoPathMMCounts, TwoPathMMVisit,
-// TwoPathGroupBy) deliver whole x rows from whichever worker owns the x, so
-// their output order across x values is unspecified.
+// TwoPathMM and TwoPathNonMM flatten it to pairs (x ascending; within one x
+// the z positions are ascending when the row was built as a bitmap or by
+// sort dedup, and in the order of discovery, which depends on the
+// thresholds, when it was stamped), Groups.Sort puts z ascending within each
+// x in place, Groups.Relation indexes it by counting; TwoPathSize counts the
+// same rows without storing them. The pair set, the grouping and the indexed
+// relation are the same for every worker count. The counting entry points
+// (TwoPathMMCounts, TwoPathMMVisit, TwoPathGroupBy) deliver whole x rows from
+// whichever worker owns the x, so their output order across x values is
+// unspecified.
 //
 // # Deduplicating star tuples
 //
@@ -37,12 +39,14 @@
 // number of elements that need to be deduplicated and the domain size": when
 // the product of the head variables' key counts is small next to the join
 // size the set is a bitmap addressed by the tuple's mixed-radix position
-// index; otherwise it is a hash set of position tuples (starDedup), 64
-// mutex-striped tuples.Table shards. internal/tuples is the one tuple store
-// here: the matrix step's row numbering (buildGroupMatrix) and the collected
-// output rows use the same Table and Arena.
+// index, laid out so that bit order is head order; otherwise it is a hash
+// set of position tuples (starDedup), 64 mutex-striped tuples.Table shards.
+// internal/tuples is the one tuple store here: the matrix step's row
+// numbering (buildGroupMatrix) and the collected output rows use the same
+// Table and Arena.
 // The two-path light part makes the same kind of choice per x through
-// DedupMode.
+// DedupMode: a dense row is a bitmap over z positions built by OR-ing whole
+// per-y rows, a sparse one a stamp vector or a sort.
 package joinproject
 
 import (
@@ -61,9 +65,10 @@ import (
 type DedupMode int
 
 const (
-	// DedupAuto picks DedupStamp for compact z-domains and DedupSort when
-	// the stamp vector would not fit caches comfortably — "the best of the
-	// two strategies, depending on the number of elements that need to be
+	// DedupAuto picks DedupBitmap when S's z-domain fits maxRowWords words,
+	// DedupStamp for larger compact z-domains and DedupSort when the stamp
+	// vector would not fit caches comfortably — "the best of the two
+	// strategies, depending on the number of elements that need to be
 	// deduplicated and the domain size".
 	DedupAuto DedupMode = iota
 	// DedupStamp uses the reusable per-x dedup vector over dom(z) (the
@@ -71,6 +76,13 @@ const (
 	DedupStamp
 	// DedupSort appends all reachable z values and sorts+uniques per x.
 	DedupSort
+	// DedupBitmap builds each dense x row as a bitmap over z positions: the
+	// z lists of long-listed y values are kept as bitmap rows, and an x
+	// whose expansion work is large next to the bitmap ORs them word by
+	// word, sets single bits for the rest, and reads the row out ascending.
+	// Sparse x rows still use the stamp vector. Set semantics only; a
+	// z-domain wider than maxRowWords words falls back to DedupStamp.
+	DedupBitmap
 )
 
 // Options configures a join-project evaluation.
@@ -150,6 +162,10 @@ type twoPathCtx struct {
 	// yPosByX runs parallel to rX's lists: the sY position of every y, -1
 	// when S has no such y.
 	yPosByX []int32
+
+	// Under DedupBitmap, the long z lists as bitmap rows (buildYRows).
+	yRowAt []int32
+	yRows  []uint64
 }
 
 // newTwoPathCtxParallel builds the positional indexes with the given degree
@@ -243,40 +259,57 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 // cache).
 const dedupSortThreshold = 1 << 20
 
-// resolveDedup maps DedupAuto to a concrete strategy for this instance.
-func (c *twoPathCtx) resolveDedup(mode DedupMode) bool {
-	switch mode {
-	case DedupSort:
-		return true
-	case DedupStamp:
-		return false
+// maxRowWords caps DedupBitmap's rows at 1 024 words — 65 536 z keys, 8 KiB
+// a row — so a worker's accumulator stays in cache.
+const maxRowWords = 1 << 10
+
+// resolveDedup maps DedupAuto and DedupBitmap to the strategy that runs on
+// this instance.
+func (c *twoPathCtx) resolveDedup(mode DedupMode) DedupMode {
+	nz := c.sX.NumKeys()
+	switch {
+	case mode == DedupStamp || mode == DedupSort:
+		return mode
+	case nz <= maxRowWords*64:
+		return DedupBitmap
+	case mode == DedupBitmap || nz <= dedupSortThreshold:
+		return DedupStamp
 	default:
-		return c.sX.NumKeys() > dedupSortThreshold
+		return DedupSort
 	}
 }
 
 // rowSink receives one x value's whole output row: xpos is its position in
-// R's x index, zps the positions in S's x index of its distinct partners
-// (in discovery order; ascending under sort dedup), and cnt, non-nil when
-// counting, the witness count of partner zp at cnt[zp]. zps and cnt are the
-// worker's scratch, valid only during the call. Rows arrive once per x with
-// at least one partner, from worker goroutine `worker`.
-type rowSink func(worker, xpos int, zps, cnt []int32)
+// R's x index, zps the positions in S's x index of its distinct partners,
+// ascending when ascending is set (a bitmap or sort-dedup row) and in
+// discovery order otherwise, and cnt, non-nil when counting, the witness
+// count of partner zp at cnt[zp]. zps and cnt are the worker's scratch,
+// valid only during the call. Rows arrive once per x with at least one
+// partner, from worker goroutine `worker`.
+type rowSink func(worker, xpos int, zps, cnt []int32, ascending bool)
 
 // runMode evaluates the partitioned join, delivering the output to sink one
 // x row at a time. useMM evaluates the all-heavy residual (category 4) as
 // rows of the bit-packed product; !useMM is the combinatorial Lemma-2
 // variant — identical partitioning, with the residual computed by pairwise
 // sorted-list intersection instead. counting asks for exact witness counts.
-// dedupSort applies to set semantics only; the counting variant needs
-// random-access accumulation and always uses the stamp vector. The sink
-// receives the worker index so callers can keep coordination-free per-worker
-// buffers — the Section-6 parallelization pattern.
-func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink rowSink) {
+// dedup is a resolved strategy (resolveDedup) and applies to set semantics
+// only; the counting variant needs random-access accumulation and always
+// uses the stamp vector. The sink receives the worker index so callers can
+// keep coordination-free per-worker buffers — the Section-6 parallelization
+// pattern.
+func (c *twoPathCtx) runMode(workers int, useMM, counting bool, dedup DedupMode, sink rowSink) {
 	nx := c.rX.NumKeys()
 	nw := min(par.Workers(workers), nx)
 	if nw < 1 || !c.built {
 		return
+	}
+	if counting {
+		dedup = DedupStamp
+	}
+	zw := (c.sX.NumKeys() + 63) / 64
+	if dedup == DedupBitmap {
+		c.buildYRows(zw, workers)
 	}
 	var zCols [][]int32
 	if !useMM {
@@ -292,8 +325,11 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink 
 		go func(chunk int) {
 			defer wg.Done()
 			st := blockState{zCols: zCols}
-			if !dedupSort || counting {
+			if dedup != DedupSort {
 				st.stamp = make([]int32, c.sX.NumKeys())
+			}
+			if dedup == DedupBitmap {
+				st.acc = make([]uint64, zw)
 			}
 			if counting {
 				st.cnt = make([]int32, c.sX.NumKeys())
@@ -316,6 +352,32 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting, dedupSort bool, sink 
 	wg.Wait()
 }
 
+// buildYRows keeps the z list of every y whose S-list holds at least 2·zw
+// positions as a zw-word bitmap row over z positions: yRowAt[y position] is
+// the row's first word in yRows, or -1. Each row stands for at least 2·zw
+// list entries, so the rows total at most |S|/2 words.
+func (c *twoPathCtx) buildYRows(zw, workers int) {
+	ny := c.sY.NumKeys()
+	c.yRowAt = make([]int32, ny)
+	words := 0
+	for i := range ny {
+		c.yRowAt[i] = -1
+		if c.sY.Degree(i) >= 2*zw {
+			c.yRowAt[i] = int32(words)
+			words += zw
+		}
+	}
+	c.yRows = make([]uint64, words)
+	par.For(ny, workers, func(i int) {
+		if at := int(c.yRowAt[i]); at >= 0 {
+			row := c.yRows[at : at+zw]
+			for _, zp := range c.zPosByY[c.sY.Offset(i):c.sY.Offset(i+1)] {
+				row[zp>>6] |= 1 << (zp & 63)
+			}
+		}
+	})
+}
+
 // heavyZCols returns the rows of zRows as ascending column lists, the form
 // the list-intersection residual consumes.
 func (c *twoPathCtx) heavyZCols() [][]int32 {
@@ -334,13 +396,15 @@ func (c *twoPathCtx) heavyZCols() [][]int32 {
 
 // blockState is one worker's scratch, reused across the blocks it pulls.
 // The evaluation mode is fixed per call by which scratch is present: cnt
-// (counting), stamp (stamp dedup; absent under sort dedup), and for the
+// (counting), stamp (stamp dedup; absent under sort dedup), acc (bitmap
+// dedup: the dense x rows' accumulator, one bit per z position), and for the
 // heavy residual aRow (the current heavy x as a bit row, multiplied against
 // zRows) or zCols/aCols (the same matrix and row as sorted column lists,
 // intersected pairwise).
 type blockState struct {
 	stamp, cnt []int32
 	row        []int32 // the current x's distinct z positions
+	acc        []uint64
 
 	aRow *bitset.Bitset
 
@@ -385,35 +449,42 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockStat
 			}
 		}
 		row = row[:0]
-		for _, yp := range ys {
-			if yp < 0 {
-				continue
-			}
-			// Light y (category 1) or heavy y with light x (category 2):
-			// expand every partner z. Heavy y and heavy x: only the light z
-			// partners (category 3); heavy z is the matrix's job.
-			cand := c.zPosByY[c.sY.Offset(int(yp)):c.sY.Offset(int(yp)+1)]
-			if aHeavy && c.colOf[yp] >= 0 {
-				cand = cand[:c.numLight[yp]]
-			}
-			switch {
-			case counting:
-				for _, zp := range cand {
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						cnt[zp] = 1
-						row = append(row, zp)
-					} else {
-						cnt[zp]++
-					}
+		// bits is the x's row as a bitmap when the x is dense enough for the
+		// bitmap to pay; nil runs the per-witness loops below.
+		bits := c.bitmapRow(ys, st.acc)
+		if bits != nil {
+			c.orRows(ys, aHeavy, bits)
+		} else {
+			for _, yp := range ys {
+				if yp < 0 {
+					continue
 				}
-			case dedupSort:
-				row = append(row, cand...)
-			default:
-				for _, zp := range cand {
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						row = append(row, zp)
+				// Light y (category 1) or heavy y with light x (category 2):
+				// expand every partner z. Heavy y and heavy x: only the light
+				// z partners (category 3); heavy z is the matrix's job.
+				cand := c.zPosByY[c.sY.Offset(int(yp)):c.sY.Offset(int(yp)+1)]
+				if aHeavy && c.colOf[yp] >= 0 {
+					cand = cand[:c.numLight[yp]]
+				}
+				switch {
+				case counting:
+					for _, zp := range cand {
+						if stamp[zp] != epoch {
+							stamp[zp] = epoch
+							cnt[zp] = 1
+							row = append(row, zp)
+						} else {
+							cnt[zp]++
+						}
+					}
+				case dedupSort:
+					row = append(row, cand...)
+				default:
+					for _, zp := range cand {
+						if stamp[zp] != epoch {
+							stamp[zp] = epoch
+							row = append(row, zp)
+						}
 					}
 				}
 			}
@@ -425,6 +496,8 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockStat
 			hit := func(j, n int) {
 				zp := c.heavyZPos[j]
 				switch {
+				case bits != nil:
+					bits[zp>>6] |= 1 << (zp & 63)
 				case dedupSort:
 					row = append(row, zp)
 				case stamp[zp] != epoch:
@@ -451,16 +524,75 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockStat
 				}
 			}
 		}
-		if dedupSort {
+		switch {
+		case bits != nil:
+			row = appendOnes(row, bits)
+		case dedupSort:
 			// Section-6 alternative: append all reachable z values, then
 			// sort + unique.
 			slices.Sort(row)
 			row = slices.Compact(row)
 		}
 		if len(row) > 0 {
-			sink(chunk, i, row, cnt)
+			sink(chunk, i, row, cnt, bits != nil || dedupSort)
 		}
 	}
+}
+
+// bitmapRow returns acc cleared when the x with join positions ys expands
+// at least 2·len(acc) z positions — enough to pay for clearing and reading
+// back the words — and nil otherwise, or when acc is nil.
+func (c *twoPathCtx) bitmapRow(ys []int32, acc []uint64) []uint64 {
+	if acc == nil {
+		return nil
+	}
+	work := 0
+	for _, yp := range ys {
+		if yp >= 0 {
+			if work += c.sY.Degree(int(yp)); work >= 2*len(acc) {
+				clear(acc)
+				return acc
+			}
+		}
+	}
+	return nil
+}
+
+// orRows sets in bits every z position the x with join positions ys reaches
+// through categories 1–3. A y that contributes its whole list ORs its
+// bitmap row when it has one; every other list sets its bits one at a time:
+// short lists, and under a heavy y and a heavy x the light-z prefix
+// (category 3).
+func (c *twoPathCtx) orRows(ys []int32, aHeavy bool, bits []uint64) {
+	for _, yp := range ys {
+		if yp < 0 {
+			continue
+		}
+		cand := c.zPosByY[c.sY.Offset(int(yp)):c.sY.Offset(int(yp)+1)]
+		if aHeavy && c.colOf[yp] >= 0 {
+			cand = cand[:c.numLight[yp]]
+		} else if at := int(c.yRowAt[yp]); at >= 0 {
+			src := c.yRows[at : at+len(bits)]
+			for w, v := range src {
+				bits[w] |= v
+			}
+			continue
+		}
+		for _, zp := range cand {
+			bits[zp>>6] |= 1 << (zp & 63)
+		}
+	}
+}
+
+// appendOnes appends the positions of the set bits of bits to dst,
+// ascending.
+func appendOnes(dst []int32, bits []uint64) []int32 {
+	for w, b := range bits {
+		for ; b != 0; b &= b - 1 {
+			dst = append(dst, int32(w<<6+mathbits.TrailingZeros64(b)))
+		}
+	}
+	return dst
 }
 
 // Groups is a two-path result in index form, grouped by x: x value XKeys[i]
@@ -468,12 +600,15 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockStat
 // ZPos[Off[i]:Off[i+1]]. XKeys and ZKeys are the operands' own ascending key
 // lists (R's and S's first columns; not every key has output), so the
 // result addresses the same positions the operands' indexes do. Within a
-// group the positions are distinct and in discovery order, which varies with
-// the thresholds; the set of pairs does not, and neither it nor the group
+// group the positions are distinct; a group built as a bitmap or by sort
+// dedup is ascending, and any other is in discovery order, which varies with
+// the thresholds. The set of pairs does not, and neither it nor the group
 // order depends on the worker count.
 type Groups struct {
 	XKeys, ZKeys []int32
 	Off, ZPos    []int32
+
+	ascending []bool // per group: already ascending, so Sort skips it
 }
 
 // Pairs flattens the result to (x, z) value pairs, x ascending.
@@ -491,29 +626,27 @@ func (g Groups) Pairs() [][2]int32 {
 // run x ascending and z ascending within each x, the order Relation's x
 // index walks them in, without building either index. A group dense over
 // ZKeys is sorted by setting and reading back one bit per position, a sparse
-// one by comparison.
+// one by comparison; a group the kernel built ascending is left as it is.
 func (g Groups) Sort() {
-	bits := make([]uint64, (len(g.ZKeys)+63)/64)
+	words := (len(g.ZKeys) + 63) / 64
+	var bits []uint64
 	for i := 0; i+1 < len(g.Off); i++ {
 		grp := g.ZPos[g.Off[i]:g.Off[i+1]]
-		if len(grp) < 2 {
+		if len(grp) < 2 || (g.ascending != nil && g.ascending[i]) {
 			continue
 		}
-		if len(grp) < len(bits) {
+		if len(grp) < words {
 			slices.Sort(grp)
 			continue
+		}
+		if bits == nil {
+			bits = make([]uint64, words)
 		}
 		for _, zp := range grp {
 			bits[zp>>6] |= 1 << (zp & 63)
 		}
-		k := 0
-		for w := 0; k < len(grp); w++ {
-			for b := bits[w]; b != 0; b &= b - 1 {
-				grp[k] = int32(w<<6 + mathbits.TrailingZeros64(b))
-				k++
-			}
-			bits[w] = 0
-		}
+		appendOnes(grp[:0], bits)
+		clear(bits)
 	}
 }
 
@@ -530,6 +663,7 @@ func (g Groups) Relation(name string) *relation.Relation {
 type groupCollector struct {
 	bufs         [][]int32 // per worker: its rows, back to back
 	who, at, n   []int32   // per x position: worker, start in its buffer, length
+	ascending    []bool    // per x position: the row arrived ascending
 	xKeys, zKeys []int32
 }
 
@@ -538,17 +672,19 @@ func newGroupCollector(c *twoPathCtx, workers int) *groupCollector {
 	return &groupCollector{
 		bufs: make([][]int32, par.Workers(workers)),
 		who:  make([]int32, nx), at: make([]int32, nx), n: make([]int32, nx),
-		xKeys: c.rX.Keys(), zKeys: c.sX.Keys(),
+		ascending: make([]bool, nx),
+		xKeys:     c.rX.Keys(), zKeys: c.sX.Keys(),
 	}
 }
 
-func (gc *groupCollector) sink(worker, xpos int, zps, _ []int32) {
+func (gc *groupCollector) sink(worker, xpos int, zps, _ []int32, ascending bool) {
 	gc.who[xpos], gc.at[xpos], gc.n[xpos] = int32(worker), int32(len(gc.bufs[worker])), int32(len(zps))
+	gc.ascending[xpos] = ascending
 	gc.bufs[worker] = append(gc.bufs[worker], zps...)
 }
 
 func (gc *groupCollector) groups() Groups {
-	g := Groups{XKeys: gc.xKeys, ZKeys: gc.zKeys, Off: make([]int32, len(gc.n)+1)}
+	g := Groups{XKeys: gc.xKeys, ZKeys: gc.zKeys, Off: make([]int32, len(gc.n)+1), ascending: gc.ascending}
 	for i, n := range gc.n {
 		g.Off[i+1] = g.Off[i] + n
 	}
@@ -565,7 +701,7 @@ func twoPathCounts(r, s *relation.Relation, opt Options, useMM bool) []PairCount
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	slots := make([][]PairCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, useMM, true, false, func(worker, xpos int, zps, cnt []int32) {
+	c.runMode(opt.Workers, useMM, true, DedupStamp, func(worker, xpos int, zps, cnt []int32, _ bool) {
 		x := c.rX.Key(xpos)
 		for _, zp := range zps {
 			slots[worker] = append(slots[worker], PairCount{X: x, Z: c.sX.Key(int(zp)), Count: cnt[zp]})
@@ -585,7 +721,7 @@ func TwoPathGroups(r, s *relation.Relation, opt Options, mm bool) Groups {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	gc := newGroupCollector(c, opt.Workers)
-	c.runMode(opt.Workers, mm, false, mm && c.resolveDedup(opt.Dedup), gc.sink)
+	c.runMode(opt.Workers, mm, false, c.resolveDedup(opt.Dedup), gc.sink)
 	return gc.groups()
 }
 
@@ -609,7 +745,7 @@ func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
 func TwoPathMMVisit(r, s *relation.Relation, opt Options, visit func(x, z, count int32)) {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	c.runMode(opt.Workers, true, true, false, func(_, xpos int, zps, cnt []int32) {
+	c.runMode(opt.Workers, true, true, DedupStamp, func(_, xpos int, zps, cnt []int32, _ bool) {
 		x := c.rX.Key(xpos)
 		for _, zp := range zps {
 			visit(x, c.sX.Key(int(zp)), cnt[zp])
@@ -642,7 +778,7 @@ func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	counts := make([]paddedCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w, _ int, zps, _ []int32) {
+	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w, _ int, zps, _ []int32, _ bool) {
 		counts[w].n += int64(len(zps))
 	})
 	var total int64

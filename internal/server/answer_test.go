@@ -225,6 +225,44 @@ func TestUnpagedQueryServesExecuteRows(t *testing.T) {
 	}
 }
 
+// TestStarRowsInHeadOrder: the dense benchmark's star, whose tuple set is a
+// bitmap, is served in head order — the rows of the unpaged /query body are
+// sorted and byte-identical across worker counts and across fresh engines
+// (the body's timing and plan fields aside).
+func TestStarRowsInHeadOrder(t *testing.T) {
+	src := denseQueries[2]
+	var first []byte
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 5; run++ {
+			eng := core.NewEngine(core.WithWorkers(workers))
+			registerDense(t, eng, 125, 900, 40, 180)
+			ts := httptest.NewServer(New(Config{Engine: eng}).Handler())
+			resp := postQuery(t, ts, queryRequest{Query: src})
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			ts.Close()
+			var got servedAnswer
+			if err := json.Unmarshal(body, &got); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("workers=%d run %d: status %d: %v", workers, run, resp.StatusCode, err)
+			}
+			if first == nil {
+				var rows [][]int64
+				if err := json.Unmarshal(got.Tuples, &rows); err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) < 1000 || !slices.IsSortedFunc(rows, slices.Compare[[]int64]) {
+					t.Fatalf("%s: %d rows, want over 1 000 in head order", src, len(rows))
+				}
+				first = got.Tuples
+				continue
+			}
+			if !bytes.Equal(got.Tuples, first) {
+				t.Fatalf("workers=%d run %d: rows differ from the first run's", workers, run)
+			}
+		}
+	}
+}
+
 // TestUnpagedQueryBudgetTripAfterLastFold: a row budget that the last fold
 // fits under but the final projection does not still fails the request
 // with 422 and the budget's error body; no 200 is committed first.
