@@ -88,7 +88,7 @@ func TestComposeMatchesNestedLoop(t *testing.T) {
 			for _, force := range []string{"", StrategyMM, StrategyWCOJ, StrategyNonMM} {
 				for _, workers := range []int{1, 2, 8} {
 					for _, d := range deltas {
-						for _, dedup := range []joinproject.DedupMode{joinproject.DedupAuto, joinproject.DedupStamp, joinproject.DedupSort, joinproject.DedupBitmap} {
+						for _, dedup := range []joinproject.DedupMode{joinproject.DedupAuto, joinproject.DedupStamp, joinproject.DedupSort} {
 							label := fmt.Sprintf("%s planner=%v force=%q workers=%d Δ=%v dedup=%d", in.name, opt != nil, force, workers, d, dedup)
 							got, step := Compose(in.l, in.r, Options{
 								Join:      joinproject.Options{Workers: workers, Delta1: d[0], Delta2: d[1], Dedup: dedup},

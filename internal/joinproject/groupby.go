@@ -32,7 +32,7 @@ func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
 	// per-position slots are written race-free.
 	distinct := make([]int64, nx)
 	witnesses := make([]int64, nx)
-	c.runMode(opt.Workers, true, true, DedupStamp, func(_, xpos int, zps, cnt []int32, _ bool) {
+	c.runMode(opt.Workers, true, true, DedupStamp, func(_, xpos int, zps, cnt []int32) {
 		distinct[xpos] = int64(len(zps))
 		for _, zp := range zps {
 			witnesses[xpos] += int64(cnt[zp])

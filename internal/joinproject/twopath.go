@@ -65,24 +65,20 @@ import (
 type DedupMode int
 
 const (
-	// DedupAuto picks DedupBitmap when S's z-domain fits maxRowWords words,
-	// DedupStamp for larger compact z-domains and DedupSort when the stamp
-	// vector would not fit caches comfortably — "the best of the two
-	// strategies, depending on the number of elements that need to be
-	// deduplicated and the domain size".
+	// DedupAuto builds each dense x row as a bitmap over z positions: the
+	// z lists of long-listed y values are kept as bitmap rows, and an x
+	// whose expansion work is at least twice the row width ORs them word by
+	// word, sets single bits for the rest, and reads the row out ascending.
+	// Sparse x rows use the stamp vector (DedupStamp). When the stamp vector
+	// would not fit caches comfortably it switches to DedupSort — "the best
+	// of the two strategies, depending on the number of elements that need
+	// to be deduplicated and the domain size".
 	DedupAuto DedupMode = iota
 	// DedupStamp uses the reusable per-x dedup vector over dom(z) (the
 	// paper's code snippet), with an epoch trick instead of clearing.
 	DedupStamp
 	// DedupSort appends all reachable z values and sorts+uniques per x.
 	DedupSort
-	// DedupBitmap builds each dense x row as a bitmap over z positions: the
-	// z lists of long-listed y values are kept as bitmap rows, and an x
-	// whose expansion work is large next to the bitmap ORs them word by
-	// word, sets single bits for the rest, and reads the row out ascending.
-	// Sparse x rows still use the stamp vector. Set semantics only; a
-	// z-domain wider than maxRowWords words falls back to DedupStamp.
-	DedupBitmap
 )
 
 // Options configures a join-project evaluation.
@@ -163,7 +159,7 @@ type twoPathCtx struct {
 	// when S has no such y.
 	yPosByX []int32
 
-	// Under DedupBitmap, the long z lists as bitmap rows (buildYRows).
+	// Under DedupAuto, the long z lists as bitmap rows (buildYRows).
 	yRowAt []int32
 	yRows  []uint64
 }
@@ -259,41 +255,31 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 // cache).
 const dedupSortThreshold = 1 << 20
 
-// maxRowWords caps DedupBitmap's rows at 1 024 words — 65 536 z keys, 8 KiB
-// a row — so a worker's accumulator stays in cache.
-const maxRowWords = 1 << 10
-
-// resolveDedup maps DedupAuto and DedupBitmap to the strategy that runs on
-// this instance.
+// resolveDedup maps DedupAuto to DedupSort on this instance when S's
+// z-domain is wider than dedupSortThreshold; any other mode runs as given.
 func (c *twoPathCtx) resolveDedup(mode DedupMode) DedupMode {
-	nz := c.sX.NumKeys()
-	switch {
-	case mode == DedupStamp || mode == DedupSort:
-		return mode
-	case nz <= maxRowWords*64:
-		return DedupBitmap
-	case mode == DedupBitmap || nz <= dedupSortThreshold:
-		return DedupStamp
-	default:
+	if mode == DedupAuto && c.sX.NumKeys() > dedupSortThreshold {
 		return DedupSort
 	}
+	return mode
 }
 
 // rowSink receives one x value's whole output row: xpos is its position in
-// R's x index, zps the positions in S's x index of its distinct partners,
-// ascending when ascending is set (a bitmap or sort-dedup row) and in
-// discovery order otherwise, and cnt, non-nil when counting, the witness
-// count of partner zp at cnt[zp]. zps and cnt are the worker's scratch,
-// valid only during the call. Rows arrive once per x with at least one
-// partner, from worker goroutine `worker`.
-type rowSink func(worker, xpos int, zps, cnt []int32, ascending bool)
+// R's x index, zps the positions in S's x index of its distinct partners
+// (ascending for a bitmap or sort-dedup row, in discovery order for a
+// stamped one), and cnt, non-nil when counting, the witness count of partner
+// zp at cnt[zp]. zps and cnt are the worker's scratch, valid only during the
+// call. Rows arrive once per x with at least one partner, from worker
+// goroutine `worker`.
+type rowSink func(worker, xpos int, zps, cnt []int32)
 
 // runMode evaluates the partitioned join, delivering the output to sink one
 // x row at a time. useMM evaluates the all-heavy residual (category 4) as
 // rows of the bit-packed product; !useMM is the combinatorial Lemma-2
 // variant — identical partitioning, with the residual computed by pairwise
 // sorted-list intersection instead. counting asks for exact witness counts.
-// dedup is a resolved strategy (resolveDedup) and applies to set semantics
+// dedup is a resolved strategy (resolveDedup) — DedupAuto here builds the
+// dense rows as bitmaps and stamps the rest — and applies to set semantics
 // only; the counting variant needs random-access accumulation and always
 // uses the stamp vector. The sink receives the worker index so callers can
 // keep coordination-free per-worker buffers — the Section-6 parallelization
@@ -308,7 +294,7 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting bool, dedup DedupMode,
 		dedup = DedupStamp
 	}
 	zw := (c.sX.NumKeys() + 63) / 64
-	if dedup == DedupBitmap {
+	if dedup == DedupAuto {
 		c.buildYRows(zw, workers)
 	}
 	var zCols [][]int32
@@ -328,7 +314,7 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting bool, dedup DedupMode,
 			if dedup != DedupSort {
 				st.stamp = make([]int32, c.sX.NumKeys())
 			}
-			if dedup == DedupBitmap {
+			if dedup == DedupAuto {
 				st.acc = make([]uint64, zw)
 			}
 			if counting {
@@ -396,8 +382,8 @@ func (c *twoPathCtx) heavyZCols() [][]int32 {
 
 // blockState is one worker's scratch, reused across the blocks it pulls.
 // The evaluation mode is fixed per call by which scratch is present: cnt
-// (counting), stamp (stamp dedup; absent under sort dedup), acc (bitmap
-// dedup: the dense x rows' accumulator, one bit per z position), and for the
+// (counting), stamp (stamp dedup; absent under sort dedup), acc (DedupAuto:
+// the dense x rows' accumulator, one bit per z position), and for the
 // heavy residual aRow (the current heavy x as a bit row, multiplied against
 // zRows) or zCols/aCols (the same matrix and row as sorted column lists,
 // intersected pairwise).
@@ -534,7 +520,7 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockStat
 			row = slices.Compact(row)
 		}
 		if len(row) > 0 {
-			sink(chunk, i, row, cnt, bits != nil || dedupSort)
+			sink(chunk, i, row, cnt)
 		}
 	}
 }
@@ -607,8 +593,6 @@ func appendOnes(dst []int32, bits []uint64) []int32 {
 type Groups struct {
 	XKeys, ZKeys []int32
 	Off, ZPos    []int32
-
-	ascending []bool // per group: already ascending, so Sort skips it
 }
 
 // Pairs flattens the result to (x, z) value pairs, x ascending.
@@ -626,13 +610,13 @@ func (g Groups) Pairs() [][2]int32 {
 // run x ascending and z ascending within each x, the order Relation's x
 // index walks them in, without building either index. A group dense over
 // ZKeys is sorted by setting and reading back one bit per position, a sparse
-// one by comparison; a group the kernel built ascending is left as it is.
+// one by comparison; a group already ascending is left as it is.
 func (g Groups) Sort() {
 	words := (len(g.ZKeys) + 63) / 64
 	var bits []uint64
 	for i := 0; i+1 < len(g.Off); i++ {
 		grp := g.ZPos[g.Off[i]:g.Off[i+1]]
-		if len(grp) < 2 || (g.ascending != nil && g.ascending[i]) {
+		if slices.IsSorted(grp) {
 			continue
 		}
 		if len(grp) < words {
@@ -663,7 +647,6 @@ func (g Groups) Relation(name string) *relation.Relation {
 type groupCollector struct {
 	bufs         [][]int32 // per worker: its rows, back to back
 	who, at, n   []int32   // per x position: worker, start in its buffer, length
-	ascending    []bool    // per x position: the row arrived ascending
 	xKeys, zKeys []int32
 }
 
@@ -672,19 +655,17 @@ func newGroupCollector(c *twoPathCtx, workers int) *groupCollector {
 	return &groupCollector{
 		bufs: make([][]int32, par.Workers(workers)),
 		who:  make([]int32, nx), at: make([]int32, nx), n: make([]int32, nx),
-		ascending: make([]bool, nx),
-		xKeys:     c.rX.Keys(), zKeys: c.sX.Keys(),
+		xKeys: c.rX.Keys(), zKeys: c.sX.Keys(),
 	}
 }
 
-func (gc *groupCollector) sink(worker, xpos int, zps, _ []int32, ascending bool) {
+func (gc *groupCollector) sink(worker, xpos int, zps, _ []int32) {
 	gc.who[xpos], gc.at[xpos], gc.n[xpos] = int32(worker), int32(len(gc.bufs[worker])), int32(len(zps))
-	gc.ascending[xpos] = ascending
 	gc.bufs[worker] = append(gc.bufs[worker], zps...)
 }
 
 func (gc *groupCollector) groups() Groups {
-	g := Groups{XKeys: gc.xKeys, ZKeys: gc.zKeys, Off: make([]int32, len(gc.n)+1), ascending: gc.ascending}
+	g := Groups{XKeys: gc.xKeys, ZKeys: gc.zKeys, Off: make([]int32, len(gc.n)+1)}
 	for i, n := range gc.n {
 		g.Off[i+1] = g.Off[i] + n
 	}
@@ -701,7 +682,7 @@ func twoPathCounts(r, s *relation.Relation, opt Options, useMM bool) []PairCount
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	slots := make([][]PairCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, useMM, true, DedupStamp, func(worker, xpos int, zps, cnt []int32, _ bool) {
+	c.runMode(opt.Workers, useMM, true, DedupStamp, func(worker, xpos int, zps, cnt []int32) {
 		x := c.rX.Key(xpos)
 		for _, zp := range zps {
 			slots[worker] = append(slots[worker], PairCount{X: x, Z: c.sX.Key(int(zp)), Count: cnt[zp]})
@@ -745,7 +726,7 @@ func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
 func TwoPathMMVisit(r, s *relation.Relation, opt Options, visit func(x, z, count int32)) {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	c.runMode(opt.Workers, true, true, DedupStamp, func(_, xpos int, zps, cnt []int32, _ bool) {
+	c.runMode(opt.Workers, true, true, DedupStamp, func(_, xpos int, zps, cnt []int32) {
 		x := c.rX.Key(xpos)
 		for _, zp := range zps {
 			visit(x, c.sX.Key(int(zp)), cnt[zp])
@@ -778,7 +759,7 @@ func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	counts := make([]paddedCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w, _ int, zps, _ []int32, _ bool) {
+	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w, _ int, zps, _ []int32) {
 		counts[w].n += int64(len(zps))
 	})
 	var total int64

@@ -455,7 +455,7 @@ func TestDedupModes(t *testing.T) {
 	r := skewedRel(rng, "R", 900, 90, 45)
 	s := skewedRel(rng, "S", 900, 90, 45)
 	want := bruteCounts(r, s)
-	for _, mode := range []DedupMode{DedupAuto, DedupStamp, DedupSort, DedupBitmap} {
+	for _, mode := range []DedupMode{DedupAuto, DedupStamp, DedupSort} {
 		opt := Options{Delta1: 3, Delta2: 4, Workers: 2, Dedup: mode}
 		checkPairsEqual(t, TwoPathMM(r, s, opt), want, "dedup mode")
 		if got := TwoPathSize(r, s, opt); got != int64(len(want)) {
@@ -484,11 +484,22 @@ func TestDeterministicOutputSetAcrossWorkers(t *testing.T) {
 	}
 }
 
-// checkBitmapGroups requires the DedupBitmap result g to equal the brute
-// force answer, every group it built as a bitmap to be ascending, and every
-// group to hold the same z positions as the DedupStamp result st. It
-// returns how many groups came from the bitmap path.
-func checkBitmapGroups(t *testing.T, g, st Groups, want map[[2]int32]int32, label string) int {
+// denseXs reports, per x position of c's R, whether DedupAuto builds that
+// x's row as a bitmap.
+func denseXs(c *twoPathCtx) []bool {
+	acc := make([]uint64, (c.sX.NumKeys()+63)/64)
+	dense := make([]bool, c.rX.NumKeys())
+	for i := range dense {
+		dense[i] = c.bitmapRow(c.yPosByX[c.rX.Offset(i):c.rX.Offset(i+1)], acc) != nil
+	}
+	return dense
+}
+
+// checkBitmapGroups requires the DedupAuto result g to equal the brute force
+// answer, every group of a dense x to be ascending, and every group to hold
+// the same z positions as the DedupStamp result st. It returns how many
+// groups came from the bitmap path.
+func checkBitmapGroups(t *testing.T, g, st Groups, dense []bool, want map[[2]int32]int32, label string) int {
 	t.Helper()
 	checkPairsEqual(t, g.Pairs(), want, label)
 	if !slices.Equal(g.Off, st.Off) {
@@ -497,7 +508,7 @@ func checkBitmapGroups(t *testing.T, g, st Groups, want map[[2]int32]int32, labe
 	bitmapRows := 0
 	for i := range g.XKeys {
 		grp := g.ZPos[g.Off[i]:g.Off[i+1]]
-		if g.ascending[i] {
+		if dense[i] {
 			bitmapRows++
 			if !slices.IsSorted(grp) {
 				t.Fatalf("%s: bitmap group of x=%d not ascending: %v", label, g.XKeys[i], grp)
@@ -512,12 +523,12 @@ func checkBitmapGroups(t *testing.T, g, st Groups, want map[[2]int32]int32, labe
 	return bitmapRows
 }
 
-// TestTwoPathBitmapRows runs the bitmap light part, with the heavy residual
-// by matrix product and by list intersection, at 1, 2 and 4 workers against
-// the nested-loop answer and the stamp-dedup groups, at three threshold
-// settings: all light, all heavy (1, 1), and a mixed one under which a
-// heavy x meets a heavy y that has light z partners (category 3, the light
-// prefix of a list that is not OR-ed whole).
+// TestTwoPathBitmapRows runs DedupAuto's bitmap light part, with the heavy
+// residual by matrix product and by list intersection, at 1, 2 and 4
+// workers against the nested-loop answer and the stamp-dedup groups, at
+// three threshold settings: all light, all heavy (1, 1), and a mixed one
+// under which a heavy x meets a heavy y that has light z partners
+// (category 3, the light prefix of a list that is not OR-ed whole).
 func TestTwoPathBitmapRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	r := skewedRel(rng, "R", 1500, 90, 45)
@@ -527,12 +538,11 @@ func TestTwoPathBitmapRows(t *testing.T) {
 	mixed := [2]int{3, 40}
 	// The mixed setting must reach category 3 on a bitmap row.
 	c := newTwoPathCtxParallel(r, s, mixed[0], mixed[1], 1, nil)
-	c.buildYRows((c.sX.NumKeys()+63)/64, 1)
-	acc := make([]uint64, (c.sX.NumKeys()+63)/64)
+	dense := denseXs(c)
 	cat3 := false
 	for i := 0; i < c.rX.NumKeys() && !cat3; i++ {
 		ys := c.yPosByX[c.rX.Offset(i):c.rX.Offset(i+1)]
-		if len(ys) <= mixed[1] || c.bitmapRow(ys, acc) == nil {
+		if len(ys) <= mixed[1] || !dense[i] {
 			continue
 		}
 		for _, yp := range ys {
@@ -549,11 +559,10 @@ func TestTwoPathBitmapRows(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				label := fmt.Sprintf("Δ=%v mm=%v workers=%d", d, mm, workers)
 				opt := Options{Delta1: d[0], Delta2: d[1], Workers: workers}
-				opt.Dedup = DedupBitmap
 				g := TwoPathGroups(r, s, opt, mm)
 				opt.Dedup = DedupStamp
 				st := TwoPathGroups(r, s, opt, mm)
-				if checkBitmapGroups(t, g, st, want, label) == 0 {
+				if checkBitmapGroups(t, g, st, dense, want, label) == 0 {
 					t.Fatalf("%s: no group took the bitmap path", label)
 				}
 			}
@@ -561,42 +570,41 @@ func TestTwoPathBitmapRows(t *testing.T) {
 	}
 }
 
-// TestTwoPathBitmapDomainBound: DedupAuto builds bitmap rows over a z-domain
-// of 65 536 keys (1 024 words) and stamps one of 65 537; both answers are
+// TestTwoPathBitmapWideDomain: DedupAuto builds bitmap rows over a z-domain
+// of 65 537 keys, 1 025 words with one bit in the last, and the answer is
 // exact.
-func TestTwoPathBitmapDomainBound(t *testing.T) {
-	for _, nz := range []int{maxRowWords * 64, maxRowWords*64 + 1} {
-		// S(z, y): every z under y = z mod 8. R(x, y): x reaches y < x+1, so
-		// x pairs with every z whose z mod 8 ≤ x.
-		sp := make([]relation.Pair, nz)
-		for z := range sp {
-			sp[z] = relation.Pair{X: int32(z), Y: int32(z % 8)}
+func TestTwoPathBitmapWideDomain(t *testing.T) {
+	const nz = 1<<16 + 1
+	// S(z, y): every z under y = z mod 8. R(x, y): x reaches y < x+1, so x
+	// pairs with every z whose z mod 8 ≤ x.
+	sp := make([]relation.Pair, nz)
+	for z := range sp {
+		sp[z] = relation.Pair{X: int32(z), Y: int32(z % 8)}
+	}
+	var rp []relation.Pair
+	for x := int32(0); x < 3; x++ {
+		for y := int32(0); y <= x; y++ {
+			rp = append(rp, relation.Pair{X: x, Y: y})
 		}
-		var rp []relation.Pair
-		for x := int32(0); x < 3; x++ {
-			for y := int32(0); y <= x; y++ {
-				rp = append(rp, relation.Pair{X: x, Y: y})
+	}
+	r, s := relation.FromPairs("R", rp), relation.FromPairs("S", sp)
+	want := map[[2]int32]int32{}
+	for x := int32(0); x < 3; x++ {
+		for z := int32(0); z < nz; z++ {
+			if z%8 <= x {
+				want[[2]int32{x, z}] = 1
 			}
 		}
-		r, s := relation.FromPairs("R", rp), relation.FromPairs("S", sp)
-		want := map[[2]int32]int32{}
-		for x := int32(0); x < 3; x++ {
-			for z := int32(0); z < int32(nz); z++ {
-				if z%8 <= x {
-					want[[2]int32{x, z}] = 1
-				}
-			}
-		}
-		for _, mm := range []bool{true, false} {
-			opt := Options{Delta1: 1, Delta2: 2, Workers: 2}
-			g := TwoPathGroups(r, s, opt, mm)
-			opt.Dedup = DedupStamp
-			st := TwoPathGroups(r, s, opt, mm)
-			label := fmt.Sprintf("|dom z|=%d mm=%v", nz, mm)
-			bitmapRows := checkBitmapGroups(t, g, st, want, label)
-			if wantRows := map[bool]int{true: 3, false: 0}[nz <= maxRowWords*64]; bitmapRows != wantRows {
-				t.Fatalf("%s: %d bitmap rows, want %d", label, bitmapRows, wantRows)
-			}
+	}
+	dense := denseXs(newTwoPathCtxParallel(r, s, 1, 2, 1, nil))
+	for _, mm := range []bool{true, false} {
+		opt := Options{Delta1: 1, Delta2: 2, Workers: 2}
+		g := TwoPathGroups(r, s, opt, mm)
+		opt.Dedup = DedupStamp
+		st := TwoPathGroups(r, s, opt, mm)
+		label := fmt.Sprintf("|dom z|=%d mm=%v", nz, mm)
+		if n := checkBitmapGroups(t, g, st, dense, want, label); n != 3 {
+			t.Fatalf("%s: %d bitmap rows, want 3", label, n)
 		}
 	}
 }
