@@ -149,13 +149,13 @@ func BenchmarkFig4a_TwoPathSingleCore(b *testing.B) {
 		b.Run(name+"/MMJoin", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				jopt := joinproject.Options{Workers: 1}
-				jopt = opt.PlanTwoPath(r, r, jopt, "", 0).Options(jopt, r, r)
-				_ = joinproject.TwoPathSize(r, r, jopt)
+				jopt = opt.PlanTwoPath(r, r, jopt, "").Options(jopt, r, r)
+				_ = joinproject.TwoPathGroups(r, r, jopt, true)
 			}
 		})
 		b.Run(name+"/NonMMJoin", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = joinproject.TwoPathNonMM(r, r, joinproject.Options{Workers: 1})
+				_ = joinproject.TwoPathGroups(r, r, joinproject.Options{Workers: 1}, false)
 			}
 		})
 		b.Run(name+"/Postgres", func(b *testing.B) {
@@ -237,13 +237,13 @@ func benchJoinParallel(b *testing.B, name string) {
 		b.Run(fmt.Sprintf("cores=%d/MMJoin", cores), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				jopt := joinproject.Options{Workers: cores}
-				jopt = opt.PlanTwoPath(r, r, jopt, "", 0).Options(jopt, r, r)
-				_ = joinproject.TwoPathSize(r, r, jopt)
+				jopt = opt.PlanTwoPath(r, r, jopt, "").Options(jopt, r, r)
+				_ = joinproject.TwoPathGroups(r, r, jopt, true)
 			}
 		})
 		b.Run(fmt.Sprintf("cores=%d/NonMMJoin", cores), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = joinproject.TwoPathNonMM(r, r, joinproject.Options{Workers: cores})
+				_ = joinproject.TwoPathGroups(r, r, joinproject.Options{Workers: cores}, false)
 			}
 		})
 	}
@@ -427,19 +427,13 @@ func BenchmarkFig8_SSJAblationWords(b *testing.B) {
 
 // ---------------------------------------------------------------- Ablations
 
-// AblationDedup: the Section-6 per-x stamp vector vs append+sort dedup.
-func BenchmarkAblationDedup(b *testing.B) {
-	r := ds(b, "Words", benchScale)
-	for _, mode := range []struct {
-		name string
-		m    joinproject.DedupMode
-	}{{"Stamp", joinproject.DedupStamp}, {"Sort", joinproject.DedupSort}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = joinproject.TwoPathSize(r, r, joinproject.Options{Workers: 1, Dedup: mode.m})
-			}
-		})
+// twoPathSize is |OUT| of the 2-path without storing the pairs: the sum of
+// the group-by's distinct counts.
+func twoPathSize(r, s *relation.Relation, opt joinproject.Options) (n int64) {
+	for _, g := range joinproject.TwoPathGroupBy(r, s, opt) {
+		n += g.Distinct
 	}
+	return n
 }
 
 // AblationThresholds: Algorithm-3 chosen thresholds vs naive fixed choices,
@@ -448,37 +442,29 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	r := ds(b, "Jokes", benchScale)
 	opt := optimizer.New()
 	jopt := joinproject.Options{Workers: 1}
-	jopt = opt.PlanTwoPath(r, r, jopt, "", 0).Options(jopt, r, r)
+	jopt = opt.PlanTwoPath(r, r, jopt, "").Options(jopt, r, r)
 	b.Run("Optimizer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = joinproject.TwoPathSize(r, r, jopt)
+			_ = twoPathSize(r, r, jopt)
 		}
 	})
 	for _, fixed := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("Fixed=%d", fixed), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = joinproject.TwoPathSize(r, r, joinproject.Options{Delta1: fixed, Delta2: fixed, Workers: 1})
+				_ = twoPathSize(r, r, joinproject.Options{Delta1: fixed, Delta2: fixed, Workers: 1})
 			}
 		})
 	}
 }
 
-// AblationEstimator: Algorithm 3 with the geometric-mean estimate vs the
-// sketch-refined estimate (Section-9 extension) — measures planning cost,
-// not execution.
+// AblationEstimator: the cost of planning one instance with Algorithm 3 and
+// the geometric-mean estimate — measures planning, not execution.
 func BenchmarkAblationEstimator(b *testing.B) {
 	r := ds(b, "Image", benchScale)
 	opt := optimizer.New()
-	b.Run("GeometricMean", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
-		}
-	})
-	b.Run("HLLRefined", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 1<<30)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		_ = opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "")
+	}
 }
 
 // GroupBy: the Section-9 aggregate extension vs materialize-then-aggregate.
@@ -508,13 +494,13 @@ func BenchmarkAblationReduce(b *testing.B) {
 	s := ds(b, "Jokes", benchScale)
 	b.Run("Raw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = joinproject.TwoPathSize(r, s, joinproject.Options{Workers: 1})
+			_ = twoPathSize(r, s, joinproject.Options{Workers: 1})
 		}
 	})
 	b.Run("Reduced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			red := relation.Reduce(r, s)
-			_ = joinproject.TwoPathSize(red[0], red[1], joinproject.Options{Workers: 1})
+			_ = twoPathSize(red[0], red[1], joinproject.Options{Workers: 1})
 		}
 	})
 }

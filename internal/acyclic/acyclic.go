@@ -80,7 +80,7 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 func ComposeGroups(l, r *relation.Relation, opt Options) (joinproject.Groups, Step) {
 	halt := func() bool { return opt.Join.Stop != nil && opt.Join.Stop() }
 	rs := r.Swap()
-	dec := opt.Optimizer.PlanTwoPath(l, rs, opt.Join, opt.Force, 0)
+	dec := opt.Optimizer.PlanTwoPath(l, rs, opt.Join, opt.Force)
 	// A tripped Stop short-circuits the whole step: the join itself polls
 	// Stop, but the join and the output materialization each cost real time
 	// on large intermediates, so skipping them keeps the cancel-to-return

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/joinproject"
@@ -45,7 +45,10 @@ func AnswerSingle(r, s *relation.Relation, q Query) bool {
 // AnswerBatch answers a batch of queries at once: R and S are filtered to
 // the constants of the batch, the filtered 2-path join is evaluated, and the
 // result is intersected with the batch (the query Qbatch(x,z) =
-// R(x,y), S(z,y), T(x,z) of Section 3.3). Returns one answer per query, in
+// R(x,y), S(z,y), T(x,z) of Section 3.3). The join stays in index form: a
+// query's answer is a binary search for B's position in the sorted group of
+// A's position. The combinatorial mode runs the same kernel with every value
+// light (pure WCOJ expansion with dedup). Returns one answer per query, in
 // batch order.
 func AnswerBatch(r, s *relation.Relation, batch []Query, opt Options) []bool {
 	if len(batch) == 0 {
@@ -59,38 +62,19 @@ func AnswerBatch(r, s *relation.Relation, batch []Query, opt Options) []bool {
 	}
 	rf := r.RestrictXSet(as)
 	sf := s.RestrictXSet(bs)
+	jopt := joinproject.Options{Workers: opt.Workers}
+	if !opt.UseMM {
+		jopt = jopt.AllLight(rf, sf)
+	}
+	g := joinproject.TwoPathGroups(rf, sf, jopt, true)
+	g.Sort()
+	rx, sx := rf.ByX(), sf.ByX()
 	out := make([]bool, len(batch))
-	if opt.UseMM {
-		// Stream the filtered join-project and mark only the pairs the batch
-		// asked about; the projected output — which can dwarf the batch — is
-		// never materialized.
-		want := make(map[[2]int32]struct{}, len(batch))
-		for _, q := range batch {
-			want[[2]int32{q.A, q.B}] = struct{}{}
-		}
-		hit := make(map[[2]int32]struct{}, len(batch))
-		var mu sync.Mutex
-		joinproject.TwoPathMMVisit(rf, sf, joinproject.Options{Workers: opt.Workers}, func(x, z, _ int32) {
-			key := [2]int32{x, z}
-			if _, ok := want[key]; ok {
-				mu.Lock()
-				hit[key] = struct{}{}
-				mu.Unlock()
-			}
-		})
-		for i, q := range batch {
-			_, out[i] = hit[[2]int32{q.A, q.B}]
-		}
-		return out
-	}
-	// Combinatorial: all values light (pure WCOJ expansion with dedup).
-	pairs := joinproject.TwoPathNonMM(rf, sf, joinproject.Options{Workers: opt.Workers}.AllLight(rf, sf))
-	hit := make(map[[2]int32]struct{}, len(pairs))
-	for _, p := range pairs {
-		hit[p] = struct{}{}
-	}
 	for i, q := range batch {
-		_, out[i] = hit[[2]int32{q.A, q.B}]
+		xp, zp := rx.Pos(q.A), sx.Pos(q.B)
+		if xp >= 0 && zp >= 0 {
+			_, out[i] = slices.BinarySearch(g.ZPos[g.Off[xp]:g.Off[xp+1]], int32(zp))
+		}
 	}
 	return out
 }

@@ -201,7 +201,7 @@ func planOf(dec optimizer.Decision) Plan {
 // returns the record with the kernel options that run it.
 func (e *Engine) decide(r, s *relation.Relation) (optimizer.Decision, joinproject.Options) {
 	base := joinproject.Options{Workers: e.cfg.Workers}
-	dec := e.opt.PlanTwoPath(r, s, base, e.cfg.Strategy.String(), 0)
+	dec := e.opt.PlanTwoPath(r, s, base, e.cfg.Strategy.String())
 	return dec, dec.Options(base, r, s)
 }
 
@@ -209,20 +209,14 @@ func (e *Engine) decide(r, s *relation.Relation) (optimizer.Decision, joinprojec
 // pairs along with the chosen plan.
 func (e *Engine) JoinProject(r, s *relation.Relation) ([][2]int32, Plan) {
 	dec, opt := e.decide(r, s)
-	if dec.Strategy == optimizer.StrategyNonMM {
-		return joinproject.TwoPathNonMM(r, s, opt), planOf(dec)
-	}
-	return joinproject.TwoPathMM(r, s, opt), planOf(dec)
+	return joinproject.TwoPathGroups(r, s, opt, dec.Strategy != optimizer.StrategyNonMM).Pairs(), planOf(dec)
 }
 
 // JoinProjectCounts evaluates the counting variant: every output pair with
 // its exact witness count.
 func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairCount, Plan) {
 	dec, opt := e.decide(r, s)
-	if dec.Strategy == optimizer.StrategyNonMM {
-		return joinproject.TwoPathNonMMCounts(r, s, opt), planOf(dec)
-	}
-	return joinproject.TwoPathMMCounts(r, s, opt), planOf(dec)
+	return joinproject.TwoPathCounts(r, s, opt, dec.Strategy != optimizer.StrategyNonMM), planOf(dec)
 }
 
 // SimilarSets returns all set pairs with overlap at least c, using the

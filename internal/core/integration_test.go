@@ -47,9 +47,6 @@ func TestAllShapesAllEngines(t *testing.T) {
 				"mysql":       func() int { return len(baseline.SortMergeJoinDedup(r, r)) },
 				"systemx":     func() int { return len(baseline.SystemXJoinDedup(r, r)) },
 				"emptyheaded": func() int { return len(baseline.EmptyHeadedJoin(r, r, 2)) },
-				"dedupsort": func() int {
-					return len(joinproject.TwoPathMM(r, r, joinproject.Options{Dedup: joinproject.DedupSort}))
-				},
 			}
 			for label, fn := range engines {
 				if got := fn(); got != want {

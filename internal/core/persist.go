@@ -435,7 +435,7 @@ func (e *Engine) restoreSnapshot(st *snapshot.State, rec *RecoveryStats) error {
 	rec.SnapshotLSN = st.AppliedLSN
 	for _, r := range st.Relations {
 		// Images decode strictly sorted, so index rebuild skips a sort.
-		if err := e.cat.Register(r.Name, relation.FromSortedPairs(r.Name, r.Pairs)); err != nil {
+		if err := e.cat.Register(r.Name, relation.FromPairs(r.Name, r.Pairs)); err != nil {
 			return fmt.Errorf("core: restore relation %q: %w", r.Name, err)
 		}
 		rec.RestoredRelations++
@@ -458,7 +458,7 @@ func (e *Engine) applyRecord(r *wal.Record, rec *RecoveryStats) error {
 		}
 		rec.ReplayedMutations++
 	case wal.KindRegister:
-		if err := e.cat.Register(r.Name, relation.FromSortedPairs(r.Name, r.Pairs)); err != nil {
+		if err := e.cat.Register(r.Name, relation.FromPairs(r.Name, r.Pairs)); err != nil {
 			return err
 		}
 	case wal.KindDrop:

@@ -24,12 +24,12 @@ func init() {
 // then Algorithm 1 runs.
 func runMMJoin(opt *optimizer.Optimizer, r *relation.Relation, workers int) (n int, plan string) {
 	base := joinproject.Options{Workers: workers}
-	dec := opt.PlanTwoPath(r, r, base, "", 0)
+	dec := opt.PlanTwoPath(r, r, base, "")
 	plan = "wcoj-fallback"
 	if !dec.UseWCOJ() {
 		plan = fmt.Sprintf("d1=%d,d2=%d", dec.Delta1, dec.Delta2)
 	}
-	return len(joinproject.TwoPathMM(r, r, dec.Options(base, r, r))), plan
+	return len(joinproject.TwoPathGroups(r, r, dec.Options(base, r, r), true).ZPos), plan
 }
 
 func runFig4a(scale float64) Result {
@@ -43,7 +43,7 @@ func runFig4a(scale float64) Result {
 		res.Rows = append(res.Rows, Row{Dataset: name, Series: "MMJoin", Param: "1core",
 			Seconds: secs, Extra: fmt.Sprintf("|OUT|=%d %s", out, plan)})
 
-		secs = timeIt(func() { out = len(joinproject.TwoPathNonMM(r, r, joinproject.Options{Workers: 1})) })
+		secs = timeIt(func() { out = len(joinproject.TwoPathGroups(r, r, joinproject.Options{Workers: 1}, false).ZPos) })
 		res.Rows = append(res.Rows, Row{Dataset: name, Series: "Non-MMJoin", Param: "1core",
 			Seconds: secs, Extra: fmt.Sprintf("|OUT|=%d", out)})
 
@@ -95,7 +95,7 @@ func runJoinParallel(name string, scale float64) Result {
 		secs := timeIt(func() { out, _ = runMMJoin(opt, r, co) })
 		res.Rows = append(res.Rows, Row{Dataset: name, Series: "MMJoin",
 			Param: fmt.Sprintf("cores=%d", co), Seconds: secs, Extra: fmt.Sprintf("|OUT|=%d", out)})
-		secs = timeIt(func() { out = len(joinproject.TwoPathNonMM(r, r, joinproject.Options{Workers: co})) })
+		secs = timeIt(func() { out = len(joinproject.TwoPathGroups(r, r, joinproject.Options{Workers: co}, false).ZPos) })
 		res.Rows = append(res.Rows, Row{Dataset: name, Series: "Non-MMJoin",
 			Param: fmt.Sprintf("cores=%d", co), Seconds: secs, Extra: fmt.Sprintf("|OUT|=%d", out)})
 	}

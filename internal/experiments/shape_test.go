@@ -43,7 +43,7 @@ func TestShapeOptimizerFallsBackOnSparse(t *testing.T) {
 	opt := optimizer.New()
 	for _, name := range []string{"RoadNet", "DBLP"} {
 		r := getDataset(name, 0.25)
-		dec := opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+		dec := opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "")
 		if !dec.UseWCOJ() {
 			t.Errorf("%s: optimizer chose partitioning (outJoin=%d, N=%d), paper expects fallback",
 				name, dec.OutJoin, r.Size())
@@ -52,7 +52,7 @@ func TestShapeOptimizerFallsBackOnSparse(t *testing.T) {
 	// ... and must NOT fall back on the dense shapes.
 	for _, name := range []string{"Protein", "Image"} {
 		r := getDataset(name, 0.25)
-		dec := opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+		dec := opt.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "")
 		if dec.UseWCOJ() {
 			t.Errorf("%s: optimizer fell back to WCOJ (outJoin=%d, N=%d), paper expects partitioning",
 				name, dec.OutJoin, r.Size())
@@ -91,12 +91,19 @@ func TestShapeMMJoinOutputSensitive(t *testing.T) {
 	}
 	g := dataset.Community(120000, 10, 3)
 	full := relation.FullJoinSize(g, g)
-	out := joinproject.TwoPathSize(g, g, joinproject.Options{Workers: 1})
+	// |OUT| without storing the pairs: the sum of the group-by's counts.
+	size := func() (n int64) {
+		for _, gc := range joinproject.TwoPathGroupBy(g, g, joinproject.Options{Workers: 1}) {
+			n += gc.Distinct
+		}
+		return n
+	}
+	out := size()
 	if full < 10*out {
 		t.Skipf("community instance not duplicate-heavy enough: full=%d out=%d", full, out)
 	}
 	start := time.Now()
-	_ = joinproject.TwoPathSize(g, g, joinproject.Options{Workers: 1})
+	_ = size()
 	mm := time.Since(start)
 	start = time.Now()
 	_ = baseline.HashJoinDedup(g, g)

@@ -52,23 +52,14 @@ func gcd(a, b int) int {
 // BenchmarkTwoPathGroups times the set-semantics two-path kernel on the
 // dense self-join Q(x, z) :- D(x, y), D(z, y) over a Zipf(1.2) family of 125
 // sets of 40–180 elements drawn from 900, all values light (the plan the
-// dense queries run): stamping every witness against DedupAuto, which
-// builds the dense rows as bitmaps.
+// dense queries run), where the dense rows are built as bitmaps.
 func BenchmarkTwoPathGroups(b *testing.B) {
 	d := relation.FromPairs("D", zipfSetFamily(rand.New(rand.NewSource(1)), 125, 900, 40, 180, 1.2))
 	opt := Options{Workers: 1}.AllLight(d, d)
-	for _, bc := range []struct {
-		name string
-		mode DedupMode
-	}{{"stamp", DedupStamp}, {"auto", DedupAuto}} {
-		b.Run(bc.name, func(b *testing.B) {
-			opt.Dedup = bc.mode
-			var pairs int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pairs = len(TwoPathGroups(d, d, opt, true).ZPos)
-			}
-			b.ReportMetric(float64(pairs), "pairs/op")
-		})
+	var pairs int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pairs = len(TwoPathGroups(d, d, opt, true).ZPos)
 	}
+	b.ReportMetric(float64(pairs), "pairs/op")
 }

@@ -101,7 +101,7 @@ func TestStarTwoRelationsMatchesTwoPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	r := skewedRel(rng, "R", 300, 25, 15)
 	s := skewedRel(rng, "S", 300, 25, 15)
-	want := TwoPathMM(r, s, Options{Delta1: 2, Delta2: 2})
+	want := groupPairs(r, s, Options{Delta1: 2, Delta2: 2}, true)
 	got := StarMM([]*relation.Relation{r, s}, Options{Delta1: 2, Delta2: 2})
 	wantTuples := make([][]int32, len(want))
 	for i, p := range want {

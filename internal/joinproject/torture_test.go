@@ -2,6 +2,7 @@ package joinproject
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -20,7 +21,7 @@ func TestTortureSingleY(t *testing.T) {
 	r := relation.FromPairs("oneY", ps)
 	want := bruteCounts(r, r)
 	for _, d := range []int{1, 100, 1000} {
-		got := countsToMap(TwoPathMMCounts(r, r, Options{Delta1: d, Delta2: d}))
+		got := countsToMap(TwoPathCounts(r, r, Options{Delta1: d, Delta2: d}, true))
 		if len(got) != 200*200 {
 			t.Fatalf("d=%d: %d pairs, want 40000", d, len(got))
 		}
@@ -40,7 +41,7 @@ func TestTortureMatching(t *testing.T) {
 		ps = append(ps, relation.Pair{X: i, Y: i})
 	}
 	r := relation.FromPairs("match", ps)
-	got := TwoPathMM(r, r, Options{Delta1: 1, Delta2: 1})
+	got := groupPairs(r, r, Options{Delta1: 1, Delta2: 1}, true)
 	if len(got) != 500 {
 		t.Fatalf("matching join-project = %d pairs, want 500 self-pairs", len(got))
 	}
@@ -65,7 +66,7 @@ func TestTortureHub(t *testing.T) {
 	want := bruteCounts(r, r)
 	for _, d1 := range []int{1, 2, 50} {
 		for _, d2 := range []int{1, 2, 50} {
-			got := countsToMap(TwoPathMMCounts(r, r, Options{Delta1: d1, Delta2: d2}))
+			got := countsToMap(TwoPathCounts(r, r, Options{Delta1: d1, Delta2: d2}, true))
 			if len(got) != len(want) {
 				t.Fatalf("d=(%d,%d): %d pairs, want %d", d1, d2, len(got), len(want))
 			}
@@ -96,7 +97,7 @@ func TestTortureBlocks(t *testing.T) {
 	}
 	r := relation.FromPairs("blocks", ps)
 	want := bruteCounts(r, r)
-	got := countsToMap(TwoPathMMCounts(r, r, Options{Delta1: 5, Delta2: 5, Workers: 3}))
+	got := countsToMap(TwoPathCounts(r, r, Options{Delta1: 5, Delta2: 5, Workers: 3}, true))
 	if len(got) != len(want) {
 		t.Fatalf("%d pairs, want %d", len(got), len(want))
 	}
@@ -117,7 +118,7 @@ func TestTortureAsymmetric(t *testing.T) {
 	big := skewedRel(rng, "big", 4000, 300, 10)
 	for _, pair := range [][2]*relation.Relation{{small, big}, {big, small}} {
 		want := bruteCounts(pair[0], pair[1])
-		got := countsToMap(TwoPathMMCounts(pair[0], pair[1], Options{Delta1: 3, Delta2: 3}))
+		got := countsToMap(TwoPathCounts(pair[0], pair[1], Options{Delta1: 3, Delta2: 3}, true))
 		if len(got) != len(want) {
 			t.Fatalf("asymmetric: %d pairs, want %d", len(got), len(want))
 		}
@@ -150,28 +151,30 @@ func TestTortureStarBottleneck(t *testing.T) {
 	}
 }
 
+// TestTwoPathGroupBy checks the group-by's distinct counts across threshold
+// settings and worker counts on an instance whose narrow z-domain makes
+// bitmap rows of the dense x values.
 func TestTwoPathGroupBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(225))
 	r := skewedRel(rng, "R", 600, 50, 30)
 	s := skewedRel(rng, "S", 600, 50, 30)
-	want := bruteCounts(r, s)
 	wantDistinct := map[int32]int64{}
-	wantWitness := map[int32]int64{}
-	for p, c := range want {
+	for p := range bruteCounts(r, s) {
 		wantDistinct[p[0]]++
-		wantWitness[p[0]] += int64(c)
 	}
 	for _, d := range []int{1, 4, 1000} {
-		groups := TwoPathGroupBy(r, s, Options{Delta1: d, Delta2: d, Workers: 2})
-		if len(groups) != len(wantDistinct) {
-			t.Fatalf("d=%d: %d groups, want %d", d, len(groups), len(wantDistinct))
+		if !slices.Contains(denseXs(newTwoPathCtxParallel(r, s, d, d, 1, nil)), true) {
+			t.Fatalf("d=%d: no x row is built as a bitmap", d)
 		}
-		for _, g := range groups {
-			if g.Distinct != wantDistinct[g.X] {
-				t.Fatalf("d=%d: group %d distinct=%d, want %d", d, g.X, g.Distinct, wantDistinct[g.X])
+		for _, workers := range []int{1, 2, 4} {
+			groups := TwoPathGroupBy(r, s, Options{Delta1: d, Delta2: d, Workers: workers})
+			if len(groups) != len(wantDistinct) {
+				t.Fatalf("d=%d workers=%d: %d groups, want %d", d, workers, len(groups), len(wantDistinct))
 			}
-			if g.Witnesses != wantWitness[g.X] {
-				t.Fatalf("d=%d: group %d witnesses=%d, want %d", d, g.X, g.Witnesses, wantWitness[g.X])
+			for _, g := range groups {
+				if g.Distinct != wantDistinct[g.X] {
+					t.Fatalf("d=%d workers=%d: group %d distinct=%d, want %d", d, workers, g.X, g.Distinct, wantDistinct[g.X])
+				}
 			}
 		}
 	}
@@ -200,8 +203,8 @@ func TestTortureExtremesAgree(t *testing.T) {
 		ps = append(ps, relation.Pair{X: int32(60 + y%3), Y: y})
 	}
 	r := relation.FromPairs("ext", ps)
-	allLight := countsToMap(TwoPathMMCounts(r, r, Options{Delta1: 10000, Delta2: 10000}))
-	allHeavy := countsToMap(TwoPathMMCounts(r, r, Options{Delta1: 1, Delta2: 1}))
+	allLight := countsToMap(TwoPathCounts(r, r, Options{Delta1: 10000, Delta2: 10000}, true))
+	allHeavy := countsToMap(TwoPathCounts(r, r, Options{Delta1: 1, Delta2: 1}, true))
 	if len(allLight) != len(allHeavy) {
 		t.Fatalf("light-only %d pairs, heavy-routed %d", len(allLight), len(allHeavy))
 	}

@@ -18,19 +18,17 @@
 //
 // Both algorithms address values by their position in the operands' indexes
 // (relation.Index.Pos) and never by hashing or searching them. The two-path
-// kernels produce their result in index form — Groups: for each x position
-// of R, in ascending x order, the distinct z positions of S it pairs with —
-// and every set-semantics entry point is a reading of that one result:
-// TwoPathMM and TwoPathNonMM flatten it to pairs (x ascending; within one x
-// the z positions are ascending when the row was built as a bitmap or by
-// sort dedup, and in the order of discovery, which depends on the
-// thresholds, when it was stamped), Groups.Sort puts z ascending within each
-// x in place, Groups.Relation indexes it by counting; TwoPathSize counts the
-// same rows without storing them. The pair set, the grouping and the indexed
-// relation are the same for every worker count. The counting entry points
-// (TwoPathMMCounts, TwoPathMMVisit, TwoPathGroupBy) deliver whole x rows from
-// whichever worker owns the x, so their output order across x values is
-// unspecified.
+// kernel has two entry points, one per reading of Algorithm 1. TwoPathGroups
+// is set semantics, in index form — Groups: for each x position of R, in
+// ascending x order, the distinct z positions of S it pairs with (ascending
+// when the row was built as a bitmap or by sort dedup, in the order of
+// discovery, which depends on the thresholds, when it was stamped).
+// Groups.Pairs flattens it, Groups.Sort puts z ascending within each x in
+// place, Groups.Relation indexes it by counting, and TwoPathGroupBy counts
+// each group without storing it. The pair set, the grouping and the indexed
+// relation are the same for every worker count. TwoPathCounts adds each
+// pair's witness count; it delivers whole x rows from whichever worker owns
+// the x, so its output order across x values is unspecified.
 //
 // # Deduplicating star tuples
 //
@@ -44,9 +42,10 @@
 // internal/tuples is the one tuple store here: the matrix step's row
 // numbering (buildGroupMatrix) and the collected output rows use the same
 // Table and Arena.
-// The two-path light part makes the same kind of choice per x through
-// DedupMode: a dense row is a bitmap over z positions built by OR-ing whole
-// per-y rows, a sparse one a stamp vector or a sort.
+// The two-path light part makes the same kind of choice from the data alone
+// (runMode): a dense x row is a bitmap over z positions built by OR-ing whole
+// per-y rows, a sparse one is stamped, and over a z-domain too wide for the
+// stamp vector every row is sorted.
 package joinproject
 
 import (
@@ -61,26 +60,6 @@ import (
 	"repro/internal/relation"
 )
 
-// DedupMode selects the light-part deduplication strategy of Section 6.
-type DedupMode int
-
-const (
-	// DedupAuto builds each dense x row as a bitmap over z positions: the
-	// z lists of long-listed y values are kept as bitmap rows, and an x
-	// whose expansion work is at least twice the row width ORs them word by
-	// word, sets single bits for the rest, and reads the row out ascending.
-	// Sparse x rows use the stamp vector (DedupStamp). When the stamp vector
-	// would not fit caches comfortably it switches to DedupSort — "the best
-	// of the two strategies, depending on the number of elements that need
-	// to be deduplicated and the domain size".
-	DedupAuto DedupMode = iota
-	// DedupStamp uses the reusable per-x dedup vector over dom(z) (the
-	// paper's code snippet), with an epoch trick instead of clearing.
-	DedupStamp
-	// DedupSort appends all reachable z values and sorts+uniques per x.
-	DedupSort
-)
-
 // Options configures a join-project evaluation.
 type Options struct {
 	// Delta1 is the degree threshold on the join variable y; Delta2 is the
@@ -89,8 +68,6 @@ type Options struct {
 	Delta1, Delta2 int
 	// Workers bounds the parallelism; ≤ 0 uses all cores.
 	Workers int
-	// Dedup selects the light-part deduplication strategy.
-	Dedup DedupMode
 	// Stop, when non-nil, is polled at block boundaries of the evaluation
 	// loops and inside the matrix kernels; a true return abandons the
 	// remaining work (the output is then incomplete). Callers wire a
@@ -159,7 +136,7 @@ type twoPathCtx struct {
 	// when S has no such y.
 	yPosByX []int32
 
-	// Under DedupAuto, the long z lists as bitmap rows (buildYRows).
+	// Under bitmap dedup, the long z lists as bitmap rows (buildYRows).
 	yRowAt []int32
 	yRows  []uint64
 }
@@ -250,19 +227,10 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 	return c
 }
 
-// dedupSortThreshold is the z-domain size above which DedupAuto switches
-// from the stamp vector to append+sort (the stamp array stops fitting in
-// cache).
+// dedupSortThreshold is the z-domain size above which set semantics
+// switches from the stamp vector to append+sort (the stamp array stops
+// fitting in cache).
 const dedupSortThreshold = 1 << 20
-
-// resolveDedup maps DedupAuto to DedupSort on this instance when S's
-// z-domain is wider than dedupSortThreshold; any other mode runs as given.
-func (c *twoPathCtx) resolveDedup(mode DedupMode) DedupMode {
-	if mode == DedupAuto && c.sX.NumKeys() > dedupSortThreshold {
-		return DedupSort
-	}
-	return mode
-}
 
 // rowSink receives one x value's whole output row: xpos is its position in
 // R's x index, zps the positions in S's x index of its distinct partners
@@ -278,23 +246,23 @@ type rowSink func(worker, xpos int, zps, cnt []int32)
 // rows of the bit-packed product; !useMM is the combinatorial Lemma-2
 // variant — identical partitioning, with the residual computed by pairwise
 // sorted-list intersection instead. counting asks for exact witness counts.
-// dedup is a resolved strategy (resolveDedup) — DedupAuto here builds the
-// dense rows as bitmaps and stamps the rest — and applies to set semantics
-// only; the counting variant needs random-access accumulation and always
-// uses the stamp vector. The sink receives the worker index so callers can
-// keep coordination-free per-worker buffers — the Section-6 parallelization
-// pattern.
-func (c *twoPathCtx) runMode(workers int, useMM, counting bool, dedup DedupMode, sink rowSink) {
+// The light-part dedup is Section 6's choice by "the number of elements that
+// need to be deduplicated and the domain size", made here from S's z-domain:
+// counting needs random-access accumulation and always stamps; set semantics
+// over at most dedupSortThreshold z keys builds each dense x row as a bitmap
+// (bitmapRow) and stamps the rest, and over a wider domain appends and sorts.
+// The sink receives the worker index so callers can keep coordination-free
+// per-worker buffers — the Section-6 parallelization pattern.
+func (c *twoPathCtx) runMode(workers int, useMM, counting bool, sink rowSink) {
 	nx := c.rX.NumKeys()
 	nw := min(par.Workers(workers), nx)
 	if nw < 1 || !c.built {
 		return
 	}
-	if counting {
-		dedup = DedupStamp
-	}
+	sortDedup := !counting && c.sX.NumKeys() > dedupSortThreshold
+	bitmaps := !counting && !sortDedup
 	zw := (c.sX.NumKeys() + 63) / 64
-	if dedup == DedupAuto {
+	if bitmaps {
 		c.buildYRows(zw, workers)
 	}
 	var zCols [][]int32
@@ -311,10 +279,10 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting bool, dedup DedupMode,
 		go func(chunk int) {
 			defer wg.Done()
 			st := blockState{zCols: zCols}
-			if dedup != DedupSort {
+			if !sortDedup {
 				st.stamp = make([]int32, c.sX.NumKeys())
 			}
-			if dedup == DedupAuto {
+			if bitmaps {
 				st.acc = make([]uint64, zw)
 			}
 			if counting {
@@ -382,8 +350,8 @@ func (c *twoPathCtx) heavyZCols() [][]int32 {
 
 // blockState is one worker's scratch, reused across the blocks it pulls.
 // The evaluation mode is fixed per call by which scratch is present: cnt
-// (counting), stamp (stamp dedup; absent under sort dedup), acc (DedupAuto:
-// the dense x rows' accumulator, one bit per z position), and for the
+// (counting), stamp (stamp dedup; absent under sort dedup), acc (bitmap
+// dedup: the dense x rows' accumulator, one bit per z position), and for the
 // heavy residual aRow (the current heavy x as a bit row, multiplied against
 // zRows) or zCols/aCols (the same matrix and row as sorted column lists,
 // intersected pairwise).
@@ -676,95 +644,35 @@ func (gc *groupCollector) groups() Groups {
 	return g
 }
 
-// twoPathCounts evaluates the counting 2-path into coordination-free
-// per-worker buffers, concatenated in worker order.
-func twoPathCounts(r, s *relation.Relation, opt Options, useMM bool) []PairCount {
+// TwoPathGroups evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) and returns the distinct
+// output pairs in index form: with Algorithm 1 when mm is set, with the
+// combinatorial Lemma-2 variant (the same degree partitioning, the heavy
+// residual by pairwise sorted-list intersection) otherwise. This is the one
+// set-semantics evaluation: callers flatten it (Groups.Pairs), acyclic.Compose
+// takes its Relation, and a query's last fold reads it directly
+// (acyclic.ComposeGroups).
+func TwoPathGroups(r, s *relation.Relation, opt Options, mm bool) Groups {
+	opt = opt.normalize(r, s)
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
+	gc := newGroupCollector(c, opt.Workers)
+	c.runMode(opt.Workers, mm, false, gc.sink)
+	return gc.groups()
+}
+
+// TwoPathCounts evaluates the counting 2-path: every distinct output pair
+// with its exact witness count, with Algorithm 1 when mm is set and with the
+// Lemma-2 variant otherwise. The light/heavy witness categories of
+// Algorithm 1 partition the witness space, so counts are exact. Per-worker
+// buffers are concatenated in worker order.
+func TwoPathCounts(r, s *relation.Relation, opt Options, mm bool) []PairCount {
 	opt = opt.normalize(r, s)
 	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	slots := make([][]PairCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, useMM, true, DedupStamp, func(worker, xpos int, zps, cnt []int32) {
+	c.runMode(opt.Workers, mm, true, func(worker, xpos int, zps, cnt []int32) {
 		x := c.rX.Key(xpos)
 		for _, zp := range zps {
 			slots[worker] = append(slots[worker], PairCount{X: x, Z: c.sX.Key(int(zp)), Count: cnt[zp]})
 		}
 	})
 	return slices.Concat(slots...)
-}
-
-// TwoPathGroups evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) and returns the distinct
-// output pairs in index form: with Algorithm 1 when mm is set, with the
-// combinatorial Lemma-2 variant (the same degree partitioning, the heavy
-// residual by pairwise sorted-list intersection) otherwise. This is the one
-// evaluation every set-semantics entry point shares; TwoPathMM and
-// TwoPathNonMM are its Pairs, acyclic.Compose takes its Relation, and a
-// query's last fold reads it directly (acyclic.ComposeGroups).
-func TwoPathGroups(r, s *relation.Relation, opt Options, mm bool) Groups {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	gc := newGroupCollector(c, opt.Workers)
-	c.runMode(opt.Workers, mm, false, c.resolveDedup(opt.Dedup), gc.sink)
-	return gc.groups()
-}
-
-// TwoPathMM evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) with Algorithm 1 and returns
-// the distinct output pairs, grouped by ascending x (order within one x
-// unspecified).
-func TwoPathMM(r, s *relation.Relation, opt Options) [][2]int32 {
-	return TwoPathGroups(r, s, opt, true).Pairs()
-}
-
-// TwoPathMMCounts evaluates the counting 2-path: every distinct output pair
-// with its exact witness count. The light/heavy witness categories of
-// Algorithm 1 partition the witness space, so counts are exact.
-func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
-	return twoPathCounts(r, s, opt, true)
-}
-
-// TwoPathMMVisit streams each distinct output pair and its witness count to
-// visit. visit is called concurrently when opt.Workers permits; it must be
-// safe for concurrent use.
-func TwoPathMMVisit(r, s *relation.Relation, opt Options, visit func(x, z, count int32)) {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	c.runMode(opt.Workers, true, true, DedupStamp, func(_, xpos int, zps, cnt []int32) {
-		x := c.rX.Key(xpos)
-		for _, zp := range zps {
-			visit(x, c.sX.Key(int(zp)), cnt[zp])
-		}
-	})
-}
-
-// TwoPathNonMM is the combinatorial Lemma-2 baseline: the same degree
-// partitioning, with the heavy residual computed by pairwise sorted-list
-// intersections instead of matrix multiplication. Output order as TwoPathMM.
-func TwoPathNonMM(r, s *relation.Relation, opt Options) [][2]int32 {
-	return TwoPathGroups(r, s, opt, false).Pairs()
-}
-
-// TwoPathNonMMCounts is the counting variant of TwoPathNonMM.
-func TwoPathNonMMCounts(r, s *relation.Relation, opt Options) []PairCount {
-	return twoPathCounts(r, s, opt, false)
-}
-
-// paddedCount is a cache-line-padded counter: per-worker tallies would
-// otherwise false-share one line and serialize the workers.
-type paddedCount struct {
-	n int64
-	_ [7]int64
-}
-
-// TwoPathSize returns |OUT| — the number of distinct output pairs — without
-// materializing them.
-func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	counts := make([]paddedCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, c.resolveDedup(opt.Dedup), func(w, _ int, zps, _ []int32) {
-		counts[w].n += int64(len(zps))
-	})
-	var total int64
-	for _, pc := range counts {
-		total += pc.n
-	}
-	return total
 }

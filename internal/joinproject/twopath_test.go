@@ -65,6 +65,11 @@ func pairsToCounts(ps [][2]int32) map[[2]int32]int32 {
 	return m
 }
 
+// groupPairs is TwoPathGroups flattened to value pairs.
+func groupPairs(r, s *relation.Relation, opt Options, mm bool) [][2]int32 {
+	return TwoPathGroups(r, s, opt, mm).Pairs()
+}
+
 func countsToMap(pc []PairCount) map[[2]int32]int32 {
 	m := make(map[[2]int32]int32, len(pc))
 	for _, p := range pc {
@@ -126,9 +131,9 @@ func TestTwoPathSmall(t *testing.T) {
 	r := rel("R", [2]int32{1, 10}, [2]int32{2, 10}, [2]int32{3, 11})
 	s := rel("S", [2]int32{5, 10}, [2]int32{6, 11}, [2]int32{6, 12})
 	want := bruteCounts(r, s)
-	checkPairsEqual(t, TwoPathMM(r, s, Options{Delta1: 1, Delta2: 1}), want, "MM d=1")
-	checkPairsEqual(t, TwoPathMM(r, s, Options{Delta1: 100, Delta2: 100}), want, "MM all-light")
-	checkCountsEqual(t, TwoPathMMCounts(r, s, Options{Delta1: 1, Delta2: 1}), want, "MM counts")
+	checkPairsEqual(t, groupPairs(r, s, Options{Delta1: 1, Delta2: 1}, true), want, "MM d=1")
+	checkPairsEqual(t, groupPairs(r, s, Options{Delta1: 100, Delta2: 100}, true), want, "MM all-light")
+	checkCountsEqual(t, TwoPathCounts(r, s, Options{Delta1: 1, Delta2: 1}, true), want, "MM counts")
 }
 
 func TestTwoPathAcrossThresholds(t *testing.T) {
@@ -139,10 +144,10 @@ func TestTwoPathAcrossThresholds(t *testing.T) {
 	for _, d1 := range []int{1, 2, 5, 50, 1000} {
 		for _, d2 := range []int{1, 3, 10, 1000} {
 			opt := Options{Delta1: d1, Delta2: d2, Workers: 1}
-			checkPairsEqual(t, TwoPathMM(r, s, opt), want, "MM")
-			checkCountsEqual(t, TwoPathMMCounts(r, s, opt), want, "MMCounts")
-			checkPairsEqual(t, TwoPathNonMM(r, s, opt), want, "NonMM")
-			checkCountsEqual(t, TwoPathNonMMCounts(r, s, opt), want, "NonMMCounts")
+			checkPairsEqual(t, groupPairs(r, s, opt, true), want, "MM")
+			checkCountsEqual(t, TwoPathCounts(r, s, opt, true), want, "MMCounts")
+			checkPairsEqual(t, groupPairs(r, s, opt, false), want, "NonMM")
+			checkCountsEqual(t, TwoPathCounts(r, s, opt, false), want, "NonMMCounts")
 		}
 	}
 }
@@ -154,10 +159,10 @@ func TestTwoPathParallelMatchesSerial(t *testing.T) {
 	want := bruteCounts(r, s)
 	for _, w := range []int{1, 2, 4, 9} {
 		opt := Options{Delta1: 3, Delta2: 4, Workers: w}
-		checkPairsEqual(t, TwoPathMM(r, s, opt), want, "MM parallel")
-		checkCountsEqual(t, TwoPathMMCounts(r, s, opt), want, "MMCounts parallel")
-		checkPairsEqual(t, TwoPathNonMM(r, s, opt), want, "NonMM parallel")
-		checkCountsEqual(t, TwoPathNonMMCounts(r, s, opt), want, "NonMMCounts parallel")
+		checkPairsEqual(t, groupPairs(r, s, opt, true), want, "MM parallel")
+		checkCountsEqual(t, TwoPathCounts(r, s, opt, true), want, "MMCounts parallel")
+		checkPairsEqual(t, groupPairs(r, s, opt, false), want, "NonMM parallel")
+		checkCountsEqual(t, TwoPathCounts(r, s, opt, false), want, "NonMMCounts parallel")
 	}
 }
 
@@ -187,10 +192,10 @@ func TestTwoPathStop(t *testing.T) {
 		want     map[[2]int32]int32
 		run      func(Options) map[[2]int32]int32
 	}{
-		{"MM", false, pairs, func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathMM(r, s, o)) }},
-		{"MMCounts", true, pairs, func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathMMCounts(r, s, o)) }},
-		{"NonMM", false, pairs, func(o Options) map[[2]int32]int32 { return pairsToCounts(TwoPathNonMM(r, s, o)) }},
-		{"NonMMCounts", true, pairs, func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathNonMMCounts(r, s, o)) }},
+		{"MM", false, pairs, func(o Options) map[[2]int32]int32 { return pairsToCounts(groupPairs(r, s, o, true)) }},
+		{"MMCounts", true, pairs, func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathCounts(r, s, o, true)) }},
+		{"NonMM", false, pairs, func(o Options) map[[2]int32]int32 { return pairsToCounts(groupPairs(r, s, o, false)) }},
+		{"NonMMCounts", true, pairs, func(o Options) map[[2]int32]int32 { return countsToMap(TwoPathCounts(r, s, o, false)) }},
 		{"GroupBy", true, groups, func(o Options) map[[2]int32]int32 {
 			m := map[[2]int32]int32{}
 			for _, g := range TwoPathGroupBy(r, s, o) {
@@ -246,7 +251,7 @@ func TestTwoPathSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	r := skewedRel(rng, "R", 600, 50, 25)
 	want := bruteCounts(r, r)
-	checkCountsEqual(t, TwoPathMMCounts(r, r, Options{Delta1: 2, Delta2: 3}), want, "self join")
+	checkCountsEqual(t, TwoPathCounts(r, r, Options{Delta1: 2, Delta2: 3}, true), want, "self join")
 }
 
 func TestTwoPathDefaults(t *testing.T) {
@@ -255,40 +260,37 @@ func TestTwoPathDefaults(t *testing.T) {
 	s := skewedRel(rng, "S", 500, 60, 30)
 	want := bruteCounts(r, s)
 	// Zero options select heuristic thresholds; result must be unchanged.
-	checkPairsEqual(t, TwoPathMM(r, s, Options{}), want, "default thresholds")
-	if got := TwoPathSize(r, s, Options{}); got != int64(len(want)) {
-		t.Fatalf("TwoPathSize = %d, want %d", got, len(want))
+	checkPairsEqual(t, groupPairs(r, s, Options{}, true), want, "default thresholds")
+	var size int64
+	for _, g := range TwoPathGroupBy(r, s, Options{}) {
+		size += g.Distinct
+	}
+	if size != int64(len(want)) {
+		t.Fatalf("group-by counts sum to %d, want %d", size, len(want))
 	}
 }
 
 func TestTwoPathEmptyAndDisjoint(t *testing.T) {
 	empty := rel("E")
 	r := rel("R", [2]int32{1, 1})
-	if got := TwoPathMM(empty, r, Options{Delta1: 1, Delta2: 1}); len(got) != 0 {
+	if got := groupPairs(empty, r, Options{Delta1: 1, Delta2: 1}, true); len(got) != 0 {
 		t.Fatalf("join with empty = %v", got)
 	}
 	disjoint := rel("D", [2]int32{9, 99})
-	if got := TwoPathMM(r, disjoint, Options{Delta1: 1, Delta2: 1}); len(got) != 0 {
+	if got := groupPairs(r, disjoint, Options{Delta1: 1, Delta2: 1}, true); len(got) != 0 {
 		t.Fatalf("disjoint join = %v", got)
 	}
 }
 
+// TestTwoPathVisitCounts checks TwoPathCounts' witness counts, with the
+// heavy residual by matrix product and by list intersection.
 func TestTwoPathVisitCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	r := skewedRel(rng, "R", 300, 30, 20)
 	s := skewedRel(rng, "S", 300, 30, 20)
 	want := bruteCounts(r, s)
-	got := map[[2]int32]int32{}
-	TwoPathMMVisit(r, s, Options{Delta1: 2, Delta2: 2, Workers: 1}, func(x, z, n int32) {
-		got[[2]int32{x, z}] += n
-	})
-	if len(got) != len(want) {
-		t.Fatalf("visit saw %d pairs, want %d", len(got), len(want))
-	}
-	for p, c := range want {
-		if got[p] != c {
-			t.Fatalf("pair %v count = %d, want %d", p, got[p], c)
-		}
+	for _, mm := range []bool{true, false} {
+		checkCountsEqual(t, TwoPathCounts(r, s, Options{Delta1: 2, Delta2: 2, Workers: 1}, mm), want, fmt.Sprintf("mm=%v", mm))
 	}
 }
 
@@ -318,9 +320,9 @@ func TestPaperExample2(t *testing.T) {
 	}
 	// Δ1 = Δ2 = 1 makes every value heavy (all degrees ≥ 2), so the entire
 	// result flows through the matrix product.
-	checkCountsEqual(t, TwoPathMMCounts(r, s, Options{Delta1: 1, Delta2: 1}), wantM, "example 2 heavy")
+	checkCountsEqual(t, TwoPathCounts(r, s, Options{Delta1: 1, Delta2: 1}, true), wantM, "example 2 heavy")
 	// The result must be threshold-invariant: all-light evaluation agrees.
-	checkCountsEqual(t, TwoPathMMCounts(r, s, Options{Delta1: 99, Delta2: 99}), wantM, "example 2 light")
+	checkCountsEqual(t, TwoPathCounts(r, s, Options{Delta1: 99, Delta2: 99}, true), wantM, "example 2 light")
 }
 
 func TestAgainstWCOJOracle(t *testing.T) {
@@ -328,7 +330,7 @@ func TestAgainstWCOJOracle(t *testing.T) {
 	r := skewedRel(rng, "R", 800, 70, 40)
 	s := skewedRel(rng, "S", 800, 70, 40)
 	oracle := wcoj.Project2PathCounts(r, s)
-	got := countsToMap(TwoPathMMCounts(r, s, Options{Delta1: 4, Delta2: 4}))
+	got := countsToMap(TwoPathCounts(r, s, Options{Delta1: 4, Delta2: 4}, true))
 	if len(got) != len(oracle) {
 		t.Fatalf("MM %d pairs, WCOJ oracle %d", len(got), len(oracle))
 	}
@@ -390,7 +392,7 @@ func TestQuickTwoPathMatchesBrute(t *testing.T) {
 		s := skewedRel(rng, "S", 1+rng.Intn(250), 1+rng.Intn(40), 1+rng.Intn(25))
 		opt := Options{Delta1: 1 + int(d1raw%16), Delta2: 1 + int(d2raw%16), Workers: 2}
 		want := bruteCounts(r, s)
-		if gm := countsToMap(TwoPathMMCounts(r, s, opt)); len(gm) != len(want) {
+		if gm := countsToMap(TwoPathCounts(r, s, opt, true)); len(gm) != len(want) {
 			return false
 		} else {
 			for p, c := range want {
@@ -399,7 +401,7 @@ func TestQuickTwoPathMatchesBrute(t *testing.T) {
 				}
 			}
 		}
-		gm := countsToMap(TwoPathNonMMCounts(r, s, opt))
+		gm := countsToMap(TwoPathCounts(r, s, opt, false))
 		if len(gm) != len(want) {
 			return false
 		}
@@ -430,7 +432,7 @@ func TestAllHeavyInstance(t *testing.T) {
 	}
 	r := rel("R", ps...)
 	want := bruteCounts(r, r)
-	got := countsToMap(TwoPathMMCounts(r, r, Options{Delta1: 1, Delta2: 1}))
+	got := countsToMap(TwoPathCounts(r, r, Options{Delta1: 1, Delta2: 1}, true))
 	if len(got) != 25 {
 		t.Fatalf("K5,5 self join: %d pairs, want 25", len(got))
 	}
@@ -450,16 +452,62 @@ func sortPairs(ps [][2]int32) {
 	})
 }
 
+// TestDedupModes runs each light-part dedup the data picks against the
+// answer of a hash join: on a narrow z-domain the bitmap rows and the
+// stamped ones, and on a z-domain of dedupSortThreshold+1 keys the sort, with
+// the heavy residual by matrix product and by list intersection at 1 and 2
+// workers. In the wide instance every y below 1024 lists about 1024 z and is
+// heavy, z 0–63 also meet the four y 1024–1027 and are heavy, and most x
+// list three y, so every witness category occurs.
 func TestDedupModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	r := skewedRel(rng, "R", 900, 90, 45)
-	s := skewedRel(rng, "S", 900, 90, 45)
-	want := bruteCounts(r, s)
-	for _, mode := range []DedupMode{DedupAuto, DedupStamp, DedupSort} {
-		opt := Options{Delta1: 3, Delta2: 4, Workers: 2, Dedup: mode}
-		checkPairsEqual(t, TwoPathMM(r, s, opt), want, "dedup mode")
-		if got := TwoPathSize(r, s, opt); got != int64(len(want)) {
-			t.Fatalf("mode %d: size %d, want %d", mode, got, len(want))
+	r := skewedRel(rng, "R", 900, 300, 45)
+	s := skewedRel(rng, "S", 900, 2000, 45)
+	dense := denseXs(newTwoPathCtxParallel(r, s, 3, 4, 1, nil))
+	if !slices.Contains(dense, true) || !slices.Contains(dense, false) {
+		t.Fatal("narrow instance lacks bitmap or stamped rows")
+	}
+	for _, mm := range []bool{true, false} {
+		checkPairsEqual(t, groupPairs(r, s, Options{Delta1: 3, Delta2: 4, Workers: 2}, mm), bruteCounts(r, s), fmt.Sprintf("narrow mm=%v", mm))
+	}
+
+	const nz = dedupSortThreshold + 1
+	sp := make([]relation.Pair, 0, nz+256)
+	for z := int32(0); z < nz; z++ {
+		sp = append(sp, relation.Pair{X: z, Y: z % 1024})
+	}
+	for z := int32(0); z < 64; z++ {
+		for k := int32(0); k < 4; k++ {
+			sp = append(sp, relation.Pair{X: z, Y: 1024 + k})
+		}
+	}
+	var rp []relation.Pair
+	for x := int32(0); x < 40; x++ {
+		rp = append(rp, relation.Pair{X: x, Y: x * 7 % 1024}, relation.Pair{X: x, Y: 1024 + x%4})
+		if x%5 != 0 {
+			rp = append(rp, relation.Pair{X: x, Y: (x*13 + 5) % 1024})
+		}
+	}
+	wr, ws := relation.FromPairs("R", rp), relation.FromPairs("S", sp)
+	if ws.NumX() <= dedupSortThreshold {
+		t.Fatalf("S has %d z keys, want more than %d", ws.NumX(), dedupSortThreshold)
+	}
+	want := map[[2]int32]int32{}
+	for _, p := range rp {
+		for _, z := range ws.ByY().Lookup(p.Y) {
+			want[[2]int32{p.X, z}] = 1
+		}
+	}
+	for _, mm := range []bool{true, false} {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("|dom z|=%d mm=%v workers=%d", nz, mm, workers)
+			g := TwoPathGroups(wr, ws, Options{Delta1: 8, Delta2: 2, Workers: workers}, mm)
+			checkPairsEqual(t, g.Pairs(), want, label)
+			for i := range g.XKeys {
+				if grp := g.ZPos[g.Off[i]:g.Off[i+1]]; !slices.IsSorted(grp) {
+					t.Fatalf("%s: sorted group of x=%d not ascending", label, g.XKeys[i])
+				}
+			}
 		}
 	}
 }
@@ -468,10 +516,10 @@ func TestDeterministicOutputSetAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	r := skewedRel(rng, "R", 700, 80, 35)
 	s := skewedRel(rng, "S", 700, 80, 35)
-	base := TwoPathMM(r, s, Options{Delta1: 3, Delta2: 3, Workers: 1})
+	base := groupPairs(r, s, Options{Delta1: 3, Delta2: 3, Workers: 1}, true)
 	sortPairs(base)
 	for _, w := range []int{2, 5} {
-		got := TwoPathMM(r, s, Options{Delta1: 3, Delta2: 3, Workers: w})
+		got := groupPairs(r, s, Options{Delta1: 3, Delta2: 3, Workers: w}, true)
 		sortPairs(got)
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: %d pairs, want %d", w, len(got), len(base))
@@ -484,8 +532,8 @@ func TestDeterministicOutputSetAcrossWorkers(t *testing.T) {
 	}
 }
 
-// denseXs reports, per x position of c's R, whether DedupAuto builds that
-// x's row as a bitmap.
+// denseXs reports, per x position of c's R, whether set semantics builds
+// that x's row as a bitmap.
 func denseXs(c *twoPathCtx) []bool {
 	acc := make([]uint64, (c.sX.NumKeys()+63)/64)
 	dense := make([]bool, c.rX.NumKeys())
@@ -495,38 +543,28 @@ func denseXs(c *twoPathCtx) []bool {
 	return dense
 }
 
-// checkBitmapGroups requires the DedupAuto result g to equal the brute force
-// answer, every group of a dense x to be ascending, and every group to hold
-// the same z positions as the DedupStamp result st. It returns how many
-// groups came from the bitmap path.
-func checkBitmapGroups(t *testing.T, g, st Groups, dense []bool, want map[[2]int32]int32, label string) int {
+// checkBitmapGroups requires the groups g to equal the brute force answer
+// and every group of a dense x to be ascending. It returns how many groups
+// came from the bitmap path.
+func checkBitmapGroups(t *testing.T, g Groups, dense []bool, want map[[2]int32]int32, label string) int {
 	t.Helper()
 	checkPairsEqual(t, g.Pairs(), want, label)
-	if !slices.Equal(g.Off, st.Off) {
-		t.Fatalf("%s: group sizes differ from DedupStamp's", label)
-	}
 	bitmapRows := 0
 	for i := range g.XKeys {
-		grp := g.ZPos[g.Off[i]:g.Off[i+1]]
-		if dense[i] {
-			bitmapRows++
-			if !slices.IsSorted(grp) {
-				t.Fatalf("%s: bitmap group of x=%d not ascending: %v", label, g.XKeys[i], grp)
-			}
+		if !dense[i] {
+			continue
 		}
-		other := slices.Clone(st.ZPos[st.Off[i]:st.Off[i+1]])
-		slices.Sort(other)
-		if !slices.Equal(slices.Sorted(slices.Values(grp)), other) {
-			t.Fatalf("%s: group of x=%d is %v, DedupStamp's %v", label, g.XKeys[i], grp, other)
+		bitmapRows++
+		if grp := g.ZPos[g.Off[i]:g.Off[i+1]]; !slices.IsSorted(grp) {
+			t.Fatalf("%s: bitmap group of x=%d not ascending: %v", label, g.XKeys[i], grp)
 		}
 	}
 	return bitmapRows
 }
 
-// TestTwoPathBitmapRows runs DedupAuto's bitmap light part, with the heavy
-// residual by matrix product and by list intersection, at 1, 2 and 4
-// workers against the nested-loop answer and the stamp-dedup groups, at
-// three threshold settings: all light, all heavy (1, 1), and a mixed one
+// TestTwoPathBitmapRows runs the bitmap light part, with the heavy residual
+// by matrix product and by list intersection, at 1, 2 and 4 workers against
+// the nested-loop answer, at three threshold settings: all light, all heavy (1, 1), and a mixed one
 // under which a heavy x meets a heavy y that has light z partners
 // (category 3, the light prefix of a list that is not OR-ed whole).
 func TestTwoPathBitmapRows(t *testing.T) {
@@ -558,11 +596,8 @@ func TestTwoPathBitmapRows(t *testing.T) {
 		for _, mm := range []bool{true, false} {
 			for _, workers := range []int{1, 2, 4} {
 				label := fmt.Sprintf("Δ=%v mm=%v workers=%d", d, mm, workers)
-				opt := Options{Delta1: d[0], Delta2: d[1], Workers: workers}
-				g := TwoPathGroups(r, s, opt, mm)
-				opt.Dedup = DedupStamp
-				st := TwoPathGroups(r, s, opt, mm)
-				if checkBitmapGroups(t, g, st, dense, want, label) == 0 {
+				g := TwoPathGroups(r, s, Options{Delta1: d[0], Delta2: d[1], Workers: workers}, mm)
+				if checkBitmapGroups(t, g, dense, want, label) == 0 {
 					t.Fatalf("%s: no group took the bitmap path", label)
 				}
 			}
@@ -570,7 +605,7 @@ func TestTwoPathBitmapRows(t *testing.T) {
 	}
 }
 
-// TestTwoPathBitmapWideDomain: DedupAuto builds bitmap rows over a z-domain
+// TestTwoPathBitmapWideDomain: set semantics builds bitmap rows over a z-domain
 // of 65 537 keys, 1 025 words with one bit in the last, and the answer is
 // exact.
 func TestTwoPathBitmapWideDomain(t *testing.T) {
@@ -598,12 +633,9 @@ func TestTwoPathBitmapWideDomain(t *testing.T) {
 	}
 	dense := denseXs(newTwoPathCtxParallel(r, s, 1, 2, 1, nil))
 	for _, mm := range []bool{true, false} {
-		opt := Options{Delta1: 1, Delta2: 2, Workers: 2}
-		g := TwoPathGroups(r, s, opt, mm)
-		opt.Dedup = DedupStamp
-		st := TwoPathGroups(r, s, opt, mm)
+		g := TwoPathGroups(r, s, Options{Delta1: 1, Delta2: 2, Workers: 2}, mm)
 		label := fmt.Sprintf("|dom z|=%d mm=%v", nz, mm)
-		if n := checkBitmapGroups(t, g, st, dense, want, label); n != 3 {
+		if n := checkBitmapGroups(t, g, dense, want, label); n != 3 {
 			t.Fatalf("%s: %d bitmap rows, want 3", label, n)
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/joinproject"
 	"repro/internal/matrix"
 	"repro/internal/relation"
-	"repro/internal/sketch"
 )
 
 // WCOJFallbackFactor is the Algorithm-3 guard: if |OUT⋈| ≤ factor·N the
@@ -390,13 +389,12 @@ func (d Decision) settle(base joinproject.Options) Decision {
 // It is the only place a two-path strategy is chosen, and is valid on a nil
 // receiver ("no planner"). base carries the worker count and the caller's
 // threshold pins (0 = unpinned); force is a strategy pin ("" or "auto" =
-// none); sketchBudget > 0 refines est|OUT| with a HyperLogLog pass over the
-// full join when |OUT⋈| ≤ sketchBudget (the Section-9 refinement).
+// none).
 //
 // A forced strategy wins and prices nothing; no planner means MM; otherwise
 // Algorithm 3 decides: plain WCOJ when |OUT⋈| ≤ 20·N, else the threshold
 // descent. Run the result with Decision.Options.
-func (o *Optimizer) PlanTwoPath(r, s *relation.Relation, base joinproject.Options, force string, sketchBudget int64) Decision {
+func (o *Optimizer) PlanTwoPath(r, s *relation.Relation, base joinproject.Options, force string) Decision {
 	if forced(force) {
 		return Decision{Strategy: force}.settle(base)
 	}
@@ -404,13 +402,7 @@ func (o *Optimizer) PlanTwoPath(r, s *relation.Relation, base joinproject.Option
 		return Decision{Strategy: StrategyMM}.settle(base)
 	}
 	outJoin := relation.FullJoinSize(r, s)
-	dec := o.algorithm3(r, s, base.Workers, outJoin, joinproject.EstimateOutputFromJoinSize(r, s, outJoin))
-	if sketchBudget > 0 && dec.Strategy == StrategyMM && dec.OutJoin <= sketchBudget {
-		if est := int64(sketch.EstimateJoinProjectHLL(r, s, 12)); est >= 1 {
-			dec = o.algorithm3(r, s, base.Workers, outJoin, est)
-		}
-	}
-	return dec.settle(base)
+	return o.algorithm3(r, s, base.Workers, outJoin, joinproject.EstimateOutputFromJoinSize(r, s, outJoin)).settle(base)
 }
 
 // guard is the shared Algorithm-3 fallback test: when the full join is at

@@ -107,7 +107,7 @@ func TestChooseFallsBackOnSparse(t *testing.T) {
 	// RoadNet-shaped data: tiny degrees, |OUT⋈| well under 20N.
 	r, _ := dataset.ByName("RoadNet", 0.3)
 	o := New()
-	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "")
 	if !dec.UseWCOJ() {
 		t.Fatalf("sparse instance should fall back to WCOJ (outJoin=%d, N=%d)", dec.OutJoin, r.Size())
 	}
@@ -116,7 +116,7 @@ func TestChooseFallsBackOnSparse(t *testing.T) {
 func TestChoosePartitionsOnDense(t *testing.T) {
 	r, _ := dataset.ByName("Image", 0.4)
 	o := New()
-	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "")
 	if dec.UseWCOJ() {
 		t.Fatalf("dense instance should not fall back (outJoin=%d, N=%d)", dec.OutJoin, r.Size())
 	}
@@ -137,7 +137,7 @@ func TestChosenThresholdsNearGridOptimum(t *testing.T) {
 	// the instance plans MM on every runner.
 	r, _ := dataset.ByName("Jokes", 0.2)
 	o := NewWithConstants(Constants{Ts: 0.5, Tm: 6, TI: 4})
-	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
+	dec := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "")
 	if dec.UseWCOJ() {
 		t.Fatalf("Jokes planned %s, want mm (|OUT⋈|=%d)", dec.Strategy, dec.OutJoin)
 	}
@@ -161,12 +161,12 @@ func TestChooseCorrectnessEndToEnd(t *testing.T) {
 	r := randomRel(rng, "R", 2000, 40, 25)
 	s := randomRel(rng, "S", 2000, 40, 25)
 	o := New()
-	dec := o.PlanTwoPath(r, s, joinproject.Options{Workers: 2}, "", 0)
+	dec := o.PlanTwoPath(r, s, joinproject.Options{Workers: 2}, "")
 	var got [][2]int32
 	if dec.UseWCOJ() {
-		got = joinproject.TwoPathMM(r, s, joinproject.Options{Delta1: r.Size() + 1, Delta2: r.Size() + 1})
+		got = joinproject.TwoPathGroups(r, s, joinproject.Options{Delta1: r.Size() + 1, Delta2: r.Size() + 1}, true).Pairs()
 	} else {
-		got = joinproject.TwoPathMM(r, s, joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2})
+		got = joinproject.TwoPathGroups(r, s, joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2}, true).Pairs()
 	}
 	want := map[[2]int32]bool{}
 	for _, rp := range r.Pairs() {
@@ -213,33 +213,6 @@ func TestCostMonotoneInHeavyCount(t *testing.T) {
 	}
 	if o.heavyCost(ix, 1<<30, 1<<30, 1) != 0 {
 		t.Fatal("no heavy values should cost 0")
-	}
-}
-
-func TestChooseWithSketch(t *testing.T) {
-	r, _ := dataset.ByName("Image", 0.4)
-	o := New()
-	base := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
-	refined := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 1<<30)
-	if refined.UseWCOJ() != base.UseWCOJ() {
-		t.Fatalf("sketch refinement flipped the WCOJ decision")
-	}
-	if !refined.UseWCOJ() {
-		if refined.Delta1 < 1 || refined.Delta2 < 1 {
-			t.Fatalf("refined thresholds (%d, %d) invalid", refined.Delta1, refined.Delta2)
-		}
-		// The HLL estimate must be within a small factor of the true output
-		// size (computed exactly here).
-		exact := int64(len(joinproject.TwoPathMM(r, r, joinproject.Options{})))
-		ratio := float64(refined.EstOut) / float64(exact)
-		if ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("sketch estimate %d vs exact %d (ratio %.2f)", refined.EstOut, exact, ratio)
-		}
-	}
-	// A zero budget must leave the decision untouched.
-	same := o.PlanTwoPath(r, r, joinproject.Options{Workers: 1}, "", 0)
-	if same.EstOut != base.EstOut {
-		t.Fatal("budget 0 should not refine the estimate")
 	}
 }
 

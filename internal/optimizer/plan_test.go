@@ -42,7 +42,7 @@ func TestPlanSeam(t *testing.T) {
 			r, s := tc.in[0], tc.in[1]
 			base := joinproject.Options{Workers: 2, Delta1: pin[0], Delta2: pin[1]}
 
-			dec := tc.o.PlanTwoPath(r, s, base, tc.force, 0)
+			dec := tc.o.PlanTwoPath(r, s, base, tc.force)
 			checkRecord(t, label+" two-path", dec, tc.twoPath, pin, tc.planned)
 			opt := dec.Options(base, r, s)
 			if allLight := max(r.Size(), s.Size()) + 1; dec.Strategy == StrategyWCOJ {
@@ -65,11 +65,8 @@ func TestPlanSeam(t *testing.T) {
 					}
 				}
 			}
-			pairs, counts := joinproject.TwoPathMM, joinproject.TwoPathMMCounts
-			if dec.Strategy == StrategyNonMM {
-				pairs, counts = joinproject.TwoPathNonMM, joinproject.TwoPathNonMMCounts
-			}
-			gotPairs := pairs(r, s, opt)
+			mm := dec.Strategy != StrategyNonMM
+			gotPairs := joinproject.TwoPathGroups(r, s, opt, mm).Pairs()
 			if len(gotPairs) != len(want) {
 				t.Errorf("%s: %d pairs, want %d", label, len(gotPairs), len(want))
 			}
@@ -78,7 +75,7 @@ func TestPlanSeam(t *testing.T) {
 					t.Errorf("%s: wrong pair %v", label, p)
 				}
 			}
-			gotCounts := counts(r, s, opt)
+			gotCounts := joinproject.TwoPathCounts(r, s, opt, mm)
 			if len(gotCounts) != len(want) {
 				t.Errorf("%s: %d counted pairs, want %d", label, len(gotCounts), len(want))
 			}
@@ -87,19 +84,25 @@ func TestPlanSeam(t *testing.T) {
 					t.Errorf("%s: pair (%d,%d) count %d, want %d", label, pc.X, pc.Z, pc.Count, want[[2]int32{pc.X, pc.Z}])
 				}
 			}
-			distinct, witnesses := map[int32]int64{}, map[int32]int64{}
-			for p, c := range want {
+			// The dense instance's S has 30 z keys, one word, so every x that
+			// expands two or more z builds its row as a bitmap; the group-by
+			// must count those rows exactly at every worker count.
+			distinct := map[int32]int64{}
+			for p := range want {
 				distinct[p[0]]++
-				witnesses[p[0]] += int64(c)
 			}
-			groups := joinproject.TwoPathGroupBy(r, s, opt)
-			if len(groups) != len(distinct) {
-				t.Errorf("%s: %d groups, want %d", label, len(groups), len(distinct))
-			}
-			for _, g := range groups {
-				if g.Distinct != distinct[g.X] || g.Witnesses != witnesses[g.X] {
-					t.Errorf("%s: group %d = (%d,%d), want (%d,%d)",
-						label, g.X, g.Distinct, g.Witnesses, distinct[g.X], witnesses[g.X])
+			for _, workers := range []int{1, 2, 4} {
+				gopt := opt
+				gopt.Workers = workers
+				groups := joinproject.TwoPathGroupBy(r, s, gopt)
+				if len(groups) != len(distinct) {
+					t.Errorf("%s workers=%d: %d groups, want %d", label, workers, len(groups), len(distinct))
+				}
+				for _, g := range groups {
+					if g.Distinct != distinct[g.X] {
+						t.Errorf("%s workers=%d: group %d has %d partners, want %d",
+							label, workers, g.X, g.Distinct, distinct[g.X])
+					}
 				}
 			}
 

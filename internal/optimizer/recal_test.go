@@ -138,7 +138,7 @@ func TestDecisionMargins(t *testing.T) {
 	o := NewWithConstants(Constants{Ts: 0.5, Tm: 6, TI: 4})
 	r := pathRelation("R", 64)
 	s := pathRelation("S", 64)
-	dec := o.PlanTwoPath(r, s, joinproject.Options{Workers: 1}, "", 0)
+	dec := o.PlanTwoPath(r, s, joinproject.Options{Workers: 1}, "")
 	if !dec.UseWCOJ() {
 		t.Fatalf("sparse chain should take the WCOJ guard, got %+v", dec)
 	}

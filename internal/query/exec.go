@@ -649,7 +649,7 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	// No planner: the counting fold runs MM on the closed-form thresholds
 	// unless the query pins a strategy.
 	var noPlanner *optimizer.Optimizer
-	dec := noPlanner.PlanTwoPath(gRel, cvRel, ex.aopt.Join, ex.aopt.Force, 0)
+	dec := noPlanner.PlanTwoPath(gRel, cvRel, ex.aopt.Join, ex.aopt.Force)
 	node.Decision, node.Detail = dec, detail
 	if ex.dry {
 		return cr, nil
@@ -692,7 +692,7 @@ func (ex *executor) predictFold(r1, r2 *relation.Relation, node *Node, detail st
 		node.Strategy, node.Detail = "auto", detail+" (decided at run time)"
 		return
 	}
-	node.setFold(ex.aopt.Optimizer.PlanTwoPath(r1, r2.Swap(), ex.aopt.Join, "", 0), detail)
+	node.setFold(ex.aopt.Optimizer.PlanTwoPath(r1, r2.Swap(), ex.aopt.Join, ""), detail)
 }
 
 // setFold fills a fold node from its decision record; MM folds show their

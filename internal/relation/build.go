@@ -2,8 +2,8 @@ package relation
 
 import "slices"
 
-// The builder core. Every constructor — FromPairs, FromSortedPairs,
-// ApplyDelta, FromGroups — reduces its input to one of two shapes and hands
+// The builder core. Every constructor — FromPairs, ApplyDelta, FromGroups —
+// reduces its input to one of two shapes and hands
 // it to the matching finisher:
 //
 //   - a (key, val)-sorted run of packed tuples → indexFromPacked, which

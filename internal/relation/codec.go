@@ -16,7 +16,7 @@ import (
 // per tuple on realistic graphs (vs 8 fixed bytes in the row format of
 // io.go). DecodePairs rejects any byte stream that does not decode to a
 // strictly (x, y)-sorted duplicate-free list, so a decoded image can go
-// straight to FromSortedPairs, which indexes it without sorting.
+// straight to FromPairs, which indexes sorted input without sorting it.
 
 // maxEncodedPairs bounds a decoded image; counts beyond it are treated as
 // corruption rather than attempted as one giant allocation.
@@ -54,7 +54,7 @@ func AppendPairs(dst []byte, ps []Pair) []byte {
 // DecodePairs consumes one columnar image from b, returning the decoded
 // pairs and the remaining bytes. It errors (never panics) on truncated or
 // corrupt input, including any encoding that would decode to an unsorted or
-// duplicated pair list, so the result is always safe for FromSortedPairs.
+// duplicated pair list, so FromPairs indexes the result in linear time.
 func DecodePairs(b []byte) ([]Pair, []byte, error) {
 	n, used := binary.Uvarint(b)
 	if used <= 0 {
@@ -135,11 +135,3 @@ func DecodePairs(b []byte) ([]Pair, []byte, error) {
 
 // inInt32 reports whether v fits an int32.
 func inInt32(v int64) bool { return v >= -1<<31 && v <= 1<<31-1 }
-
-// FromSortedPairs builds a relation from tuples already sorted by (x, y)
-// with duplicates removed — the invariant DecodePairs guarantees and
-// Pairs() restores. It is FromPairs under the precondition that makes
-// FromPairs linear: sorted input is indexed as it stands and never sorted,
-// so loading a snapshotted relation costs O(N) plus the mirror index. This
-// is the recovery path's entry point.
-func FromSortedPairs(name string, ps []Pair) *Relation { return FromPairs(name, ps) }

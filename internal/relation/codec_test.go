@@ -7,7 +7,8 @@ import (
 )
 
 // TestCodecDifferential round-trips random pair sets through the columnar
-// codec and checks FromSortedPairs against FromPairs on the decoded image.
+// codec and checks FromPairs on the decoded (sorted) image against FromPairs
+// on the raw input.
 func TestCodecDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -30,14 +31,14 @@ func TestCodecDifferential(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("trial %d: %d undecoded bytes", trial, len(rest))
 		}
-		got := FromSortedPairs("r", dec)
+		got := FromPairs("r", dec)
 		if !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
 			t.Fatalf("trial %d: pair mismatch after round trip", trial)
 		}
 		if got.Size() != want.Size() || got.NumX() != want.NumX() || got.NumY() != want.NumY() {
 			t.Fatalf("trial %d: index shape mismatch", trial)
 		}
-		// The mirror index must agree too (FromSortedPairs sorts it itself).
+		// The mirror index must agree too (the builder sorts it itself).
 		for i := 0; i < want.ByY().NumKeys(); i++ {
 			y := want.ByY().Key(i)
 			if !reflect.DeepEqual(got.ByY().Lookup(y), want.ByY().Lookup(y)) {
@@ -118,7 +119,7 @@ func TestCodecEmpty(t *testing.T) {
 	if err != nil || len(dec) != 0 || len(rest) != 0 {
 		t.Fatalf("empty round trip: %v %v %v", dec, rest, err)
 	}
-	if FromSortedPairs("e", nil).Size() != 0 {
-		t.Fatal("empty FromSortedPairs")
+	if FromPairs("e", nil).Size() != 0 {
+		t.Fatal("empty FromPairs")
 	}
 }

@@ -138,7 +138,10 @@ type Relation struct {
 
 // FromPairs builds a relation from tuples in any order. Duplicate tuples are
 // removed and both column indexes are built. The input slice is not
-// retained.
+// retained. Input already sorted by (x, y) without duplicates — the
+// invariant DecodePairs guarantees and Pairs() restores — is indexed as it
+// stands and never sorted, so loading a snapshotted relation costs O(N) plus
+// the mirror index.
 func FromPairs(name string, ps []Pair) *Relation {
 	p := packPairs(ps, false)
 	sortPacked(p)

@@ -42,8 +42,6 @@ type Options struct {
 	// Limit is the number of inverted lists LIMIT+ intersects before
 	// verification; the paper's experiments use 2.
 	Limit int
-	// Delta1/Delta2 override MMJoin's thresholds (0: automatic).
-	Delta1, Delta2 int
 }
 
 // family indexes the sets with elements re-ranked by ascending frequency
@@ -299,9 +297,7 @@ func MMJoin(r *relation.Relation, opt Options) []Pair {
 	for i := 0; i < ix.NumKeys(); i++ {
 		sizes[ix.Key(i)] = int32(ix.Degree(i))
 	}
-	counts := joinproject.TwoPathMMCounts(r, r, joinproject.Options{
-		Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers,
-	})
+	counts := joinproject.TwoPathCounts(r, r, joinproject.Options{Workers: opt.Workers}, true)
 	var out []Pair
 	for _, pc := range counts {
 		if pc.X != pc.Z && pc.Count == sizes[pc.X] {

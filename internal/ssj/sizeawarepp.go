@@ -75,9 +75,7 @@ func heavyViaMM(rel *relation.Relation, f *family, c, x int, opt PPOptions, sink
 		return
 	}
 	rh := relation.FromPairs("heavy", heavyPairs)
-	counts := joinproject.TwoPathMMCounts(rel, rh, joinproject.Options{
-		Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers,
-	})
+	counts := joinproject.TwoPathCounts(rel, rh, joinproject.Options{Workers: opt.Workers}, true)
 	for _, pc := range counts {
 		if pc.Count < int32(c) || pc.X == pc.Z {
 			continue
@@ -113,7 +111,7 @@ func lightViaMM(f *family, c, x int, opt PPOptions, sink *pairSink) {
 		return
 	}
 	b := relation.FromPairs("subsets", bp)
-	pairs := joinproject.TwoPathMM(b, b, joinproject.Options{Workers: opt.Workers})
+	pairs := joinproject.TwoPathGroups(b, b, joinproject.Options{Workers: opt.Workers}, true).Pairs()
 	for _, p := range pairs {
 		if p[0] < p[1] {
 			sink.add(Pair{A: p[0], B: p[1]})

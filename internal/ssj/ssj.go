@@ -43,8 +43,6 @@ type ScoredPair struct {
 type Options struct {
 	// Workers bounds parallelism (≤ 0: all cores).
 	Workers int
-	// Delta1/Delta2 override the join-project thresholds (0: automatic).
-	Delta1, Delta2 int
 }
 
 // MMJoin returns all set pairs with |A ∩ B| ≥ c using the counting 2-path
@@ -53,9 +51,7 @@ func MMJoin(r *relation.Relation, c int, opt Options) []Pair {
 	if c < 1 {
 		c = 1
 	}
-	counts := joinproject.TwoPathMMCounts(r, r, joinproject.Options{
-		Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers,
-	})
+	counts := joinproject.TwoPathCounts(r, r, joinproject.Options{Workers: opt.Workers}, true)
 	out := make([]Pair, 0, len(counts)/2)
 	for _, pc := range counts {
 		if pc.X < pc.Z && pc.Count >= int32(c) {
@@ -72,9 +68,7 @@ func MMJoinOrdered(r *relation.Relation, c int, opt Options) []ScoredPair {
 	if c < 1 {
 		c = 1
 	}
-	counts := joinproject.TwoPathMMCounts(r, r, joinproject.Options{
-		Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers,
-	})
+	counts := joinproject.TwoPathCounts(r, r, joinproject.Options{Workers: opt.Workers}, true)
 	out := make([]ScoredPair, 0, len(counts)/2)
 	for _, pc := range counts {
 		if pc.X < pc.Z && pc.Count >= int32(c) {

@@ -311,7 +311,7 @@ func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *
 		}
 		delta := relation.FromPairs("Δ"+plan.rel(j), orientPairs(pairs, sj, headJ))
 		jopt := joinproject.Options{Workers: v.workers}
-		dec := v.opt.PlanTwoPath(delta, otherOriented, jopt, "", 0)
+		dec := v.opt.PlanTwoPath(delta, otherOriented, jopt, "")
 		v.lastStrats = append(v.lastStrats,
 			fmt.Sprintf("Δ%s slot=%d %s |Δ|=%d", plan.rel(j), j, dec.Strategy, delta.Size()))
 		if dec.UseWCOJ() {
@@ -320,7 +320,7 @@ func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *
 			stratKernelMM.Inc()
 		}
 		head := make([]int32, len(headVars))
-		for _, pc := range joinproject.TwoPathMMCounts(delta, otherOriented, dec.Options(jopt, delta, otherOriented)) {
+		for _, pc := range joinproject.TwoPathCounts(delta, otherOriented, dec.Options(jopt, delta, otherOriented), true) {
 			head[posJ], head[posO] = pc.X, pc.Z
 			v.bump(head, sign*int64(pc.Count))
 		}
