@@ -63,3 +63,38 @@ func BenchmarkTwoPathGroups(b *testing.B) {
 	}
 	b.ReportMetric(float64(pairs), "pairs/op")
 }
+
+// BenchmarkStar times the star kernel on Q(a, b, c) :- Ds(a, y), Es(b, y),
+// Fs(c, y), each arm the first 16 sets of a Zipf(1.2) family of 125 sets of
+// 40–180 elements drawn from 900 — the dense star, whose 16³-tuple head
+// domain is a bitmap tuple set — at Δ = (1, 128), the planner's choice for
+// it, and all-light.
+func BenchmarkStar(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	arms := make([]*relation.Relation, 3)
+	allLight := 0
+	for j, name := range []string{"Ds", "Es", "Fs"} {
+		var ps []relation.Pair
+		for _, p := range zipfSetFamily(rng, 125, 900, 40, 180, 1.2) {
+			if p.X < 16 {
+				ps = append(ps, p)
+			}
+		}
+		arms[j] = relation.FromPairs(name, ps)
+		allLight = max(allLight, len(ps)+1)
+	}
+	for _, bc := range []struct {
+		name   string
+		d1, d2 int
+	}{{"delta=1,128", 1, 128}, {"all-light", allLight, allLight}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opt := Options{Delta1: bc.d1, Delta2: bc.d2, Workers: 1}
+			var rows int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows = len(StarMM(arms, opt))
+			}
+			b.ReportMetric(float64(rows), "rows/op")
+		})
+	}
+}

@@ -25,7 +25,7 @@ type GroupCount struct {
 // the matrix product.
 func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
 	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, 1, opt.Stop)
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	nx := c.rX.NumKeys()
 	// Every x's row arrives once, whole, from a single goroutine, so the
 	// per-position slots are written race-free.

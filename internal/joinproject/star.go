@@ -26,7 +26,9 @@ import (
 //     mixed-radix index of the tuple's positions with the last arm fastest,
 //     so bit order is head order: the kernel only sets bits, and the
 //     distinct tuples are read out afterwards by one walk over the bitmap,
-//     sorted and the same for every worker count;
+//     sorted and the same for every worker count. The tuples extending one
+//     prefix of the first k−1 arms are a run of bits, so a long last-arm
+//     list is OR-ed in as one shifted row (starCtx.buildLastRows);
 //   - a large one gets a hash set of the position tuples actually seen,
 //     striped over mutex-guarded shards, which reports each tuple as new to
 //     whichever worker meets it first, so the output order varies with the
@@ -76,16 +78,37 @@ func newStarDedup(domains []int, joinSize float64) *starDedup {
 	return d
 }
 
-// mark sets the bitmap bit of the position tuple ps. Safe for concurrent
-// use.
-func (d *starDedup) mark(ps []int32) {
+// mark sets the bitmap bit of the position tuple ps or, when row is
+// non-nil, of every tuple that extends the prefix ps[:k−1] by a last-arm
+// position set in row. Safe for concurrent use.
+func (d *starDedup) mark(ps []int32, row []uint64) {
+	k := len(ps)
 	var idx uint64
-	for j, p := range ps {
+	for j, p := range ps[:k-1] {
 		idx += uint64(p) * d.stride[j]
 	}
-	// Most join tuples find the bit already set and leave after the load.
-	if w, bit := &d.bitmap[idx/64], uint64(1)<<(idx%64); w.Load()&bit == 0 {
-		w.Or(bit)
+	if row == nil {
+		idx += uint64(ps[k-1]) // stride[k-1] = 1
+		d.or(idx/64, 1<<(idx%64))
+		return
+	}
+	// The prefix's tuples are bits [idx, idx+D): row word t lands in words
+	// q+t and q+t+1 (at s = 0 the shift by 64 leaves the second nothing).
+	q, s := idx/64, idx%64
+	for t, v := range row {
+		d.or(q+uint64(t), v<<s)
+		d.or(q+uint64(t)+1, v>>(64-s))
+	}
+}
+
+// or sets bits in word w, leaving after the load when they are set already;
+// zero bits (the empty spill past the bitmap's last word) touch nothing.
+func (d *starDedup) or(w, bits uint64) {
+	if bits == 0 {
+		return
+	}
+	if x := &d.bitmap[w]; x.Load()&bits != bits {
+		x.Or(bits)
 	}
 }
 
@@ -165,6 +188,11 @@ type starCtx struct {
 	// joinSize is |OUT⋈| = Σ_y Π_j deg_j(y).
 	joinSize float64
 	stop     func() bool // polled at block boundaries; nil = never stop
+	// Under the bitmap, the last arm's long lists as lastW-word rows
+	// (buildLastRows): ys[i]'s starts at lastRows[lastRowAt[i]], or -1.
+	lastRowAt []int32
+	lastRows  []uint64
+	lastW     int
 }
 
 func newStarCtx(rels []*relation.Relation, d1, d2 int) *starCtx {
@@ -173,10 +201,6 @@ func newStarCtx(rels []*relation.Relation, d1, d2 int) *starCtx {
 	c.yHeavyCount = make([]int8, len(c.ys))
 	c.yPos = make([][]int32, c.k)
 	c.xPosByY = make([][]int32, c.k)
-	witnesses := make([]float64, len(c.ys))
-	for i := range witnesses {
-		witnesses[i] = 1
-	}
 	for j, r := range rels {
 		byX, byY := r.ByX(), r.ByY()
 		c.yPos[j] = make([]int32, len(c.ys))
@@ -187,14 +211,17 @@ func newStarCtx(rels []*relation.Relation, d1, d2 int) *starCtx {
 			if byY.Degree(yp) > d1 {
 				c.yHeavyCount[i]++
 			}
-			witnesses[i] *= float64(byY.Degree(yp))
 			pos := c.xPosByY[j][byY.Offset(yp):byY.Offset(yp+1)]
 			for n, x := range byY.List(yp) {
 				pos[n] = int32(byX.Pos(x))
 			}
 		}
 	}
-	for _, w := range witnesses {
+	for i := range c.ys {
+		w := 1.0
+		for j, r := range rels {
+			w *= float64(r.ByY().Degree(int(c.yPos[j][i])))
+		}
 		c.joinSize += w
 	}
 	return c
@@ -212,6 +239,47 @@ func (c *starCtx) heavyX(j int, xp int32) bool {
 	return c.rels[j].ByX().Degree(int(xp)) > c.d2
 }
 
+// buildLastRows keeps the last arm's x list at every common y that holds at
+// least rowEntriesPerWord·w positions, w = ⌈D/64⌉ for the arm's D keys, as a
+// w-word bitmap row over x positions; the rows total ≤ |R_{k−1}|/2 words.
+func (c *starCtx) buildLastRows() {
+	last := c.k - 1
+	c.lastW = (c.rels[last].NumX() + 63) / 64
+	c.lastRowAt = make([]int32, len(c.ys))
+	words := 0
+	for i := range c.ys {
+		c.lastRowAt[i] = -1
+		if len(c.xList(last, i)) >= rowEntriesPerWord*c.lastW {
+			c.lastRowAt[i] = int32(words)
+			words += c.lastW
+		}
+	}
+	c.lastRows = make([]uint64, words)
+	for i, at := range c.lastRowAt {
+		if at >= 0 {
+			row := c.lastRows[at : int(at)+c.lastW]
+			for _, xp := range c.xList(last, i) {
+				row[xp>>6] |= 1 << (xp & 63)
+			}
+		}
+	}
+}
+
+// lastRow returns how many arms an enumeration at ys[i] crosses and the last
+// arm's row there: k and nil, or k−1 and the row that stands in for the arm.
+func (c *starCtx) lastRow(i int) (arms int, row []uint64) {
+	if c.lastRowAt == nil || c.lastRowAt[i] < 0 {
+		return c.k, nil
+	}
+	at := int(c.lastRowAt[i])
+	return c.k - 1, c.lastRows[at : at+c.lastW]
+}
+
+// starSink receives the position tuple ps (the producer's scratch, valid
+// during the call) or, when row is non-nil, every tuple that extends the
+// prefix ps[:k−1] by a last-arm position set in row (starDedup.mark).
+type starSink func(ps []int32, row []uint64)
+
 // values translates a position tuple into the x values it stands for.
 func (c *starCtx) values(dst, ps []int32) {
 	for j, p := range ps {
@@ -221,9 +289,11 @@ func (c *starCtx) values(dst, ps []int32) {
 
 // enumerateLight visits every projected tuple that has a witness with at
 // least one non-all-heavy tuple — steps (1) and (2) of the Section-3.2
-// algorithm. emit receives the chunk's scratch, whose ps holds the tuple's
-// positions (reused across calls).
-func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch)) {
+// algorithm — and hands it to emit, one prefix and row at a time where the
+// last arm's list has a bitmap row (lastRow). At the segment where the last
+// arm must be light that row is still the arm's whole list: the all-heavy
+// tuples it adds are in the set the matrix step produces anyway.
+func (c *starCtx) enumerateLight(workers int, emit starSink) {
 	par.ForChunks(len(c.ys), workers, func(lo, hi int) {
 		sc := getStarScratch(c.k)
 		defer putStarScratch(sc)
@@ -231,6 +301,8 @@ func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch)) {
 		lists := make([][]int32, c.k)
 		lightPart := make([][]int32, c.k)
 		heavyPart := make([][]int32, c.k)
+		var row []uint64
+		f := func() { emit(ps, row) }
 		for i := lo; i < hi; i++ {
 			if c.stop != nil && i&63 == 0 && c.stop() {
 				return
@@ -238,10 +310,12 @@ func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch)) {
 			for j := range c.rels {
 				lists[j] = c.xList(j, i)
 			}
+			var m int
+			m, row = c.lastRow(i)
 			if c.yHeavyCount[i] < 2 {
 				// No tuple at this y can be all-heavy (Rj⁺ needs a heavy y
 				// in some other relation), so enumerate the full product.
-				crossEmit(lists, ps, 0, func() { emit(sc) })
+				crossEmit(lists[:m], ps, 0, f)
 				continue
 			}
 			// Split each list into light and heavy x values; enumerate all
@@ -265,7 +339,7 @@ func (c *starCtx) enumerateLight(workers int, emit func(sc *starScratch)) {
 				if len(lightPart[p]) == 0 {
 					continue
 				}
-				crossSegmented(heavyPart, lightPart, lists, ps, 0, p, func() { emit(sc) })
+				crossSegmented(heavyPart[:m], lightPart[:m], lists[:m], ps, 0, p, f)
 			}
 		}
 	})
@@ -364,9 +438,8 @@ func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCol []int32, ncols int) (rows 
 }
 
 // heavyProduct runs step 3 of the Section-3.2 algorithm: the all-heavy
-// tuples as the grouped matrix product V × Wᵀ. visit receives a scratch
-// whose ps holds the tuple's positions.
-func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch)) {
+// tuples as the grouped matrix product V × Wᵀ, each handed to visit whole.
+func (c *starCtx) heavyProduct(workers int, visit starSink) {
 	yCol, ncols := c.heavyColumns()
 	if ncols == 0 {
 		return
@@ -386,7 +459,7 @@ func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch)) {
 		for j, n := range counts {
 			if n != 0 {
 				copy(sc.ps[g:], rowsB[j])
-				visit(sc)
+				visit(sc.ps, nil)
 			}
 		}
 		putStarScratch(sc)
@@ -407,17 +480,19 @@ func (c *starCtx) newDedup() *starDedup {
 // into dedup. Under the hash set it streams each distinct projected tuple to
 // emit as a position tuple as the workers meet it (called from multiple
 // goroutines; the slice is the worker's scratch, valid during the call —
-// translate it with values). Under the bitmap it only marks tuples and never
-// calls emit; the caller reads them afterwards with dedup.each or
-// dedup.count.
+// translate it with values). Under the bitmap it only sets bits and never
+// calls emit: it builds the last arm's bitmap rows first, every enumeration
+// loop crosses the first k−1 arms and ORs a y's row where it has one, and
+// the caller reads the tuples afterwards with dedup.each or dedup.count.
 func (c *starCtx) runStar(workers int, useMM bool, dedup *starDedup, emit func(ps []int32)) {
-	keyed := func(sc *starScratch) {
-		if dedup.insert(sc.ps) {
-			emit(sc.ps)
+	keyed := starSink(func(ps []int32, _ []uint64) {
+		if dedup.insert(ps) {
+			emit(ps)
 		}
-	}
+	})
 	if dedup.bitmap != nil {
-		keyed = func(sc *starScratch) { dedup.mark(sc.ps) }
+		c.buildLastRows()
+		keyed = dedup.mark
 	}
 	if !useMM {
 		// Combinatorial baseline: enumerate the full join and deduplicate.
@@ -425,6 +500,8 @@ func (c *starCtx) runStar(workers int, useMM bool, dedup *starDedup, emit func(p
 			sc := getStarScratch(c.k)
 			defer putStarScratch(sc)
 			lists := make([][]int32, c.k)
+			var row []uint64
+			f := func() { keyed(sc.ps, row) }
 			for i := lo; i < hi; i++ {
 				if c.stop != nil && i&63 == 0 && c.stop() {
 					return
@@ -432,7 +509,9 @@ func (c *starCtx) runStar(workers int, useMM bool, dedup *starDedup, emit func(p
 				for j := range c.rels {
 					lists[j] = c.xList(j, i)
 				}
-				crossEmit(lists, sc.ps, 0, func() { keyed(sc) })
+				var m int
+				m, row = c.lastRow(i)
+				crossEmit(lists[:m], sc.ps, 0, f)
 			}
 		})
 		return

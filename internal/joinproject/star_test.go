@@ -270,7 +270,7 @@ func TestStarDedup(t *testing.T) {
 				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(want)) {
 					copy(ps, want[i][:])
 					if d.bitmap != nil {
-						d.mark(ps)
+						d.mark(ps, nil)
 					} else if d.insert(ps) {
 						fresh.Add(1)
 					}
@@ -335,4 +335,123 @@ func TestCrossSegmentedCoversExactlyNotAllHeavy(t *testing.T) {
 		}
 	}
 	sort.Strings(nil) // keep sort import for symmetry with other tests
+}
+
+// rowMixArms builds a k-arm star over 40 common join values: arms 0..k−2
+// over small x domains (5, 3, 4 keys, so a prefix's first bit is rarely
+// word-aligned), x drawn skewed so that degrees straddle Δ2, and a last arm
+// over lastD keys whose list is long enough for a bitmap row (≥ 2·w
+// entries, w = ⌈lastD/64⌉) at even y and too short for one at odd y. Every
+// arm also holds its whole x domain under a join value of its own, so the
+// domains are exact. wideFirst adds that many more x values to arm 0's
+// private join value, which blows up the head domain but not the join.
+func rowMixArms(rng *rand.Rand, k, lastD, wideFirst int) []*relation.Relation {
+	const ny = 40
+	prefixD := []int{5, 3, 4}
+	rels := make([]*relation.Relation, k)
+	for j := range rels {
+		d := lastD
+		if j < k-1 {
+			d = prefixD[j]
+		}
+		w := (d + 63) / 64
+		var ps []relation.Pair
+		for y := int32(0); y < ny; y++ {
+			n := 1 + rng.Intn(min(d, 2*w-1))
+			if j == k-1 && y%2 == 0 && d >= 2*w {
+				n = 2*w + rng.Intn(d-2*w+1)
+			} else if j < k-1 {
+				n = 1 + rng.Intn(d)
+			}
+			seen := map[int32]bool{}
+			for len(seen) < n {
+				// Skewed: small x values are drawn far more often.
+				seen[int32(rng.Intn(rng.Intn(d)+1))] = true
+				if rng.Intn(4) == 0 {
+					seen[int32(rng.Intn(d))] = true
+				}
+			}
+			for x := range seen {
+				ps = append(ps, relation.Pair{X: x, Y: y})
+			}
+		}
+		if j == 0 {
+			d += wideFirst
+		}
+		for x := int32(0); x < int32(d); x++ {
+			ps = append(ps, relation.Pair{X: x, Y: int32(1000 + j)})
+		}
+		rels[j] = relation.FromPairs(fmt.Sprintf("R%d", j), ps)
+	}
+	return rels
+}
+
+// TestStarRowsMatchOracle checks the bitmap tuple set's row arm — a y whose
+// last-arm list is long ORs it as one shifted row per prefix of the other
+// arms — against the WCOJ oracle: k = 2, 3, 4, last-arm domains on both
+// sides of a word boundary (so rows start mid-word and spill into the next
+// word), all-light, all-heavy and a mixed Δ that reaches both the
+// segmented enumeration and the matrix step, 1, 2 and 4 workers, rows and
+// per-tuple marks in the same evaluation, and one head domain large enough
+// for the hash shards.
+func TestStarRowsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for _, k := range []int{2, 3, 4} {
+		for _, lastD := range []int{1, 63, 64, 65, 130} {
+			for _, wide := range []int{0, 5000} {
+				if wide > 0 && lastD != 130 {
+					continue
+				}
+				rels := rowMixArms(rng, k, lastD, wide)
+				name := fmt.Sprintf("k=%d D=%d wide=%d", k, lastD, wide)
+				want := wcoj.ProjectStar(rels)
+				bitmap := newStarCtx(rels, 1, 1).newDedup().bitmap != nil
+				if bitmap != (wide == 0) {
+					t.Fatalf("%s: bitmap tuple set = %v", name, bitmap)
+				}
+				mixed := [2]int{2, 6}
+				c := newStarCtx(rels, mixed[0], mixed[1])
+				segmented, heavy := false, 0
+				for i := range c.ys {
+					segmented = segmented || c.yHeavyCount[i] >= 2
+				}
+				c.heavyProduct(1, func([]int32, []uint64) { heavy++ })
+				// At k = 2 a one-key last arm is light at every y, so no y
+				// is heavy in two arms.
+				if (!segmented || heavy == 0) && !(k == 2 && lastD == 1) {
+					t.Fatalf("%s: Δ=%v reaches segmented=%v, %d matrix tuples", name, mixed, segmented, heavy)
+				}
+				if c.buildLastRows(); bitmap && lastD > 1 {
+					rows := 0
+					for _, at := range c.lastRowAt {
+						if at >= 0 {
+							rows++
+						}
+					}
+					if rows == 0 || rows == len(c.ys) {
+						t.Fatalf("%s: %d of %d join values have a row, want a mix", name, rows, len(c.ys))
+					}
+				}
+				allLight := 0
+				for _, r := range rels {
+					allLight = max(allLight, r.Size()+1)
+				}
+				for _, d := range [][2]int{{allLight, allLight}, {1, 1}, mixed} {
+					for _, workers := range []int{1, 2, 4} {
+						opt := Options{Delta1: d[0], Delta2: d[1], Workers: workers}
+						label := fmt.Sprintf("%s Δ=%v workers=%d", name, d, workers)
+						mm, nonmm := StarMM(rels, opt), StarNonMM(rels, opt)
+						checkTuplesEqual(t, mm, want, label+" StarMM")
+						checkTuplesEqual(t, nonmm, want, label+" StarNonMM")
+						if bitmap && (!slices.IsSortedFunc(mm, slices.Compare[[]int32]) || !slices.IsSortedFunc(nonmm, slices.Compare[[]int32])) {
+							t.Fatalf("%s: bitmap rows out of head order", label)
+						}
+						if n := StarMMSize(rels, opt); n != int64(len(want)) {
+							t.Fatalf("%s: StarMMSize = %d, want %d", label, n, len(want))
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -39,6 +39,10 @@
 // size the set is a bitmap addressed by the tuple's mixed-radix position
 // index, laid out so that bit order is head order; otherwise it is a hash
 // set of position tuples (starDedup), 64 mutex-striped tuples.Table shards.
+// Under the bitmap the last arm is the fastest digit, so the tuples that
+// extend one prefix of the other arms are a contiguous run of bits: a long
+// last-arm list is kept as a bitmap row and OR-ed in, shifted, once per
+// prefix, and only a short one is marked tuple by tuple.
 // internal/tuples is the one tuple store here: the matrix step's row
 // numbering (buildGroupMatrix) and the collected output rows use the same
 // Table and Arena.
@@ -306,17 +310,24 @@ func (c *twoPathCtx) runMode(workers int, useMM, counting bool, sink rowSink) {
 	wg.Wait()
 }
 
-// buildYRows keeps the z list of every y whose S-list holds at least 2·zw
-// positions as a zw-word bitmap row over z positions: yRowAt[y position] is
-// the row's first word in yRows, or -1. Each row stands for at least 2·zw
-// list entries, so the rows total at most |S|/2 words.
+// rowEntriesPerWord is the bitmap-row rule of both kernels: a list, or a
+// row's expansion, is kept or built as a bitmap row only when it holds at
+// least this many entries per word of the row — enough to pay for clearing,
+// OR-ing and reading back the words.
+const rowEntriesPerWord = 2
+
+// buildYRows keeps the z list of every y whose S-list holds at least
+// rowEntriesPerWord·zw positions as a zw-word bitmap row over z positions:
+// yRowAt[y position] is the row's first word in yRows, or -1. Each row
+// stands for at least 2·zw list entries, so the rows total at most |S|/2
+// words.
 func (c *twoPathCtx) buildYRows(zw, workers int) {
 	ny := c.sY.NumKeys()
 	c.yRowAt = make([]int32, ny)
 	words := 0
 	for i := range ny {
 		c.yRowAt[i] = -1
-		if c.sY.Degree(i) >= 2*zw {
+		if c.sY.Degree(i) >= rowEntriesPerWord*zw {
 			c.yRowAt[i] = int32(words)
 			words += zw
 		}
@@ -494,8 +505,8 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, sink rowSink, st *blockStat
 }
 
 // bitmapRow returns acc cleared when the x with join positions ys expands
-// at least 2·len(acc) z positions — enough to pay for clearing and reading
-// back the words — and nil otherwise, or when acc is nil.
+// at least rowEntriesPerWord·len(acc) z positions, and nil otherwise, or
+// when acc is nil.
 func (c *twoPathCtx) bitmapRow(ys []int32, acc []uint64) []uint64 {
 	if acc == nil {
 		return nil
@@ -503,7 +514,7 @@ func (c *twoPathCtx) bitmapRow(ys []int32, acc []uint64) []uint64 {
 	work := 0
 	for _, yp := range ys {
 		if yp >= 0 {
-			if work += c.sY.Degree(int(yp)); work >= 2*len(acc) {
+			if work += c.sY.Degree(int(yp)); work >= rowEntriesPerWord*len(acc) {
 				clear(acc)
 				return acc
 			}
